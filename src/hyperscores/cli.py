@@ -321,10 +321,9 @@ def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
         sels = selection_vertices(shape)
         arcs = []
         for rank, pair in enumerate(doc["losers"]):
-            if rank >= len(sels):
-                break
             loser = _vertex_in(pair)
-            sel = sels[rank]
+            # An entry past the last selection stays, so validate reports it.
+            sel = sels[rank] if rank < len(sels) else ()
             arcs.append(Arc(tuple(v for v in sel if v != loser) + (loser,)))
         return Hypertournament(shape, tuple(arcs))
     raise InputError("witness document needs an 'arcs' or 'losers' field")

@@ -1,22 +1,21 @@
 """Witness construction for valid losing-score lists.
 
-Two independent routes are provided. ``realize_inductive`` shrinks one part at
-a time: when the last entry of the active list equals the per-vertex arc count
-of its part, the corresponding vertex loses every arc through it and the rest
-is built recursively on the smaller shape; otherwise that entry is first raised
-to the bound by a sequence of list transformations (saturation) and each logged
-step is afterwards undone on the constructed hypertournament by arc
-interchanges. ``realize_flow`` instead assigns one loser per selection by exact
-maximum flow and serves as an oracle for the first route.
+Both routes move losses with one interchange-chain engine. ``realize_inductive``
+shrinks one part at a time: when the last entry of the active list equals the
+per-vertex arc count of its part, the corresponding vertex loses every arc
+through it and the rest is built recursively on the smaller shape; otherwise
+that entry is first raised to the bound by a sequence of list transformations
+(saturation) and each logged step is afterwards undone by a chain move.
+``realize_flow`` assigns losers greedily and repairs every excess by chain
+moves, an exact b-matching that serves as an oracle for the first route.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
-from networkx.algorithms.flow import edmonds_karp
+from typing import Callable
 
 from .criteria import CheckResult, check_losing_lists
 from .model import (
@@ -67,7 +66,7 @@ class RealizationGapError(Exception):
 
 
 class InfeasibleError(Exception):
-    """The flow network cannot route one loss per selection at the targets."""
+    """No assignment of one loser per selection meets the target loss counts."""
 
 
 @dataclass(frozen=True)
@@ -197,56 +196,55 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
     return ScoreLists("losing", tuple(tuple(lst) for lst in work)), log
 
 
-def _reassign_loser(M: Hypertournament, rank: int, new_loser: VertexId) -> Hypertournament:
-    """Interchange the loser of the arc at ``rank`` with ``new_loser`` in it."""
-    order = list(M.arcs[rank].order)
-    i = order.index(new_loser)
-    order[i], order[-1] = order[-1], order[i]
-    return M.replace_arc(rank, Arc(tuple(order)))
+class _LoserChains:
+    """Interchange-chain engine: arc orders by selection rank (loser last) and
+    each vertex's lost ranks, kept sorted in place as losses move."""
 
+    def __init__(self, orders: list[list[VertexId]]):
+        self.orders = orders
+        self.lost: dict[VertexId, list[int]] = {}
+        for rank, order in enumerate(orders):
+            self.lost.setdefault(order[-1], []).append(rank)
 
-def _move_loss(M: Hypertournament, source: VertexId, target: VertexId) -> Hypertournament:
-    """Move exactly one loss from ``source`` to ``target`` by interchanges.
+    def move_loss(self, source: VertexId, is_target: Callable[[VertexId], bool]) -> VertexId:
+        """Move one loss from ``source`` to the first vertex passing ``is_target``.
 
-    A single interchange suffices when some arc contains both vertices with
-    ``source`` last; in general the witness at hand may not carry such an arc
-    even though the moved lists stay realizable, so the move walks a shortest
-    chain u0=source, u1, ..., um=target where u_{i-1} loses an arc containing
-    u_i and each arc's loser is reassigned along it. Intermediate vertices gain
-    and lose one arc each, so only the two endpoint scores change. The search
-    is breadth-first over arcs in rank order, which keeps the construction
-    deterministic and picks the smallest-rank arc for the direct case.
-    """
-    loser_ranks: dict[VertexId, list[int]] = {}
-    for rank, arc in enumerate(M.arcs):
-        loser_ranks.setdefault(arc.order[-1], []).append(rank)
-    parent: dict[VertexId, tuple[VertexId, int] | None] = {source: None}
-    queue = deque([source])
-    while queue and target not in parent:
-        u = queue.popleft()
-        for rank in loser_ranks.get(u, ()):
-            for w in M.arcs[rank].order[:-1]:
-                if w not in parent:
+        The move walks a shortest chain u0=source, u1, ..., um where u_{i-1}
+        loses an arc containing u_i, and makes u_i that arc's loser by
+        interchanging the two. Intermediate vertices gain and lose one arc
+        each, so only the two endpoint scores change. The search is
+        breadth-first over lost arcs in rank order, so it is deterministic and
+        a direct move takes the smallest-rank arc. Returns the vertex reached.
+        """
+        parent: dict[VertexId, tuple[VertexId, int] | None] = {source: None}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for rank in self.lost.get(u, ()):
+                for w in self.orders[rank][:-1]:
+                    if w in parent:
+                        continue
                     parent[w] = (u, rank)
+                    if is_target(w):
+                        self._interchange_along(parent, w)
+                        return w
                     queue.append(w)
-            if target in parent:
-                break
-    if target not in parent:
-        raise NoEligibleArcError(
-            f"no chain of interchanges moves a loss from {source} to {target}"
-        )
-    chain = []
-    v = target
-    while parent[v] is not None:
-        u, rank = parent[v]
-        chain.append((rank, v))
-        v = u
-    for rank, new_loser in reversed(chain):  # ranks are distinct, order is cosmetic
-        M = _reassign_loser(M, rank, new_loser)
-    return M
+        raise NoEligibleArcError(f"no chain of interchanges moves a loss away from {source}")
+
+    def _interchange_along(self, parent, v: VertexId) -> None:
+        """Make each vertex on the search path to ``v`` lose the arc it was reached by."""
+        while parent[v] is not None:
+            loser, rank = parent[v]
+            order = self.orders[rank]
+            i = order.index(v)
+            order[i], order[-1] = order[-1], order[i]
+            self.lost[loser].remove(rank)
+            insort(self.lost.setdefault(v, []), rank)
+            v = loser
 
 
-def _realize(shape: Shape, lists) -> Hypertournament:
+def _realize(shape: Shape, lists) -> list[list[VertexId]]:
+    """Arc orders by selection rank whose losing lists are ``lists``."""
     active = next((i for i in range(shape.k) if shape.n[i] > shape.alpha[i]), None)
     if active is None:
         # Single selection: the unique unit entry marks the loser.
@@ -261,8 +259,7 @@ def _realize(shape: Shape, lists) -> Hypertournament:
             raise RealizationGapError(
                 f"single-arc shape needs exactly one unit loss, got lists {lists}"
             )
-        prefix = tuple(v for v in sel if v != losers[0])
-        return Hypertournament(shape, (Arc(prefix + (losers[0],)),))
+        return [[v for v in sel if v != losers[0]] + [losers[0]]]
 
     bound = arcs_through(shape, active)
     if lists[active][-1] == bound:
@@ -270,19 +267,19 @@ def _realize(shape: Shape, lists) -> Hypertournament:
 
     work = [list(lst) for lst in lists]
     log = _saturate(shape, work, active)
-    M = _realize(shape, work)
+    chains = _LoserChains(_realize(shape, work))
     for step in reversed(log.steps):
         # The incremented vertex gives the loss back to the decremented one.
         try:
-            M = _move_loss(M, step.incremented, step.decremented)
+            chains.move_loss(step.incremented, step.decremented.__eq__)
         except NoEligibleArcError as exc:
             raise RealizationGapError(
                 f"no interchange chain supports undoing {step}"
             ) from exc
-    return M
+    return chains.orders
 
 
-def _extend(shape: Shape, lists, active: int) -> Hypertournament:
+def _extend(shape: Shape, lists, active: int) -> list[list[VertexId]]:
     """Realize with the active part's last vertex losing every arc through it."""
     n_a = shape.n[active]
     new_vertex = VertexId(active, n_a - 1)
@@ -292,16 +289,16 @@ def _extend(shape: Shape, lists, active: int) -> Hypertournament:
     sub_lists = [list(lst) for lst in lists]
     sub_lists[active] = sub_lists[active][:-1]
     sub = _realize(sub_shape, sub_lists)
-    arcs = []
+    orders = []
     for sel in selection_vertices(shape):
         if new_vertex in sel:
-            arcs.append(Arc(tuple(v for v in sel if v != new_vertex) + (new_vertex,)))
+            orders.append([v for v in sel if v != new_vertex] + [new_vertex])
         else:
             subsets = tuple(
                 tuple(v.index for v in sel if v.part == part) for part in range(shape.k)
             )
-            arcs.append(sub.arcs[selection_rank(subsets, sub_shape)])
-    return Hypertournament(shape, tuple(arcs))
+            orders.append(sub[selection_rank(subsets, sub_shape)])
+    return orders
 
 
 def realize_inductive(shape: Shape, R) -> Hypertournament:
@@ -317,7 +314,8 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
-    M = _realize(shape, [list(lst) for lst in data])
+    orders = _realize(shape, [list(lst) for lst in data])
+    M = Hypertournament(shape, tuple(Arc(tuple(order)) for order in orders))
     targets = {
         VertexId(i, j): data[i][j]
         for i in range(shape.k)
@@ -329,14 +327,17 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
 
 
 def realize_flow(shape: Shape, R) -> Hypertournament:
-    """Assign one loser per selection by exact maximum flow.
+    """Assign one loser per selection so that vertex (i, j) loses R[i][j] arcs.
 
-    Network: source -> selection (capacity 1), selection -> each contained
-    vertex (capacity 1), vertex -> sink (capacity = target loss count). The
-    targets are realizable exactly when the maximum flow saturates every
-    selection; otherwise :class:`InfeasibleError` is raised, which coincides
-    with rejection by the losing-list check. Entry j of list i targets vertex
-    (i, j).
+    A greedy start gives each selection, in rank order, to its vertex with the
+    largest remaining need (ties to the first); repair then moves one loss at
+    a time by an interchange chain from a vertex over its target to one under.
+    :class:`InfeasibleError` is raised on a wrong grand total or when no chain
+    exists, which is exact by max-flow/min-cut: every arc lost in the set S of
+    vertices the search reached lies inside S, no vertex of S is under its
+    target and the source is over, so more arcs lie inside S than its targets
+    sum to, and any hypertournament makes S lose them all. Feasibility thus
+    coincides with acceptance by the losing-list check.
     """
     data = conform_lists(shape, R, "losing")
     total = shape.total_arcs()
@@ -344,26 +345,19 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
-    sels = selection_vertices(shape)
-    graph = nx.DiGraph()
-    source, sink = "source", "sink"
-    for rank, sel in enumerate(sels):
-        graph.add_edge(source, ("sel", rank), capacity=1)
-        for v in sel:
-            graph.add_edge(("sel", rank), ("v", v.part, v.index), capacity=1)
-    for i in range(shape.k):
-        for j in range(shape.n[i]):
-            graph.add_edge(("v", i, j), sink, capacity=data[i][j])
-
-    value, flow = nx.maximum_flow(graph, source, sink, flow_func=edmonds_karp)
-    if value < total:
-        raise InfeasibleError(f"maximum flow {value} < {total}: lists are not realizable")
-
-    arcs = []
-    for rank, sel in enumerate(sels):
-        out_flow = flow[("sel", rank)]
-        chosen = [v for v in sel if out_flow.get(("v", v.part, v.index), 0) >= 1]
-        assert len(chosen) == 1, "saturated selection must pick exactly one loser"
-        loser = chosen[0]
-        arcs.append(Arc(tuple(v for v in sel if v != loser) + (loser,)))
-    return Hypertournament(shape, tuple(arcs))
+    need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
+    orders = []
+    for sel in selection_vertices(shape):
+        loser = max(sel, key=need.__getitem__)
+        need[loser] -= 1
+        orders.append([v for v in sel if v != loser] + [loser])
+    chains = _LoserChains(orders)
+    for v in need:
+        while need[v] < 0:
+            try:
+                w = chains.move_loss(v, lambda w: need[w] > 0)
+            except NoEligibleArcError as exc:
+                raise InfeasibleError(f"{v} loses too many arcs: lists are not realizable") from exc
+            need[v] += 1
+            need[w] -= 1
+    return Hypertournament(shape, tuple(Arc(tuple(order)) for order in orders))

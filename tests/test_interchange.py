@@ -1,0 +1,173 @@
+"""The interchange-chain engine against the loss mover it replaced, and the
+inductive witness bytes it must keep."""
+
+import hashlib
+from collections import deque
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from hyperscores import (
+    Arc,
+    Hypertournament,
+    InfeasibleError,
+    NoEligibleArcError,
+    Shape,
+    VertexId,
+    check_losing_lists,
+    losing_scores,
+    random_hypertournament,
+    realize_flow,
+    realize_inductive,
+)
+from hyperscores.cli import main
+from hyperscores.realize import _LoserChains
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _reassign_loser(M: Hypertournament, rank: int, new_loser: VertexId) -> Hypertournament:
+    order = list(M.arcs[rank].order)
+    i = order.index(new_loser)
+    order[i], order[-1] = order[-1], order[i]
+    return M.replace_arc(rank, Arc(tuple(order)))
+
+
+def reference_move_loss(M: Hypertournament, source: VertexId, target: VertexId) -> Hypertournament:
+    """Naive reference: rebuilds the loser index and copies the arcs per call."""
+    loser_ranks: dict[VertexId, list[int]] = {}
+    for rank, arc in enumerate(M.arcs):
+        loser_ranks.setdefault(arc.order[-1], []).append(rank)
+    parent: dict[VertexId, tuple[VertexId, int] | None] = {source: None}
+    queue = deque([source])
+    while queue and target not in parent:
+        u = queue.popleft()
+        for rank in loser_ranks.get(u, ()):
+            for w in M.arcs[rank].order[:-1]:
+                if w not in parent:
+                    parent[w] = (u, rank)
+                    queue.append(w)
+            if target in parent:
+                break
+    if target not in parent:
+        raise NoEligibleArcError(
+            f"no chain of interchanges moves a loss from {source} to {target}"
+        )
+    chain = []
+    v = target
+    while parent[v] is not None:
+        u, rank = parent[v]
+        chain.append((rank, v))
+        v = u
+    for rank, new_loser in reversed(chain):
+        M = _reassign_loser(M, rank, new_loser)
+    return M
+
+
+@st.composite
+def small_shapes(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    alpha = [draw(st.integers(1, n_i)) for n_i in n]
+    return Shape(tuple(n), tuple(alpha))
+
+
+MODES = st.sampled_from(["loser-only", "full-permutation"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=small_shapes(), seed=st.integers(0, 2**32 - 1), mode=MODES, data=st.data())
+def test_move_loss_matches_reference(shape, seed, mode, data):
+    M = random_hypertournament(shape, seed, mode)
+    vertices = list(shape.vertices())
+    source = data.draw(st.sampled_from(vertices))
+    target = data.draw(st.sampled_from(vertices))
+    assume(source != target)
+    chains = _LoserChains([list(arc.order) for arc in M.arcs])
+    try:
+        expected = reference_move_loss(M, source, target)
+    except NoEligibleArcError:
+        with pytest.raises(NoEligibleArcError):
+            chains.move_loss(source, target.__eq__)
+        return
+    assert chains.move_loss(source, target.__eq__) == target
+    assert tuple(tuple(order) for order in chains.orders) == tuple(a.order for a in expected.arcs)
+    for v, ranks in chains.lost.items():
+        assert ranks == [r for r, order in enumerate(chains.orders) if order[-1] == v]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=small_shapes(), seed=st.integers(0, 2**32 - 1), mode=MODES, data=st.data())
+def test_flow_agrees_with_check_near_achievable_lists(shape, seed, mode, data):
+    """Flow realizes achievable lists and, after some units move from the
+    smallest positive entry of one part to the largest entry of a part, is
+    feasible exactly when the losing-list check accepts."""
+    lists = losing_scores(random_hypertournament(shape, seed, mode)).lists
+    assert losing_scores(realize_flow(shape, lists)).lists == lists
+    a = data.draw(st.sampled_from([i for i in range(shape.k) if lists[i][-1] > 0]))
+    b = next(j for j, entry in enumerate(lists[a]) if entry > 0)
+    c = data.draw(st.integers(0, shape.k - 1))
+    units = data.draw(st.integers(1, lists[a][b]))
+    work = [list(lst) for lst in lists]
+    work[a][b] -= units
+    work[c][-1] += units
+    moved = tuple(tuple(sorted(lst)) for lst in work)
+    valid = check_losing_lists(shape, moved).valid
+    try:
+        M = realize_flow(shape, moved)
+    except InfeasibleError:
+        assert not valid
+    else:
+        assert valid
+        assert losing_scores(M).lists == moved
+
+
+# sha256 of `realize FIXTURE --method inductive --emit arcs` stdout, recorded
+# before the interchange engine replaced the per-call loss mover.
+FIXTURE_DIGESTS = {
+    "inst_222_111.json": "48b212937fdf67428aa58ad7e4beb0a3762af723592f4ca43c270e3e5531101f",
+    "inst_2x2_11.json": "012f62e268123e6493ad2f9c01d808397f4edbee4174773732adbac14917a13f",
+    "inst_2x2_11.txt": "012f62e268123e6493ad2f9c01d808397f4edbee4174773732adbac14917a13f",
+    "inst_3x2_11.json": "c9b8f68354d8e25f741df6707994d0956907d25630602c37fc67dd3fbcccc0ce",
+    "inst_3x2_21.json": "0740d2bb6d771203e5a50cb05fb83057d821d6f33f6e687ff7bb86690bea492f",
+    "inst_k1_42.json": "8fa8a0158a493ae4bad8c507474ea650543e0bc3a4479f6ac4fc74860f639ca0",
+    "inst_score_2x2.json": "188805530b14604df5c6223b677c92ea184df97de45a3b4558319efa43559f0e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_inductive_witness_bytes_of_fixtures(name, capsys):
+    code = main(["realize", str(FIXTURES / name), "--method", "inductive", "--emit", "arcs"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DIGESTS[name]
+
+
+GOLDEN_SHAPES = [
+    ((3, 3), (1, 1)),
+    ((4, 3), (2, 1)),
+    ((2, 2, 2), (1, 1, 1)),
+    ((5,), (2,)),
+    ((3, 3, 2), (2, 1, 1)),
+    ((4, 4), (2, 2)),
+    ((6,), (3,)),
+    ((3, 2, 2, 2), (1, 1, 1, 1)),
+    ((5, 4), (2, 2)),
+    ((4, 3, 3), (2, 1, 1)),
+]
+
+
+def test_inductive_witness_bytes_of_seeded_instances():
+    """The lists of 200 seeded random hypertournaments realize to the same arcs
+    as before the interchange engine, including non-loser order."""
+    digest = hashlib.sha256()
+    for n, alpha in GOLDEN_SHAPES:
+        shape = Shape(n, alpha)
+        for seed in range(10):
+            for mode in ("loser-only", "full-permutation"):
+                lists = losing_scores(random_hypertournament(shape, seed, mode)).lists
+                M = realize_inductive(shape, lists)
+                digest.update(repr([[tuple(v) for v in arc.order] for arc in M.arcs]).encode())
+    assert digest.hexdigest() == "7306cccefc13fe4203039e1ae5ab86789995ea6e385cbd03e63ee6003cf53763"
