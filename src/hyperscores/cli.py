@@ -321,9 +321,10 @@ def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
         sels = selection_vertices(shape)
         arcs = []
         for rank, pair in enumerate(doc["losers"]):
+            if rank >= len(sels):
+                break
             loser = _vertex_in(pair)
-            # An entry past the last selection stays, so validate reports it.
-            sel = sels[rank] if rank < len(sels) else ()
+            sel = sels[rank]
             arcs.append(Arc(tuple(v for v in sel if v != loser) + (loser,)))
         return Hypertournament(shape, tuple(arcs))
     raise InputError("witness document needs an 'arcs' or 'losers' field")
