@@ -46,6 +46,7 @@ from .oracle import (
 from .realize import (
     InfeasibleError,
     InvalidListsError,
+    NoValidStepError,
     RealizationGapError,
     realize_flow,
     realize_inductive,
@@ -264,7 +265,7 @@ def _text_witness(doc: dict) -> str:
 def cmd_check(args) -> int:
     shape, lists = _load_instance(args)
     fn = check_losing_lists if lists.kind == "losing" else check_score_lists
-    result = fn(shape, lists, jobs=args.jobs)
+    result = fn(shape, lists)
     _emit(_check_doc(lists.kind, result), args, _text_check)
     return EXIT_OK if result.valid else EXIT_INVALID
 
@@ -292,7 +293,7 @@ def cmd_realize(args) -> int:
     realizer = realize_inductive if args.method == "inductive" else realize_flow
     try:
         M = realizer(shape, lists)
-    except (RealizationGapError, InfeasibleError) as exc:
+    except (RealizationGapError, InfeasibleError, NoValidStepError) as exc:
         _note(f"error: {exc}")
         return EXIT_GAP
     except InvalidListsError as exc:
@@ -451,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check", help="decide whether an instance's lists are realizable")
     p.add_argument("instance", help="instance file (JSON or text), '-' for stdin")
     p.add_argument("--sort", action="store_true", help="sort unsorted input lists")
-    p.add_argument("--jobs", type=int, default=1, help="partition the check across N processes")
     _add_format(p)
     p.set_defaults(handler=cmd_check)
 

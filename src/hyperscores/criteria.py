@@ -2,21 +2,32 @@
 
 A candidate tuple of lists is accepted exactly when every prefix tuple
 (p_1, ..., p_k) with 0 <= p_i <= n_i satisfies the corresponding lower bound
-and the full prefix meets it with equality. Both bounds are evaluated in exact
-integer arithmetic; the score-side bound uses the integer form
-sum_i p_i * C(n_i - 1, alpha_i - 1) * prod_{t != i} C(n_t, alpha_t) for the
-linear term, which avoids rational arithmetic.
+and the full prefix meets it with equality. Both sides share one slack,
+
+    slack(p) = offset + sum_i base_i(p_i) - prod_i g_i(p_i),
+
+which is negative exactly where the bound fails:
+
+- losing side: base_i = pref_i, g_i(p) = C(p, alpha_i), offset = 0;
+- score side: base_i(p) = pref_i(p) - p * arcs_through_i,
+  g_i(p) = C(n_i - p, alpha_i), offset = T, the number of arcs.
+
+For a fixed head (p_1, ..., p_{k-1}) the slack is a + base_k(p) - g_k(p) * c
+with a and c fixed, so the smallest slack over the last coordinate is the lower
+envelope of the lines base_k(p) - g_k(p) * x at x = c. The envelope is built
+once per call and each head is decided by one binary search, so a check costs
+O(prod_{i<k} (n_i + 1) * log n_k) instead of one step per prefix tuple. All
+arithmetic is exact in integers.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
+from math import comb, prod
 from typing import Sequence
 
-from .combinatorics import binom
 from .model import ScoreLists, Shape, arcs_through, conform_lists
 
 __all__ = [
@@ -53,131 +64,129 @@ class CheckResult:
     equality_at_full: bool
 
 
-def _violation_scan(shape, data, kind, p1_values, pruned):
-    """First prefix-bound violation in lexicographic order, or None.
+def _lower_envelope(base, g):
+    """Lower envelope of the lines y = base[p] - g[p] * x.
 
-    ``pruned`` skips tuples that provably cannot violate (losing side: a zero
-    product bound; score side: a non-positive bound), which never changes the
-    outcome for non-negative lists. Runs in worker processes for partitioned
-    checks, so it only touches picklable arguments.
+    Returns the envelope's lines as (intercept, g) pairs in ascending g, and
+    for each adjacent pair the least integer x at which the later line is at
+    least as low. The minimum over all lines at an integer x is then attained
+    by line ``bisect_right(steps, x)``. Redundant lines are found by
+    cross-multiplication; each breakpoint is stored as its exact integer
+    ceiling, which decides integer queries exactly.
     """
-    k = shape.k
-    pref = [tuple(accumulate(lst, initial=0)) for lst in data]
-    if kind == "losing":
-        rows = [
-            tuple(binom(p, shape.alpha[i], limit=None) for p in range(shape.n[i] + 1))
-            for i in range(k)
-        ]
-        first = [p for p in p1_values if not pruned or p >= shape.alpha[0]]
-        rest = [
-            range(shape.alpha[i], shape.n[i] + 1) if pruned else range(shape.n[i] + 1)
-            for i in range(1, k)
-        ]
-        for p in product(first, *rest):
-            rhs = 1
-            for i, p_i in enumerate(p):
-                rhs *= rows[i][p_i]
-            lhs = sum(pref[i][p_i] for i, p_i in enumerate(p))
-            if lhs < rhs:
-                return (p, lhs, rhs)
-        return None
+    hull = []
+    for m, b in sorted(zip(g, base)):
+        if hull and hull[-1][1] == m:
+            continue  # equal slope: sorted puts the least intercept first
+        while len(hull) >= 2:
+            (b1, m1), (b2, m2) = hull[-2], hull[-1]
+            # The middle line is never strictly lowest once the new line
+            # meets the first one no later than the middle one does.
+            if (b - b1) * (m2 - m1) <= (b2 - b1) * (m - m1):
+                hull.pop()
+            else:
+                break
+        hull.append((b, m))
+    steps = [-((b1 - b2) // (m2 - m1)) for (b1, m1), (b2, m2) in zip(hull, hull[1:])]
+    return hull, steps
 
-    total = shape.total_arcs()
-    through = [arcs_through(shape, i) for i in range(k)]
-    rev_rows = [
-        tuple(binom(shape.n[i] - p, shape.alpha[i], limit=None) for p in range(shape.n[i] + 1))
-        for i in range(k)
-    ]
-    for p in product(list(p1_values), *[range(shape.n[i] + 1) for i in range(1, k)]):
-        rhs = -total
-        prod_term = 1
-        for i, p_i in enumerate(p):
-            rhs += p_i * through[i]
-            prod_term *= rev_rows[i][p_i]
-        rhs += prod_term
-        if pruned and rhs <= 0:
-            continue
-        lhs = sum(pref[i][p_i] for i, p_i in enumerate(p))
-        if lhs < rhs:
-            return (p, lhs, rhs)
+
+def _extend(heads, pairs):
+    """Heads one coordinate longer, in lexicographic order: each (a, c)
+    followed by every (base, g) value of the new coordinate."""
+    for a, c in heads:
+        for b, m in pairs:
+            yield a + b, c * m
+
+
+def _first_violation(offset, base, g):
+    """Lexicographically smallest p with a negative slack, or None.
+
+    Heads are visited in lexicographic order and each is decided on the
+    envelope of the last coordinate; only the first violating head is scanned
+    along the last coordinate, for the least violating p_k.
+    """
+    *head_base, last_base = base
+    *head_g, last_g = g
+    hull, steps = _lower_envelope(last_base, last_g)
+    heads = [(offset, 1)]
+    for b_i, g_i in zip(head_base, head_g):
+        heads = _extend(heads, tuple(zip(b_i, g_i)))
+    for index, (a, c) in enumerate(heads):
+        b, m = hull[bisect_right(steps, c)]
+        if a + b < m * c:
+            head = []
+            for b_i in reversed(head_base):
+                index, p_i = divmod(index, len(b_i))
+                head.append(p_i)
+            p_k = next(p for p, (bp, gp) in enumerate(zip(last_base, last_g)) if a + bp < gp * c)
+            return (*reversed(head), p_k)
     return None
 
 
-def _scan_job(args):
-    return _violation_scan(*args)
-
-
-def _check(shape: Shape, data, kind: str, pruned: bool, jobs: int) -> CheckResult:
-    lhs_full = sum(sum(lst) for lst in data)
+def _check(shape: Shape, data, kind: str) -> CheckResult:
     total = shape.total_arcs()
-    rhs_full = total if kind == "losing" else (sum(shape.alpha) - 1) * total
+    pref = [tuple(accumulate(lst, initial=0)) for lst in data]
+    if kind == "losing":
+        offset, base = 0, pref
+        g = [[comb(p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
+        rhs_full = total
+    else:
+        offset = total
+        through = [arcs_through(shape, i) for i in range(shape.k)]
+        base = [[s - p * t for p, s in enumerate(pref_i)] for pref_i, t in zip(pref, through)]
+        g = [[comb(n_i - p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
+        rhs_full = (sum(shape.alpha) - 1) * total
+    lhs_full = sum(pref_i[-1] for pref_i in pref)
     equality = lhs_full == rhs_full
 
-    p1_all = list(range(shape.n[0] + 1))
-    if jobs > 1 and len(p1_all) > 1:
-        workers = min(jobs, len(p1_all))
-        step = math.ceil(len(p1_all) / workers)
-        chunks = [p1_all[lo : lo + step] for lo in range(0, len(p1_all), step)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(
-                pool.map(_scan_job, [(shape, data, kind, chunk, pruned) for chunk in chunks])
-            )
-        # Chunks cover ascending p_1 ranges, so the first hit is the
-        # lexicographic minimum.
-        found = next((r for r in results if r is not None), None)
-    else:
-        found = _violation_scan(shape, data, kind, p1_all, pruned)
-
-    if found is None and not equality:
-        found = (tuple(shape.n), lhs_full, rhs_full)
-    violation = None if found is None else PrefixViolation(*found)
+    violation = None
+    p = _first_violation(offset, base, g)
+    if p is not None:
+        lhs = sum(pref_i[p_i] for pref_i, p_i in zip(pref, p))
+        slack = offset + sum(b[p_i] for b, p_i in zip(base, p)) - prod(
+            g_i[p_i] for g_i, p_i in zip(g, p)
+        )
+        violation = PrefixViolation(p, lhs, lhs - slack)  # slack = lhs - rhs
+    elif not equality:
+        violation = PrefixViolation(tuple(shape.n), lhs_full, rhs_full)
     return CheckResult(violation is None and equality, violation, equality)
 
 
-def check_losing_lists(shape: Shape, R, *, pruned: bool = False, jobs: int = 1) -> CheckResult:
+def check_losing_lists(shape: Shape, R) -> CheckResult:
     """Decide whether R can be the losing score lists of a hypertournament.
 
     Valid iff for every prefix tuple p, the summed prefixes of the lists are at
-    least prod_i C(p_i, alpha_i), with equality at the full prefix. The full
-    tuple space is scanned by default; ``pruned=True`` enables the
-    result-identical skip of tuples with a vanishing bound, and ``jobs > 1``
-    partitions the scan by the first coordinate across processes.
+    least prod_i C(p_i, alpha_i), with equality at the full prefix. Costs
+    O(prod_{i<k} (n_i + 1) * log n_k) on the envelope of the last coordinate.
     """
     data = conform_lists(shape, R, "losing")
-    return _check(shape, data, "losing", pruned, jobs)
+    return _check(shape, data, "losing")
 
 
-def check_score_lists(shape: Shape, S, *, pruned: bool = False, jobs: int = 1) -> CheckResult:
+def check_score_lists(shape: Shape, S) -> CheckResult:
     """Decide whether S can be the score lists of a hypertournament.
 
     Valid iff for every prefix tuple p, the summed prefixes are at least
     sum_i p_i * C(n_i - 1, alpha_i - 1) * prod_{t != i} C(n_t, alpha_t)
     + prod_i C(n_i - p_i, alpha_i) - prod_i C(n_i, alpha_i),
-    with equality at the full prefix.
+    with equality at the full prefix. Same cost as :func:`check_losing_lists`.
     """
     data = conform_lists(shape, S, "score")
-    return _check(shape, data, "score", pruned, jobs)
+    return _check(shape, data, "score")
 
 
 def check_single_part(n: int, arity: int, R: Sequence[int]) -> CheckResult:
-    """Single-part check: prefix sums against C(j, arity), equality at j = n."""
+    """Single-part check: prefix sums against C(j, arity), equality at j = n.
+
+    The k = 1 case of :func:`check_losing_lists`, with its own argument checks.
+    """
     if not n >= arity > 1:
         raise ValueError(f"need n >= arity > 1, got n={n}, arity={arity}")
-    lst = ScoreLists("losing", (tuple(R),)).lists[0]
-    if len(lst) != n:
-        raise ValueError(f"expected {n} entries, got {len(lst)}")
-    pref = tuple(accumulate(lst, initial=0))
-    rhs_full = math.comb(n, arity)
-    equality = pref[n] == rhs_full
-    violation = None
-    for j in range(1, n + 1):
-        rhs = math.comb(j, arity)
-        if pref[j] < rhs:
-            violation = PrefixViolation((j,), pref[j], rhs)
-            break
-    if violation is None and not equality:
-        violation = PrefixViolation((n,), pref[n], rhs_full)
-    return CheckResult(violation is None and equality, violation, equality)
+    lists = ScoreLists("losing", (tuple(R),))
+    if len(lists.lists[0]) != n:
+        raise ValueError(f"expected {n} entries, got {len(lists.lists[0])}")
+    return check_losing_lists(Shape((n,), (arity,)), lists)
 
 
 def _reverse_complement(shape: Shape, data) -> tuple[tuple[int, ...], ...]:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .combinatorics import binom, subsets_colex, total_selections
+from .combinatorics import CapacityError, binom, subsets_colex, total_selections
 
 __all__ = [
     "Arc",
     "Hypertournament",
     "Kind",
+    "MAX_SELECTIONS",
     "NoEligibleArcError",
     "ScoreLists",
     "Shape",
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 Kind = Literal["losing", "score"]
+
+# Largest selection table that selection_vertices builds: at about 490 bytes
+# per selection, 10^6 selections take about 0.5 GB.
+MAX_SELECTIONS = 10**6
 
 
 class VertexId(NamedTuple):
@@ -189,7 +194,15 @@ def conform_lists(shape: Shape, lists, kind: Kind) -> tuple[tuple[int, ...], ...
 
 @lru_cache(maxsize=256)
 def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
-    """All selections of ``shape`` as canonically ordered vertex tuples, by rank."""
+    """All selections of ``shape`` as canonically ordered vertex tuples, by rank.
+
+    Raises :class:`CapacityError` before allocating anything when the shape
+    has more than :data:`MAX_SELECTIONS` selections.
+    """
+    if shape.total_arcs() > MAX_SELECTIONS:
+        raise CapacityError(
+            f"{shape.total_arcs()} selections exceed the table limit of {MAX_SELECTIONS}"
+        )
     per_part = [subsets_colex(shape.n[i], shape.alpha[i]) for i in range(shape.k)]
     radices = [len(subsets) for subsets in per_part]
     digits = [0] * shape.k

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from hyperscores import cli
 from hyperscores.cli import main
+from hyperscores.realize import NoValidStepError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -83,12 +85,6 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
-    def test_jobs_flag_same_answer(self, tmp_path, capsys):
-        path = write_instance(tmp_path, VALID)
-        code1, out1, _ = run(capsys, "check", path)
-        code2, out2, _ = run(capsys, "check", path, "--jobs", "2")
-        assert (code1, out1) == (code2, out2)
-
 
 class TestRealizeVerify:
     @pytest.mark.parametrize("method", ["inductive", "flow"])
@@ -128,6 +124,16 @@ class TestRealizeVerify:
         code, out, _ = run(capsys, "realize", write_instance(tmp_path, INVALID))
         assert code == 1
         assert json.loads(out)["valid"] is False
+
+    def test_no_valid_step_is_a_gap(self, tmp_path, capsys, monkeypatch):
+        def stuck(shape, lists):
+            raise NoValidStepError("no transformation preserves the prefix bounds")
+
+        monkeypatch.setattr(cli, "realize_inductive", stuck)
+        code, out, err = run(capsys, "realize", write_instance(tmp_path, VALID))
+        assert code == 3
+        assert out == ""
+        assert "no transformation" in err and "Traceback" not in err
 
     def test_score_input_converted(self, tmp_path, capsys):
         doc = dict(VALID, kind="score")
@@ -240,6 +246,13 @@ class TestEnumerateRandom:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["arcs"]) == 4
+
+    def test_selection_table_over_the_cap(self, capsys):
+        # C(60, 30)^2 selections pass the magnitude guard but not the table cap.
+        code, out, err = run(capsys, "random", "--n", "60,60", "--alpha", "30,30")
+        assert code == 4
+        assert out == ""
+        assert "selections exceed" in err and "Traceback" not in err
 
     def test_bad_shape_flags(self, capsys):
         code, _, _ = run(capsys, "random", "--n", "2,x", "--alpha", "1,1")

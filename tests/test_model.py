@@ -110,6 +110,13 @@ class TestSelectionTable:
             )
             assert sel == expected
 
+    def test_table_cap(self):
+        from hyperscores.model import MAX_SELECTIONS
+
+        shape = Shape((MAX_SELECTIONS + 1,), (1,))
+        with pytest.raises(CapacityError):
+            selection_vertices(shape)
+
 
 class TestArcsThrough:
     def test_counted_against_enumeration(self):
