@@ -12,11 +12,10 @@ everything is 0-based internally.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
-
-import jsonschema
 
 from .combinatorics import CapacityError
 from .criteria import (
@@ -57,41 +56,6 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_GAP = 3
 EXIT_RESOURCE = 4
-
-_INT_LIST = {"type": "array", "items": {"type": "integer"}}
-_VERTEX = {
-    "type": "array",
-    "items": {"type": "integer"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-INSTANCE_SCHEMA = {
-    "type": "object",
-    "required": ["k", "n", "alpha", "kind", "lists"],
-    "properties": {
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "alpha": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "kind": {"enum": ["losing", "score"]},
-        "lists": {"type": "array", "items": _INT_LIST},
-    },
-}
-
-WITNESS_SCHEMA = {
-    "type": "object",
-    "required": ["k", "n", "alpha"],
-    "properties": {
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "alpha": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "kind": {"enum": ["losing", "score"]},
-        "lists": {"type": "array", "items": _INT_LIST},
-        "arcs": {"type": "array", "items": {"type": "array", "items": _VERTEX}},
-        "losers": {"type": "array", "items": _VERTEX},
-    },
-}
-
 
 class InputError(Exception):
     """Malformed or inconsistent input document."""
@@ -140,20 +104,103 @@ def _parse_text_instance(text: str) -> dict:
     return {"k": k, "n": n, "alpha": alpha, "kind": kind, "lists": lists}
 
 
-def _read_document(path: str, schema: dict) -> dict:
+def _integral(x) -> bool:
+    """Whether x is an integer as JSON Schema counts one: an int that is not a
+    bool, or an integral float (2.0 is one; 2.5, NaN and infinities are not)."""
+    return type(x) is int or (type(x) is float and x.is_integer())
+
+
+def _schema_error(path: str, expected: str) -> InputError:
+    return InputError(f"document fails the schema: {path} must be {expected}")
+
+
+def _check_document(doc, witness: bool) -> None:
+    """Raise InputError, naming the field, unless doc is a well-formed
+    instance document (or witness document, if witness is set).
+
+    An instance needs k, n, alpha, kind and lists; a witness needs k, n and
+    alpha. k is an integer >= 1; n and alpha are non-empty arrays of
+    integers >= 1; kind is "losing" or "score"; lists is an array of integer
+    arrays. A witness's arcs, if present, is an array of arrays of vertex
+    pairs, and its losers an array of vertex pairs; a vertex pair is an
+    array of exactly two integers. Other keys, an instance's arcs and losers
+    among them, are not looked at. Values are not compared with each other
+    or with the shape here.
+
+    Documents come from json.loads or the text reader, which build only
+    dict, list, str, int, float, bool and None, so exact type tests suffice.
+    The loops test ``type(x) is int`` first and call _integral only for
+    entries that fail it, so a well-formed document costs no call per entry.
+    """
+    if type(doc) is not dict:
+        raise _schema_error("the document", "an object")
+    for key in ("k", "n", "alpha") if witness else ("k", "n", "alpha", "kind", "lists"):
+        if key not in doc:
+            raise _schema_error(key, "present")
+    k = doc["k"]
+    if not (_integral(k) and k >= 1):
+        raise _schema_error("k", "an integer >= 1")
+    for key in ("n", "alpha"):
+        values = doc[key]
+        if type(values) is not list or not values:
+            raise _schema_error(key, "a non-empty array of integers >= 1")
+        for i, x in enumerate(values):
+            if not ((type(x) is int or _integral(x)) and x >= 1):
+                raise _schema_error(f"{key}[{i}]", "an integer >= 1")
+    if "kind" in doc and doc["kind"] not in ("losing", "score"):
+        raise _schema_error("kind", '"losing" or "score"')
+    if "lists" in doc:
+        lists = doc["lists"]
+        if type(lists) is not list:
+            raise _schema_error("lists", "an array of integer arrays")
+        for i, values in enumerate(lists):
+            if type(values) is not list:
+                raise _schema_error(f"lists[{i}]", "an array of integers")
+            for j, x in enumerate(values):
+                if type(x) is not int and not _integral(x):
+                    raise _schema_error(f"lists[{i}][{j}]", "an integer")
+    if witness and "arcs" in doc:
+        arcs = doc["arcs"]
+        if type(arcs) is not list:
+            raise _schema_error("arcs", "an array of arcs")
+        for i, arc in enumerate(arcs):
+            if type(arc) is not list:
+                raise _schema_error(f"arcs[{i}]", "an array of vertex pairs")
+            for j, pair in enumerate(arc):
+                if type(pair) is not list or len(pair) != 2:
+                    raise _schema_error(f"arcs[{i}][{j}]", "a pair of integers")
+                a, b = pair
+                if (type(a) is not int or type(b) is not int) and not (
+                    _integral(a) and _integral(b)
+                ):
+                    raise _schema_error(f"arcs[{i}][{j}]", "a pair of integers")
+    if witness and "losers" in doc:
+        losers = doc["losers"]
+        if type(losers) is not list:
+            raise _schema_error("losers", "an array of vertex pairs")
+        for j, pair in enumerate(losers):
+            if type(pair) is not list or len(pair) != 2:
+                raise _schema_error(f"losers[{j}]", "a pair of integers")
+            a, b = pair
+            if (type(a) is not int or type(b) is not int) and not (
+                _integral(a) and _integral(b)
+            ):
+                raise _schema_error(f"losers[{j}]", "a pair of integers")
+
+
+def _read_document(path: str, witness: bool = False) -> dict:
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integer literals beyond
+            # the interpreter's digit limit; RecursionError deep nesting.
             raise InputError(f"malformed JSON: {exc}") from exc
     else:
         doc = _parse_text_instance(text)
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"document fails the schema: {exc.message}") from exc
+    _check_document(doc, witness)
     return doc
 
 
@@ -179,7 +226,7 @@ def _lists_from_doc(doc: dict, shape: Shape, sort: bool) -> ScoreLists:
 
 
 def _load_instance(args) -> tuple[Shape, ScoreLists]:
-    doc = _read_document(args.instance, INSTANCE_SCHEMA)
+    doc = _read_document(args.instance)
     shape = _shape_from_doc(doc)
     return shape, _lists_from_doc(doc, shape, args.sort)
 
@@ -332,7 +379,7 @@ def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
 
 
 def cmd_verify(args) -> int:
-    doc = _read_document(args.witness, WITNESS_SCHEMA)
+    doc = _read_document(args.witness, witness=True)
     shape = _shape_from_doc(doc)
     M = _hypertournament_from_doc(doc, shape)
     violations = validate(M)
@@ -441,7 +488,9 @@ def _add_shape_flags(sub) -> None:
     sub.add_argument("--alpha", required=True, help="comma-separated arities, e.g. 1,1")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="hyperscores",
         description="Check, realize, verify, convert, and enumerate score lists "
