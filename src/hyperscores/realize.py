@@ -12,12 +12,14 @@ moves, an exact b-matching that serves as an oracle for the first route.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from math import comb
 from typing import Callable
 
-from .criteria import CheckResult, check_losing_lists
+from .criteria import CheckResult, _first_violation, check_losing_lists
 from .model import (
     Arc,
     Hypertournament,
@@ -30,7 +32,6 @@ from .model import (
     losing_score_map,
     selection_vertices,
 )
-from .combinatorics import selection_rank
 
 __all__ = [
     "InfeasibleError",
@@ -75,8 +76,8 @@ class TransformStep:
 
     Both fields are (part, index) positions into the lists. The preferred move
     takes the unit from another part's list; the decremented position sits in
-    the incremented part itself only when no donor position preserves the
-    bounds (always the case for single-part shapes).
+    the incremented part itself only when no canonical donor move preserves
+    the bounds (always the case for single-part shapes).
     """
 
     incremented: VertexId
@@ -96,78 +97,65 @@ class TransformLog:
         return tuple(tuple(lst) for lst in work)
 
 
-def _min_run_end(lst) -> int:
-    """Index of the last entry of the initial run of minimal equal entries."""
-    h = 0
-    while h + 1 < len(lst) and lst[h + 1] == lst[0]:
-        h += 1
-    return h
+def _keeps_bounds(pref, g, active: int, inc: int, s: int, t: int) -> bool:
+    """Whether +1 at (active, inc) and -1 at (s, t) leave valid lists valid.
+
+    ``pref[i]`` and ``g[i]`` are part i's prefix sums and C(p, alpha_i) for
+    p = 0..n_i. The move lowers the slack by exactly 1 on the box of prefixes
+    with p_active <= inc and p_s > t (t < p_active < n_active for a shift
+    inside the active list) and nowhere else, never at the full prefix, so
+    valid lists stay valid iff no prefix in the box has slack 0.
+    """
+    rows, g_rows = list(pref), list(g)
+    if s == active:
+        rows[s], g_rows[s] = pref[s][t + 1 : -1], g[s][t + 1 : -1]
+    else:
+        rows[active], g_rows[active] = pref[active][: inc + 1], g[active][: inc + 1]
+        rows[s], g_rows[s] = pref[s][t + 1 :], g[s][t + 1 :]
+    return _first_violation(-1, rows, g_rows) is None
 
 
-def _max_run_start(lst) -> int:
-    """Index of the first entry of the final run of maximal equal entries."""
-    t = len(lst) - 1
-    while t - 1 >= 0 and lst[t - 1] == lst[-1]:
-        t -= 1
-    return t
-
-
-def _non_decreasing(lst) -> bool:
-    return all(a <= b for a, b in zip(lst, lst[1:]))
-
-
-def _run_starts(lst) -> list[int]:
-    return [t for t in range(len(lst)) if t == 0 or lst[t - 1] < lst[t]]
-
-
-def _saturation_step(shape: Shape, lists, active: int) -> TransformStep | None:
+def _saturation_step(lists, pref, g, active: int) -> TransformStep | None:
     """Apply the first bound-preserving step to ``lists`` in place.
 
     The preferred move adds 1 at the end of the active list's initial minimal
     run and subtracts 1 at the start of a donor list's final maximal run,
-    trying donors in part order. That move is not always available (a shape
-    with a single part has no donor, and donor lists may all sit at zero), so
-    two fallbacks follow: shifting a unit inside the active list itself (raise
-    the last entry, take from the latest run start), and donor positions other
-    than the canonical one. Every candidate is re-checked against the prefix
-    bounds before being committed, so an unsound move can never be applied.
+    trying donors in part order. A shape with a single part has no donor and
+    donor lists may all sit at zero, so shifts inside the active list follow:
+    raise its last entry, take from a run start, latest first. Every such
+    move keeps both lists sorted. The lists must be valid: each candidate is
+    decided exactly on the box of prefixes whose slack it lowers
+    (:func:`_keeps_bounds`), and a committed move refreshes its ``pref`` rows.
     """
-    candidates: list[tuple[int, int, int]] = []  # (inc position, donor part, donor position)
-    donor_parts = [s for s in range(shape.k) if s != active]
-    inc_h = _min_run_end(lists[active])
-    for s in donor_parts:
-        candidates.append((inc_h, s, _max_run_start(lists[s])))
-    inc_last = len(lists[active]) - 1
-    for t in reversed(_run_starts(lists[active])):
-        if t != inc_last:
-            candidates.append((inc_last, active, t))
-    for s in donor_parts:
-        canonical = _max_run_start(lists[s])
-        for t in reversed(_run_starts(lists[s])):
-            if t != canonical:
-                candidates.append((inc_h, s, t))
-
-    for inc, s, t in candidates:
-        if lists[s][t] == 0:
-            continue
-        trial = [list(lst) for lst in lists]
-        trial[active][inc] += 1
-        trial[s][t] -= 1
-        if not _non_decreasing(trial[active]) or not _non_decreasing(trial[s]):
-            continue
-        if check_losing_lists(shape, trial).valid:
+    lst = lists[active]
+    inc_h, last = bisect_right(lst, lst[0]) - 1, len(lst) - 1
+    donors = (
+        (inc_h, s, bisect_left(lists[s], lists[s][-1])) for s in range(len(lists)) if s != active
+    )
+    shifts = ((last, active, t) for t in range(last - 1, -1, -1) if t == 0 or lst[t - 1] < lst[t])
+    for inc, s, t in chain(donors, shifts):
+        if lists[s][t] > 0 and _keeps_bounds(pref, g, active, inc, s, t):
             lists[active][inc] += 1
             lists[s][t] -= 1
+            pref[active] = list(accumulate(lists[active], initial=0))
+            pref[s] = list(accumulate(lists[s], initial=0))
             return TransformStep(VertexId(active, inc), VertexId(s, t))
     return None
 
 
 def _saturate(shape: Shape, lists, active: int) -> TransformLog:
-    """Raise the active list's last entry to its bound, mutating ``lists``."""
+    """Raise the active list's last entry to its bound, mutating ``lists``.
+
+    One full check on entry; every step keeps the lists valid after it.
+    """
+    if not check_losing_lists(shape, lists).valid:
+        raise NoValidStepError(f"saturation needs valid lists, got {lists}")
     bound = arcs_through(shape, active)
+    pref = [list(accumulate(lst, initial=0)) for lst in lists]
+    g = [[comb(p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
     steps = []
     while lists[active][-1] < bound:
-        step = _saturation_step(shape, lists, active)
+        step = _saturation_step(lists, pref, g, active)
         if step is None:
             raise NoValidStepError(
                 f"no transformation preserves the prefix bounds at {lists}"
@@ -182,8 +170,9 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
     Requires valid input; returns the transformed lists together with the step
     log. Each step adds 1 inside part 1's list and subtracts 1 elsewhere
     (normally from another part's list, from part 1 itself when no donor
-    position works), and every intermediate pair of lists is re-checked
-    against the prefix bounds, so an impossible step surfaces as
+    move works). After one full check, each step is decided exactly on the
+    prefixes whose slack it lowers, so every intermediate tuple of lists
+    meets the bounds and an impossible step surfaces as
     :class:`NoValidStepError` rather than being skipped. Already-saturated
     input comes back unchanged with an empty log.
     """
@@ -231,6 +220,16 @@ class _LoserChains:
                     queue.append(w)
         raise NoEligibleArcError(f"no chain of interchanges moves a loss away from {source}")
 
+    def move_loss_to(self, source: VertexId, target: VertexId) -> None:
+        """Move one loss from ``source`` to another vertex ``target``, as
+        ``move_loss(source, target.__eq__)`` does, looking the search's first
+        level up directly: the smallest lost rank of ``source`` whose arc holds it."""
+        for rank in self.lost.get(source, ()):
+            if target in self.orders[rank]:
+                self._interchange_along({source: None, target: (source, rank)}, target)
+                return
+        self.move_loss(source, target.__eq__)
+
     def _interchange_along(self, parent, v: VertexId) -> None:
         """Make each vertex on the search path to ``v`` lose the arc it was reached by."""
         while parent[v] is not None:
@@ -271,7 +270,7 @@ def _realize(shape: Shape, lists) -> list[list[VertexId]]:
     for step in reversed(log.steps):
         # The incremented vertex gives the loss back to the decremented one.
         try:
-            chains.move_loss(step.incremented, step.decremented.__eq__)
+            chains.move_loss_to(step.incremented, step.decremented)
         except NoEligibleArcError as exc:
             raise RealizationGapError(
                 f"no interchange chain supports undoing {step}"
@@ -288,16 +287,15 @@ def _extend(shape: Shape, lists, active: int) -> list[list[VertexId]]:
     )
     sub_lists = [list(lst) for lst in lists]
     sub_lists[active] = sub_lists[active][:-1]
-    sub = _realize(sub_shape, sub_lists)
+    # In rank order, the selections avoiding the new vertex are those of
+    # sub_shape: colex ranks subsets without n_a - 1 first, mixed radix keeps it.
+    rest = iter(_realize(sub_shape, sub_lists))
     orders = []
     for sel in selection_vertices(shape):
         if new_vertex in sel:
             orders.append([v for v in sel if v != new_vertex] + [new_vertex])
         else:
-            subsets = tuple(
-                tuple(v.index for v in sel if v.part == part) for part in range(shape.k)
-            )
-            orders.append(sub[selection_rank(subsets, sub_shape)])
+            orders.append(next(rest))
     return orders
 
 

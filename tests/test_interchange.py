@@ -77,25 +77,51 @@ def small_shapes(draw):
 MODES = st.sampled_from(["loser-only", "full-permutation"])
 
 
+def _state(chains):
+    return tuple(tuple(order) for order in chains.orders), chains.lost
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(shape=small_shapes(), seed=st.integers(0, 2**32 - 1), mode=MODES, data=st.data())
 def test_move_loss_matches_reference(shape, seed, mode, data):
+    """The search with a predicate and the direct move to a named vertex both
+    leave the reference's arcs and an exact rank-sorted loser index."""
     M = random_hypertournament(shape, seed, mode)
     vertices = list(shape.vertices())
     source = data.draw(st.sampled_from(vertices))
     target = data.draw(st.sampled_from(vertices))
     assume(source != target)
-    chains = _LoserChains([list(arc.order) for arc in M.arcs])
+    by_predicate = _LoserChains([list(arc.order) for arc in M.arcs])
+    named = _LoserChains([list(arc.order) for arc in M.arcs])
     try:
         expected = reference_move_loss(M, source, target)
     except NoEligibleArcError:
         with pytest.raises(NoEligibleArcError):
-            chains.move_loss(source, target.__eq__)
+            by_predicate.move_loss(source, lambda w: w == target)
+        with pytest.raises(NoEligibleArcError):
+            named.move_loss_to(source, target)
         return
-    assert chains.move_loss(source, target.__eq__) == target
-    assert tuple(tuple(order) for order in chains.orders) == tuple(a.order for a in expected.arcs)
-    for v, ranks in chains.lost.items():
-        assert ranks == [r for r, order in enumerate(chains.orders) if order[-1] == v]
+    assert by_predicate.move_loss(source, lambda w: w == target) == target
+    named.move_loss_to(source, target)
+    assert _state(named) == _state(by_predicate)
+    assert _state(named)[0] == tuple(a.order for a in expected.arcs)
+    for v, ranks in named.lost.items():
+        assert ranks == [r for r, order in enumerate(named.orders) if order[-1] == v]
+
+
+def test_named_move_falls_back_to_a_chain():
+    # (3,)/(2,): vertex 0 loses only {0, 1}, so no arc it loses holds vertex 2
+    # and the loss travels 0 -> 1 -> 2 through {1, 2}, which 1 loses.
+    a, b, c = (VertexId(0, j) for j in range(3))
+    orders = [[b, a], [a, c], [c, b]]
+    M = Hypertournament(Shape((3,), (2,)), tuple(Arc(tuple(o)) for o in orders))
+    named = _LoserChains([list(o) for o in orders])
+    by_predicate = _LoserChains([list(o) for o in orders])
+    named.move_loss_to(a, c)
+    assert by_predicate.move_loss(a, lambda w: w == c) == c
+    assert _state(named) == _state(by_predicate)
+    assert _state(named)[0] == tuple(arc.order for arc in reference_move_loss(M, a, c).arcs)
+    assert _state(named)[0] == ((a, b), (a, c), (b, c))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -159,15 +185,29 @@ GOLDEN_SHAPES = [
 ]
 
 
-def test_inductive_witness_bytes_of_seeded_instances():
-    """The lists of 200 seeded random hypertournaments realize to the same arcs
-    as before the interchange engine, including non-loser order."""
+def _golden_digest(realizer) -> str:
     digest = hashlib.sha256()
     for n, alpha in GOLDEN_SHAPES:
         shape = Shape(n, alpha)
         for seed in range(10):
             for mode in ("loser-only", "full-permutation"):
                 lists = losing_scores(random_hypertournament(shape, seed, mode)).lists
-                M = realize_inductive(shape, lists)
+                M = realizer(shape, lists)
                 digest.update(repr([[tuple(v) for v in arc.order] for arc in M.arcs]).encode())
-    assert digest.hexdigest() == "7306cccefc13fe4203039e1ae5ab86789995ea6e385cbd03e63ee6003cf53763"
+    return digest.hexdigest()
+
+
+def test_inductive_witness_bytes_of_seeded_instances():
+    """The lists of 200 seeded random hypertournaments realize to the same arcs
+    as before the interchange engine, including non-loser order."""
+    assert _golden_digest(realize_inductive) == (
+        "7306cccefc13fe4203039e1ae5ab86789995ea6e385cbd03e63ee6003cf53763"
+    )
+
+
+def test_flow_witness_bytes_of_seeded_instances():
+    """The same 200 instances through the flow realizer, recorded before
+    saturation steps were decided on their box instead of a full check."""
+    assert _golden_digest(realize_flow) == (
+        "58a54295a9f0a2eacec22f5bcb872d02ec44069718e0af78a399003e0f0ec7b6"
+    )

@@ -110,6 +110,26 @@ class TestSelectionTable:
             )
             assert sel == expected
 
+    def test_selections_without_a_last_vertex_are_the_smaller_table(self):
+        # The inductive realizer walks the smaller shape's witness in rank
+        # order alongside the selections that avoid the removed vertex.
+        from itertools import product
+
+        sizes = [
+            (2,), (3,), (5,), (6,), (2, 2), (3, 2), (2, 3), (4, 3),
+            (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
+        ]
+        for n in sizes:
+            for alpha in product(*(range(1, n_i + 1) for n_i in n)):
+                shape = Shape(n, alpha)
+                for a in range(shape.k):
+                    if n[a] == alpha[a]:
+                        continue
+                    sub_shape = Shape(n[:a] + (n[a] - 1,) + n[a + 1 :], alpha)
+                    removed = V(a, n[a] - 1)
+                    avoiding = [s for s in selection_vertices(shape) if removed not in s]
+                    assert avoiding == list(selection_vertices(sub_shape))
+
     def test_table_cap(self):
         from hyperscores.model import MAX_SELECTIONS
 

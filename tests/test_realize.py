@@ -1,9 +1,16 @@
+from collections import Counter
+from itertools import accumulate, product
+from math import comb
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperscores import (
     BudgetExceededError,
     InfeasibleError,
     InvalidListsError,
+    NoValidStepError,
     ScoreLists,
     Shape,
     TransformStep,
@@ -17,8 +24,10 @@ from hyperscores import (
     realize_flow,
     realize_inductive,
     saturate,
+    selection_vertices,
     validate,
 )
+from hyperscores.realize import _keeps_bounds, _saturate, _saturation_step
 
 V = VertexId
 
@@ -202,3 +211,176 @@ def test_full_candidate_space_agreement_including_bad_totals():
         except InfeasibleError:
             feasible = False
         assert feasible == valid
+
+
+# -- saturation: the box decision against the full-check route it replaced
+
+
+def reference_candidates(lists, active):
+    """Every move the full-check route tried, in its order, as (tier, inc
+    position, donor part, donor position): the canonical move from each donor
+    (tier 1), shifts inside the active list (tier 2) and the other run starts
+    of each donor (tier 3)."""
+    inc_h = max(j for j, x in enumerate(lists[active]) if x == lists[active][0])
+    inc_last = len(lists[active]) - 1
+
+    def run_starts(lst):
+        return [t for t in range(len(lst)) if t == 0 or lst[t - 1] < lst[t]]
+
+    def canonical(lst):
+        return min(j for j, x in enumerate(lst) if x == lst[-1])
+
+    donors = [s for s in range(len(lists)) if s != active]
+    out = [(1, inc_h, s, canonical(lists[s])) for s in donors]
+    out += [(2, inc_last, active, t) for t in reversed(run_starts(lists[active])) if t != inc_last]
+    out += [
+        (3, inc_h, s, t)
+        for s in donors
+        for t in reversed(run_starts(lists[s]))
+        if t != canonical(lists[s])
+    ]
+    return out
+
+
+def full_check_verdict(shape, lists, active, inc, s, t):
+    """The full-check route: copy, move, test monotonicity, check everything."""
+    trial = [list(lst) for lst in lists]
+    trial[active][inc] += 1
+    trial[s][t] -= 1
+    for lst in (trial[active], trial[s]):
+        if any(x > y for x, y in zip(lst, lst[1:])):
+            return False
+    return check_losing_lists(shape, trial).valid
+
+
+def box_verdict(shape, lists, active, inc, s, t):
+    pref = [list(accumulate(lst, initial=0)) for lst in lists]
+    g = [[comb(p, a) for p in range(n + 1)] for n, a in zip(shape.n, shape.alpha)]
+    return _keeps_bounds(pref, g, active, inc, s, t)
+
+
+def reference_saturation(shape, lists, active, tiers, every_candidate):
+    """Saturate ``active`` by the full-check route, counting the tier of each
+    step in ``tiers``; None when no move keeps the bounds. With
+    ``every_candidate``, the box decides each candidate of every tier at
+    every intermediate tuple of lists, and must agree with the full check."""
+    work = [list(lst) for lst in lists]
+    steps = []
+    while work[active][-1] < arcs_through(shape, active):
+        chosen = None
+        for tier, inc, s, t in reference_candidates(work, active):
+            if work[s][t] == 0 or (chosen is not None and not every_candidate):
+                continue
+            verdict = full_check_verdict(shape, work, active, inc, s, t)
+            if every_candidate:
+                box = box_verdict(shape, work, active, inc, s, t)
+                assert box == verdict, (shape, work, active, tier, inc, s, t)
+            if verdict and chosen is None:
+                chosen = tier, inc, s, t
+        if chosen is None:
+            return None
+        tier, inc, s, t = chosen
+        tiers[tier] += 1
+        work[active][inc] += 1
+        work[s][t] -= 1
+        steps.append(TransformStep(V(active, inc), V(s, t)))
+    return tuple(steps)
+
+
+def assert_saturation_matches_reference(shape, lists, tiers, every_candidate=False):
+    """For every part as the active one, the box route takes the reference's steps."""
+    for active in range(shape.k):
+        expected = reference_saturation(shape, lists, active, tiers, every_candidate)
+        work = [list(lst) for lst in lists]
+        if expected is None:
+            with pytest.raises(NoValidStepError):
+                _saturate(shape, work, active)
+        else:
+            assert _saturate(shape, work, active).steps == expected
+
+
+@st.composite
+def valid_lists(draw, max_arcs=400):
+    """Shape with k <= 4 and n_i <= 6, and valid losing lists near the bounds.
+
+    The lists come from a nearly transitive hypertournament (each arc loses
+    at its highest-ranked vertex, a few at random), which meets the bounds
+    with equality at many prefixes; up to four unit moves between entries
+    follow, each kept only when the lists stay valid.
+    """
+    k = draw(st.integers(1, 4))
+    n, alpha, arcs = [], [], 1
+    for _ in range(k):
+        n_i = draw(st.integers(1, 6))
+        fits = [a for a in range(1, n_i + 1) if arcs * comb(n_i, a) <= max_arcs]
+        if not fits:
+            break
+        a_i = draw(st.sampled_from(fits))
+        n.append(n_i)
+        alpha.append(a_i)
+        arcs *= comb(n_i, a_i)
+    shape = Shape(tuple(n), tuple(alpha))
+    rng = draw(st.randoms(use_true_random=False))
+    rank = {v: rng.random() for v in shape.vertices()}
+    noise = rng.choice([0.0, 0.05, 0.3])
+    counts = Counter()
+    for sel in selection_vertices(shape):
+        counts[rng.choice(sel) if rng.random() < noise else max(sel, key=rank.get)] += 1
+    lists = ScoreLists.from_map("losing", shape, counts).lists
+    for _ in range(rng.randint(0, 4)):
+        work = [list(lst) for lst in lists]
+        i, j = rng.randrange(shape.k), rng.randrange(shape.k)
+        src = rng.randrange(shape.n[i])
+        if work[i][src] > 0:
+            work[i][src] -= 1
+            work[j][rng.randrange(shape.n[j])] += 1
+            moved = tuple(tuple(sorted(lst)) for lst in work)
+            if check_losing_lists(shape, moved).valid:
+                lists = moved
+    return shape, lists
+
+
+class TestSaturationBox:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(valid_lists())
+    def test_box_decides_every_candidate_as_the_full_check(self, case):
+        shape, lists = case
+        tiers = Counter()
+        assert_saturation_matches_reference(shape, lists, tiers, every_candidate=True)
+        assert tiers[3] == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_lists())
+    def test_steps_keep_the_prefix_rows_exact(self, case):
+        shape, lists = case
+        g = [[comb(p, a) for p in range(n + 1)] for n, a in zip(shape.n, shape.alpha)]
+        for active in range(shape.k):
+            work = [list(lst) for lst in lists]
+            pref = [list(accumulate(lst, initial=0)) for lst in work]
+            while work[active][-1] < arcs_through(shape, active):
+                if _saturation_step(work, pref, g, active) is None:
+                    break
+                assert pref == [list(accumulate(lst, initial=0)) for lst in work]
+
+    def test_donor_tier_beyond_the_canonical_move_never_fires(self):
+        """Every achievable list tuple of 13 part-size tuples, each arity with
+        at most 3 * 10^5 assignments, saturated at every part: the box route
+        takes the full-check route's steps, and that route never needed a
+        donor position other than the canonical one."""
+        sizes = [
+            (3,), (4,), (5,), (6,), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
+            (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
+        ]
+        tiers = Counter()
+        lists_seen = 0
+        for n in sizes:
+            for alpha in product(*(range(1, n_i + 1) for n_i in n)):
+                shape = Shape(n, alpha)
+                if sum(alpha) ** shape.total_arcs() > 3 * 10**5:
+                    continue
+                for lists in sorted(achievable_losing_lists(shape).lists):
+                    assert_saturation_matches_reference(shape, lists, tiers)
+                    lists_seen += 1
+        assert lists_seen == 2568
+        assert tiers[1] > 0 and tiers[2] > 0
+        assert tiers[3] == 0
