@@ -96,7 +96,8 @@ def _assignment_count(shape: Shape, budget: int) -> int:
         return 1
     count = m**total if total <= 1_000_000 else None
     if count is None or count > budget:
-        shown = count if count is not None else f"more than {m}**{total}"
+        # Past 10**100 the count shows as a power: str() limits an int's digits.
+        shown = count if count is not None and count < 10**100 else f"{m}**{total}"
         raise BudgetExceededError(
             count, f"{shown} assignments exceed the enumeration budget {budget}"
         )

@@ -1,11 +1,12 @@
 """Witness construction for valid losing-score lists.
 
 Both routes move losses with one interchange-chain engine. ``realize_inductive``
-shrinks one part at a time: when the last entry of the active list equals the
-per-vertex arc count of its part, the corresponding vertex loses every arc
-through it and the rest is built recursively on the smaller shape; otherwise
-that entry is first raised to the bound by a sequence of list transformations
-(saturation) and each logged step is afterwards undone by a chain move.
+runs two passes. Down, it shrinks one part at a time: the last entry of the
+active list is raised to the per-vertex arc count of its part by a logged
+sequence of list transformations (saturation), unless it is there already,
+and that vertex, which loses every arc through it, is dropped. Up, from the
+single arc left, each level gives the arcs through its vertex to that vertex
+and undoes its logged steps by chain moves.
 ``realize_flow`` assigns losers greedily and repairs every excess by chain
 moves, an exact b-matching that serves as an oracle for the first route.
 """
@@ -186,14 +187,21 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
 
 
 class _LoserChains:
-    """Interchange-chain engine: arc orders by selection rank (loser last) and
-    each vertex's lost ranks, kept sorted in place as losses move."""
+    """Interchange-chain engine: arc orders by selection rank (loser last; None
+    until a rank is given) and each vertex's lost ranks, kept sorted as losses move."""
 
-    def __init__(self, orders: list[list[VertexId]]):
+    def __init__(self, orders: list[list[VertexId] | None]):
         self.orders = orders
         self.lost: dict[VertexId, list[int]] = {}
         for rank, order in enumerate(orders):
-            self.lost.setdefault(order[-1], []).append(rank)
+            if order is not None:
+                self.lost.setdefault(order[-1], []).append(rank)
+
+    def give(self, rank: int, sel: tuple[VertexId, ...], loser: VertexId) -> None:
+        """Make ``loser`` lose the unassigned arc on ``sel`` at ``rank``: the
+        other vertices in selection order, the loser last."""
+        self.orders[rank] = [v for v in sel if v != loser] + [loser]
+        insort(self.lost.setdefault(loser, []), rank)
 
     def move_loss(self, source: VertexId, is_target: Callable[[VertexId], bool]) -> VertexId:
         """Move one loss from ``source`` to the first vertex passing ``is_target``.
@@ -243,70 +251,61 @@ class _LoserChains:
 
 
 def _realize(shape: Shape, lists) -> list[list[VertexId]]:
-    """Arc orders by selection rank whose losing lists are ``lists``."""
-    active = next((i for i in range(shape.k) if shape.n[i] > shape.alpha[i]), None)
-    if active is None:
-        # Single selection: the unique unit entry marks the loser.
-        sel = selection_vertices(shape)[0]
-        losers = [
-            VertexId(i, j)
-            for i in range(shape.k)
-            for j in range(shape.n[i])
-            if lists[i][j] == 1
-        ]
-        if len(losers) != 1:
-            raise RealizationGapError(
-                f"single-arc shape needs exactly one unit loss, got lists {lists}"
-            )
-        return [[v for v in sel if v != losers[0]] + [losers[0]]]
+    """Arc orders by selection rank whose losing lists are ``lists`` (mutated).
 
-    bound = arcs_through(shape, active)
-    if lists[active][-1] == bound:
-        return _extend(shape, lists, active)
+    Down: per level, saturate the first part with slack if its last entry is
+    below its bound, then drop that part's last vertex, which loses every arc
+    through it. Up: each top rank goes to the level of the first-dropped vertex
+    it holds (the bottom's single arc if none); each level gives its ranks to
+    its vertex, then undoes its steps in reverse, all on one engine. A level's
+    ranks are the top ranks on its vertices, in order, so no search changes.
+    """
+    sub, levels = shape, []
+    for active in range(shape.k):
+        while sub.n[active] > sub.alpha[active]:
+            steps = ()
+            if lists[active][-1] < arcs_through(sub, active):
+                steps = _saturate(sub, lists, active).steps
+            n_a = sub.n[active] - 1
+            levels.append((VertexId(active, n_a), steps))
+            lists[active].pop()
+            sub = Shape(sub.n[:active] + (n_a,) + sub.n[active + 1 :], sub.alpha)
+    # The single arc left is the last level: the unique unit entry marks its loser.
+    losers = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
+    if len(losers) != 1:
+        raise RealizationGapError(
+            f"single-arc shape needs exactly one unit loss, got lists {lists}"
+        )
+    levels.append((losers[0], ()))
 
-    work = [list(lst) for lst in lists]
-    log = _saturate(shape, work, active)
-    chains = _LoserChains(_realize(shape, work))
-    for step in reversed(log.steps):
-        # The incremented vertex gives the loss back to the decremented one.
-        try:
-            chains.move_loss_to(step.incremented, step.decremented)
-        except NoEligibleArcError as exc:
-            raise RealizationGapError(
-                f"no interchange chain supports undoing {step}"
-            ) from exc
+    sels = selection_vertices(shape)
+    depth = {v: level for level, (v, _) in enumerate(levels)}
+    buckets: list[list[int]] = [[] for _ in levels]
+    for rank, sel in enumerate(sels):
+        buckets[min([depth.get(v, len(levels) - 1) for v in sel])].append(rank)
+    chains = _LoserChains([None] * len(sels))
+    for (vertex, steps), ranks in zip(reversed(levels), reversed(buckets)):
+        for rank in ranks:
+            chains.give(rank, sels[rank], vertex)
+        for step in reversed(steps):
+            # The incremented vertex gives the loss back to the decremented one.
+            try:
+                chains.move_loss_to(step.incremented, step.decremented)
+            except NoEligibleArcError as exc:
+                raise RealizationGapError(
+                    f"no interchange chain supports undoing {step}"
+                ) from exc
     return chains.orders
-
-
-def _extend(shape: Shape, lists, active: int) -> list[list[VertexId]]:
-    """Realize with the active part's last vertex losing every arc through it."""
-    n_a = shape.n[active]
-    new_vertex = VertexId(active, n_a - 1)
-    sub_shape = Shape(
-        shape.n[:active] + (n_a - 1,) + shape.n[active + 1 :], shape.alpha
-    )
-    sub_lists = [list(lst) for lst in lists]
-    sub_lists[active] = sub_lists[active][:-1]
-    # In rank order, the selections avoiding the new vertex are those of
-    # sub_shape: colex ranks subsets without n_a - 1 first, mixed radix keeps it.
-    rest = iter(_realize(sub_shape, sub_lists))
-    orders = []
-    for sel in selection_vertices(shape):
-        if new_vertex in sel:
-            orders.append([v for v in sel if v != new_vertex] + [new_vertex])
-        else:
-            orders.append(next(rest))
-    return orders
 
 
 def realize_inductive(shape: Shape, R) -> Hypertournament:
     """Construct a hypertournament whose losing score lists equal R.
 
-    Entry j of list i is realized at vertex (i, j). The recursion shrinks the
-    first part that still has more vertices than its arity; parts without
-    slack are skipped, and a shape with no slack anywhere carries the single
-    arc directly. The result is verified against the targets before being
-    returned, so a silent construction defect cannot escape.
+    Entry j of list i is realized at vertex (i, j). The down pass shrinks the
+    first part that still has more vertices than its arity until a single arc
+    is left; the up pass builds the witness back on the top shape's selection
+    table. The result is verified against the targets before being returned,
+    so a silent construction defect cannot escape.
     """
     data = conform_lists(shape, R, "losing")
     result = check_losing_lists(shape, data)
@@ -344,12 +343,12 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
     need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
-    orders = []
-    for sel in selection_vertices(shape):
+    sels = selection_vertices(shape)
+    chains = _LoserChains([None] * len(sels))
+    for rank, sel in enumerate(sels):
         loser = max(sel, key=need.__getitem__)
         need[loser] -= 1
-        orders.append([v for v in sel if v != loser] + [loser])
-    chains = _LoserChains(orders)
+        chains.give(rank, sel, loser)
     for v in need:
         while need[v] < 0:
             try:
@@ -358,4 +357,4 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
                 raise InfeasibleError(f"{v} loses too many arcs: lists are not realizable") from exc
             need[v] += 1
             need[w] -= 1
-    return Hypertournament(shape, tuple(Arc(tuple(order)) for order in orders))
+    return Hypertournament(shape, tuple(Arc(tuple(order)) for order in chains.orders))

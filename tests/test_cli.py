@@ -1,15 +1,18 @@
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hyperscores import cli
+from hyperscores import Shape, cli, losing_scores, random_hypertournament, scores
 from hyperscores.cli import InputError, main
 from hyperscores.realize import NoValidStepError
 
@@ -32,6 +35,10 @@ def write_instance(tmp_path, doc, name="inst.json"):
 VALID = {"k": 2, "n": [2, 2], "alpha": [1, 1], "kind": "losing", "lists": [[0, 2], [1, 1]]}
 INVALID = {"k": 2, "n": [2, 2], "alpha": [1, 1], "kind": "losing", "lists": [[0, 2], [0, 2]]}
 WITNESS = {"k": 2, "n": [2, 2], "alpha": [1, 1], "losers": [[1, 1], [1, 1], [2, 2], [2, 2]]}
+# 600 single-vertex arcs: the inductive realizer drops 599 vertices.
+DEEP = {"k": 1, "n": [600], "alpha": [1], "kind": "losing", "lists": [[1] * 600]}
+# VALID as UTF-16 with a byte-order mark: not UTF-8 from its first byte on.
+UTF16 = b"\xff\xfe" + json.dumps(VALID).encode("utf-16-le")
 
 # The JSON Schemas the command line validated documents with before the
 # direct check replaced them: the reference the check is compared with.
@@ -100,6 +107,20 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "/nonexistent/instance.json")
         assert code == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(UTF16)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert "error: cannot read" in err and "Traceback" not in err
+
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(UTF16), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "check", "-")
+        assert code == 2 and out == ""
+        assert "error: cannot read" in err and "Traceback" not in err
+
     def test_schema_violation(self, tmp_path, capsys):
         code, _, _ = run(capsys, "check", write_instance(tmp_path, {"k": 2, "n": [2, 2]}))
         assert code == 2
@@ -159,6 +180,11 @@ class TestRealizeVerify:
         code, out, _ = run(capsys, "verify", str(wit_path))
         assert code == 0
         assert json.loads(out)["lists_match"] is True
+
+    def test_600_levels_deep(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "realize", write_instance(tmp_path, DEEP))
+        assert code == 0
+        assert len(json.loads(out)["arcs"]) == 600
 
     def test_invalid_instance_exits_1(self, tmp_path, capsys):
         code, out, _ = run(capsys, "realize", write_instance(tmp_path, INVALID))
@@ -262,6 +288,12 @@ class TestEnumerateRandom:
         )
         assert code == 4
         assert "budget" in err
+
+    def test_enumerate_budget_exceeded_by_a_long_count(self, capsys):
+        # 3**161700 assignments: the count has 77 151 decimal digits.
+        code, out, err = run(capsys, "enumerate", "--n", "100", "--alpha", "3")
+        assert code == 4 and out == ""
+        assert "3**161700 assignments exceed the enumeration budget" in err
 
     def test_enumerate_score_kind(self, capsys):
         code, out, _ = run(
@@ -518,3 +550,100 @@ class TestDocumentCheck:
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and out == ""
         assert "Traceback" not in err
+
+
+# Command-line fuzz: document bytes (small instances, as JSON or text and
+# possibly off by one; random or edited JSON values; random text and bytes)
+# fed by file or by a strictly decoding stdin, and random shape flags.
+@st.composite
+def small_shapes(draw):
+    """Part sizes and arities of a shape with k <= 3 and n_i <= 4."""
+    n = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    return n, [draw(st.integers(1, n_i)) for n_i in n]
+
+
+@st.composite
+def instance_documents(draw):
+    n, alpha = draw(small_shapes())
+    k = len(n)
+    M = random_hypertournament(Shape(tuple(n), tuple(alpha)), draw(st.integers(0, 2**64 - 1)))
+    kind = draw(st.sampled_from(["losing", "score"]))
+    lists = [list(lst) for lst in (losing_scores(M) if kind == "losing" else scores(M)).lists]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        lists[i][draw(st.integers(0, n[i] - 1))] += draw(st.sampled_from([-1, 1]))
+    doc = {"k": k, "n": n, "alpha": alpha, "kind": kind, "lists": lists}
+    if draw(st.booleans()):
+        return cli._text_instance(doc)
+    if draw(st.booleans()):
+        doc["losers"] = [cli._vertex_out(arc.loser) for arc in M.arcs]
+    return json.dumps(doc)
+
+
+_DOCUMENT_BYTES = (
+    instance_documents().map(str.encode)
+    | documents().map(lambda doc: json.dumps(doc).encode())
+    | st.text(alphabet="0123 -\n#{}[],:losingcre", max_size=40).map(str.encode)
+    | st.binary(max_size=40)
+)
+_DOCUMENT_COMMANDS = st.sampled_from([
+    ["check"],
+    ["check", "--sort", "--format", "text"],
+    ["realize"],
+    ["realize", "--method", "flow", "--emit", "losers"],
+    ["realize", "--sort", "--format", "text"],
+    ["verify"],
+    ["verify", "--format", "text"],
+    ["convert"],
+    ["convert", "--sort", "--format", "text"],
+])
+_JUNK_FLAG = st.text(alphabet="0123,-x. ", max_size=4)
+
+
+@st.composite
+def shape_flags(draw):
+    """--n and --alpha of a small shape, either value possibly random text."""
+    n, alpha = (",".join(map(str, xs)) for xs in draw(small_shapes()))
+    return ["--n", draw(st.just(n) | _JUNK_FLAG), "--alpha", draw(st.just(alpha) | _JUNK_FLAG)]
+
+
+_SEED = st.integers(-(2**65), 2**65).map(str) | st.text(alphabet="0123-x", max_size=3)
+_FLAG_COMMANDS = st.tuples(
+    st.sampled_from([[], ["--mode", "full-permutation", "--emit", "arcs"]]), _SEED
+).map(lambda t: ["random", *t[0], "--seed", t[1]]) | st.sampled_from(["losing", "score"]).map(
+    lambda kind: ["enumerate", "--budget", "4096", "--kind", kind]
+)
+_FLAG_CALLS = st.tuples(_FLAG_COMMANDS, shape_flags()).map(lambda t: (t[0] + t[1], None, False))
+_CLI_CALLS = _FLAG_CALLS | st.tuples(_DOCUMENT_COMMANDS, _DOCUMENT_BYTES, st.booleans())
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc"
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=_CLI_CALLS)
+@example(call=(["realize"], json.dumps(DEEP).encode(), False))
+@example(call=(["check"], UTF16, False))
+@example(call=(["check"], UTF16, True))
+@example(call=(["enumerate", "--n", "100", "--alpha", "3"], None, False))
+def test_every_call_ends_in_a_documented_exit_code(fuzz_path, call):
+    """main returns 0-4 or argparse exits 2; any other exception fails."""
+    argv, data, via_stdin = call
+    stdin = sys.stdin
+    if data is not None and via_stdin:
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+        argv = [argv[0], "-", *argv[1:]]
+    elif data is not None:
+        fuzz_path.write_bytes(data)
+        argv = [argv[0], str(fuzz_path), *argv[1:]]
+    err = io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), redirect_stderr(err):
+        with redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

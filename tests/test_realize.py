@@ -21,6 +21,7 @@ from hyperscores import (
     check_losing_lists,
     losing_score_map,
     losing_scores,
+    random_hypertournament,
     realize_flow,
     realize_inductive,
     saturate,
@@ -131,6 +132,33 @@ class TestRealizeInductive:
         for lists in sorted(achievable_losing_lists(shape).lists):
             m = realize_inductive(shape, lists)
             assert losing_scores(m).lists == lists
+
+
+class TestInductivePasses:
+    """The down and up passes run flat: depth is bounded by nothing but the
+    vertex count, and one selection table serves every level."""
+
+    def test_single_part_of_600_vertices(self):
+        shape = Shape((600,), (1,))
+        m = realize_inductive(shape, [[1] * 600])
+        assert validate(m) == []
+        assert losing_scores(m).lists == ((1,) * 600,)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_lists_with_520_levels(self, seed):
+        shape = Shape((2, 520), (1, 1))
+        lists = losing_scores(random_hypertournament(shape, seed)).lists
+        m = realize_inductive(shape, lists)
+        assert validate(m) == []
+        assert losing_scores(m).lists == lists
+
+    @pytest.mark.parametrize("n, alpha", [((4, 3), (2, 1)), ((6, 5), (2, 2))])
+    def test_one_selection_table_per_realization(self, n, alpha):
+        shape = Shape(n, alpha)
+        lists = losing_scores(random_hypertournament(shape, 1)).lists
+        selection_vertices.cache_clear()
+        realize_inductive(shape, lists)
+        assert selection_vertices.cache_info().misses == 1
 
 
 class TestRealizeFlow:
