@@ -3,7 +3,8 @@
 Subcommands: check, realize, verify, convert, enumerate, random. Machine
 output is a single JSON document on stdout (or a plain-text rendering with
 ``--format text``); human notes go to stderr. Exit codes: 0 valid/success,
-1 predicate-invalid, 2 input error, 3 realization gap, 4 resource limit.
+1 predicate-invalid, 2 input error, 3 realization gap, 4 resource limit or
+closed stdout.
 
 Documents use 1-based [part, index] vertex pairs to match the usual notation;
 everything is 0-based internally.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -33,7 +35,6 @@ from .model import (
     VertexId,
     losing_scores,
     scores,
-    selection_vertices,
     validate,
 )
 from .oracle import (
@@ -130,7 +131,7 @@ def _check_document(doc, witness: bool) -> None:
     Documents come from json.loads or the text reader, which build only
     dict, list, str, int, float, bool and None, so exact type tests suffice.
     The loops test ``type(x) is int`` first and call _integral only for
-    entries that fail it, so a well-formed document costs no call per entry.
+    entries that fail it: a well-formed document costs one call per arc, none per entry.
     """
     if type(doc) is not dict:
         raise _schema_error("the document", "an object")
@@ -160,32 +161,24 @@ def _check_document(doc, witness: bool) -> None:
                 if type(x) is not int and not _integral(x):
                     raise _schema_error(f"lists[{i}][{j}]", "an integer")
     if witness and "arcs" in doc:
-        arcs = doc["arcs"]
-        if type(arcs) is not list:
+        if type(doc["arcs"]) is not list:
             raise _schema_error("arcs", "an array of arcs")
-        for i, arc in enumerate(arcs):
-            if type(arc) is not list:
-                raise _schema_error(f"arcs[{i}]", "an array of vertex pairs")
-            for j, pair in enumerate(arc):
-                if type(pair) is not list or len(pair) != 2:
-                    raise _schema_error(f"arcs[{i}][{j}]", "a pair of integers")
-                a, b = pair
-                if (type(a) is not int or type(b) is not int) and not (
-                    _integral(a) and _integral(b)
-                ):
-                    raise _schema_error(f"arcs[{i}][{j}]", "a pair of integers")
+        for i, arc in enumerate(doc["arcs"]):
+            _check_pairs(arc, f"arcs[{i}]")
     if witness and "losers" in doc:
-        losers = doc["losers"]
-        if type(losers) is not list:
-            raise _schema_error("losers", "an array of vertex pairs")
-        for j, pair in enumerate(losers):
-            if type(pair) is not list or len(pair) != 2:
-                raise _schema_error(f"losers[{j}]", "a pair of integers")
-            a, b = pair
-            if (type(a) is not int or type(b) is not int) and not (
-                _integral(a) and _integral(b)
-            ):
-                raise _schema_error(f"losers[{j}]", "a pair of integers")
+        _check_pairs(doc["losers"], "losers")
+
+
+def _check_pairs(pairs, path: str) -> None:
+    """Raise InputError, naming the entry, unless pairs is an array of vertex pairs."""
+    if type(pairs) is not list:
+        raise _schema_error(path, "an array of vertex pairs")
+    for j, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2:
+            raise _schema_error(f"{path}[{j}]", "a pair of integers")
+        a, b = pair
+        if (type(a) is not int or type(b) is not int) and not (_integral(a) and _integral(b)):
+            raise _schema_error(f"{path}[{j}]", "a pair of integers")
 
 
 def _read_document(path: str, witness: bool = False) -> dict:
@@ -284,6 +277,15 @@ def _emit(doc: dict, args, text_renderer=None) -> None:
         print(json.dumps(doc))
 
 
+def _emit_witness(doc: dict, M: Hypertournament, args) -> None:
+    """Emit doc with M's losers or arcs, as ``--emit`` asks."""
+    if args.emit == "losers":
+        doc["losers"] = [_vertex_out(arc.loser) for arc in M.arcs]
+    else:
+        doc["arcs"] = [[_vertex_out(v) for v in arc.order] for arc in M.arcs]
+    _emit(doc, args, _text_witness)
+
+
 def _text_instance(doc: dict) -> str:
     header = [str(doc["k"])] + [str(x) for x in doc["n"]] + [str(x) for x in doc["alpha"]]
     header.append(doc["kind"])
@@ -319,23 +321,17 @@ def cmd_check(args) -> int:
 
 def cmd_realize(args) -> int:
     shape, lists = _load_instance(args)
-    converted = False
-    if lists.kind == "score":
-        result = check_score_lists(shape, lists)
-        if not result.valid:
-            _emit(_check_doc("score", result), args, _text_check)
-            return EXIT_INVALID
+    kind = lists.kind
+    result = (check_losing_lists if kind == "losing" else check_score_lists)(shape, lists)
+    if not result.valid:
+        _emit(_check_doc(kind, result), args, _text_check)
+        return EXIT_INVALID
+    if kind == "score":
         try:
             lists = scores_to_losing(shape, lists)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        converted = True
         _note("score lists converted to losing lists for realization")
-    else:
-        result = check_losing_lists(shape, lists)
-        if not result.valid:
-            _emit(_check_doc("losing", result), args, _text_check)
-            return EXIT_INVALID
 
     realizer = realize_inductive if args.method == "inductive" else realize_flow
     try:
@@ -349,32 +345,18 @@ def cmd_realize(args) -> int:
 
     doc = _instance_doc(shape, lists)
     doc["method"] = args.method
-    if converted:
+    if kind == "score":
         doc["converted_from_score"] = True
-    if args.emit == "losers":
-        doc["losers"] = [_vertex_out(arc.loser) for arc in M.arcs]
-    else:
-        doc["arcs"] = [[_vertex_out(v) for v in arc.order] for arc in M.arcs]
-    _emit(doc, args, _text_witness)
+    _emit_witness(doc, M, args)
     return EXIT_OK
 
 
 def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
     if "arcs" in doc:
-        arcs = tuple(
-            Arc(tuple(_vertex_in(pair) for pair in arc)) for arc in doc["arcs"]
-        )
+        arcs = tuple(Arc(tuple(map(_vertex_in, arc))) for arc in doc["arcs"])
         return Hypertournament(shape, arcs)
     if "losers" in doc:
-        sels = selection_vertices(shape)
-        arcs = []
-        for rank, pair in enumerate(doc["losers"]):
-            if rank >= len(sels):
-                break
-            loser = _vertex_in(pair)
-            sel = sels[rank]
-            arcs.append(Arc(tuple(v for v in sel if v != loser) + (loser,)))
-        return Hypertournament(shape, tuple(arcs))
+        return Hypertournament.from_losers(shape, [_vertex_in(pair) for pair in doc["losers"]])
     raise InputError("witness document needs an 'arcs' or 'losers' field")
 
 
@@ -470,11 +452,7 @@ def cmd_random(args) -> int:
     doc["seed"] = args.seed
     doc["mode"] = args.mode
     doc["score_lists"] = [list(lst) for lst in scores(M).lists]
-    if args.emit == "losers":
-        doc["losers"] = [_vertex_out(arc.loser) for arc in M.arcs]
-    else:
-        doc["arcs"] = [[_vertex_out(v) for v in arc.order] for arc in M.arcs]
-    _emit(doc, args, _text_witness)
+    _emit_witness(doc, M, args)
     return EXIT_OK
 
 
@@ -546,12 +524,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except InputError as exc:
         _note(f"error: {exc}")
         return EXIT_INPUT
     except (CapacityError, BudgetExceededError) as exc:
         _note(f"error: {exc}")
+        return EXIT_RESOURCE
+    except BrokenPipeError:
+        # The interpreter's last flush of stdout at exit then writes to nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _note("error: stdout was closed before the output was written")
         return EXIT_RESOURCE
 
 

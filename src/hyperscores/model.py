@@ -61,6 +61,24 @@ class NoEligibleArcError(Exception):
     """No arc contains both requested vertices with the designated loser last."""
 
 
+def _integers(values, *field) -> tuple[int, ...]:
+    """``values`` as ints. An entry that is not an int must equal one (``2.0``
+    does), or ValueError names it (``2.5``, ``'3'``, NaN, infinities): for
+    ``field`` ("lists", 1) entry j is ``lists[1][j]``."""
+    out = []
+    for j, x in enumerate(values):
+        if type(x) is not int:
+            try:
+                if int(x) != x:
+                    raise ValueError
+                x = int(x)
+            except (TypeError, ValueError, OverflowError):
+                name = field[0] + "".join(f"[{i}]" for i in (*field[1:], j))
+                raise ValueError(f"{name} must be an integer, got {x!r}") from None
+        out.append(x)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Shape:
     """Instance signature: part sizes ``n`` and per-part arities ``alpha``."""
@@ -69,8 +87,8 @@ class Shape:
     alpha: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "alpha", tuple(int(v) for v in self.alpha))
+        object.__setattr__(self, "n", _integers(self.n, "n"))
+        object.__setattr__(self, "alpha", _integers(self.alpha, "alpha"))
         if not self.n:
             raise ValueError("a shape needs at least one part")
         if len(self.n) != len(self.alpha):
@@ -134,6 +152,15 @@ class Hypertournament:
     shape: Shape
     arcs: tuple[Arc, ...]
 
+    @classmethod
+    def from_losers(cls, shape: Shape, losers: Sequence[VertexId]) -> "Hypertournament":
+        """Arc r is selection r with ``losers[r]`` moved last, the rest in
+        selection order; ``losers`` entries past the last selection are dropped."""
+        return cls(shape, tuple(
+            Arc(tuple(v for v in sel if v != loser) + (loser,))
+            for sel, loser in zip(selection_vertices(shape), losers)
+        ))
+
     def replace_arc(self, rank: int, arc: Arc) -> "Hypertournament":
         return Hypertournament(self.shape, self.arcs[:rank] + (arc,) + self.arcs[rank + 1 :])
 
@@ -148,7 +175,7 @@ class ScoreLists:
     def __post_init__(self) -> None:
         if self.kind not in ("losing", "score"):
             raise ValueError(f"kind must be 'losing' or 'score', got {self.kind!r}")
-        lists = tuple(tuple(int(x) for x in lst) for lst in self.lists)
+        lists = tuple(_integers(lst, "lists", i) for i, lst in enumerate(self.lists))
         object.__setattr__(self, "lists", lists)
         for i, lst in enumerate(lists):
             for a, b in zip(lst, lst[1:]):

@@ -115,14 +115,8 @@ def enumerate_assignments(
     """
     _assignment_count(shape, budget)
     sels = selection_vertices(shape)
-    m = sum(shape.alpha)
-    t = len(sels)
-    for digits in product(range(m), repeat=t):
-        arcs = []
-        for rank, sel in enumerate(sels):
-            li = digits[t - 1 - rank]
-            arcs.append(Arc(sel[:li] + sel[li + 1 :] + (sel[li],)))
-        yield Hypertournament(shape, tuple(arcs))
+    for losers in product(*reversed(sels)):
+        yield Hypertournament.from_losers(shape, losers[::-1])
 
 
 def achievable_losing_lists(
@@ -156,18 +150,16 @@ def random_hypertournament(
     if mode not in ("loser-only", "full-permutation"):
         raise ValueError(f"mode must be 'loser-only' or 'full-permutation', got {mode!r}")
     rng = SplitMix64(seed)
+    sels = selection_vertices(shape)
+    if mode == "loser-only":
+        return Hypertournament.from_losers(shape, [sel[rng.below(len(sel))] for sel in sels])
     arcs = []
-    for sel in selection_vertices(shape):
-        m = len(sel)
-        if mode == "loser-only":
-            li = rng.below(m)
-            arcs.append(Arc(sel[:li] + sel[li + 1 :] + (sel[li],)))
-        else:
-            order = list(sel)
-            for i in range(m - 1, 0, -1):
-                j = rng.below(i + 1)
-                order[i], order[j] = order[j], order[i]
-            arcs.append(Arc(tuple(order)))
+    for sel in sels:
+        order = list(sel)
+        for i in range(len(sel) - 1, 0, -1):
+            j = rng.below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        arcs.append(Arc(tuple(order)))
     return Hypertournament(shape, tuple(arcs))
 
 

@@ -1,12 +1,13 @@
 """Witness construction for valid losing-score lists.
 
-Both routes move losses with one interchange-chain engine. ``realize_inductive``
-runs two passes. Down, it shrinks one part at a time: the last entry of the
-active list is raised to the per-vertex arc count of its part by a logged
-sequence of list transformations (saturation), unless it is there already,
-and that vertex, which loses every arc through it, is dropped. Up, from the
-single arc left, each level gives the arcs through its vertex to that vertex
-and undoes its logged steps by chain moves.
+Both routes move losses with one interchange-chain engine that keeps one loser
+per selection rank. ``realize_inductive`` runs two passes. Down, it shrinks
+one part at a time: the last entry of the active list is raised to the
+per-vertex arc count of its part by a logged sequence of list transformations
+(saturation), unless it is there already, and that vertex, which loses every
+arc through it, is dropped. Up, from the single arc left, each level gives the
+arcs through its vertex to that vertex and undoes its logged steps by chain
+moves.
 ``realize_flow`` assigns losers greedily and repairs every excess by chain
 moves, an exact b-matching that serves as an oracle for the first route.
 """
@@ -22,7 +23,6 @@ from typing import Callable
 
 from .criteria import CheckResult, _first_violation, check_losing_lists
 from .model import (
-    Arc,
     Hypertournament,
     NoEligibleArcError,
     ScoreLists,
@@ -187,20 +187,21 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
 
 
 class _LoserChains:
-    """Interchange-chain engine: arc orders by selection rank (loser last; None
-    until a rank is given) and each vertex's lost ranks, kept sorted as losses move."""
+    """Interchange-chain engine on one selection table: the loser of each
+    selection rank (None until given) and each vertex's lost ranks, kept
+    sorted as losses move. The arc at a rank is its selection, loser last."""
 
-    def __init__(self, orders: list[list[VertexId] | None]):
-        self.orders = orders
+    def __init__(self, sels, losers: list[VertexId | None] | None = None):
+        self.sels = sels
+        self.losers = [None] * len(sels) if losers is None else list(losers)
         self.lost: dict[VertexId, list[int]] = {}
-        for rank, order in enumerate(orders):
-            if order is not None:
-                self.lost.setdefault(order[-1], []).append(rank)
+        for rank, loser in enumerate(self.losers):
+            if loser is not None:
+                self.lost.setdefault(loser, []).append(rank)
 
-    def give(self, rank: int, sel: tuple[VertexId, ...], loser: VertexId) -> None:
-        """Make ``loser`` lose the unassigned arc on ``sel`` at ``rank``: the
-        other vertices in selection order, the loser last."""
-        self.orders[rank] = [v for v in sel if v != loser] + [loser]
+    def give(self, rank: int, loser: VertexId) -> None:
+        """Make ``loser`` lose the unassigned arc at ``rank``."""
+        self.losers[rank] = loser
         insort(self.lost.setdefault(loser, []), rank)
 
     def move_loss(self, source: VertexId, is_target: Callable[[VertexId], bool]) -> VertexId:
@@ -210,16 +211,17 @@ class _LoserChains:
         loses an arc containing u_i, and makes u_i that arc's loser by
         interchanging the two. Intermediate vertices gain and lose one arc
         each, so only the two endpoint scores change. The search is
-        breadth-first over lost arcs in rank order, so it is deterministic and
-        a direct move takes the smallest-rank arc. Returns the vertex reached.
+        breadth-first over lost arcs in rank order and each arc's vertices in
+        selection order, so it is deterministic and a direct move takes the
+        smallest-rank arc. Returns the vertex reached.
         """
         parent: dict[VertexId, tuple[VertexId, int] | None] = {source: None}
         queue = deque([source])
         while queue:
             u = queue.popleft()
             for rank in self.lost.get(u, ()):
-                for w in self.orders[rank][:-1]:
-                    if w in parent:
+                for w in self.sels[rank]:
+                    if w in parent:  # the arc's loser u among them
                         continue
                     parent[w] = (u, rank)
                     if is_target(w):
@@ -233,7 +235,7 @@ class _LoserChains:
         ``move_loss(source, target.__eq__)`` does, looking the search's first
         level up directly: the smallest lost rank of ``source`` whose arc holds it."""
         for rank in self.lost.get(source, ()):
-            if target in self.orders[rank]:
+            if target in self.sels[rank]:
                 self._interchange_along({source: None, target: (source, rank)}, target)
                 return
         self.move_loss(source, target.__eq__)
@@ -242,16 +244,14 @@ class _LoserChains:
         """Make each vertex on the search path to ``v`` lose the arc it was reached by."""
         while parent[v] is not None:
             loser, rank = parent[v]
-            order = self.orders[rank]
-            i = order.index(v)
-            order[i], order[-1] = order[-1], order[i]
+            self.losers[rank] = v
             self.lost[loser].remove(rank)
             insort(self.lost.setdefault(v, []), rank)
             v = loser
 
 
-def _realize(shape: Shape, lists) -> list[list[VertexId]]:
-    """Arc orders by selection rank whose losing lists are ``lists`` (mutated).
+def _realize(shape: Shape, lists) -> list[VertexId]:
+    """One loser per selection rank whose losing lists are ``lists`` (mutated).
 
     Down: per level, saturate the first part with slack if its last entry is
     below its bound, then drop that part's last vertex, which loses every arc
@@ -283,10 +283,10 @@ def _realize(shape: Shape, lists) -> list[list[VertexId]]:
     buckets: list[list[int]] = [[] for _ in levels]
     for rank, sel in enumerate(sels):
         buckets[min([depth.get(v, len(levels) - 1) for v in sel])].append(rank)
-    chains = _LoserChains([None] * len(sels))
+    chains = _LoserChains(sels)
     for (vertex, steps), ranks in zip(reversed(levels), reversed(buckets)):
         for rank in ranks:
-            chains.give(rank, sels[rank], vertex)
+            chains.give(rank, vertex)
         for step in reversed(steps):
             # The incremented vertex gives the loss back to the decremented one.
             try:
@@ -295,7 +295,7 @@ def _realize(shape: Shape, lists) -> list[list[VertexId]]:
                 raise RealizationGapError(
                     f"no interchange chain supports undoing {step}"
                 ) from exc
-    return chains.orders
+    return chains.losers
 
 
 def realize_inductive(shape: Shape, R) -> Hypertournament:
@@ -311,13 +311,8 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
-    orders = _realize(shape, [list(lst) for lst in data])
-    M = Hypertournament(shape, tuple(Arc(tuple(order)) for order in orders))
-    targets = {
-        VertexId(i, j): data[i][j]
-        for i in range(shape.k)
-        for j in range(shape.n[i])
-    }
+    M = Hypertournament.from_losers(shape, _realize(shape, [list(lst) for lst in data]))
+    targets = {VertexId(i, j): x for i, lst in enumerate(data) for j, x in enumerate(lst)}
     if losing_score_map(M) != targets:
         raise RealizationGapError("constructed witness does not reproduce the input lists")
     return M
@@ -344,11 +339,11 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
 
     need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
     sels = selection_vertices(shape)
-    chains = _LoserChains([None] * len(sels))
+    chains = _LoserChains(sels)
     for rank, sel in enumerate(sels):
         loser = max(sel, key=need.__getitem__)
         need[loser] -= 1
-        chains.give(rank, sel, loser)
+        chains.give(rank, loser)
     for v in need:
         while need[v] < 0:
             try:
@@ -357,4 +352,4 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
                 raise InfeasibleError(f"{v} loses too many arcs: lists are not realizable") from exc
             need[v] += 1
             need[w] -= 1
-    return Hypertournament(shape, tuple(Arc(tuple(order)) for order in chains.orders))
+    return Hypertournament.from_losers(shape, chains.losers)

@@ -345,6 +345,23 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["valid"] is True
 
 
+def test_closed_stdout_exits_4_without_a_traceback():
+    # About 1 MB of output: the write outlasts any pipe buffer, so it meets
+    # the closed pipe inside the command.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperscores", "random", "--n", "300,300", "--alpha", "1,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{"k": 2, "'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 4
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
 def _imported_by_cli(module):
     env = dict(os.environ, PYTHONPATH=SRC)
     code = f"import sys, hyperscores.cli; print({module!r} in sys.modules)"

@@ -2,6 +2,7 @@
 inductive witness bytes it must keep."""
 
 import hashlib
+import json
 from collections import deque
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from hyperscores import (
     random_hypertournament,
     realize_flow,
     realize_inductive,
+    selection_vertices,
 )
-from hyperscores.cli import main
+from hyperscores.cli import _hypertournament_from_doc, _vertex_out, main
 from hyperscores.realize import _LoserChains
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,7 +80,7 @@ MODES = st.sampled_from(["loser-only", "full-permutation"])
 
 
 def _state(chains):
-    return tuple(tuple(order) for order in chains.orders), chains.lost
+    return chains.losers, chains.lost
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -86,13 +88,14 @@ def _state(chains):
 def test_move_loss_matches_reference(shape, seed, mode, data):
     """The search with a predicate and the direct move to a named vertex both
     leave the reference's arcs and an exact rank-sorted loser index."""
-    M = random_hypertournament(shape, seed, mode)
+    losers = [arc.loser for arc in random_hypertournament(shape, seed, mode).arcs]
+    M = Hypertournament.from_losers(shape, losers)
     vertices = list(shape.vertices())
     source = data.draw(st.sampled_from(vertices))
     target = data.draw(st.sampled_from(vertices))
     assume(source != target)
-    by_predicate = _LoserChains([list(arc.order) for arc in M.arcs])
-    named = _LoserChains([list(arc.order) for arc in M.arcs])
+    by_predicate = _LoserChains(selection_vertices(shape), losers)
+    named = _LoserChains(selection_vertices(shape), losers)
     try:
         expected = reference_move_loss(M, source, target)
     except NoEligibleArcError:
@@ -104,24 +107,25 @@ def test_move_loss_matches_reference(shape, seed, mode, data):
     assert by_predicate.move_loss(source, lambda w: w == target) == target
     named.move_loss_to(source, target)
     assert _state(named) == _state(by_predicate)
-    assert _state(named)[0] == tuple(a.order for a in expected.arcs)
+    assert named.losers == [a.loser for a in expected.arcs]
     for v, ranks in named.lost.items():
-        assert ranks == [r for r, order in enumerate(named.orders) if order[-1] == v]
+        assert ranks == [r for r, loser in enumerate(named.losers) if loser == v]
 
 
 def test_named_move_falls_back_to_a_chain():
     # (3,)/(2,): vertex 0 loses only {0, 1}, so no arc it loses holds vertex 2
     # and the loss travels 0 -> 1 -> 2 through {1, 2}, which 1 loses.
     a, b, c = (VertexId(0, j) for j in range(3))
-    orders = [[b, a], [a, c], [c, b]]
-    M = Hypertournament(Shape((3,), (2,)), tuple(Arc(tuple(o)) for o in orders))
-    named = _LoserChains([list(o) for o in orders])
-    by_predicate = _LoserChains([list(o) for o in orders])
+    shape = Shape((3,), (2,))
+    losers = [a, c, b]
+    M = Hypertournament.from_losers(shape, losers)
+    named = _LoserChains(selection_vertices(shape), losers)
+    by_predicate = _LoserChains(selection_vertices(shape), losers)
     named.move_loss_to(a, c)
     assert by_predicate.move_loss(a, lambda w: w == c) == c
     assert _state(named) == _state(by_predicate)
-    assert _state(named)[0] == tuple(arc.order for arc in reference_move_loss(M, a, c).arcs)
-    assert _state(named)[0] == ((a, b), (a, c), (b, c))
+    assert named.losers == [arc.loser for arc in reference_move_loss(M, a, c).arcs]
+    assert named.losers == [b, c, c]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -151,9 +155,11 @@ def test_flow_agrees_with_check_near_achievable_lists(shape, seed, mode, data):
 
 
 # sha256 of `realize FIXTURE --method inductive --emit arcs` stdout, recorded
-# before the interchange engine replaced the per-call loss mover.
+# before the interchange engine replaced the per-call loss mover. Re-recorded
+# for inst_222_111.json when arcs came to be built from their losers: the same
+# losers, but two arcs now list their non-losers in selection order.
 FIXTURE_DIGESTS = {
-    "inst_222_111.json": "48b212937fdf67428aa58ad7e4beb0a3762af723592f4ca43c270e3e5531101f",
+    "inst_222_111.json": "e6049fac77bca9a4135ca9138cb7650dd4ca5d1525169b9d5d68c3701a63d7e2",
     "inst_2x2_11.json": "012f62e268123e6493ad2f9c01d808397f4edbee4174773732adbac14917a13f",
     "inst_2x2_11.txt": "012f62e268123e6493ad2f9c01d808397f4edbee4174773732adbac14917a13f",
     "inst_3x2_11.json": "c9b8f68354d8e25f741df6707994d0956907d25630602c37fc67dd3fbcccc0ce",
@@ -199,15 +205,69 @@ def _golden_digest(realizer) -> str:
 
 def test_inductive_witness_bytes_of_seeded_instances():
     """The lists of 200 seeded random hypertournaments realize to the same arcs
-    as before the interchange engine, including non-loser order."""
+    as before the interchange engine, including non-loser order.
+
+    Re-recorded when the engine came to keep one loser per rank: arcs list
+    their non-losers in selection order, and the chain search visits each
+    arc's vertices in that order, so on 7 instances it takes another equally
+    short chain and ends with other losers."""
     assert _golden_digest(realize_inductive) == (
-        "7306cccefc13fe4203039e1ae5ab86789995ea6e385cbd03e63ee6003cf53763"
+        "a56cdfcf8ee895416bdc7e010b95f2b5b2b7c2fd68ef314b3623a543ee641b27"
     )
 
 
 def test_flow_witness_bytes_of_seeded_instances():
     """The same 200 instances through the flow realizer, recorded before
-    saturation steps were decided on their box instead of a full check."""
+    saturation steps were decided on their box instead of a full check.
+
+    Re-recorded when the engine came to keep one loser per rank: the losers
+    are those recorded then, with the non-losers sorted into selection order."""
     assert _golden_digest(realize_flow) == (
-        "58a54295a9f0a2eacec22f5bcb872d02ec44069718e0af78a399003e0f0ec7b6"
+        "69d5a25e282929a118717358a9002e1350428e896a9261ff3ebdef1b82435dc3"
     )
+
+
+# sha256 of `realize FIXTURE --emit losers` stdout, recorded before the engine
+# came to keep one loser per rank; the losers it finds must not change.
+LOSERS_DIGESTS = {
+    "inst_222_111.json": "d2f4b670f18d48abdb44f807780f8edf081f5dcc85273bc4e6bce0405c14b39e",
+    "inst_2x2_11.json": "07e2c9596fe2199f56a09b0d46ec8f34750b309eb0361582db81fe2698a7f041",
+    "inst_2x2_11.txt": "07e2c9596fe2199f56a09b0d46ec8f34750b309eb0361582db81fe2698a7f041",
+    "inst_3x2_11.json": "c6b665adc39e5948c69f8d63a30be6d8ca0b23a17d7c810c765474e779d6148f",
+    "inst_3x2_21.json": "f11ee70a39f09606354641f412b6f832b9c5346c2caf1b66254c06a7056eb88a",
+    "inst_k1_42.json": "53af9d923fdb73485fc1afed317a4a4da1f11ccdc97afc1336402081ddc83f28",
+    "inst_score_2x2.json": "9c95b6763621ee3213a1f9ddf32bcc13c055ec690d609f3038a61c4233ff852e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_inductive_loser_bytes_of_fixtures(name, capsys):
+    code = main(["realize", str(FIXTURES / name), "--emit", "losers"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LOSERS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("method", ["inductive", "flow"])
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+def test_emitted_arcs_are_the_hypertournament_of_the_emitted_losers(name, method, capsys):
+    """`--emit arcs` and `--emit losers` describe one hypertournament: the
+    arcs equal those `verify` rebuilds from the losers."""
+    docs = {}
+    for emit in ("arcs", "losers"):
+        assert main(["realize", str(FIXTURES / name), "--method", method, "--emit", emit]) == 0
+        docs[emit] = json.loads(capsys.readouterr().out)
+    shape = Shape(tuple(docs["losers"]["n"]), tuple(docs["losers"]["alpha"]))
+    rebuilt = _hypertournament_from_doc(docs["losers"], shape)
+    assert [[_vertex_out(v) for v in arc] for arc in rebuilt.arcs] == docs["arcs"]["arcs"]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=small_shapes(), seed=st.integers(0, 2**32 - 1), mode=MODES)
+def test_realized_arcs_are_built_from_their_losers(shape, seed, mode):
+    """Both realizers return the hypertournament of their losers: each arc is
+    its selection with the loser moved last, the rest in selection order."""
+    lists = losing_scores(random_hypertournament(shape, seed, mode)).lists
+    for realizer in (realize_inductive, realize_flow):
+        M = realizer(shape, lists)
+        assert M == Hypertournament.from_losers(shape, [a.loser for a in M.arcs])

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from hyperscores import (
@@ -10,10 +13,13 @@ from hyperscores import (
     VertexId,
     arc_swap,
     arcs_through,
+    check_losing_lists,
     losing_score_map,
     losing_scores,
     make_arc,
     random_hypertournament,
+    realize_flow,
+    realize_inductive,
     score_map,
     scores,
     selection_vertices,
@@ -70,6 +76,26 @@ class TestShape:
         with pytest.raises(CapacityError):
             Shape((300, 300), (150, 150))
 
+    @pytest.mark.parametrize(
+        "n, alpha, field",
+        [
+            ((2.7, 2), (1, 1), "n[0]"),
+            ((2, 2), (1.2, 1), "alpha[0]"),
+            ((2, "3"), (1, 1), "n[1]"),
+            ((2, 2), (1, math.nan), "alpha[1]"),
+            ((math.inf, 2), (1, 1), "n[0]"),
+            ((2, 2), (-math.inf, 1), "alpha[0]"),
+        ],
+    )
+    def test_rejects_a_non_integral_value(self, n, alpha, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            Shape(n, alpha)
+
+    def test_accepts_integral_floats(self):
+        shape = Shape((3.0, 2), (2, 1.0))
+        assert shape.n == (3, 2) and shape.alpha == (2, 1)
+        assert all(type(x) is int for x in shape.n + shape.alpha)
+
 
 class TestScoreLists:
     def test_rejects_decreasing(self):
@@ -83,6 +109,34 @@ class TestScoreLists:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             ScoreLists("loss", ((0,),))
+
+    @pytest.mark.parametrize(
+        "lists, field",
+        [
+            (((0.9, 2.5), (1, 1)), "lists[0][0]"),
+            (((0, 2), (1, 1.5)), "lists[1][1]"),
+            ((("0", "2"), (1, 1)), "lists[0][0]"),
+            (((0, math.nan), (1, 1)), "lists[0][1]"),
+            (((0, math.inf), (1, 1)), "lists[0][1]"),
+            (((-math.inf, 2), (1, 1)), "lists[0][0]"),
+        ],
+    )
+    def test_rejects_a_non_integral_entry(self, lists, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ScoreLists("losing", lists)
+
+    def test_accepts_integral_floats(self):
+        sl = ScoreLists("losing", ((0.0, 2.0), (1, 1)))
+        assert sl.lists == ((0, 2), (1, 1))
+        assert all(type(x) is int for lst in sl.lists for x in lst)
+
+    def test_non_integral_lists_reach_no_realizer_or_check(self):
+        shape = two_by_two()
+        for fn in (check_losing_lists, realize_inductive, realize_flow):
+            with pytest.raises(ValueError, match=re.escape("lists[0][0]")):
+                fn(shape, [[0.9, 2.5], [1, 1]])
+        with pytest.raises(ValueError, match=re.escape("lists[0][0]")):
+            check_losing_lists(shape, [["0", "2"], ["1", "1"]])
 
     def test_from_map_sorts(self):
         shape = two_by_two()
