@@ -2,10 +2,13 @@
 
 Exhaustive enumeration of loser assignments, the exact set of achievable
 losing-score lists, seeded random hypertournament generation, and a
-cross-validation report comparing the decision procedures against the
-enumerated truth. Enumeration ranges over loser choices only: scores depend
-only on the last position of each arc, so nothing is lost while the space
-shrinks from orderings to one choice per selection.
+cross-validation report comparing the decision procedures against that
+exact truth. Both range over loser choices only: scores depend only on the
+last position of each arc, so nothing is lost while the space shrinks from
+orderings to one choice per selection. The achievable lists come from a
+dynamic program over distinct loss-count vectors, in which each part's
+finished counts are kept sorted, rather than from one pass per assignment;
+the enumeration budget still bounds the assignment space m**T, not the work.
 """
 
 from __future__ import annotations
@@ -122,20 +125,38 @@ def enumerate_assignments(
 def achievable_losing_lists(
     shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET
 ) -> AchievableSet:
-    """Exact set of sorted losing-score list tuples over all assignments."""
+    """Exact set of sorted losing-score list tuples over all assignments.
+
+    A dynamic program over distinct loss-count vectors. Walking the
+    selections in rank order, each state (one count per vertex) branches on
+    the selection's possible losers, and equal states merge. A vertex is
+    finished once its last selection has passed: no later selection changes
+    its count, and the result sorts each part anyway, so every state keeps
+    each part's finished counts sorted. That canonical form is what keeps the
+    state set small. ``budget`` bounds the assignment space m**T, checked
+    before any work, not the number of states.
+    """
     count = _assignment_count(shape, budget)
     sels = selection_vertices(shape)
+    last = {v: rank for rank, sel in enumerate(sels) for v in sel}
+    # A state holds a part's counts in the order its vertices finish, so the
+    # finished counts of a part always fill a prefix of the part's positions.
+    order = sorted(last, key=lambda v: (v.part, last[v]))
+    position = {v: p for p, v in enumerate(order)}
     offsets = tuple(accumulate(shape.n, initial=0))
-    choice_vids = [tuple(offsets[v.part] + v.index for v in sel) for sel in sels]
-    zeros = [0] * offsets[-1]
+    finished_prefixes: dict[int, dict[int, int]] = {}  # rank -> {start: end}
+    for p, v in enumerate(order):
+        finished_prefixes.setdefault(last[v], {})[offsets[v.part]] = p + 1
+    states = {(0,) * offsets[-1]}
+    for rank, sel in enumerate(sels):
+        choices = [position[v] for v in sel]
+        states = {st[:p] + (st[p] + 1,) + st[p + 1:] for st in states for p in choices}
+        for lo, hi in finished_prefixes.get(rank, {}).items():
+            states = {st[:lo] + tuple(sorted(st[lo:hi])) + st[hi:] for st in states}
+    # The last rank finishes every vertex, so each part's counts are sorted.
     spans = [(offsets[i], offsets[i + 1]) for i in range(shape.k)]
-    found = set()
-    for losers in product(*choice_vids):
-        counts = zeros[:]
-        for vid in losers:
-            counts[vid] += 1
-        found.add(tuple(tuple(sorted(counts[lo:hi])) for lo, hi in spans))
-    return AchievableSet(shape, frozenset(found), count)
+    lists = frozenset(tuple(st[lo:hi] for lo, hi in spans) for st in states)
+    return AchievableSet(shape, lists, count)
 
 
 def random_hypertournament(

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -294,6 +295,26 @@ class TestEnumerateRandom:
         code, out, err = run(capsys, "enumerate", "--n", "100", "--alpha", "3")
         assert code == 4 and out == ""
         assert "3**161700 assignments exceed the enumeration budget" in err
+
+    # sha256 of the stdout, recorded before the achievable lists came from a
+    # dynamic program: list order and the "assignments" field are unchanged.
+    @pytest.mark.parametrize(
+        "kind, n, alpha, digest",
+        [
+            ("losing", "3,2", "2,1", "78b9f245faa427508392498b333e01f11162f2ab047e4980015c302ae9c1b02e"),
+            ("losing", "2,2,2", "1,1,1", "d7965abb9d46bdc9eb2466b2d193cfe153f153487173a192452f710255484e4a"),
+            ("losing", "1,6", "1,1", "1ceab43105a82fe83754e814d03e06bd1aba3b9d2dc50025ff7142644fbfa05d"),
+            ("losing", "2,3", "2,3", "235a4248855c5f82ad662e624469d067a2da56dc1ee55f2fb6616df4e1828bcb"),
+            ("score", "3,2", "2,1", "04ddbc7a6a4be4ee7cf742a84882de8e4ab73c51382b4afe488ed5d02bffa6e8"),
+            ("score", "2,2,2", "1,1,1", "dc274c72269206d5ef779a30f2850d273e8bb16f3622c572dba3384d6f175dc8"),
+            ("score", "1,6", "1,1", "3e3453a2c81707624d4e222f93d27f960f6979f70718ec59e8b53975444042ce"),
+            ("score", "2,3", "2,3", "aa4b3d3a4dd5bc1c1ab4b506768b8ae8a3056fee809842a0f30a3ca52a5ef71d"),
+        ],
+    )
+    def test_enumerate_output_bytes(self, capsys, kind, n, alpha, digest):
+        code, out, _ = run(capsys, "enumerate", "--n", n, "--alpha", alpha, "--kind", kind)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_enumerate_score_kind(self, capsys):
         code, out, _ = run(

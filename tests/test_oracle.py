@@ -1,3 +1,5 @@
+from itertools import accumulate, product
+
 import pytest
 
 from hyperscores import (
@@ -12,8 +14,43 @@ from hyperscores import (
     losing_scores,
     random_hypertournament,
     scores,
+    selection_vertices,
     validate,
 )
+
+
+def naive_achievable(shape):
+    """Reference: the loop the dynamic program replaced, one pass per assignment."""
+    sels = selection_vertices(shape)
+    offsets = tuple(accumulate(shape.n, initial=0))
+    choice_vids = [tuple(offsets[v.part] + v.index for v in sel) for sel in sels]
+    zeros = [0] * offsets[-1]
+    spans = [(offsets[i], offsets[i + 1]) for i in range(shape.k)]
+    found = set()
+    for losers in product(*choice_vids):
+        counts = zeros[:]
+        for vid in losers:
+            counts[vid] += 1
+        found.add(tuple(tuple(sorted(counts[lo:hi])) for lo, hi in spans))
+    return frozenset(found)
+
+
+def _small_shapes():
+    """Every shape with k <= 3, n_i <= 3 and at most 5 000 assignments.
+
+    Each part order is its own shape: the selection rank order decides when a
+    vertex finishes, and so when the dynamic program sorts its count.
+    """
+    parts = [(n, a) for n in range(1, 4) for a in range(1, n + 1)]
+    for k in range(1, 4):
+        for chosen in product(parts, repeat=k):
+            shape = Shape(tuple(n for n, _ in chosen), tuple(a for _, a in chosen))
+            if sum(shape.alpha) ** shape.total_arcs() <= 5_000:
+                yield shape
+
+
+SMALL_SHAPES = list(_small_shapes())
+DEGENERATE_SHAPES = [Shape((1, 12), (1, 1)), Shape((12, 1), (1, 1)), Shape((2, 2, 2), (2, 1, 2))]
 
 
 class TestEnumerate:
@@ -85,6 +122,15 @@ class TestAchievable:
         shape = Shape((3, 2), (2, 1))
         from_stream = {losing_scores(m).lists for m in enumerate_assignments(shape)}
         assert achievable_losing_lists(shape).lists == from_stream
+
+    def test_small_shapes_are_all_there(self):
+        assert len(SMALL_SHAPES) == 174
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES + DEGENERATE_SHAPES, ids=str)
+    def test_matches_naive_reference(self, shape):
+        ach = achievable_losing_lists(shape)
+        assert ach.lists == naive_achievable(shape)
+        assert ach.assignment_count == sum(shape.alpha) ** shape.total_arcs()
 
 
 class TestRandom:
