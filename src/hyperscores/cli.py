@@ -34,7 +34,6 @@ from .model import (
     Shape,
     VertexId,
     losing_scores,
-    scores,
     validate,
 )
 from .oracle import (
@@ -236,10 +235,6 @@ def _shape_from_flags(args) -> Shape:
         raise InputError(str(exc)) from exc
 
 
-def _vertex_out(v: VertexId) -> list[int]:
-    return [v.part + 1, v.index + 1]
-
-
 def _vertex_in(pair) -> VertexId:
     return VertexId(int(pair[0]) - 1, int(pair[1]) - 1)
 
@@ -278,11 +273,13 @@ def _emit(doc: dict, args, text_renderer=None) -> None:
 
 
 def _emit_witness(doc: dict, M: Hypertournament, args) -> None:
-    """Emit doc with M's losers or arcs, as ``--emit`` asks."""
+    """Emit doc with M's losers or arcs, as ``--emit`` asks, each vertex as
+    its 1-based pair from one table of the shape's vertices."""
+    pair = {v: [v.part + 1, v.index + 1] for v in M.shape.vertices()}
     if args.emit == "losers":
-        doc["losers"] = [_vertex_out(arc.loser) for arc in M.arcs]
+        doc["losers"] = [pair[arc.loser] for arc in M.arcs]
     else:
-        doc["arcs"] = [[_vertex_out(v) for v in arc.order] for arc in M.arcs]
+        doc["arcs"] = [[pair[v] for v in arc.order] for arc in M.arcs]
     _emit(doc, args, _text_witness)
 
 
@@ -352,11 +349,19 @@ def cmd_realize(args) -> int:
 
 
 def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
+    """The arcs or losers of a witness document, each 1-based pair looked up in
+    one table of the shape's vertices; integral floats hash like ints, so they
+    find their vertex. A pair outside the shape goes through _vertex_in, so a
+    violation names it."""
+    table = {(v.part + 1, v.index + 1): v for v in shape.vertices()}
+
+    def vertices(pairs) -> list[VertexId]:
+        return [table.get((a, b)) or _vertex_in((a, b)) for a, b in pairs]
+
     if "arcs" in doc:
-        arcs = tuple(Arc(tuple(map(_vertex_in, arc))) for arc in doc["arcs"])
-        return Hypertournament(shape, arcs)
+        return Hypertournament(shape, tuple(Arc(tuple(vertices(arc))) for arc in doc["arcs"]))
     if "losers" in doc:
-        return Hypertournament.from_losers(shape, [_vertex_in(pair) for pair in doc["losers"]])
+        return Hypertournament.from_losers(shape, vertices(doc["losers"]))
     raise InputError("witness document needs an 'arcs' or 'losers' field")
 
 
@@ -375,8 +380,10 @@ def cmd_verify(args) -> int:
     }
     lists_match = None
     if not violations:
+        # Exact for a well-formed witness: a vertex's score is the number of
+        # arcs through it minus its losses.
         losing = losing_scores(M)
-        score = scores(M)
+        score = losing_to_scores(shape, losing)
         out["losing_lists"] = [list(lst) for lst in losing.lists]
         out["score_lists"] = [list(lst) for lst in score.lists]
         out["losing_total"] = losing.total()
@@ -451,7 +458,7 @@ def cmd_random(args) -> int:
     doc = _instance_doc(shape, losing)
     doc["seed"] = args.seed
     doc["mode"] = args.mode
-    doc["score_lists"] = [list(lst) for lst in scores(M).lists]
+    doc["score_lists"] = [list(lst) for lst in losing_to_scores(shape, losing).lists]
     _emit_witness(doc, M, args)
     return EXIT_OK
 

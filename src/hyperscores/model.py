@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .combinatorics import CapacityError, binom, subsets_colex, total_selections
@@ -65,6 +66,12 @@ def _integers(values, *field) -> tuple[int, ...]:
     """``values`` as ints. An entry that is not an int must equal one (``2.0``
     does), or ValueError names it (``2.5``, ``'3'``, NaN, infinities): for
     ``field`` ("lists", 1) entry j is ``lists[1][j]``."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            break
+    else:
+        return values
     out = []
     for j, x in enumerate(values):
         if type(x) is not int:
@@ -165,6 +172,19 @@ class Hypertournament:
         return Hypertournament(self.shape, self.arcs[:rank] + (arc,) + self.arcs[rank + 1 :])
 
 
+def _monotone_lists(lists) -> tuple[tuple[int, ...], ...]:
+    """``lists`` as tuples of ints, or ValueError unless each is non-decreasing
+    and non-negative."""
+    lists = tuple(_integers(lst, "lists", i) for i, lst in enumerate(lists))
+    for i, lst in enumerate(lists):
+        for a, b in zip(lst, lst[1:]):
+            if a > b:
+                raise ValueError(f"part {i + 1} list is not non-decreasing: {list(lst)}")
+        if lst and lst[0] < 0:
+            raise ValueError(f"part {i + 1} list has a negative entry: {list(lst)}")
+    return lists
+
+
 @dataclass(frozen=True)
 class ScoreLists:
     """Per-part non-decreasing integer lists, tagged ``losing`` or ``score``."""
@@ -175,14 +195,7 @@ class ScoreLists:
     def __post_init__(self) -> None:
         if self.kind not in ("losing", "score"):
             raise ValueError(f"kind must be 'losing' or 'score', got {self.kind!r}")
-        lists = tuple(_integers(lst, "lists", i) for i, lst in enumerate(self.lists))
-        object.__setattr__(self, "lists", lists)
-        for i, lst in enumerate(lists):
-            for a, b in zip(lst, lst[1:]):
-                if a > b:
-                    raise ValueError(f"part {i + 1} list is not non-decreasing: {list(lst)}")
-            if lst and lst[0] < 0:
-                raise ValueError(f"part {i + 1} list has a negative entry: {list(lst)}")
+        object.__setattr__(self, "lists", _monotone_lists(self.lists))
 
     @classmethod
     def from_map(cls, kind: Kind, shape: Shape, by_vertex: Mapping[VertexId, int]) -> "ScoreLists":
@@ -208,7 +221,7 @@ def conform_lists(shape: Shape, lists, kind: Kind) -> tuple[tuple[int, ...], ...
             raise ValueError(f"expected {kind} lists, got kind={lists.kind!r}")
         data = lists.lists
     else:
-        data = ScoreLists(kind, tuple(tuple(lst) for lst in lists)).lists
+        data = _monotone_lists(lists)
     if len(data) != shape.k:
         raise ValueError(f"expected {shape.k} lists, got {len(data)}")
     for i, lst in enumerate(data):
@@ -312,41 +325,36 @@ def validate(M: Hypertournament) -> list[Violation]:
 
     Checks one arc per selection rank, per-arc distinctness and arity, and
     agreement between each arc's vertex set and its selection. Violations are
-    data, not failures.
+    data, not failures. An arc holds exactly its selection's vertices when its
+    sorted vertices equal the selection, so one comparison accepts a
+    well-formed arc and only an arc that fails it is diagnosed.
     """
-    shape = M.shape
-    expected = selection_vertices(shape)
-    out: list[Violation] = []
-    for rank, sel in enumerate(expected):
-        if rank >= len(M.arcs) or M.arcs[rank] is None:
-            out.append(Violation(rank, "missing-arc", f"no arc stored for selection {rank}"))
-            continue
-        order = M.arcs[rank].order
-        if len(set(order)) != len(order):
-            out.append(Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {order}"))
-            continue
-        bad = [
-            v
-            for v in order
-            if not (0 <= v.part < shape.k and 0 <= v.index < shape.n[v.part])
-        ]
-        if bad:
-            out.append(Violation(rank, "bad-vertex", f"vertices outside the shape: {bad}"))
-            continue
-        arity = Counter(v.part for v in order)
-        if any(arity.get(p, 0) != shape.alpha[p] for p in range(shape.k)):
-            got = [arity.get(p, 0) for p in range(shape.k)]
-            out.append(
-                Violation(rank, "arity-mismatch", f"per-part counts {got} != {list(shape.alpha)}")
-            )
-            continue
-        if tuple(sorted(order)) != sel:
-            out.append(
-                Violation(rank, "selection-mismatch", f"arc vertices do not match selection {rank}")
-            )
+    expected = selection_vertices(M.shape)
+    out = [
+        _diagnose(M.shape, rank, arc)
+        for rank, (sel, arc) in enumerate(zip(expected, chain(M.arcs, repeat(None))))
+        if arc is None or tuple(sorted(arc.order)) != sel
+    ]
     for rank in range(len(expected), len(M.arcs)):
         out.append(Violation(rank, "extra-arc", "arc beyond the selection table"))
     return out
+
+
+def _diagnose(shape: Shape, rank: int, arc: Arc | None) -> Violation:
+    """The first defect of an arc that does not hold its selection's vertices."""
+    if arc is None:
+        return Violation(rank, "missing-arc", f"no arc stored for selection {rank}")
+    order = arc.order
+    if len(set(order)) != len(order):
+        return Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {order}")
+    bad = [v for v in order if not (0 <= v.part < shape.k and 0 <= v.index < shape.n[v.part])]
+    if bad:
+        return Violation(rank, "bad-vertex", f"vertices outside the shape: {bad}")
+    arity = Counter(v.part for v in order)
+    if any(arity.get(p, 0) != shape.alpha[p] for p in range(shape.k)):
+        got = [arity.get(p, 0) for p in range(shape.k)]
+        return Violation(rank, "arity-mismatch", f"per-part counts {got} != {list(shape.alpha)}")
+    return Violation(rank, "selection-mismatch", f"arc vertices do not match selection {rank}")
 
 
 def arc_swap(M: Hypertournament, a: VertexId, b: VertexId) -> Hypertournament:

@@ -147,10 +147,8 @@ def _saturation_step(lists, pref, g, active: int) -> TransformStep | None:
 def _saturate(shape: Shape, lists, active: int) -> TransformLog:
     """Raise the active list's last entry to its bound, mutating ``lists``.
 
-    One full check on entry; every step keeps the lists valid after it.
+    The lists must be valid on entry; every step keeps them valid after it.
     """
-    if not check_losing_lists(shape, lists).valid:
-        raise NoValidStepError(f"saturation needs valid lists, got {lists}")
     bound = arcs_through(shape, active)
     pref = [list(accumulate(lst, initial=0)) for lst in lists]
     g = [[comb(p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
@@ -251,7 +249,8 @@ class _LoserChains:
 
 
 def _realize(shape: Shape, lists) -> list[VertexId]:
-    """One loser per selection rank whose losing lists are ``lists`` (mutated).
+    """One loser per selection rank whose losing lists are ``lists`` (mutated),
+    which the caller has checked.
 
     Down: per level, saturate the first part with slack if its last entry is
     below its bound, then drop that part's last vertex, which loses every arc
@@ -265,6 +264,9 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
         while sub.n[active] > sub.alpha[active]:
             steps = ()
             if lists[active][-1] < arcs_through(sub, active):
+                # The caller checked the top level's lists; a lower level's are checked here.
+                if sub is not shape and not check_losing_lists(sub, lists).valid:
+                    raise NoValidStepError(f"saturation needs valid lists, got {lists}")
                 steps = _saturate(sub, lists, active).steps
             n_a = sub.n[active] - 1
             levels.append((VertexId(active, n_a), steps))

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperscores import Shape, cli, losing_scores, random_hypertournament, scores
+from hyperscores import Shape, cli, losing_scores, random_hypertournament, realize, scores
 from hyperscores.cli import InputError, main
 from hyperscores.realize import NoValidStepError
 
@@ -187,6 +187,25 @@ class TestRealizeVerify:
         assert code == 0
         assert len(json.loads(out)["arcs"]) == 600
 
+    def test_inductive_route_checks_the_input_lists_twice(self, capsys, monkeypatch):
+        """cmd_realize and realize_inductive check the input lists once each;
+        saturating the top level checks them no more, lower levels once each."""
+        checked = []
+
+        def counting(check):
+            def wrapper(shape, lists):
+                checked.append((shape.n, [list(lst) for lst in getattr(lists, "lists", lists)]))
+                return check(shape, lists)
+            return wrapper
+
+        for module in (cli, realize):
+            monkeypatch.setattr(module, "check_losing_lists", counting(module.check_losing_lists))
+        code, _, _ = run(capsys, "realize", str(FIXTURES / "inst_3x2_21.json"))
+        assert code == 0
+        top = ((3, 2), [[0, 1, 2], [1, 2]])
+        assert checked[:2] == [top, top]
+        assert top not in checked[2:]
+
     def test_invalid_instance_exits_1(self, tmp_path, capsys):
         code, out, _ = run(capsys, "realize", write_instance(tmp_path, INVALID))
         assert code == 1
@@ -352,6 +371,75 @@ class TestEnumerateRandom:
         assert code == 2
         code, _, _ = run(capsys, "enumerate", "--n", "2", "--alpha", "3")
         assert code == 2
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _with_defects(doc):
+    """An arcs witness of (10,8)/(3,2) with one defect of each kind a document
+    can carry: a vertex swapped out of its selection, a repeated vertex, an
+    out-of-shape vertex, one vertex too few, one too many and an extra arc."""
+    arcs = doc["arcs"]
+    arcs[5][0] = next(p for p in ([1, j] for j in range(1, 11)) if p not in arcs[5])
+    arcs[17][1] = list(arcs[17][0])
+    arcs[40][-1] = [3, 1]
+    arcs[60] = arcs[60][:-1]
+    arcs[61] = arcs[61] + [[2, 8] if [2, 8] not in arcs[61] else [2, 7]]
+    arcs.append(arcs[0])
+    return doc
+
+
+def _short(doc):
+    """The same witness without its last three arcs."""
+    doc["arcs"] = doc["arcs"][:-3]
+    return doc
+
+
+class TestWitnessBytes:
+    """sha256 of `random` and `verify` stdout, recorded before arcs were
+    accepted by one sorted comparison and score lists came from loss counts."""
+
+    @pytest.mark.parametrize(
+        "n, alpha, emit, random_digest, verify_digest",
+        [
+            ("10,8", "3,2", "arcs",
+             "4c21a9bdfe938ba5008da7d941714f7cef8df1b111bbc532e0bc9364a3d97fb8",
+             "8641e6c2096a1db12afde832bb478627222fc6c960cec27eb279da0f7d5f9d75"),
+            ("10,8", "3,2", "losers",
+             "a9c4ec720b41f8f527f4f1f21d13fe022df4e85445d227d79b5ce5d31c75cbb6",
+             "8641e6c2096a1db12afde832bb478627222fc6c960cec27eb279da0f7d5f9d75"),
+            ("6,5", "2,2", "arcs",
+             "3e83a877d7ae60bcdff880c2b985bd3e5fa4b7a2f2d720d6428d9762fdc07b86",
+             "f7365591a20d4c8cd6a6f2a79a2ed4fbf7e459cedf9bf6a515eefecf4d5bd0fb"),
+            ("6,5", "2,2", "losers",
+             "3035fcd4a484f16230a8dd631ecbeae3dbfa3af8e01a7672da7cde00418caf0c",
+             "f7365591a20d4c8cd6a6f2a79a2ed4fbf7e459cedf9bf6a515eefecf4d5bd0fb"),
+        ],
+    )
+    def test_random_and_verify(self, tmp_path, capsys, n, alpha, emit, random_digest, verify_digest):
+        code, out, _ = run(capsys, "random", "--n", n, "--alpha", alpha, "--seed", "5", "--emit", emit)
+        assert code == 0 and _sha(out) == random_digest
+        path = tmp_path / "w.json"
+        path.write_text(out)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0 and _sha(out) == verify_digest
+
+    @pytest.mark.parametrize(
+        "corrupt, fmt, digest",
+        [
+            (_with_defects, "json", "f7f1a6965ec9c26ee5d685ee6422fb4f8ff5916cdd4394f0eb8538de28a56d95"),
+            (_with_defects, "text", "42f21b30df0654a19b52b4d6693631ccd6f834129961c0753dee28a43eebf1ee"),
+            (_short, "json", "0279637bd4092f3278df545921394a99970788be6dd7c96e9be57a7c6c2d351e"),
+        ],
+    )
+    def test_verify_of_a_corrupted_witness(self, tmp_path, capsys, corrupt, fmt, digest):
+        _, out, _ = run(capsys, "random", "--n", "10,8", "--alpha", "3,2", "--seed", "5", "--emit", "arcs")
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(corrupt(json.loads(out))))
+        code, out, _ = run(capsys, "verify", str(path), "--format", fmt)
+        assert code == 1 and _sha(out) == digest
 
 
 def test_module_entry_point(tmp_path):
@@ -614,7 +702,7 @@ def instance_documents(draw):
     if draw(st.booleans()):
         return cli._text_instance(doc)
     if draw(st.booleans()):
-        doc["losers"] = [cli._vertex_out(arc.loser) for arc in M.arcs]
+        doc["losers"] = [[arc.loser.part + 1, arc.loser.index + 1] for arc in M.arcs]
     return json.dumps(doc)
 
 

@@ -24,7 +24,7 @@ from hyperscores import (
     realize_inductive,
     selection_vertices,
 )
-from hyperscores.cli import _hypertournament_from_doc, _vertex_out, main
+from hyperscores.cli import _hypertournament_from_doc, main
 from hyperscores.realize import _LoserChains
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -259,7 +259,7 @@ def test_emitted_arcs_are_the_hypertournament_of_the_emitted_losers(name, method
         docs[emit] = json.loads(capsys.readouterr().out)
     shape = Shape(tuple(docs["losers"]["n"]), tuple(docs["losers"]["alpha"]))
     rebuilt = _hypertournament_from_doc(docs["losers"], shape)
-    assert [[_vertex_out(v) for v in arc] for arc in rebuilt.arcs] == docs["arcs"]["arcs"]
+    assert [[[v.part + 1, v.index + 1] for v in arc] for arc in rebuilt.arcs] == docs["arcs"]["arcs"]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,7 +1,10 @@
 import math
 import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperscores import (
     Arc,
@@ -11,6 +14,7 @@ from hyperscores import (
     ScoreLists,
     Shape,
     VertexId,
+    Violation,
     arc_swap,
     arcs_through,
     check_losing_lists,
@@ -245,6 +249,88 @@ class TestScores:
         assert scores(m).total() == (sum(m.shape.alpha) - 1) * total
 
 
+def reference_validate(M):
+    """validate as it was before one sorted comparison accepted an arc: every
+    check on every arc."""
+    shape = M.shape
+    expected = selection_vertices(shape)
+    out = []
+    for rank, sel in enumerate(expected):
+        if rank >= len(M.arcs) or M.arcs[rank] is None:
+            out.append(Violation(rank, "missing-arc", f"no arc stored for selection {rank}"))
+            continue
+        order = M.arcs[rank].order
+        if len(set(order)) != len(order):
+            out.append(Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {order}"))
+            continue
+        bad = [
+            v
+            for v in order
+            if not (0 <= v.part < shape.k and 0 <= v.index < shape.n[v.part])
+        ]
+        if bad:
+            out.append(Violation(rank, "bad-vertex", f"vertices outside the shape: {bad}"))
+            continue
+        arity = Counter(v.part for v in order)
+        if any(arity.get(p, 0) != shape.alpha[p] for p in range(shape.k)):
+            got = [arity.get(p, 0) for p in range(shape.k)]
+            out.append(
+                Violation(rank, "arity-mismatch", f"per-part counts {got} != {list(shape.alpha)}")
+            )
+            continue
+        if tuple(sorted(order)) != sel:
+            out.append(
+                Violation(rank, "selection-mismatch", f"arc vertices do not match selection {rank}")
+            )
+    for rank in range(len(expected), len(M.arcs)):
+        out.append(Violation(rank, "extra-arc", "arc beyond the selection table"))
+    return out
+
+
+DEFECTS = ["swap", "permute", "duplicate", "outside", "extra-vertex", "drop-vertex", "none"]
+
+
+@st.composite
+def defective_witnesses(draw):
+    """A random hypertournament of a small shape with a few defects: a vertex
+    swapped for any other (in or out of the selection), a reordered arc, a
+    repeated vertex, an out-of-shape vertex, one vertex too many or too few,
+    an arc that is None, and arcs missing from the end or added past it."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    alpha = [draw(st.integers(1, n_i)) for n_i in n]
+    shape = Shape(tuple(n), tuple(alpha))
+    mode = draw(st.sampled_from(["loser-only", "full-permutation"]))
+    M = random_hypertournament(shape, draw(st.integers(0, 2**64 - 1)), mode)
+    vertices = list(shape.vertices())
+    arcs = list(M.arcs)
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=4)):
+        rank = draw(st.integers(0, len(arcs) - 1))
+        if arcs[rank] is None:
+            continue
+        order = list(arcs[rank].order)
+        i = draw(st.integers(0, len(order) - 1)) if order else 0
+        if defect == "none":
+            arcs[rank] = None
+            continue
+        if defect == "swap" and order:
+            order[i] = draw(st.sampled_from(vertices))
+        elif defect == "permute":
+            order = draw(st.permutations(order))
+        elif defect == "duplicate" and order:
+            order[i] = order[draw(st.integers(0, len(order) - 1))]
+        elif defect == "outside" and order:
+            order[i] = V(draw(st.integers(-1, k)), draw(st.integers(-1, 5)))
+        elif defect == "extra-vertex":
+            order.insert(i, draw(st.sampled_from(vertices)))
+        elif defect == "drop-vertex" and order:
+            del order[i]
+        arcs[rank] = Arc(tuple(order))
+    arcs = arcs[: len(arcs) - draw(st.integers(0, 2))]
+    arcs += draw(st.lists(st.sampled_from(M.arcs), max_size=2))
+    return Hypertournament(shape, tuple(arcs))
+
+
 class TestValidate:
     def test_well_formed_is_empty(self):
         assert validate(example_m()) == []
@@ -286,6 +372,11 @@ class TestValidate:
         m = example_m()
         bad = m.replace_arc(0, Arc((V(0, 0), V(1, 7))))
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(M=defective_witnesses())
+    def test_agrees_with_the_reference(self, M):
+        assert validate(M) == reference_validate(M)
 
 
 class TestArcSwap:
