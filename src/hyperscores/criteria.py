@@ -18,6 +18,12 @@ envelope of the lines base_k(p) - g_k(p) * x at x = c. The envelope is built
 once per call and each head is decided by one binary search, so a check costs
 O(prod_{i<k} (n_i + 1) * log n_k) instead of one step per prefix tuple. All
 arithmetic is exact in integers.
+
+Everything but the lists' prefix sums depends only on the shape: the g rows
+(the score side reads each row C(p, alpha_i) reversed), the arcs through a
+vertex of each part and the full-prefix totals are computed once per
+:class:`~hyperscores.model.Shape` and read from it, so a call builds only its
+prefix sums, its score bases and its envelope.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, prod
+from math import prod
 from typing import Sequence
 
-from .model import ScoreLists, Shape, arcs_through, conform_lists
+from .model import ScoreLists, Shape, conform_lists
 
 __all__ = [
     "CheckResult",
@@ -125,18 +131,15 @@ def _first_violation(offset, base, g):
 
 
 def _check(shape: Shape, data, kind: str) -> CheckResult:
-    total = shape.total_arcs()
     pref = [tuple(accumulate(lst, initial=0)) for lst in data]
     if kind == "losing":
-        offset, base = 0, pref
-        g = [[comb(p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
-        rhs_full = total
+        offset, base, g = 0, pref, shape.binomial_rows
+        rhs_full = shape.total_arcs()
     else:
-        offset = total
-        through = [arcs_through(shape, i) for i in range(shape.k)]
-        base = [[s - p * t for p, s in enumerate(pref_i)] for pref_i, t in zip(pref, through)]
-        g = [[comb(n_i - p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
-        rhs_full = (sum(shape.alpha) - 1) * total
+        offset = shape.total_arcs()
+        base = [[s - p * t for p, s in enumerate(pref_i)] for pref_i, t in zip(pref, shape.through)]
+        g = [row[::-1] for row in shape.binomial_rows]
+        rhs_full = shape.score_total
     lhs_full = sum(pref_i[-1] for pref_i in pref)
     equality = lhs_full == rhs_full
 
@@ -190,14 +193,13 @@ def check_single_part(n: int, arity: int, R: Sequence[int]) -> CheckResult:
 
 
 def _reverse_complement(shape: Shape, data) -> tuple[tuple[int, ...], ...]:
+    """Each conformed (so non-decreasing) list reversed and complemented
+    against its part's per-vertex arc count."""
     out = []
-    for i, lst in enumerate(data):
-        a_i = arcs_through(shape, i)
-        for x in lst:
-            if x > a_i:
-                raise ValueError(
-                    f"part {i + 1}: entry {x} exceeds the per-vertex arc count {a_i}"
-                )
+    for i, (lst, a_i) in enumerate(zip(data, shape.through)):
+        if lst and lst[-1] > a_i:
+            x = next(x for x in lst if x > a_i)
+            raise ValueError(f"part {i + 1}: entry {x} exceeds the per-vertex arc count {a_i}")
         out.append(tuple(a_i - x for x in reversed(lst)))
     return tuple(out)
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
+from math import comb
+from operator import gt
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .combinatorics import CapacityError, binom, subsets_colex, total_selections
+from .combinatorics import CapacityError, subsets_colex, total_selections
 
 __all__ = [
     "Arc",
@@ -88,7 +90,13 @@ def _integers(values, *field) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Shape:
-    """Instance signature: part sizes ``n`` and per-part arities ``alpha``."""
+    """Instance signature: part sizes ``n`` and per-part arities ``alpha``.
+
+    The counts that depend only on the shape (the number of arcs, the arcs
+    through one vertex of each part and each part's binomial row) are computed
+    once per instance, on first use, and kept as tuples; equality, hashing and
+    repr still see only ``n`` and ``alpha``.
+    """
 
     n: tuple[int, ...]
     alpha: tuple[int, ...]
@@ -105,7 +113,8 @@ class Shape:
                 raise ValueError(
                     f"part {i + 1}: need 1 <= alpha <= n, got alpha={a_i}, n={n_i}"
                 )
-        total_selections(self)  # enforces the magnitude guard
+        # The guard passed, so this is the unguarded count as well.
+        object.__setattr__(self, "_total_arcs", total_selections(self))
 
     @property
     def k(self) -> int:
@@ -113,7 +122,27 @@ class Shape:
 
     def total_arcs(self) -> int:
         """Number of arcs of any hypertournament of this shape."""
-        return total_selections(self, limit=None)
+        return self._total_arcs
+
+    @cached_property
+    def through(self) -> tuple[int, ...]:
+        """Per part, the number of arcs containing any fixed vertex of it:
+        C(n_i - 1, alpha_i - 1) times the product of C(n_t, alpha_t) over the
+        other parts, i.e. the alpha_i/n_i fraction of all arcs."""
+        return tuple(self._total_arcs * a_i // n_i for n_i, a_i in zip(self.n, self.alpha))
+
+    @cached_property
+    def binomial_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per part, C(p, alpha_i) for p = 0..n_i; entry n_i - p of the row is
+        C(n_i - p, alpha_i)."""
+        return tuple(
+            tuple(comb(p, a_i) for p in range(n_i + 1)) for n_i, a_i in zip(self.n, self.alpha)
+        )
+
+    @cached_property
+    def score_total(self) -> int:
+        """Grand total of any score lists: each arc scores at all but its loser."""
+        return (sum(self.alpha) - 1) * self._total_arcs
 
     def vertices(self) -> Iterator[VertexId]:
         for part, n_i in enumerate(self.n):
@@ -162,11 +191,17 @@ class Hypertournament:
     @classmethod
     def from_losers(cls, shape: Shape, losers: Sequence[VertexId]) -> "Hypertournament":
         """Arc r is selection r with ``losers[r]`` moved last, the rest in
-        selection order; ``losers`` entries past the last selection are dropped."""
-        return cls(shape, tuple(
-            Arc(tuple(v for v in sel if v != loser) + (loser,))
-            for sel, loser in zip(selection_vertices(shape), losers)
-        ))
+        selection order; ``losers`` entries past the last selection are dropped.
+        A loser outside its selection is appended to all of it, for
+        :func:`validate` to report."""
+        arcs = []
+        for sel, loser in zip(selection_vertices(shape), losers):
+            try:
+                i = sel.index(loser)
+            except ValueError:
+                i = len(sel)
+            arcs.append(Arc(sel[:i] + sel[i + 1 :] + (loser,)))
+        return cls(shape, tuple(arcs))
 
     def replace_arc(self, rank: int, arc: Arc) -> "Hypertournament":
         return Hypertournament(self.shape, self.arcs[:rank] + (arc,) + self.arcs[rank + 1 :])
@@ -177,9 +212,8 @@ def _monotone_lists(lists) -> tuple[tuple[int, ...], ...]:
     and non-negative."""
     lists = tuple(_integers(lst, "lists", i) for i, lst in enumerate(lists))
     for i, lst in enumerate(lists):
-        for a, b in zip(lst, lst[1:]):
-            if a > b:
-                raise ValueError(f"part {i + 1} list is not non-decreasing: {list(lst)}")
+        if any(map(gt, lst, lst[1:])):
+            raise ValueError(f"part {i + 1} list is not non-decreasing: {list(lst)}")
         if lst and lst[0] < 0:
             raise ValueError(f"part {i + 1} list has a negative entry: {list(lst)}")
     return lists
@@ -271,11 +305,7 @@ def arcs_through(shape: Shape, part: int) -> int:
     """
     if not 0 <= part < shape.k:
         raise ValueError(f"part index {part} outside [0, {shape.k})")
-    total = binom(shape.n[part] - 1, shape.alpha[part] - 1)
-    for t in range(shape.k):
-        if t != part:
-            total *= binom(shape.n[t], shape.alpha[t])
-    return total
+    return shape.through[part]
 
 
 def losing_score_map(M: Hypertournament) -> dict[VertexId, int]:

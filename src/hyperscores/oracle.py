@@ -24,7 +24,6 @@ from .model import (
     Kind,
     ScoreLists,
     Shape,
-    arcs_through,
     selection_vertices,
 )
 
@@ -193,18 +192,16 @@ def bounded_candidate_lists(
     pinned to the kind's forced value; partial sums prune the cross-part
     allocation.
     """
-    total = shape.total_arcs()
-    target = total if kind == "losing" else (sum(shape.alpha) - 1) * total
+    target = shape.total_arcs() if kind == "losing" else shape.score_total
     per_part: list[dict[int, list[tuple[int, ...]]]] = []
-    for i in range(shape.k):
-        a_i = arcs_through(shape, i)
+    for n_i, a_i in zip(shape.n, shape.through):
         by_sum: dict[int, list[tuple[int, ...]]] = {}
-        for lst in combinations_with_replacement(range(a_i + 1), shape.n[i]):
+        for lst in combinations_with_replacement(range(a_i + 1), n_i):
             by_sum.setdefault(sum(lst), []).append(lst)
         per_part.append(by_sum)
     max_rest = [0] * (shape.k + 1)
     for i in range(shape.k - 1, -1, -1):
-        max_rest[i] = max_rest[i + 1] + shape.n[i] * arcs_through(shape, i)
+        max_rest[i] = max_rest[i + 1] + shape.n[i] * shape.through[i]
 
     def rec(i: int, remaining: int, chosen: list) -> Iterator:
         if i == shape.k:

@@ -18,7 +18,6 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from math import comb
 from typing import Callable
 
 from .criteria import CheckResult, _first_violation, check_losing_lists
@@ -28,7 +27,6 @@ from .model import (
     ScoreLists,
     Shape,
     VertexId,
-    arcs_through,
     conform_lists,
     losing_score_map,
     selection_vertices,
@@ -149,12 +147,11 @@ def _saturate(shape: Shape, lists, active: int) -> TransformLog:
 
     The lists must be valid on entry; every step keeps them valid after it.
     """
-    bound = arcs_through(shape, active)
+    bound = shape.through[active]
     pref = [list(accumulate(lst, initial=0)) for lst in lists]
-    g = [[comb(p, a_i) for p in range(n_i + 1)] for n_i, a_i in zip(shape.n, shape.alpha)]
     steps = []
     while lists[active][-1] < bound:
-        step = _saturation_step(lists, pref, g, active)
+        step = _saturation_step(lists, pref, shape.binomial_rows, active)
         if step is None:
             raise NoValidStepError(
                 f"no transformation preserves the prefix bounds at {lists}"
@@ -263,7 +260,7 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
     for active in range(shape.k):
         while sub.n[active] > sub.alpha[active]:
             steps = ()
-            if lists[active][-1] < arcs_through(sub, active):
+            if lists[active][-1] < sub.through[active]:
                 # The caller checked the top level's lists; a lower level's are checked here.
                 if sub is not shape and not check_losing_lists(sub, lists).valid:
                     raise NoValidStepError(f"saturation needs valid lists, got {lists}")

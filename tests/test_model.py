@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hyperscores import (
     Violation,
     arc_swap,
     arcs_through,
+    binom,
     check_losing_lists,
     losing_score_map,
     losing_scores,
@@ -27,6 +29,7 @@ from hyperscores import (
     score_map,
     scores,
     selection_vertices,
+    total_selections,
     validate,
 )
 
@@ -196,6 +199,33 @@ class TestSelectionTable:
             selection_vertices(shape)
 
 
+@st.composite
+def loser_sequences(draw):
+    """A small shape and one loser per selection rank (some past the last),
+    each drawn from the whole shape and one outside it, so that losers
+    outside their selection occur."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    alpha = [draw(st.integers(1, n_i)) for n_i in n]
+    shape = Shape(tuple(n), tuple(alpha))
+    choices = st.sampled_from([*shape.vertices(), V(k, 0)])
+    size = shape.total_arcs()
+    return shape, draw(st.lists(choices, min_size=size, max_size=size + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=loser_sequences())
+def test_from_losers_matches_filtering_reference(case):
+    """Slicing each selection at its loser builds the arcs that filtering the
+    loser out of it did, also for a loser outside the selection."""
+    shape, losers = case
+    expected = tuple(
+        Arc(tuple(v for v in sel if v != loser) + (loser,))
+        for sel, loser in zip(selection_vertices(shape), losers)
+    )
+    assert Hypertournament.from_losers(shape, losers).arcs == expected
+
+
 class TestArcsThrough:
     def test_counted_against_enumeration(self):
         # Independent count over the 4 selections of (2,2)/(1,1).
@@ -220,6 +250,42 @@ class TestArcsThrough:
     def test_bad_part(self):
         with pytest.raises(ValueError):
             arcs_through(two_by_two(), 2)
+
+
+_DESK_PARTS = [(n_i, a_i) for n_i in range(1, 7) for a_i in range(1, n_i + 1)]
+
+
+class TestShapeConstants:
+    def test_constants_against_direct_products(self):
+        """Every shape with k <= 4, n_i <= 6 and 1 <= alpha_i <= n_i."""
+        row = {(n, a): tuple(math.comb(p, a) for p in range(n + 1)) for n, a in _DESK_PARTS}
+        row_from_top = {(n, a): tuple(math.comb(n - p, a) for p in range(n + 1)) for n, a in _DESK_PARTS}
+        selections = {(n, a): binom(n, a) for n, a in _DESK_PARTS}
+        through_part = {(n, a): binom(n - 1, a - 1) for n, a in _DESK_PARTS}
+        for k in range(1, 5):
+            for parts in product(_DESK_PARTS, repeat=k):
+                shape = Shape(*zip(*parts))
+                through = shape.through
+                assert type(through) is tuple and type(shape.binomial_rows) is tuple
+                assert shape.total_arcs() == total_selections(shape, limit=None)
+                for i, (n_i, a_i) in enumerate(parts):
+                    direct = through_part[n_i, a_i]
+                    for t, part in enumerate(parts):
+                        if t != i:
+                            direct *= selections[part]
+                    assert through[i] == direct == arcs_through(shape, i)
+                    cached = shape.binomial_rows[i]
+                    assert type(cached) is tuple
+                    assert cached == row[n_i, a_i] and cached[::-1] == row_from_top[n_i, a_i]
+            for part in (-1, shape.k):
+                with pytest.raises(ValueError):
+                    arcs_through(shape, part)
+
+    def test_constants_leave_equality_and_hash_alone(self):
+        fresh, used = Shape((3, 2), (2, 1)), Shape((3, 2), (2, 1))
+        assert used.through == (4, 3) and used.score_total == 12
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == "Shape(n=(3, 2), alpha=(2, 1))"
 
 
 class TestScores:

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import accumulate, product
 
 import pytest
@@ -9,6 +10,7 @@ from hyperscores import (
     achievable_losing_lists,
     arcs_through,
     bounded_candidate_lists,
+    check_losing_lists,
     cross_validate,
     enumerate_assignments,
     losing_scores,
@@ -199,6 +201,46 @@ class TestCandidates:
         target = (sum(shape.alpha) - 1) * shape.total_arcs()
         for cand in bounded_candidate_lists(shape, "score"):
             assert sum(sum(lst) for lst in cand) == target
+
+    # sha256 of repr(list(bounded_candidate_lists(shape, kind))), recorded
+    # before the shape constants were kept on Shape.
+    @pytest.mark.parametrize(
+        "n, alpha, kind, count, digest",
+        [
+            ((3, 2), (2, 1), "losing", 29, "247a8b8aa70ec7d897e5726e60b1c229b90b5f9f6fa1213237151d91a30d0805"),
+            ((3, 2), (2, 1), "score", 29, "b78b604676a5b1025b8e6c34057df60e6986310728717e46aba8265938e6d1f3"),
+            ((2, 2, 2), (1, 1, 1), "losing", 210, "5b0d1ba494850b75f0a500f0e7aa41046641647581653048f51b295bfff16a64"),
+            ((2, 2, 2), (1, 1, 1), "score", 210, "132a6355c8920ef2d9c8a5181334bf7fb9ab5188d94fa404647031050791b7e0"),
+            ((6,), (2,), "losing", 32, "2dd6383bde1687f61c1a22ba1b866e3838f56e64665cdbb930710a3a13538b2c"),
+            ((6,), (2,), "score", 32, "2dd6383bde1687f61c1a22ba1b866e3838f56e64665cdbb930710a3a13538b2c"),
+        ],
+    )
+    def test_candidate_sequence_is_pinned(self, n, alpha, kind, count, digest):
+        cands = list(bounded_candidate_lists(Shape(n, alpha), kind))
+        assert len(cands) == count
+        assert hashlib.sha256(repr(cands).encode()).hexdigest() == digest
+
+
+# OEIS A000571: score sequences of n-vertex tournaments, n = 2..11. A shape
+# (n,)/(2,) is a tournament, and its sorted losing list is its sorted score
+# sequence reversed and complemented against n - 1, so both count the same.
+A000571 = {2: 1, 3: 2, 4: 4, 5: 9, 6: 22, 7: 59, 8: 167, 9: 490, 10: 1486, 11: 4639}
+
+
+class TestTournamentScoreSequences:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_achievable_lists_count_a000571(self, n):
+        ach = achievable_losing_lists(Shape((n,), (2,)), budget=2**21)
+        assert len(ach.lists) == A000571[n]
+
+    @pytest.mark.parametrize("n", sorted(A000571))
+    def test_accepted_candidates_count_a000571(self, n):
+        shape = Shape((n,), (2,))
+        accepted = [
+            cand for cand in bounded_candidate_lists(shape, "losing")
+            if check_losing_lists(shape, cand).valid
+        ]
+        assert len(accepted) == A000571[n]
 
 
 class TestCrossValidate:
