@@ -8,6 +8,14 @@ per-vertex arc count of its part by a logged sequence of list transformations
 arc through it, is dropped. Up, from the single arc left, each level gives the
 arcs through its vertex to that vertex and undoes its logged steps by chain
 moves.
+A saturation step is decided at a handful of prefix tuples, not by a scan. It
+lowers the slack by 1 on a box of prefixes, and with every other coordinate
+fixed the slack along one part is its prefix sums, linear on each run of equal
+entries, minus a multiple of the convex C(p, alpha_i): concave between run
+starts, so least at a box end or a run start inside the box. The parts the move
+leaves alone are minimized by one query on the lower envelope of their
+prefix-tuple lines, built once per level and rebuilt only after a step changes
+one of their lists.
 ``realize_flow`` assigns losers greedily and repairs every excess by chain
 moves, an exact b-matching that serves as an oracle for the first route.
 """
@@ -17,10 +25,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable
 
-from .criteria import CheckResult, _first_violation, check_losing_lists
+from .criteria import CheckResult, _extend, _lower_envelope, check_losing_lists
 from .model import (
     Hypertournament,
     NoEligibleArcError,
@@ -87,59 +95,115 @@ class TransformStep:
 class TransformLog:
     steps: tuple[TransformStep, ...]
 
-    def replay(self, lists) -> tuple[tuple[int, ...], ...]:
-        """Apply all steps to ``lists`` (used to re-derive the saturated lists)."""
-        work = [list(lst) for lst in lists]
-        for step in self.steps:
-            work[step.incremented.part][step.incremented.index] += 1
-            work[step.decremented.part][step.decremented.index] -= 1
-        return tuple(tuple(lst) for lst in work)
+
+def _run_corners(lst, lo: int, hi: int):
+    """Prefix lengths lo..hi of ``lst`` at which a part's slack can be least:
+    both ends and every run start between them, where the prefix sums bend."""
+    p = lo
+    yield p
+    while p < hi:
+        p = min(bisect_right(lst, lst[p]), hi)
+        yield p
 
 
-def _keeps_bounds(pref, g, active: int, inc: int, s: int, t: int) -> bool:
-    """Whether +1 at (active, inc) and -1 at (s, t) leave valid lists valid.
-
-    ``pref[i]`` and ``g[i]`` are part i's prefix sums and C(p, alpha_i) for
-    p = 0..n_i. The move lowers the slack by exactly 1 on the box of prefixes
-    with p_active <= inc and p_s > t (t < p_active < n_active for a shift
-    inside the active list) and nowhere else, never at the full prefix, so
-    valid lists stay valid iff no prefix in the box has slack 0.
-    """
-    rows, g_rows = list(pref), list(g)
-    if s == active:
-        rows[s], g_rows[s] = pref[s][t + 1 : -1], g[s][t + 1 : -1]
-    else:
-        rows[active], g_rows[active] = pref[active][: inc + 1], g[active][: inc + 1]
-        rows[s], g_rows[s] = pref[s][t + 1 :], g[s][t + 1 :]
-    return _first_violation(-1, rows, g_rows) is None
+def _shift_sources(lst):
+    """Run starts of ``lst`` before its last entry, latest first."""
+    t = len(lst) - 1
+    while t > 0:
+        t = bisect_left(lst, lst[t - 1])
+        yield t
 
 
-def _saturation_step(lists, pref, g, active: int) -> TransformStep | None:
-    """Apply the first bound-preserving step to ``lists`` in place.
+class _Saturation:
+    """One level's saturation of the active part: the lists (mutated in place),
+    their prefix rows, the shape's binomial rows, and per moved part s the lower
+    envelope of the prefix-tuple lines of the free parts (all but the active
+    part and s), built on first use and kept until a committed step changes a
+    row among its free parts."""
 
-    The preferred move adds 1 at the end of the active list's initial minimal
-    run and subtracts 1 at the start of a donor list's final maximal run,
-    trying donors in part order. A shape with a single part has no donor and
-    donor lists may all sit at zero, so shifts inside the active list follow:
-    raise its last entry, take from a run start, latest first. Every such
-    move keeps both lists sorted. The lists must be valid: each candidate is
-    decided exactly on the box of prefixes whose slack it lowers
-    (:func:`_keeps_bounds`), and a committed move refreshes its ``pref`` rows.
-    """
-    lst = lists[active]
-    inc_h, last = bisect_right(lst, lst[0]) - 1, len(lst) - 1
-    donors = (
-        (inc_h, s, bisect_left(lists[s], lists[s][-1])) for s in range(len(lists)) if s != active
-    )
-    shifts = ((last, active, t) for t in range(last - 1, -1, -1) if t == 0 or lst[t - 1] < lst[t])
-    for inc, s, t in chain(donors, shifts):
-        if lists[s][t] > 0 and _keeps_bounds(pref, g, active, inc, s, t):
-            lists[active][inc] += 1
-            lists[s][t] -= 1
-            pref[active] = list(accumulate(lists[active], initial=0))
-            pref[s] = list(accumulate(lists[s], initial=0))
-            return TransformStep(VertexId(active, inc), VertexId(s, t))
-    return None
+    def __init__(self, shape: Shape, lists, active: int):
+        self.lists, self.active, self.g = lists, active, shape.binomial_rows
+        self.pref = [list(accumulate(lst, initial=0)) for lst in lists]
+        self.envelopes: dict[int, tuple[list, list]] = {}
+
+    def _envelope(self, s: int):
+        """Build and keep the envelope of the free parts of a move from part s."""
+        heads = [(0, 1)]
+        for j, (pref_j, g_j) in enumerate(zip(self.pref, self.g)):
+            if j != self.active and j != s:
+                heads = _extend(heads, tuple(zip(pref_j, g_j)))
+        env = self.envelopes[s] = _lower_envelope(*zip(*heads))
+        return env
+
+    def keeps_bounds(self, inc: int, s: int, t: int) -> bool:
+        """Whether +1 at (active, inc) and -1 at (s, t) leave the valid lists valid.
+
+        The move lowers the slack by exactly 1 on the box of prefixes with
+        p_active <= inc and p_s > t (t < p_active <= inc for a shift inside
+        the active list) and nowhere else, so it keeps the bounds iff the
+        least slack on the box is positive. With every other coordinate fixed,
+        the slack along part i is A + pref_i(p) - c * C(p, alpha_i) with
+        c >= 0: pref_i is linear on a run of equal entries and C(p, alpha_i)
+        is convex, so the slack is concave between consecutive run starts and
+        least at a box end or a run start inside the box (:func:`_run_corners`).
+        At each such point of the moved parts the least slack over the free
+        parts is one query on their envelope.
+        """
+        lists, active = self.lists, self.active
+        pref_a, g_a = self.pref[active], self.g[active]
+        if s == active:
+            points = [(pref_a[p], g_a[p]) for p in _run_corners(lists[active], t + 1, inc)]
+        else:
+            pref_s, g_s = self.pref[s], self.g[s]
+            donor = [(pref_s[q], g_s[q]) for q in _run_corners(lists[s], t + 1, len(lists[s]))]
+            points = [
+                (pref_a[p] + b, g_a[p] * m)
+                for p in _run_corners(lists[active], 0, inc)
+                for b, m in donor
+            ]
+        hull, steps = self.envelopes.get(s) or self._envelope(s)
+        for a, c in points:
+            b, m = hull[bisect_right(steps, c)]
+            if a + b <= m * c:
+                return False
+        return True
+
+    def commit(self, inc: int, s: int, t: int) -> TransformStep:
+        """Apply +1 at (active, inc) and -1 at (s, t), refresh the two prefix
+        rows, and drop every envelope whose free parts hold a changed row."""
+        active, lists = self.active, self.lists
+        lists[active][inc] += 1
+        lists[s][t] -= 1
+        self.pref[active] = list(accumulate(lists[active], initial=0))
+        if s != active:
+            self.pref[s] = list(accumulate(lists[s], initial=0))
+            self.envelopes = {s: self.envelopes[s]} if s in self.envelopes else {}
+        return TransformStep(VertexId(active, inc), VertexId(s, t))
+
+    def step(self) -> TransformStep | None:
+        """Commit the first bound-preserving move, or return None.
+
+        The preferred move adds 1 at the end of the active list's initial
+        minimal run and subtracts 1 at the start of a donor list's final
+        maximal run, trying donors in part order. A shape with a single part
+        has no donor and donor lists may all sit at zero, so shifts inside the
+        active list follow: raise its last entry, take from a run start,
+        latest first. Every such move keeps both lists sorted, and each is
+        decided exactly by :meth:`keeps_bounds`.
+        """
+        lists, active = self.lists, self.active
+        lst = lists[active]
+        inc = bisect_right(lst, lst[0]) - 1
+        for s, donor in enumerate(lists):
+            if s != active:
+                t = bisect_left(donor, donor[-1])
+                if donor[t] > 0 and self.keeps_bounds(inc, s, t):
+                    return self.commit(inc, s, t)
+        last = len(lst) - 1
+        for t in _shift_sources(lst):
+            if lst[t] > 0 and self.keeps_bounds(last, active, t):
+                return self.commit(last, active, t)
+        return None
 
 
 def _saturate(shape: Shape, lists, active: int) -> TransformLog:
@@ -148,10 +212,10 @@ def _saturate(shape: Shape, lists, active: int) -> TransformLog:
     The lists must be valid on entry; every step keeps them valid after it.
     """
     bound = shape.through[active]
-    pref = [list(accumulate(lst, initial=0)) for lst in lists]
+    level = _Saturation(shape, lists, active)
     steps = []
     while lists[active][-1] < bound:
-        step = _saturation_step(lists, pref, shape.binomial_rows, active)
+        step = level.step()
         if step is None:
             raise NoValidStepError(
                 f"no transformation preserves the prefix bounds at {lists}"
@@ -167,8 +231,11 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
     log. Each step adds 1 inside part 1's list and subtracts 1 elsewhere
     (normally from another part's list, from part 1 itself when no donor
     move works). After one full check, each step is decided exactly on the
-    prefixes whose slack it lowers, so every intermediate tuple of lists
-    meets the bounds and an impossible step surfaces as
+    box of prefixes whose slack it lowers: the slack along a part is concave
+    between run starts (linear prefix sums minus a convex binomial), so only
+    the box ends and the run starts inside it are evaluated for the moved
+    parts, each against the envelope of the other parts. Every intermediate
+    tuple of lists meets the bounds and an impossible step surfaces as
     :class:`NoValidStepError` rather than being skipped. Already-saturated
     input comes back unchanged with an empty log.
     """

@@ -28,7 +28,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.realize import _keeps_bounds, _saturate, _saturation_step
+from hyperscores.realize import _Saturation, _saturate
 
 V = VertexId
 
@@ -75,7 +75,11 @@ class TestSaturate:
         shape = Shape((3, 2), (2, 1))
         start = ((0, 1, 2), (1, 2))
         sat, log = saturate(shape, start)
-        assert log.replay(start) == sat.lists
+        work = [list(lst) for lst in start]
+        for step in log.steps:
+            work[step.incremented.part][step.incremented.index] += 1
+            work[step.decremented.part][step.decremented.index] -= 1
+        assert tuple(map(tuple, work)) == sat.lists
         assert sat.lists[0][-1] == arcs_through(shape, 0)
 
     def test_every_intermediate_passes_the_check(self):
@@ -241,7 +245,7 @@ def test_full_candidate_space_agreement_including_bad_totals():
         assert feasible == valid
 
 
-# -- saturation: the box decision against the full-check route it replaced
+# -- saturation: the corner decision against the full-check route it replaced
 
 
 def reference_candidates(lists, active):
@@ -281,28 +285,42 @@ def full_check_verdict(shape, lists, active, inc, s, t):
     return check_losing_lists(shape, trial).valid
 
 
-def box_verdict(shape, lists, active, inc, s, t):
-    pref = [list(accumulate(lst, initial=0)) for lst in lists]
-    g = [[comb(p, a) for p in range(n + 1)] for n, a in zip(shape.n, shape.alpha)]
-    return _keeps_bounds(pref, g, active, inc, s, t)
+def assert_state_exact(shape, level, work):
+    """``level`` holds the lists ``work``, their exact prefix rows, and only
+    envelopes equal to ones built afresh from them; returns the fresh state,
+    which keeps the envelopes it built."""
+    fresh = _Saturation(shape, [list(lst) for lst in work], level.active)
+    assert level.lists == work
+    assert level.pref == [list(accumulate(lst, initial=0)) for lst in work]
+    for s, envelope in level.envelopes.items():
+        assert envelope == fresh._envelope(s), (shape, work, level.active, s)
+    return fresh
 
 
 def reference_saturation(shape, lists, active, tiers, every_candidate):
     """Saturate ``active`` by the full-check route, counting the tier of each
     step in ``tiers``; None when no move keeps the bounds. With
-    ``every_candidate``, the box decides each candidate of every tier at
-    every intermediate tuple of lists, and must agree with the full check."""
+    ``every_candidate``, each candidate of every tier at every intermediate
+    tuple of lists is also decided at its corners twice, on a state built
+    afresh for that tuple and on one state carried through the whole
+    saturation (so its envelopes are dropped and rebuilt as steps commit), and
+    both must agree with the full check; ``tiers["dropped"]`` counts the
+    envelopes the carried state drops."""
     work = [list(lst) for lst in lists]
+    carried = _Saturation(shape, [list(lst) for lst in lists], active)
     steps = []
     while work[active][-1] < arcs_through(shape, active):
+        if every_candidate:
+            fresh = assert_state_exact(shape, carried, work)
         chosen = None
         for tier, inc, s, t in reference_candidates(work, active):
             if work[s][t] == 0 or (chosen is not None and not every_candidate):
                 continue
             verdict = full_check_verdict(shape, work, active, inc, s, t)
             if every_candidate:
-                box = box_verdict(shape, work, active, inc, s, t)
-                assert box == verdict, (shape, work, active, tier, inc, s, t)
+                case = (shape, work, active, tier, inc, s, t)
+                assert fresh.keeps_bounds(inc, s, t) == verdict, case
+                assert carried.keeps_bounds(inc, s, t) == verdict, case
             if verdict and chosen is None:
                 chosen = tier, inc, s, t
         if chosen is None:
@@ -312,11 +330,17 @@ def reference_saturation(shape, lists, active, tiers, every_candidate):
         work[active][inc] += 1
         work[s][t] -= 1
         steps.append(TransformStep(V(active, inc), V(s, t)))
+        if every_candidate:
+            cached = len(carried.envelopes)
+            assert carried.commit(inc, s, t) == steps[-1]
+            tiers["dropped"] += cached - len(carried.envelopes)
+    if every_candidate:
+        assert_state_exact(shape, carried, work)
     return tuple(steps)
 
 
 def assert_saturation_matches_reference(shape, lists, tiers, every_candidate=False):
-    """For every part as the active one, the box route takes the reference's steps."""
+    """For every part as the active one, the corner route takes the reference's steps."""
     for active in range(shape.k):
         expected = reference_saturation(shape, lists, active, tiers, every_candidate)
         work = [list(lst) for lst in lists]
@@ -377,18 +401,51 @@ class TestSaturationBox:
         assert_saturation_matches_reference(shape, lists, tiers, every_candidate=True)
         assert tiers[3] == 0
 
+    @pytest.mark.parametrize(
+        "n, alpha, lists",
+        [
+            # Long runs on k = 2: a canonical donor box lies in one run, while
+            # shift and other-run-start boxes reach across run starts.
+            ((20, 20), (1, 1), ((10,) * 20, (10,) * 20)),
+            ((20, 20), (1, 1), ((5,) * 10 + (15,) * 10, (10,) * 20)),
+            ((12, 12), (2, 1), ((33,) * 12, (33,) * 12)),
+            # k = 3: the donor changes part mid-saturation, dropping envelopes.
+            ((6, 6, 6), (1, 1, 1), ((12,) * 6, (12,) * 6, (12,) * 6)),
+        ],
+    )
+    def test_long_runs_decide_every_candidate_as_the_full_check(self, n, alpha, lists):
+        shape = Shape(n, alpha)
+        assert check_losing_lists(shape, lists).valid
+        tiers = Counter()
+        assert_saturation_matches_reference(shape, lists, tiers, every_candidate=True)
+        assert tiers[3] == 0
+        assert tiers["dropped"] > 0
+
+    @pytest.mark.parametrize(
+        "n, alpha, lists",
+        [((6,), (2,), ((1, 1, 1, 4, 4, 4),)), ((4, 4), (1, 1), ((1, 1, 3, 3), (1, 1, 3, 3)))],
+    )
+    def test_a_tight_run_start_inside_a_shift_box_rejects_the_shift(self, n, alpha, lists):
+        # The shift from entry 0 to the last entry of part 0 lowers the slack
+        # on prefixes 1..n_0 - 1 of part 0. Both ends of that range have slack
+        # 1, but the run start between them has slack 0, so a decision at the
+        # box ends alone would accept the shift.
+        shape, last = Shape(n, alpha), n[0] - 1
+        assert not full_check_verdict(shape, lists, 0, last, 0, 0)
+        assert not _Saturation(shape, [list(lst) for lst in lists], 0).keeps_bounds(last, 0, 0)
+        assert_saturation_matches_reference(shape, lists, Counter(), every_candidate=True)
+
     @settings(max_examples=100, deadline=None)
     @given(valid_lists())
     def test_steps_keep_the_prefix_rows_exact(self, case):
         shape, lists = case
-        g = [[comb(p, a) for p in range(n + 1)] for n, a in zip(shape.n, shape.alpha)]
         for active in range(shape.k):
             work = [list(lst) for lst in lists]
-            pref = [list(accumulate(lst, initial=0)) for lst in work]
+            level = _Saturation(shape, work, active)
             while work[active][-1] < arcs_through(shape, active):
-                if _saturation_step(work, pref, g, active) is None:
+                if level.step() is None:
                     break
-                assert pref == [list(accumulate(lst, initial=0)) for lst in work]
+                assert_state_exact(shape, level, work)
 
     def test_donor_tier_beyond_the_canonical_move_never_fires(self):
         """Every achievable list tuple of 13 part-size tuples, each arity with
