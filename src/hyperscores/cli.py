@@ -22,6 +22,7 @@ from typing import Sequence
 from .combinatorics import CapacityError
 from .criteria import (
     CheckResult,
+    _reverse_complement,
     check_losing_lists,
     check_score_lists,
     losing_to_scores,
@@ -427,11 +428,10 @@ def cmd_convert(args) -> int:
 def cmd_enumerate(args) -> int:
     shape = _shape_from_flags(args)
     ach = achievable_losing_lists(shape, budget=args.budget)
-    lists = sorted(ach.lists)
     if args.kind == "score":
-        lists = sorted(
-            losing_to_scores(shape, ScoreLists("losing", tup)).lists for tup in ach.lists
-        )
+        lists = sorted(_reverse_complement(shape, tup) for tup in ach.lists)
+    else:
+        lists = sorted(ach.lists)
     doc = {
         "k": shape.k,
         "n": list(shape.n),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import prod
 from typing import Sequence
 
@@ -130,16 +130,23 @@ def _first_violation(offset, base, g):
     return None
 
 
+def _kind_terms(shape: Shape, kind: str):
+    """The slack's terms that depend only on the shape and kind: the offset,
+    the per-part step each base subtracts (base_i(p) = pref_i(p) - p * step_i),
+    the g rows and the full-prefix total."""
+    if kind == "losing":
+        return 0, (0,) * shape.k, shape.binomial_rows, shape.total_arcs()
+    rows = [row[::-1] for row in shape.binomial_rows]
+    return shape.total_arcs(), shape.through, rows, shape.score_total
+
+
 def _check(shape: Shape, data, kind: str) -> CheckResult:
     pref = [tuple(accumulate(lst, initial=0)) for lst in data]
+    offset, steps, g, rhs_full = _kind_terms(shape, kind)
     if kind == "losing":
-        offset, base, g = 0, pref, shape.binomial_rows
-        rhs_full = shape.total_arcs()
+        base = pref
     else:
-        offset = shape.total_arcs()
-        base = [[s - p * t for p, s in enumerate(pref_i)] for pref_i, t in zip(pref, shape.through)]
-        g = [row[::-1] for row in shape.binomial_rows]
-        rhs_full = shape.score_total
+        base = [[s - p * t for p, s in enumerate(pref_i)] for pref_i, t in zip(pref, steps)]
     lhs_full = sum(pref_i[-1] for pref_i in pref)
     equality = lhs_full == rhs_full
 
@@ -154,6 +161,84 @@ def _check(shape: Shape, data, kind: str) -> CheckResult:
     elif not equality:
         violation = PrefixViolation(tuple(shape.n), lhs_full, rhs_full)
     return CheckResult(violation is None and equality, violation, equality)
+
+
+def _at(hull, breaks, x):
+    """The lower envelope ``_lower_envelope`` returned, evaluated at x."""
+    b, m = hull[bisect_right(breaks, x)]
+    return b - m * x
+
+
+def _fill(n, cap, total, floor):
+    """Non-decreasing lists of n entries in [0, cap] summing to total (at most
+    n * cap) whose prefix sums P(q) are at least floor[q] for 0 < q < n."""
+    out = []
+    cur = [0] * n
+
+    def place(q, prev, used):
+        left = total - used  # at most (n - q) * cap
+        if q == n - 1:
+            if prev <= left:
+                cur[q] = left
+                out.append(tuple(cur))
+            return
+        r = n - q  # entries still to place; each later one is at least this one
+        for e in range(max(prev, floor[q + 1] - used, left - (r - 1) * cap), left // r + 1):
+            cur[q] = e
+            place(q + 1, e, used + e)
+
+    place(0, 0, 0)
+    return out
+
+
+def _accepted_lists(shape: Shape, kind: str):
+    """Every list tuple the check of ``kind`` accepts, each exactly once, in
+    the order ``oracle.bounded_candidate_lists`` yields the candidates.
+
+    Parts are fixed one list at a time, each part's lists grouped by sum with
+    the grand total pinned. A fixed head (p_1, ..., p_j) is the line
+    y = a - c * x, and the free parts meet it only at
+    x = prod_{i>j} g_i(p_i) >= 0, plus their bases, so each level keeps only
+    the lower envelope of its heads' lines.
+    A branch is cut when the free parts all at p = 0, or all at p = n_i,
+    leave a negative slack; their bases there are 0 and the remaining total
+    less their steps. The last list is built entry by entry against the
+    floor q * step_k - envelope(g_k(q)) on its prefix sums, 0 < q < n_k; the
+    cut one level up decides q = 0 and q = n_k.
+    """
+    offset, steps, g, total = _kind_terms(shape, kind)
+    parts = list(zip(shape.n, shape.through, steps, g))
+    tables = []
+    for n_i, t_i, step, g_i in parts[:-1]:
+        by_sum = {}
+        for lst in combinations_with_replacement(range(t_i + 1), n_i):
+            base = (s - p * step for p, s in enumerate(accumulate(lst, initial=0)))
+            by_sum.setdefault(sum(lst), []).append((lst, tuple(zip(base, g_i))))
+        tables.append(by_sum)
+    # Per level j, over the free parts j..k-1: x with every p = 0, x with
+    # every p = n_i, the summed steps at p = n_i and the most they can hold.
+    free = [parts[j:] for j in range(len(parts) + 1)]
+    zeros = [prod(g_i[0] for *_, g_i in f) for f in free]
+    fulls = [prod(g_i[-1] for *_, g_i in f) for f in free]
+    drops = [sum(n_i * step for n_i, _, step, _ in f) for f in free]
+    caps = [sum(n_i * t_i for n_i, t_i, *_ in f) for f in free]
+    n_k, t_k, step_k, g_k = parts[-1]
+
+    def search(j, hull, breaks, rest, chosen):
+        if _at(hull, breaks, zeros[j]) < 0 or _at(hull, breaks, fulls[j]) + rest < drops[j]:
+            return
+        if j == len(tables):
+            floor = [q * step_k - _at(hull, breaks, x) for q, x in enumerate(g_k)]
+            for lst in _fill(n_k, t_k, rest, floor):
+                yield (*chosen, lst)
+            return
+        for s, entries in tables[j].items():
+            if s <= rest <= s + caps[j + 1]:
+                for lst, pairs in entries:
+                    envelope = _lower_envelope(*zip(*_extend(hull, pairs)))
+                    yield from search(j + 1, *envelope, rest - s, (*chosen, lst))
+
+    yield from search(0, [(offset, 1)], [], total, ())
 
 
 def check_losing_lists(shape: Shape, R) -> CheckResult:

@@ -9,6 +9,15 @@ orderings to one choice per selection. The achievable lists come from a
 dynamic program over distinct loss-count vectors, in which each part's
 finished counts are kept sorted, rather than from one pass per assignment;
 the enumeration budget still bounds the assignment space m**T, not the work.
+
+The accepted side is a pruned search, not a check per candidate. It fixes
+one part's list at a time and keeps, per level, only the lower envelope of
+the fixed heads' lines y = a - c * x. That is exact because the parts still
+free meet a head only at x = prod g_j(p_j) >= 0, plus their own bases, so no
+line off the envelope can give a later prefix its least slack. The last list
+is built entry by entry against the floor the envelope puts on its prefix
+sums. :func:`bounded_candidate_lists` filtered through the checks stays the
+reference the search is tested against.
 """
 
 from __future__ import annotations
@@ -17,12 +26,11 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterator
 
-from .criteria import check_losing_lists, check_score_lists, losing_to_scores
+from .criteria import _accepted_lists, _reverse_complement
 from .model import (
     Arc,
     Hypertournament,
     Kind,
-    ScoreLists,
     Shape,
     selection_vertices,
 )
@@ -249,19 +257,16 @@ class CrossValidationReport:
 
 
 def cross_validate(shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CrossValidationReport:
-    """Compare both decision procedures against exhaustive enumeration."""
+    """Compare both decision procedures against exhaustive enumeration.
+
+    The achievable score lists are the reverse complements of the DP's
+    losing lists; each accepted side is the pruned search of the module
+    docstring, which yields exactly the bounded candidates its check accepts.
+    """
     ach = achievable_losing_lists(shape, budget=budget)
-    accepted_losing = {
-        cand for cand in bounded_candidate_lists(shape, "losing")
-        if check_losing_lists(shape, cand).valid
-    }
-    ach_scores = {
-        losing_to_scores(shape, ScoreLists("losing", lists)).lists for lists in ach.lists
-    }
-    accepted_scores = {
-        cand for cand in bounded_candidate_lists(shape, "score")
-        if check_score_lists(shape, cand).valid
-    }
+    accepted_losing = set(_accepted_lists(shape, "losing"))
+    ach_scores = {_reverse_complement(shape, lists) for lists in ach.lists}
+    accepted_scores = set(_accepted_lists(shape, "score"))
     return CrossValidationReport(
         shape=shape,
         assignment_count=ach.assignment_count,

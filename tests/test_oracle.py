@@ -11,14 +11,19 @@ from hyperscores import (
     arcs_through,
     bounded_candidate_lists,
     check_losing_lists,
+    check_score_lists,
     cross_validate,
     enumerate_assignments,
     losing_scores,
+    losing_to_scores,
     random_hypertournament,
     scores,
     selection_vertices,
     validate,
 )
+from hyperscores.criteria import _accepted_lists
+from hyperscores.model import ScoreLists
+from hyperscores.oracle import CrossValidationReport
 
 
 def naive_achievable(shape):
@@ -53,6 +58,24 @@ def _small_shapes():
 
 SMALL_SHAPES = list(_small_shapes())
 DEGENERATE_SHAPES = [Shape((1, 12), (1, 1)), Shape((12, 1), (1, 1)), Shape((2, 2, 2), (2, 1, 2))]
+CHECKS = {"losing": check_losing_lists, "score": check_score_lists}
+
+
+def filtered_candidates(shape, kind):
+    """Reference: every bounded candidate that the check of ``kind`` accepts,
+    in the order the candidates come."""
+    return [c for c in bounded_candidate_lists(shape, kind) if CHECKS[kind](shape, c).valid]
+
+
+def _shape_box(max_k, max_n, max_arcs):
+    """Every shape, in every part order, with k <= max_k, n_i <= max_n and
+    at most max_arcs arcs."""
+    parts = [(n, a) for n in range(1, max_n + 1) for a in range(1, n + 1)]
+    for k in range(1, max_k + 1):
+        for chosen in product(parts, repeat=k):
+            shape = Shape(tuple(n for n, _ in chosen), tuple(a for _, a in chosen))
+            if shape.total_arcs() <= max_arcs:
+                yield shape
 
 
 class TestEnumerate:
@@ -221,10 +244,42 @@ class TestCandidates:
         assert hashlib.sha256(repr(cands).encode()).hexdigest() == digest
 
 
-# OEIS A000571: score sequences of n-vertex tournaments, n = 2..11. A shape
+class TestAcceptedSearch:
+    """The pruned search against the filter it replaced in ``cross_validate``."""
+
+    # Boxes small enough for the filter to finish in seconds, plus k = 4 desk
+    # shapes with parts of every size.
+    SHAPES = sorted(
+        {
+            *_shape_box(2, 4, 12),
+            *_shape_box(3, 3, 12),
+            *_shape_box(4, 3, 4),
+            Shape((5, 2, 2, 2), (1, 2, 2, 2)),
+            Shape((3, 4, 2, 3), (3, 3, 2, 3)),
+            Shape((2, 3, 2, 2), (1, 2, 1, 2)),
+        },
+        key=lambda s: (s.k, s.n, s.alpha),
+    )
+
+    @pytest.mark.parametrize("kind", ["losing", "score"])
+    def test_search_yields_the_filtered_candidates_once_in_order(self, kind):
+        for shape in self.SHAPES:
+            found = list(_accepted_lists(shape, kind))
+            assert len(found) == len(set(found)), shape
+            assert found == filtered_candidates(shape, kind), shape
+
+    def test_boxes_reach_four_parts(self):
+        assert len(self.SHAPES) == 755
+        assert max(s.k for s in self.SHAPES) == 4
+
+
+# OEIS A000571: score sequences of n-vertex tournaments, n = 2..14. A shape
 # (n,)/(2,) is a tournament, and its sorted losing list is its sorted score
 # sequence reversed and complemented against n - 1, so both count the same.
-A000571 = {2: 1, 3: 2, 4: 4, 5: 9, 6: 22, 7: 59, 8: 167, 9: 490, 10: 1486, 11: 4639}
+A000571 = {
+    2: 1, 3: 2, 4: 4, 5: 9, 6: 22, 7: 59, 8: 167, 9: 490, 10: 1486, 11: 4639,
+    12: 14805, 13: 48107, 14: 158808,
+}
 
 
 class TestTournamentScoreSequences:
@@ -233,7 +288,7 @@ class TestTournamentScoreSequences:
         ach = achievable_losing_lists(Shape((n,), (2,)), budget=2**21)
         assert len(ach.lists) == A000571[n]
 
-    @pytest.mark.parametrize("n", sorted(A000571))
+    @pytest.mark.parametrize("n", range(2, 12))
     def test_accepted_candidates_count_a000571(self, n):
         shape = Shape((n,), (2,))
         accepted = [
@@ -242,18 +297,43 @@ class TestTournamentScoreSequences:
         ]
         assert len(accepted) == A000571[n]
 
+    @pytest.mark.parametrize("kind", ["losing", "score"])
+    @pytest.mark.parametrize("n", sorted(A000571))
+    def test_searched_lists_count_a000571(self, n, kind):
+        assert sum(1 for _ in _accepted_lists(Shape((n,), (2,)), kind)) == A000571[n]
+
+
+def filtered_report(shape):
+    """Reference: the report built by filtering every bounded candidate
+    through the checks, with score lists converted by ``losing_to_scores``."""
+    ach = achievable_losing_lists(shape)
+    ach_scores = {losing_to_scores(shape, ScoreLists("losing", t)).lists for t in ach.lists}
+    sides = []
+    for achieved, kind in ((ach.lists, "losing"), (ach_scores, "score")):
+        accepted = set(filtered_candidates(shape, kind))
+        sides += [
+            len(achieved),
+            len(accepted),
+            tuple(sorted(achieved - accepted)),
+            tuple(sorted(accepted - achieved)),
+        ]
+    return CrossValidationReport(shape, ach.assignment_count, *sides)
+
+
+CROSS_SHAPES = [Shape((2, 2), (1, 1)), Shape((3, 1), (1, 1)), Shape((2, 2, 2), (1, 1, 1))]
+
 
 class TestCrossValidate:
-    @pytest.mark.parametrize(
-        "shape",
-        [Shape((2, 2), (1, 1)), Shape((3, 1), (1, 1)), Shape((2, 2, 2), (1, 1, 1))],
-        ids=str,
-    )
+    @pytest.mark.parametrize("shape", CROSS_SHAPES, ids=str)
     def test_exact_on_small_shapes(self, shape):
         report = cross_validate(shape)
         assert report.ok
         assert report.losing_achievable_count == report.losing_accepted_count
         assert report.score_achievable_count == report.score_accepted_count
+
+    @pytest.mark.parametrize("shape", CROSS_SHAPES, ids=str)
+    def test_equals_the_filtered_report(self, shape):
+        assert cross_validate(shape) == filtered_report(shape)
 
     def test_seven_lists_both_sides(self):
         report = cross_validate(Shape((2, 2), (1, 1)))
