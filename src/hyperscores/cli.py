@@ -77,9 +77,10 @@ def _read_text(path: str) -> str:
 
 
 def _parse_text_instance(text: str) -> dict:
-    """Plain-text alternative: header "k n... alpha... [kind]", one list per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Plain-text alternative: header "k n... alpha... [kind]", one list per line;
+    "#" starts a comment that runs to the end of its line."""
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise InputError("empty document")
     header = lines[0].split()

@@ -1,132 +1,56 @@
 """Exact integer combinatorics for selection indexing.
 
-Binomial coefficients behind a magnitude guard, colexicographic ranking and
-unranking of fixed-size subsets, and mixed-radix ranking of one-subset-per-part
-selections. Everything here is a pure function of immutable inputs and is safe
-to call concurrently.
+Binomial coefficients and selection counts behind a fixed magnitude guard,
+and the colexicographic list of fixed-size subsets that
+:func:`hyperscores.model.selection_vertices` builds its selection order from.
+Everything here is a pure function of immutable inputs and is safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .model import Shape
 
 __all__ = [
-    "DEFAULT_MAGNITUDE_LIMIT",
     "CapacityError",
-    "SubsetRank",
     "binom",
-    "subset_rank",
-    "subset_unrank",
     "subsets_colex",
-    "selection_rank",
-    "selection_unrank",
     "total_selections",
 ]
 
-#: Default ceiling for any single computed count. Oversized shapes fail loudly
+#: Ceiling for any single computed count. Oversized shapes fail loudly
 #: instead of exhausting memory on astronomically large integers.
-DEFAULT_MAGNITUDE_LIMIT = 2**127
+_MAGNITUDE_LIMIT = 2**127
 
 
 class CapacityError(Exception):
-    """A computed count exceeds the configured magnitude limit."""
+    """A computed count exceeds the magnitude limit of 2**127."""
 
 
-class SubsetRank(NamedTuple):
-    """Colexicographic rank of a subset, with the context it was ranked in.
-
-    ``universe_size`` is optional because the colex rank of a subset does not
-    depend on it; when given it pins the invariant rank < C(n, k).
-    """
-
-    rank: int
-    universe_size: int | None
-    cardinality: int
-
-
-def binom(n: int, k: int, *, limit: int | None = DEFAULT_MAGNITUDE_LIMIT) -> int:
+def binom(n: int, k: int) -> int:
     """Return C(n, k) exactly; 0 when k < 0 or k > n.
 
-    A result that would exceed ``limit`` raises :class:`CapacityError` instead
-    of materializing an enormous integer. Pass ``limit=None`` to disable the
-    guard.
+    A result above 2**127 raises :class:`CapacityError` instead of
+    materializing an enormous integer.
     """
     if n < 0:
         raise ValueError(f"universe size must be non-negative, got n={n}")
     if k < 0 or k > n:
         return 0
-    if limit is not None:
-        m = min(k, n - k)
-        # C(n, m) >= (n/m)**m, so clearly oversized results are rejected
-        # before math.comb computes them.
-        if m > 0 and m * (math.log2(n) - math.log2(m)) > limit.bit_length():
-            raise CapacityError(f"C({n}, {k}) exceeds the magnitude limit")
+    m = min(k, n - k)
+    # C(n, m) >= (n/m)**m, so clearly oversized results are rejected
+    # before math.comb computes them.
+    if m > 0 and m * (math.log2(n) - math.log2(m)) > _MAGNITUDE_LIMIT.bit_length():
+        raise CapacityError(f"C({n}, {k}) exceeds the magnitude limit")
     value = math.comb(n, k)
-    if limit is not None and value > limit:
+    if value > _MAGNITUDE_LIMIT:
         raise CapacityError(f"C({n}, {k}) = {value} exceeds the magnitude limit")
     return value
-
-
-def _check_strictly_increasing(subset: Sequence[int]) -> None:
-    for a, b in zip(subset, subset[1:]):
-        if a >= b:
-            raise ValueError(f"subset must be strictly increasing, got {list(subset)}")
-    if subset and subset[0] < 0:
-        raise ValueError(f"subset elements must be non-negative, got {list(subset)}")
-
-
-def _colex_rank(subset: Sequence[int]) -> int:
-    return sum(math.comb(c, j + 1) for j, c in enumerate(subset))
-
-
-def subset_rank(
-    subset: Sequence[int],
-    cardinality: int | None = None,
-    universe_size: int | None = None,
-) -> SubsetRank:
-    """Colexicographic rank of a strictly increasing index subset.
-
-    The rank is the sum of C(c_j, j + 1) over the sorted elements c_j, so it
-    is independent of the universe size; passing ``universe_size`` merely
-    records it and enables the range check on the elements.
-    """
-    elems = tuple(subset)
-    _check_strictly_increasing(elems)
-    if cardinality is not None and cardinality != len(elems):
-        raise ValueError(f"expected {cardinality} elements, got {len(elems)}")
-    if universe_size is not None and elems and elems[-1] >= universe_size:
-        raise ValueError(
-            f"element {elems[-1]} does not fit in a universe of size {universe_size}"
-        )
-    return SubsetRank(_colex_rank(elems), universe_size, len(elems))
-
-
-def subset_unrank(rank: int, universe_size: int, cardinality: int) -> tuple[int, ...]:
-    """Subset of {0..universe_size-1} with the given colexicographic rank.
-
-    Inverse of :func:`subset_rank`; the output is strictly increasing.
-    """
-    total = binom(universe_size, cardinality, limit=None)
-    if not 0 <= rank < total:
-        raise ValueError(
-            f"rank {rank} outside [0, {total}) for C({universe_size}, {cardinality})"
-        )
-    out = [0] * cardinality
-    r = rank
-    c = universe_size
-    for j in range(cardinality, 0, -1):
-        # Largest c with C(c, j) <= r; elements strictly decrease as j does.
-        c -= 1
-        while math.comb(c, j) > r:
-            c -= 1
-        out[j - 1] = c
-        r -= math.comb(c, j)
-    return tuple(out)
 
 
 def subsets_colex(universe_size: int, cardinality: int) -> tuple[tuple[int, ...], ...]:
@@ -135,60 +59,11 @@ def subsets_colex(universe_size: int, cardinality: int) -> tuple[tuple[int, ...]
     return tuple(sorted(combos, key=lambda s: s[::-1]))
 
 
-def total_selections(shape: "Shape", *, limit: int | None = DEFAULT_MAGNITUDE_LIMIT) -> int:
+def total_selections(shape: "Shape") -> int:
     """Number of selections of a shape: the product of all C(n_i, alpha_i)."""
     total = 1
     for n_i, a_i in zip(shape.n, shape.alpha):
-        total *= binom(n_i, a_i, limit=limit)
-        if limit is not None and total > limit:
+        total *= binom(n_i, a_i)
+        if total > _MAGNITUDE_LIMIT:
             raise CapacityError("selection count exceeds the magnitude limit")
     return total
-
-
-def _validated_selection(selection, shape: "Shape") -> tuple[tuple[int, ...], ...]:
-    parts = tuple(tuple(s) for s in selection)
-    if len(parts) != len(shape.n):
-        raise ValueError(f"expected {len(shape.n)} per-part subsets, got {len(parts)}")
-    for i, subset in enumerate(parts):
-        if len(subset) != shape.alpha[i]:
-            raise ValueError(
-                f"part {i + 1}: arity mismatch, expected {shape.alpha[i]} elements,"
-                f" got {len(subset)}"
-            )
-        _check_strictly_increasing(subset)
-        if subset and subset[-1] >= shape.n[i]:
-            raise ValueError(
-                f"part {i + 1}: element {subset[-1]} does not fit in a part of"
-                f" size {shape.n[i]}"
-            )
-    return parts
-
-
-def selection_rank(selection, shape: "Shape") -> int:
-    """Mixed-radix rank of a selection (one subset per part).
-
-    Digit i is the colex rank of part i's subset with radix C(n_i, alpha_i);
-    part 1 is the least significant digit. Bijective onto
-    [0, total_selections).
-    """
-    parts = _validated_selection(selection, shape)
-    rank = 0
-    radix = 1
-    for i, subset in enumerate(parts):
-        rank += _colex_rank(subset) * radix
-        radix *= math.comb(shape.n[i], shape.alpha[i])
-    return rank
-
-
-def selection_unrank(rank: int, shape: "Shape") -> tuple[tuple[int, ...], ...]:
-    """Inverse of :func:`selection_rank`."""
-    total = total_selections(shape, limit=None)
-    if not 0 <= rank < total:
-        raise ValueError(f"selection rank {rank} outside [0, {total})")
-    out = []
-    r = rank
-    for n_i, a_i in zip(shape.n, shape.alpha):
-        radix = math.comb(n_i, a_i)
-        out.append(subset_unrank(r % radix, n_i, a_i))
-        r //= radix
-    return tuple(out)

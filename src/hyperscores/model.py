@@ -35,7 +35,6 @@ __all__ = [
     "conform_lists",
     "losing_score_map",
     "losing_scores",
-    "make_arc",
     "score_map",
     "scores",
     "selection_vertices",
@@ -113,7 +112,7 @@ class Shape:
                 raise ValueError(
                     f"part {i + 1}: need 1 <= alpha <= n, got alpha={a_i}, n={n_i}"
                 )
-        # The guard passed, so this is the unguarded count as well.
+        # Raises CapacityError for a shape with more than 2**127 selections.
         object.__setattr__(self, "_total_arcs", total_selections(self))
 
     @property
@@ -170,17 +169,6 @@ class Arc:
         return vertex in self.order
 
 
-def make_arc(vertices: Sequence[VertexId], loser: VertexId) -> Arc:
-    """Arc on ``vertices`` losing at ``loser``, non-losers in canonical order."""
-    verts = tuple(vertices)
-    if loser not in verts:
-        raise ValueError(f"loser {loser} is not among the arc's vertices")
-    if len(set(verts)) != len(verts):
-        raise ValueError("arc vertices must be distinct")
-    prefix = tuple(sorted(v for v in verts if v != loser))
-    return Arc(prefix + (loser,))
-
-
 @dataclass(frozen=True)
 class Hypertournament:
     """One arc per selection, densely indexed by selection rank."""
@@ -202,9 +190,6 @@ class Hypertournament:
                 i = len(sel)
             arcs.append(Arc(sel[:i] + sel[i + 1 :] + (loser,)))
         return cls(shape, tuple(arcs))
-
-    def replace_arc(self, rank: int, arc: Arc) -> "Hypertournament":
-        return Hypertournament(self.shape, self.arcs[:rank] + (arc,) + self.arcs[rank + 1 :])
 
 
 def _monotone_lists(lists) -> tuple[tuple[int, ...], ...]:
@@ -402,8 +387,7 @@ def arc_swap(M: Hypertournament, a: VertexId, b: VertexId) -> Hypertournament:
     for rank, arc in enumerate(M.arcs):
         order = arc.order
         if order[-1] == b and a in order:
-            swapped = list(order)
-            i = swapped.index(a)
-            swapped[i], swapped[-1] = swapped[-1], swapped[i]
-            return M.replace_arc(rank, Arc(tuple(swapped)))
+            i = order.index(a)
+            arc = Arc(order[:i] + (b,) + order[i + 1 : -1] + (a,))
+            return Hypertournament(M.shape, M.arcs[:rank] + (arc,) + M.arcs[rank + 1 :])
     raise NoEligibleArcError(f"no arc contains both {a} and {b} with {b} last")

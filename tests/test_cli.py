@@ -147,6 +147,18 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_text_input_inline_comments(self, tmp_path, capsys):
+        commented = tmp_path / "inst.txt"
+        commented.write_text(
+            "# smallest two-part instance\n"
+            "2 2 2 1 1 losing # shape\n"
+            "0 2  # part one\n"
+            "1 1\n"
+        )
+        expected = run(capsys, "check", str(FIXTURES / "inst_2x2_11.txt"))
+        assert expected[0] == 0
+        assert run(capsys, "check", str(commented)) == expected
+
 
 class TestRealizeVerify:
     @pytest.mark.parametrize("method", ["inductive", "flow"])
@@ -365,6 +377,13 @@ class TestEnumerateRandom:
         assert code == 4
         assert out == ""
         assert "selections exceed" in err and "Traceback" not in err
+
+    def test_shape_over_the_magnitude_limit(self, capsys):
+        # C(300, 150) > 2**127: the shape is refused before any table exists.
+        code, out, err = run(capsys, "random", "--n", "300", "--alpha", "150")
+        assert code == 4
+        assert out == ""
+        assert "exceeds the magnitude limit" in err and "Traceback" not in err
 
     def test_bad_shape_flags(self, capsys):
         code, _, _ = run(capsys, "random", "--n", "2,x", "--alpha", "1,1")

@@ -34,7 +34,7 @@ def _reassign_loser(M: Hypertournament, rank: int, new_loser: VertexId) -> Hyper
     order = list(M.arcs[rank].order)
     i = order.index(new_loser)
     order[i], order[-1] = order[-1], order[i]
-    return M.replace_arc(rank, Arc(tuple(order)))
+    return Hypertournament(M.shape, M.arcs[:rank] + (Arc(tuple(order)),) + M.arcs[rank + 1 :])
 
 
 def reference_move_loss(M: Hypertournament, source: VertexId, target: VertexId) -> Hypertournament:

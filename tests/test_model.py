@@ -1,7 +1,7 @@
 import math
 import re
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +22,12 @@ from hyperscores import (
     check_losing_lists,
     losing_score_map,
     losing_scores,
-    make_arc,
     random_hypertournament,
     realize_flow,
     realize_inductive,
     score_map,
     scores,
     selection_vertices,
-    total_selections,
     validate,
 )
 
@@ -152,30 +150,61 @@ class TestScoreLists:
         assert sl.total() == 4
 
 
+def _colex_unrank(rank, universe_size, cardinality):
+    """Subset of {0..universe_size-1} with the given colexicographic rank."""
+    out = [0] * cardinality
+    c = universe_size
+    for j in range(cardinality, 0, -1):
+        # Largest c with C(c, j) <= rank; elements strictly decrease as j does.
+        c -= 1
+        while math.comb(c, j) > rank:
+            c -= 1
+        out[j - 1] = c
+        rank -= math.comb(c, j)
+    return tuple(out)
+
+
 class TestSelectionTable:
     @pytest.mark.parametrize(
         "shape", [Shape((3, 2), (2, 1)), Shape((2, 2, 2), (1, 1, 1)), Shape((5,), (3,))],
         ids=str,
     )
     def test_matches_arithmetic_unranking(self, shape):
-        # The cached odometer table and the arithmetic unranking are
-        # independent paths to the same indexing.
-        from hyperscores import selection_unrank
-
+        # The cached odometer table and a mixed-radix arithmetic unranking
+        # (part 1 the fastest digit, colex within a part) are independent
+        # paths to the same indexing.
         table = selection_vertices(shape)
         assert len(table) == shape.total_arcs()
         for rank, sel in enumerate(table):
-            subsets = selection_unrank(rank, shape)
-            expected = tuple(
-                V(part, e) for part in range(shape.k) for e in subsets[part]
-            )
-            assert sel == expected
+            expected = []
+            r = rank
+            for part, (n_i, a_i) in enumerate(zip(shape.n, shape.alpha)):
+                radix = math.comb(n_i, a_i)
+                expected.extend(V(part, e) for e in _colex_unrank(r % radix, n_i, a_i))
+                r //= radix
+            assert sel == tuple(expected)
+
+    def test_matches_colex_product_reference(self):
+        """Every shape with k <= 3, n_i <= 4 and 1 <= alpha_i <= n_i: the
+        odometer table lists the product of the parts' subsets with part 1 as
+        the fastest digit and each part's subsets in colexicographic order."""
+        parts = [(n_i, a_i) for n_i in range(1, 5) for a_i in range(1, n_i + 1)]
+        for k in range(1, 4):
+            for shape_parts in product(parts, repeat=k):
+                shape = Shape(*zip(*shape_parts))
+                reference = sorted(
+                    product(*(combinations(range(n_i), a_i) for n_i, a_i in shape_parts)),
+                    key=lambda sel: [subset[::-1] for subset in reversed(sel)],
+                )
+                expected = tuple(
+                    tuple(V(part, e) for part, subset in enumerate(sel) for e in subset)
+                    for sel in reference
+                )
+                assert selection_vertices(shape) == expected
 
     def test_selections_without_a_last_vertex_are_the_smaller_table(self):
         # The inductive realizer walks the smaller shape's witness in rank
         # order alongside the selections that avoid the removed vertex.
-        from itertools import product
-
         sizes = [
             (2,), (3,), (5,), (6,), (2, 2), (3, 2), (2, 3), (4, 3),
             (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
@@ -267,7 +296,7 @@ class TestShapeConstants:
                 shape = Shape(*zip(*parts))
                 through = shape.through
                 assert type(through) is tuple and type(shape.binomial_rows) is tuple
-                assert shape.total_arcs() == total_selections(shape, limit=None)
+                assert shape.total_arcs() == math.prod(math.comb(n_i, a_i) for n_i, a_i in parts)
                 for i, (n_i, a_i) in enumerate(parts):
                     direct = through_part[n_i, a_i]
                     for t, part in enumerate(parts):
@@ -297,8 +326,7 @@ class TestScores:
 
     def test_single_arc_shape(self):
         shape = Shape((2, 2), (2, 2))
-        sel = selection_vertices(shape)[0]
-        m = Hypertournament(shape, (make_arc(sel, V(1, 1)),))
+        m = Hypertournament.from_losers(shape, [V(1, 1)])
         assert losing_scores(m).lists == ((0, 0), (0, 1))
         assert scores(m).lists == ((1, 1), (0, 1))
 
@@ -405,7 +433,7 @@ class TestValidate:
         m = example_m()
         # Replace u21 with u22 in the rank-0 arc: distinct, right arities,
         # but no longer the rank-0 selection.
-        bad = m.replace_arc(0, Arc((V(0, 0), V(1, 1))))
+        bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 1))),) + m.arcs[1:])
         report = validate(bad)
         assert len(report) == 1
         assert report[0].kind == "selection-mismatch"
@@ -421,12 +449,12 @@ class TestValidate:
 
     def test_duplicate_vertex(self):
         m = example_m()
-        bad = m.replace_arc(0, Arc((V(0, 0), V(0, 0))))
+        bad = Hypertournament(m.shape, (Arc((V(0, 0), V(0, 0))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["duplicate-vertex"]
 
     def test_arity_mismatch(self):
         m = example_m()
-        bad = m.replace_arc(0, Arc((V(0, 0), V(0, 1))))
+        bad = Hypertournament(m.shape, (Arc((V(0, 0), V(0, 1))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["arity-mismatch"]
 
     def test_extra_arc(self):
@@ -436,7 +464,7 @@ class TestValidate:
 
     def test_bad_vertex(self):
         m = example_m()
-        bad = m.replace_arc(0, Arc((V(0, 0), V(1, 7))))
+        bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
 
     @settings(max_examples=400, deadline=None)
@@ -483,12 +511,3 @@ class TestArcSwap:
         assert swapped.arcs[1] == Arc((V(0, 1), V(1, 0)))
         assert swapped.arcs[3] == m.arcs[3]
 
-
-def test_make_arc_rejects_outside_loser():
-    with pytest.raises(ValueError):
-        make_arc((V(0, 0), V(1, 0)), V(1, 1))
-
-
-def test_make_arc_rejects_duplicates():
-    with pytest.raises(ValueError):
-        make_arc((V(0, 0), V(0, 0), V(1, 0)), V(1, 0))
