@@ -19,7 +19,6 @@ import os
 import sys
 from typing import Sequence
 
-from .combinatorics import CapacityError
 from .criteria import (
     CheckResult,
     _reverse_complement,
@@ -30,6 +29,7 @@ from .criteria import (
 )
 from .model import (
     Arc,
+    CapacityError,
     Hypertournament,
     ScoreLists,
     Shape,

@@ -3,8 +3,11 @@
 A shape fixes k disjoint parts with n_i vertices each and per-part arities
 alpha_i. A hypertournament stores exactly one ordered arc per selection (one
 alpha_i-subset per part), densely indexed by selection rank; the vertex in the
-last position of an arc is that arc's loser. All values are immutable after
-construction and all operations are pure, so concurrent reads are safe.
+last position of an arc is that arc's loser. Every count is an exact integer
+behind a magnitude guard: a binomial or a selection count above 2**127 raises
+:class:`CapacityError` instead of materializing an enormous integer. All values
+are immutable after construction and all operations are pure, so concurrent
+reads are safe.
 """
 
 from __future__ import annotations
@@ -12,15 +15,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
-from math import comb
+from itertools import chain, combinations, product, repeat
+from math import comb, log2
 from operator import gt
 from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .combinatorics import CapacityError, subsets_colex, total_selections
-
 __all__ = [
     "Arc",
+    "CapacityError",
     "Hypertournament",
     "Kind",
     "MAX_SELECTIONS",
@@ -32,6 +34,7 @@ __all__ = [
     "Violation",
     "arc_swap",
     "arcs_through",
+    "binom",
     "conform_lists",
     "losing_score_map",
     "losing_scores",
@@ -43,9 +46,41 @@ __all__ = [
 
 Kind = Literal["losing", "score"]
 
-# Largest selection table that selection_vertices builds: at about 490 bytes
-# per selection, 10^6 selections take about 0.5 GB.
+# Largest selection table that selection_vertices builds. A selection of m
+# vertices is a tuple of pointers to vertex objects the whole table shares,
+# 48 + 8m bytes with its table slot (64 to 96 bytes at m = 2 to 6), so 10^6
+# selections take about 0.1 GB; (10^6,)/(1,), where every selection brings
+# its own vertex, takes 0.15 GB.
 MAX_SELECTIONS = 10**6
+
+#: Ceiling for any single computed count. Oversized shapes fail loudly
+#: instead of exhausting memory on astronomically large integers.
+_MAGNITUDE_LIMIT = 2**127
+
+
+class CapacityError(Exception):
+    """A computed count exceeds the magnitude limit of 2**127."""
+
+
+def binom(n: int, k: int) -> int:
+    """Return C(n, k) exactly; 0 when k < 0 or k > n.
+
+    A result above 2**127 raises :class:`CapacityError` instead of
+    materializing an enormous integer.
+    """
+    if n < 0:
+        raise ValueError(f"universe size must be non-negative, got n={n}")
+    if k < 0 or k > n:
+        return 0
+    m = min(k, n - k)
+    # C(n, m) >= (n/m)**m, so clearly oversized results are rejected
+    # before math.comb computes them.
+    if m > 0 and m * (log2(n) - log2(m)) > _MAGNITUDE_LIMIT.bit_length():
+        raise CapacityError(f"C({n}, {k}) exceeds the magnitude limit")
+    value = comb(n, k)
+    if value > _MAGNITUDE_LIMIT:
+        raise CapacityError(f"C({n}, {k}) = {value} exceeds the magnitude limit")
+    return value
 
 
 class VertexId(NamedTuple):
@@ -65,8 +100,9 @@ class NoEligibleArcError(Exception):
 
 def _integers(values, *field) -> tuple[int, ...]:
     """``values`` as ints. An entry that is not an int must equal one (``2.0``
-    does), or ValueError names it (``2.5``, ``'3'``, NaN, infinities): for
-    ``field`` ("lists", 1) entry j is ``lists[1][j]``."""
+    does), or ValueError names it (``2.5``, ``'3'``, NaN, infinities, and
+    bools, although ``True == 1``): for ``field`` ("lists", 1) entry j is
+    ``lists[1][j]``."""
     values = tuple(values)
     for x in values:
         if type(x) is not int:
@@ -77,7 +113,7 @@ def _integers(values, *field) -> tuple[int, ...]:
     for j, x in enumerate(values):
         if type(x) is not int:
             try:
-                if int(x) != x:
+                if isinstance(x, bool) or int(x) != x:
                     raise ValueError
                 x = int(x)
             except (TypeError, ValueError, OverflowError):
@@ -112,8 +148,12 @@ class Shape:
                 raise ValueError(
                     f"part {i + 1}: need 1 <= alpha <= n, got alpha={a_i}, n={n_i}"
                 )
-        # Raises CapacityError for a shape with more than 2**127 selections.
-        object.__setattr__(self, "_total_arcs", total_selections(self))
+        total = 1
+        for n_i, a_i in zip(self.n, self.alpha):
+            total *= binom(n_i, a_i)
+            if total > _MAGNITUDE_LIMIT:
+                raise CapacityError("selection count exceeds the magnitude limit")
+        object.__setattr__(self, "_total_arcs", total)
 
     @property
     def k(self) -> int:
@@ -255,6 +295,11 @@ def conform_lists(shape: Shape, lists, kind: Kind) -> tuple[tuple[int, ...], ...
 def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
     """All selections of ``shape`` as canonically ordered vertex tuples, by rank.
 
+    Rank order is the product of the parts' alpha_i-subsets, each part's in
+    colexicographic order, with part 1 as the fastest digit. Each part makes
+    one :class:`VertexId` per vertex, and every selection holding a vertex
+    holds that one object.
+
     Raises :class:`CapacityError` before allocating anything when the shape
     has more than :data:`MAX_SELECTIONS` selections.
     """
@@ -262,24 +307,15 @@ def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
         raise CapacityError(
             f"{shape.total_arcs()} selections exceed the table limit of {MAX_SELECTIONS}"
         )
-    per_part = [subsets_colex(shape.n[i], shape.alpha[i]) for i in range(shape.k)]
-    radices = [len(subsets) for subsets in per_part]
-    digits = [0] * shape.k
-    out = []
-    for _ in range(shape.total_arcs()):
-        out.append(
-            tuple(
-                VertexId(part, e)
-                for part in range(shape.k)
-                for e in per_part[part][digits[part]]
-            )
-        )
-        for part in range(shape.k):  # odometer, part 1 fastest
-            digits[part] += 1
-            if digits[part] < radices[part]:
-                break
-            digits[part] = 0
-    return tuple(out)
+    parts = []
+    for part, (n_i, a_i) in enumerate(zip(shape.n, shape.alpha)):
+        # Colex order is the lex order of the subsets of the vertices taken
+        # from the last, reversed, with each subset read backwards.
+        vertices = [VertexId(part, index) for index in range(n_i - 1, -1, -1)]
+        parts.append([subset[::-1] for subset in combinations(vertices, a_i)][::-1])
+    # product varies its last argument fastest, so the parts go in reversed
+    # and each selection is joined back in part order: part 1 fastest.
+    return tuple(sum(reversed(sel), ()) for sel in product(*parts[::-1]))
 
 
 def arcs_through(shape: Shape, part: int) -> int:

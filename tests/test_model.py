@@ -90,6 +90,8 @@ class TestShape:
             ((2, 2), (1, math.nan), "alpha[1]"),
             ((math.inf, 2), (1, 1), "n[0]"),
             ((2, 2), (-math.inf, 1), "alpha[0]"),
+            ((True, 2), (True, 1), "n[0]"),
+            ((2, 2), (1, False), "alpha[1]"),
         ],
     )
     def test_rejects_a_non_integral_value(self, n, alpha, field):
@@ -124,6 +126,8 @@ class TestScoreLists:
             (((0, math.nan), (1, 1)), "lists[0][1]"),
             (((0, math.inf), (1, 1)), "lists[0][1]"),
             (((-math.inf, 2), (1, 1)), "lists[0][0]"),
+            (((False, 2), (True, True)), "lists[0][0]"),
+            (((0, 2), (1, True)), "lists[1][1]"),
         ],
     )
     def test_rejects_a_non_integral_entry(self, lists, field):
@@ -170,7 +174,7 @@ class TestSelectionTable:
         ids=str,
     )
     def test_matches_arithmetic_unranking(self, shape):
-        # The cached odometer table and a mixed-radix arithmetic unranking
+        # The cached product table and a mixed-radix arithmetic unranking
         # (part 1 the fastest digit, colex within a part) are independent
         # paths to the same indexing.
         table = selection_vertices(shape)
@@ -186,7 +190,7 @@ class TestSelectionTable:
 
     def test_matches_colex_product_reference(self):
         """Every shape with k <= 3, n_i <= 4 and 1 <= alpha_i <= n_i: the
-        odometer table lists the product of the parts' subsets with part 1 as
+        cached table lists the product of the parts' subsets with part 1 as
         the fastest digit and each part's subsets in colexicographic order."""
         parts = [(n_i, a_i) for n_i in range(1, 5) for a_i in range(1, n_i + 1)]
         for k in range(1, 4):
@@ -219,6 +223,22 @@ class TestSelectionTable:
                     removed = V(a, n[a] - 1)
                     avoiding = [s for s in selection_vertices(shape) if removed not in s]
                     assert avoiding == list(selection_vertices(sub_shape))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            Shape((7,), (3,)),
+            Shape((3, 2), (2, 1)),
+            Shape((4, 3, 2), (2, 1, 1)),
+            Shape((3, 2, 2, 3), (1, 2, 1, 2)),
+        ],
+        ids=str,
+    )
+    def test_one_object_per_vertex(self, shape):
+        # Every selection holding a vertex holds the same VertexId object, so
+        # the table's size is its tuples, not T * m vertex objects.
+        table = selection_vertices(shape)
+        assert len({id(v) for sel in table for v in sel}) == sum(shape.n)
 
     def test_table_cap(self):
         from hyperscores.model import MAX_SELECTIONS

@@ -5,13 +5,13 @@ from collections import Counter
 from pathlib import Path
 
 import hyperscores
-from hyperscores import combinatorics, criteria, model, oracle, realize
+from hyperscores import criteria, model, oracle, realize
 
 SRC = Path(hyperscores.__file__).parent
 
 
 def test_top_level_all_is_the_union_of_the_module_lists():
-    modules = (combinatorics, model, criteria, realize, oracle)
+    modules = (model, criteria, realize, oracle)
     union = set().union(*(m.__all__ for m in modules))
     assert sorted(hyperscores.__all__) == sorted(union)
     assert len(set(hyperscores.__all__)) == len(hyperscores.__all__)
