@@ -5,6 +5,7 @@ witness hypertournaments when they are, and cross-validate both against
 exhaustive enumeration at desk scale.
 """
 
+from . import criteria, model, oracle, realize
 from .model import (
     Arc,
     CapacityError,
@@ -63,52 +64,5 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AchievableSet",
-    "Arc",
-    "BudgetExceededError",
-    "CapacityError",
-    "CheckResult",
-    "CrossValidationReport",
-    "DEFAULT_ASSIGNMENT_BUDGET",
-    "Hypertournament",
-    "InfeasibleError",
-    "InvalidListsError",
-    "Kind",
-    "MAX_SELECTIONS",
-    "NoEligibleArcError",
-    "NoValidStepError",
-    "PrefixViolation",
-    "RealizationGapError",
-    "ScoreLists",
-    "Shape",
-    "SplitMix64",
-    "StructuralError",
-    "TransformLog",
-    "TransformStep",
-    "VertexId",
-    "Violation",
-    "achievable_losing_lists",
-    "arc_swap",
-    "arcs_through",
-    "binom",
-    "bounded_candidate_lists",
-    "check_losing_lists",
-    "check_score_lists",
-    "check_single_part",
-    "conform_lists",
-    "cross_validate",
-    "enumerate_assignments",
-    "losing_score_map",
-    "losing_scores",
-    "losing_to_scores",
-    "random_hypertournament",
-    "realize_flow",
-    "realize_inductive",
-    "saturate",
-    "score_map",
-    "scores",
-    "scores_to_losing",
-    "selection_vertices",
-    "validate",
-]
+# The package exports exactly what its four library modules export.
+__all__ = sorted({*model.__all__, *criteria.__all__, *realize.__all__, *oracle.__all__})

@@ -134,6 +134,17 @@ def _check_document(doc, witness: bool) -> None:
     The loops test ``type(x) is int`` first and call _integral only for
     entries that fail it: a well-formed document costs one call per arc, none per entry.
     """
+    _check_fields(doc, witness)
+    if witness:
+        for i, arc in enumerate(doc.get("arcs", ())):
+            _check_pairs(arc, f"arcs[{i}]")
+        if "losers" in doc:
+            _check_pairs(doc["losers"], "losers")
+
+
+def _check_fields(doc, witness: bool) -> None:
+    """_check_document but for a witness's vertex pairs, which
+    _hypertournament_from_doc checks as it looks them up."""
     if type(doc) is not dict:
         raise _schema_error("the document", "an object")
     for key in ("k", "n", "alpha") if witness else ("k", "n", "alpha", "kind", "lists"):
@@ -161,13 +172,8 @@ def _check_document(doc, witness: bool) -> None:
             for j, x in enumerate(values):
                 if type(x) is not int and not _integral(x):
                     raise _schema_error(f"lists[{i}][{j}]", "an integer")
-    if witness and "arcs" in doc:
-        if type(doc["arcs"]) is not list:
-            raise _schema_error("arcs", "an array of arcs")
-        for i, arc in enumerate(doc["arcs"]):
-            _check_pairs(arc, f"arcs[{i}]")
-    if witness and "losers" in doc:
-        _check_pairs(doc["losers"], "losers")
+    if witness and "arcs" in doc and type(doc["arcs"]) is not list:
+        raise _schema_error("arcs", "an array of arcs")
 
 
 def _check_pairs(pairs, path: str) -> None:
@@ -194,7 +200,7 @@ def _read_document(path: str, witness: bool = False) -> dict:
             raise InputError(f"malformed JSON: {exc}") from exc
     else:
         doc = _parse_text_instance(text)
-    _check_document(doc, witness)
+    _check_fields(doc, witness)
     return doc
 
 
@@ -279,9 +285,9 @@ def _emit_witness(doc: dict, M: Hypertournament, args) -> None:
     its 1-based pair from one table of the shape's vertices."""
     pair = {v: [v.part + 1, v.index + 1] for v in M.shape.vertices()}
     if args.emit == "losers":
-        doc["losers"] = [pair[arc.loser] for arc in M.arcs]
+        doc["losers"] = [pair[v] for v in M.losers]
     else:
-        doc["arcs"] = [[pair[v] for v in arc.order] for arc in M.arcs]
+        doc["arcs"] = [[pair[v] for v in order] for order in M.orders()]
     _emit(doc, args, _text_witness)
 
 
@@ -351,25 +357,44 @@ def cmd_realize(args) -> int:
 
 
 def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
-    """The arcs or losers of a witness document, each 1-based pair looked up in
-    one table of the shape's vertices; integral floats hash like ints, so they
-    find their vertex. A pair outside the shape goes through _vertex_in, so a
-    violation names it."""
+    """The witness read in one pass: each pair of ints (only ints: True == 1
+    and hashes alike) is looked up in one table of the shape's vertices. Any
+    other entry, or a miss, has the document checked before the pairs are
+    read again: integral floats find their vertex, and a pair outside the
+    shape goes through _vertex_in, so that a violation names it. Only a
+    document with arcs other than those its losers make builds Arc objects."""
+    if "arcs" not in doc and "losers" not in doc:
+        raise InputError("witness document needs an 'arcs' or 'losers' field")
     table = {(v.part + 1, v.index + 1): v for v in shape.vertices()}
-
-    def vertices(pairs) -> list[VertexId]:
-        return [table.get((a, b)) or _vertex_in((a, b)) for a, b in pairs]
-
-    if "arcs" in doc:
-        return Hypertournament(shape, tuple(Arc(tuple(vertices(arc))) for arc in doc["arcs"]))
-    if "losers" in doc:
-        return Hypertournament.from_losers(shape, vertices(doc["losers"]))
-    raise InputError("witness document needs an 'arcs' or 'losers' field")
+    groups = [*doc.get("arcs", ()), doc.get("losers", [])]
+    try:
+        found = [
+            [table.get((a, b)) if type(a) is int and type(b) is int else None
+             for a, b in (pairs if type(pairs) is list else [None])]
+            for pairs in groups
+        ]
+        hit = all(map(all, found))  # every vertex found: a VertexId is never falsy
+    except (TypeError, ValueError):  # an entry that does not unpack into two
+        hit = False
+    if not hit:
+        _check_document(doc, witness=True)
+        found = [[table.get((a, b)) or _vertex_in((a, b)) for a, b in pairs] for pairs in groups]
+    *arcs, losers = found
+    if "arcs" not in doc:
+        return Hypertournament.from_losers(shape, losers)
+    M = Hypertournament.from_losers(shape, [arc[-1] if arc else None for arc in arcs])
+    if len(arcs) == len(M.losers) and all(map(list.__eq__, arcs, map(list, M.orders()))):
+        return M  # each arc is its selection with its loser moved last: keep the losers
+    return Hypertournament(shape, tuple(map(Arc, map(tuple, arcs))))
 
 
 def cmd_verify(args) -> int:
     doc = _read_document(args.witness, witness=True)
-    shape = _shape_from_doc(doc)
+    try:
+        shape = _shape_from_doc(doc)
+    except (InputError, CapacityError):
+        _check_document(doc, witness=True)  # a schema error comes first
+        raise
     M = _hypertournament_from_doc(doc, shape)
     violations = validate(M)
     out = {
@@ -378,7 +403,7 @@ def cmd_verify(args) -> int:
             {"selection_rank": v.selection_rank, "kind": v.kind, "detail": v.detail}
             for v in violations
         ],
-        "arc_count": len(M.arcs),
+        "arc_count": len(M.losers),
     }
     lists_match = None
     if not violations:

@@ -1,13 +1,13 @@
 """Multipartite hypertournament model.
 
 A shape fixes k disjoint parts with n_i vertices each and per-part arities
-alpha_i. A hypertournament stores exactly one ordered arc per selection (one
+alpha_i. A hypertournament has exactly one ordered arc per selection (one
 alpha_i-subset per part), densely indexed by selection rank; the vertex in the
-last position of an arc is that arc's loser. Every count is an exact integer
-behind a magnitude guard: a binomial or a selection count above 2**127 raises
-:class:`CapacityError` instead of materializing an enormous integer. All values
-are immutable after construction and all operations are pure, so concurrent
-reads are safe.
+last position of an arc is that arc's loser, and the losers are what it keeps.
+Every count is an exact integer behind a magnitude guard: a binomial or a
+selection count above 2**127 raises :class:`CapacityError` instead of
+materializing an enormous integer. All values are immutable after construction
+and all operations are pure, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import combinations, islice, product
 from math import comb, log2
 from operator import gt
-from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Arc",
@@ -209,27 +209,57 @@ class Arc:
         return vertex in self.order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hypertournament:
-    """One arc per selection, densely indexed by selection rank."""
+    """One loser per selection rank, with the arcs built on first access.
+
+    :meth:`from_losers` keeps only the losers. ``Hypertournament(shape,
+    arcs)`` keeps explicit arcs (``_given``), in any vertex order before the
+    loser, and reads their losers once. Equality is equality of the arcs;
+    equal arcs have equal losers, so two loser-backed values compare only
+    their losers, and the hash reads the losers.
+    """
 
     shape: Shape
-    arcs: tuple[Arc, ...]
+    losers: tuple[VertexId, ...]
+
+    def __init__(self, shape: Shape, arcs: Sequence[Arc]) -> None:
+        arcs = tuple(arcs)
+        losers = tuple(a.order[-1] if a is not None and a.order else None for a in arcs)
+        self.__dict__.update(shape=shape, losers=losers, _given=arcs)
 
     @classmethod
-    def from_losers(cls, shape: Shape, losers: Sequence[VertexId]) -> "Hypertournament":
-        """Arc r is selection r with ``losers[r]`` moved last, the rest in
-        selection order; ``losers`` entries past the last selection are dropped.
-        A loser outside its selection is appended to all of it, for
-        :func:`validate` to report."""
-        arcs = []
-        for sel, loser in zip(selection_vertices(shape), losers):
-            try:
-                i = sel.index(loser)
-            except ValueError:
-                i = len(sel)
-            arcs.append(Arc(sel[:i] + sel[i + 1 :] + (loser,)))
-        return cls(shape, tuple(arcs))
+    def from_losers(cls, shape: Shape, losers: Iterable[VertexId]) -> "Hypertournament":
+        """``losers[r]`` loses the arc at rank r; entries past the last rank are
+        dropped, and no arc is built."""
+        M = cls.__new__(cls)
+        losers = tuple(islice(losers, shape.total_arcs()))
+        M.__dict__.update(shape=shape, losers=losers, _given=None)
+        return M
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The given arcs, or one :class:`Arc` per order of :meth:`orders`."""
+        return self._given if self._given is not None else tuple(map(Arc, self.orders()))
+
+    def orders(self) -> Iterator[tuple[VertexId, ...]]:
+        """Each arc's vertices, loser last, with no :class:`Arc` built: the given
+        arcs' orders, or selection r with ``losers[r]`` moved last (appended
+        when outside it, for :func:`validate` to report)."""
+        if self._given is not None:
+            return (arc.order for arc in self._given)
+        sels, losers = selection_vertices(self.shape), self.losers
+        cut = [sel.index(v) if v in sel else len(sel) for sel, v in zip(sels, losers)]
+        return (sel[:i] + sel[i + 1 :] + (v,) for sel, v, i in zip(sels, losers, cut))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypertournament):
+            return NotImplemented
+        same = self.shape == other.shape and self.losers == other.losers
+        return same and (self._given is None and other._given is None or self.arcs == other.arcs)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.losers))
 
 
 def _monotone_lists(lists) -> tuple[tuple[int, ...], ...]:
@@ -332,11 +362,11 @@ def arcs_through(shape: Shape, part: int) -> int:
 def losing_score_map(M: Hypertournament) -> dict[VertexId, int]:
     """Loss count per vertex: arcs in which the vertex sits last."""
     counts = {v: 0 for v in M.shape.vertices()}
-    try:
-        for arc in M.arcs:
-            counts[arc.order[-1]] += 1
-    except KeyError as exc:
-        raise StructuralError(f"arc loses at unknown vertex {exc.args[0]}") from exc
+    lost = Counter(M.losers)
+    for v in lost:
+        if v not in counts:
+            raise StructuralError(f"arc loses at unknown vertex {v}")
+    counts.update(lost)
     return counts
 
 
@@ -376,18 +406,21 @@ def validate(M: Hypertournament) -> list[Violation]:
 
     Checks one arc per selection rank, per-arc distinctness and arity, and
     agreement between each arc's vertex set and its selection. Violations are
-    data, not failures. An arc holds exactly its selection's vertices when its
-    sorted vertices equal the selection, so one comparison accepts a
-    well-formed arc and only an arc that fails it is diagnosed.
+    data, not failures. One test accepts a well-formed rank, and only a rank
+    that fails it is diagnosed: a loser-backed rank's loser lies in its
+    selection, and a given arc's sorted vertices equal its selection.
     """
-    expected = selection_vertices(M.shape)
-    out = [
-        _diagnose(M.shape, rank, arc)
-        for rank, (sel, arc) in enumerate(zip(expected, chain(M.arcs, repeat(None))))
-        if arc is None or tuple(sorted(arc.order)) != sel
-    ]
-    for rank in range(len(expected), len(M.arcs)):
-        out.append(Violation(rank, "extra-arc", "arc beyond the selection table"))
+    expected, stored = selection_vertices(M.shape), len(M.losers)
+    if M._given is None:
+        ranks = enumerate(zip(expected, M.losers))
+        bad = [(r, Arc(sel + (v,))) for r, (sel, v) in ranks if v not in sel]
+    else:
+        ranks = enumerate(zip(expected, M.arcs))
+        bad = [(r, a) for r, (sel, a) in ranks if a is None or tuple(sorted(a.order)) != sel]
+    bad += [(r, None) for r in range(stored, len(expected))]
+    out = [_diagnose(M.shape, r, arc) for r, arc in bad]
+    for r in range(len(expected), stored):
+        out.append(Violation(r, "extra-arc", "arc beyond the selection table"))
     return out
 
 

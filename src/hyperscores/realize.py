@@ -418,4 +418,6 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
                 raise InfeasibleError(f"{v} loses too many arcs: lists are not realizable") from exc
             need[v] += 1
             need[w] -= 1
-    return Hypertournament.from_losers(shape, chains.losers)
+    losers = chains.losers
+    del chains  # its lost-rank lists go before the losers are copied
+    return Hypertournament.from_losers(shape, losers)

@@ -14,6 +14,7 @@ from hyperscores import (
     NoEligibleArcError,
     ScoreLists,
     Shape,
+    StructuralError,
     VertexId,
     Violation,
     arc_swap,
@@ -275,6 +276,97 @@ def test_from_losers_matches_filtering_reference(case):
     assert Hypertournament.from_losers(shape, losers).arcs == expected
 
 
+def _arcs_of_losers(shape, losers):
+    """The explicit arcs that ``from_losers`` built before it kept only the
+    losers: selection r with losers[r] moved last, appended to all of it when
+    outside; entries past the last selection dropped."""
+    arcs = []
+    for sel, loser in zip(selection_vertices(shape), losers):
+        try:
+            i = sel.index(loser)
+        except ValueError:
+            i = len(sel)
+        arcs.append(Arc(sel[:i] + sel[i + 1 :] + (loser,)))
+    return tuple(arcs)
+
+
+@st.composite
+def corrupted_loser_arrays(draw):
+    """A shape with k <= 4 and two loser arrays on it. The first starts as one
+    loser per selection and takes up to three defects: cut short (missing
+    arcs), extended past the last selection (entries dropped), a loser
+    swapped for another vertex of the shape (often outside its selection), or
+    for a vertex outside the shape. The second is the first, or the first
+    with one more defect."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    alpha = [draw(st.integers(1, n_i)) for n_i in n]
+    shape = Shape(tuple(n), tuple(alpha))
+    vertices = list(shape.vertices())
+    outside = st.builds(V, st.integers(-1, k), st.integers(-1, 3)).filter(
+        lambda v: v not in vertices
+    )
+
+    def corrupt(losers, defect):
+        if defect == "short":
+            del losers[len(losers) - draw(st.integers(1, 3)) :]
+        elif defect == "long":
+            losers += draw(st.lists(st.sampled_from(vertices) | outside, min_size=1, max_size=3))
+        elif losers:
+            rank = draw(st.integers(0, len(losers) - 1))
+            losers[rank] = draw(st.sampled_from(vertices) if defect == "swap" else outside)
+
+    defects = st.sampled_from(["short", "long", "swap", "outside"])
+    first = [draw(st.sampled_from(sel)) for sel in selection_vertices(shape)]
+    for defect in draw(st.lists(defects, max_size=3)):
+        corrupt(first, defect)
+    second = list(first)
+    if draw(st.booleans()):
+        corrupt(second, draw(defects))
+    return shape, first, second
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_losses(shape, arcs):
+    """Losses per vertex counted arc by arc, as the outcome of the count."""
+    counts = {v: 0 for v in shape.vertices()}
+    for arc in arcs:
+        if arc.loser not in counts:
+            return StructuralError, f"arc loses at unknown vertex {arc.loser}"
+        counts[arc.loser] += 1
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=corrupted_loser_arrays())
+def test_loser_backed_model_agrees_with_explicit_arcs(case):
+    """A hypertournament kept as one loser per rank validates, counts its
+    losses, has as many arcs and compares equal exactly as the explicit arcs
+    of the same losers do."""
+    shape, first, second = case
+    arrays = (first, second)
+    by_losers = [Hypertournament.from_losers(shape, losers) for losers in arrays]
+    by_arcs = [Hypertournament(shape, _arcs_of_losers(shape, losers)) for losers in arrays]
+    for M, N in zip(by_losers, by_arcs):
+        assert validate(M) == validate(N) == reference_validate(N)
+        losses = _reference_losses(shape, N.arcs)
+        assert _outcome(losing_score_map, M) == _outcome(losing_score_map, N) == losses
+        assert len(M.arcs) == len(N.arcs) == len(M.losers) == len(N.losers)
+        assert list(M.orders()) == list(N.orders()) == [arc.order for arc in N.arcs]
+        assert M == N and N == M and hash(M) == hash(N)
+    same = by_arcs[0] == by_arcs[1]
+    assert (by_losers[0] == by_losers[1]) == same
+    assert (by_losers[0] == by_arcs[1]) == same == (by_arcs[0] == by_losers[1])
+    assert by_losers[0].arcs == _arcs_of_losers(shape, first)
+
+
 class TestArcsThrough:
     def test_counted_against_enumeration(self):
         # Independent count over the 4 selections of (2,2)/(1,1).
@@ -491,6 +583,18 @@ class TestValidate:
     @given(M=defective_witnesses())
     def test_agrees_with_the_reference(self, M):
         assert validate(M) == reference_validate(M)
+
+
+def test_equality_sees_the_order_of_given_arcs():
+    """Equal losers do not make equal hypertournaments when the given arcs
+    order their other vertices differently."""
+    shape = Shape((2, 1), (2, 1))
+    forward = Hypertournament(shape, (Arc((V(0, 0), V(0, 1), V(1, 0))),))
+    backward = Hypertournament(shape, (Arc((V(0, 1), V(0, 0), V(1, 0))),))
+    by_losers = Hypertournament.from_losers(shape, [V(1, 0)])
+    assert forward.losers == backward.losers == by_losers.losers
+    assert forward != backward and by_losers == forward and by_losers != backward
+    assert hash(by_losers) == hash(forward)
 
 
 class TestArcSwap:
