@@ -46,11 +46,12 @@ __all__ = [
 
 Kind = Literal["losing", "score"]
 
-# Largest selection table that selection_vertices builds. A selection of m
-# vertices is a tuple of pointers to vertex objects the whole table shares,
-# 48 + 8m bytes with its table slot (64 to 96 bytes at m = 2 to 6), so 10^6
-# selections take about 0.1 GB; (10^6,)/(1,), where every selection brings
-# its own vertex, takes 0.15 GB.
+# Largest selection table that selection_vertices builds, and most vertices
+# that Shape.vertices gives a per-vertex table. A selection of m vertices is a
+# tuple of pointers to vertex objects the whole table shares, 48 + 8m bytes
+# with its table slot (64 to 96 bytes at m = 2 to 6), so 10^6 selections take
+# about 0.1 GB; (10^6,)/(1,), where every selection brings its own vertex,
+# takes 0.15 GB.
 MAX_SELECTIONS = 10**6
 
 #: Ceiling for any single computed count. Oversized shapes fail loudly
@@ -184,9 +185,13 @@ class Shape:
         return (sum(self.alpha) - 1) * self._total_arcs
 
     def vertices(self) -> Iterator[VertexId]:
-        for part, n_i in enumerate(self.n):
-            for index in range(n_i):
-                yield VertexId(part, index)
+        """The vertices, part by part. Every per-vertex table is built from
+        them, so more than :data:`MAX_SELECTIONS` raise :class:`CapacityError`
+        here, before any is built."""
+        count = sum(self.n)
+        if count > MAX_SELECTIONS:
+            raise CapacityError(f"{count} vertices exceed the table limit of {MAX_SELECTIONS}")
+        return (VertexId(part, index) for part, n_i in enumerate(self.n) for index in range(n_i))
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,18 +336,18 @@ def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
     holds that one object.
 
     Raises :class:`CapacityError` before allocating anything when the shape
-    has more than :data:`MAX_SELECTIONS` selections.
+    has more than :data:`MAX_SELECTIONS` selections or vertices.
     """
     if shape.total_arcs() > MAX_SELECTIONS:
         raise CapacityError(
             f"{shape.total_arcs()} selections exceed the table limit of {MAX_SELECTIONS}"
         )
-    parts = []
-    for part, (n_i, a_i) in enumerate(zip(shape.n, shape.alpha)):
+    vertices, parts = shape.vertices(), []
+    for n_i, a_i in zip(shape.n, shape.alpha):
         # Colex order is the lex order of the subsets of the vertices taken
         # from the last, reversed, with each subset read backwards.
-        vertices = [VertexId(part, index) for index in range(n_i - 1, -1, -1)]
-        parts.append([subset[::-1] for subset in combinations(vertices, a_i)][::-1])
+        part = list(islice(vertices, n_i))[::-1]
+        parts.append([subset[::-1] for subset in combinations(part, a_i)][::-1])
     # product varies its last argument fastest, so the parts go in reversed
     # and each selection is joined back in part order: part 1 fastest.
     return tuple(sum(reversed(sel), ()) for sel in product(*parts[::-1]))

@@ -1,13 +1,14 @@
 """Witness construction for valid losing-score lists.
 
-Both routes move losses with one interchange-chain engine that keeps one loser
-per selection rank. ``realize_inductive`` runs two passes. Down, it shrinks
+Both routes keep one loser per selection rank and meet the loss targets by one
+repair: phases of shortest interchange chains from the vertices over their
+targets to those under. ``realize_inductive`` runs two passes. Down, it shrinks
 one part at a time: the last entry of the active list is raised to the
 per-vertex arc count of its part by a logged sequence of list transformations
 (saturation), unless it is there already, and that vertex, which loses every
 arc through it, is dropped. Up, from the single arc left, each level gives the
-arcs through its vertex to that vertex and undoes its logged steps by chain
-moves.
+arcs through its vertex to that vertex, sets the targets back to its lists
+before saturation and repairs.
 A saturation step is decided at a handful of prefix tuples, not by a scan. It
 lowers the slack by 1 on a box of prefixes, and with every other coordinate
 fixed the slack along one part is its prefix sums, linear on each run of equal
@@ -16,17 +17,15 @@ starts, so least at a box end or a run start inside the box. The parts the move
 leaves alone are minimized by one query on the lower envelope of their
 prefix-tuple lines, built once per level and rebuilt only after a step changes
 one of their lists.
-``realize_flow`` assigns losers greedily and repairs every excess by chain
-moves, an exact b-matching that serves as an oracle for the first route.
+``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
+that serves as an oracle for the first route.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
 
 from .criteria import CheckResult, _extend, _lower_envelope, check_losing_lists
 from .model import (
@@ -266,50 +265,60 @@ class _LoserChains:
         self.losers[rank] = loser
         insort(self.lost.setdefault(loser, []), rank)
 
-    def move_loss(self, source: VertexId, is_target: Callable[[VertexId], bool]) -> VertexId:
-        """Move one loss from ``source`` to the first vertex passing ``is_target``.
+    def repair(self, need: dict[VertexId, int]) -> None:
+        """Move losses by interchange chains until no ``need`` is negative.
 
-        The move walks a shortest chain u0=source, u1, ..., um where u_{i-1}
-        loses an arc containing u_i, and makes u_i that arc's loser by
-        interchanging the two. Intermediate vertices gain and lose one arc
-        each, so only the two endpoint scores change. The search is
-        breadth-first over lost arcs in rank order and each arc's vertices in
-        selection order, so it is deterministic and a direct move takes the
-        smallest-rank arc. Returns the vertex reached.
+        ``need[v]`` is how many more arcs v should lose (0 when absent) and is
+        kept current. A chain u0, ..., um, where u_(i-1) loses an arc holding
+        u_i, makes each u_i that arc's loser: only u0 and um change counts.
+        The first phase is a one-hop sweep. Each later one layers the vertices
+        from all over-target ones up to the first layer that holds an
+        under-target one. Every phase moves a blocking set of shortest chains
+        along its layers by a search that resumes each vertex at a cursor
+        (Dinic; Hopcroft-Karp), so the shortest chain lengthens every phase.
+        Scans go in rank order, then selection order. Raises
+        :class:`NoEligibleArcError` when a layering reaches no under-target vertex.
         """
-        parent: dict[VertexId, tuple[VertexId, int] | None] = {source: None}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for rank in self.lost.get(u, ()):
-                for w in self.sels[rank]:
-                    if w in parent:  # the arc's loser u among them
+        sels, losers, lost = self.sels, self.losers, self.lost
+        over, swept = [v for v, x in need.items() if x < 0], False
+        while over := [v for v in over if need[v] < 0]:
+            dist, layer, depth = dict.fromkeys(over, 0), over, 1
+            while swept:  # layers up to the first that holds an under-target vertex
+                layer = {w: depth for u in layer for r in lost.get(u, ())
+                         for w in sels[r] if w not in dist}
+                if not layer:
+                    raise NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+                if any(need.get(w, 0) > 0 for w in layer):
+                    break
+                dist.update(layer)
+                depth += 1
+            swept, cursor = True, {}
+            for s in over:  # each s moves losses by a depth-first search up the layers
+                path = [(None, s)]
+                while path and need[s] < 0:
+                    u = path[-1][1]
+                    d, ranks = dist[u] + 1, lost.get(u, ())
+                    rank = w = None
+                    for i in range(bisect_left(ranks, cursor.get(u, 0)), len(ranks)):
+                        for w in sels[ranks[i]]:
+                            if need.get(w, 0) > 0 if d == depth else dist.get(w) == d:
+                                rank = ranks[i]
+                                break
+                        if rank is not None:
+                            break
+                    if rank is None:  # a dead end leaves the layering
+                        dist[u] = None
+                        path.pop()
                         continue
-                    parent[w] = (u, rank)
-                    if is_target(w):
-                        self._interchange_along(parent, w)
-                        return w
-                    queue.append(w)
-        raise NoEligibleArcError(f"no chain of interchanges moves a loss away from {source}")
-
-    def move_loss_to(self, source: VertexId, target: VertexId) -> None:
-        """Move one loss from ``source`` to another vertex ``target``, as
-        ``move_loss(source, target.__eq__)`` does, looking the search's first
-        level up directly: the smallest lost rank of ``source`` whose arc holds it."""
-        for rank in self.lost.get(source, ()):
-            if target in self.sels[rank]:
-                self._interchange_along({source: None, target: (source, rank)}, target)
-                return
-        self.move_loss(source, target.__eq__)
-
-    def _interchange_along(self, parent, v: VertexId) -> None:
-        """Make each vertex on the search path to ``v`` lose the arc it was reached by."""
-        while parent[v] is not None:
-            loser, rank = parent[v]
-            self.losers[rank] = v
-            self.lost[loser].remove(rank)
-            insort(self.lost.setdefault(v, []), rank)
-            v = loser
+                    cursor[u] = rank
+                    path.append((rank, w))
+                    if d == depth:  # w is under its target: interchange along the chain
+                        for rank, w in path[1:]:
+                            lost[losers[rank]].remove(rank)
+                            losers[rank] = w
+                            insort(lost.setdefault(w, []), rank)
+                        need[s], need[w] = need[s] + 1, need[w] - 1
+                        path = [(None, s)]
 
 
 def _realize(shape: Shape, lists) -> list[VertexId]:
@@ -320,8 +329,9 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
     below its bound, then drop that part's last vertex, which loses every arc
     through it. Up: each top rank goes to the level of the first-dropped vertex
     it holds (the bottom's single arc if none); each level gives its ranks to
-    its vertex, then undoes its steps in reverse, all on one engine. A level's
-    ranks are the top ranks on its vertices, in order, so no search changes.
+    its vertex, takes its steps back out of ``need`` and repairs, all on one
+    engine. A level's ranks are the top ranks on its vertices, in order, so no
+    search changes.
     """
     sub, levels = shape, []
     for active in range(shape.k):
@@ -349,18 +359,19 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
     buckets: list[list[int]] = [[] for _ in levels]
     for rank, sel in enumerate(sels):
         buckets[min([depth.get(v, len(levels) - 1) for v in sel])].append(rank)
-    chains = _LoserChains(sels)
+    chains, need = _LoserChains(sels), dict.fromkeys(shape.vertices(), 0)
     for (vertex, steps), ranks in zip(reversed(levels), reversed(buckets)):
         for rank in ranks:
             chains.give(rank, vertex)
-        for step in reversed(steps):
-            # The incremented vertex gives the loss back to the decremented one.
-            try:
-                chains.move_loss_to(step.incremented, step.decremented)
-            except NoEligibleArcError as exc:
-                raise RealizationGapError(
-                    f"no interchange chain supports undoing {step}"
-                ) from exc
+        for step in steps:
+            # Undone, the steps set the targets back to the lists before
+            # saturation: the incremented vertex loses one arc fewer.
+            need[step.incremented] -= 1
+            need[step.decremented] += 1
+        try:
+            chains.repair(need)
+        except NoEligibleArcError as exc:
+            raise RealizationGapError(f"no interchange chain undoes the steps at {vertex}") from exc
     return chains.losers
 
 
@@ -388,14 +399,15 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     """Assign one loser per selection so that vertex (i, j) loses R[i][j] arcs.
 
     A greedy start gives each selection, in rank order, to its vertex with the
-    largest remaining need (ties to the first); repair then moves one loss at
-    a time by an interchange chain from a vertex over its target to one under.
-    :class:`InfeasibleError` is raised on a wrong grand total or when no chain
-    exists, which is exact by max-flow/min-cut: every arc lost in the set S of
-    vertices the search reached lies inside S, no vertex of S is under its
-    target and the source is over, so more arcs lie inside S than its targets
-    sum to, and any hypertournament makes S lose them all. Feasibility thus
-    coincides with acceptance by the losing-list check.
+    largest remaining need (ties to the first); one repair then moves losses by
+    interchange chains from the vertices over their targets to those under.
+    :class:`InfeasibleError` is raised on a wrong grand total or when a layering
+    of the repair ends short, which is exact by max-flow/min-cut: let S be the
+    vertices that layering reached from all over-target vertices together.
+    Every arc lost in S lies inside S, no vertex of S is under its target and
+    some are over, so more arcs lie inside S than its targets sum to, and any
+    hypertournament makes S lose them all. Feasibility thus coincides with
+    acceptance by the losing-list check.
     """
     data = conform_lists(shape, R, "losing")
     total = shape.total_arcs()
@@ -410,14 +422,10 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
         loser = max(sel, key=need.__getitem__)
         need[loser] -= 1
         chains.give(rank, loser)
-    for v in need:
-        while need[v] < 0:
-            try:
-                w = chains.move_loss(v, lambda w: need[w] > 0)
-            except NoEligibleArcError as exc:
-                raise InfeasibleError(f"{v} loses too many arcs: lists are not realizable") from exc
-            need[v] += 1
-            need[w] -= 1
+    try:
+        chains.repair(need)
+    except NoEligibleArcError as exc:
+        raise InfeasibleError(f"lists are not realizable: {exc}") from exc
     losers = chains.losers
     del chains  # its lost-rank lists go before the losers are copied
     return Hypertournament.from_losers(shape, losers)

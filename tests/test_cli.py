@@ -435,6 +435,20 @@ class TestEnumerateRandom:
         assert out == ""
         assert "exceeds the magnitude limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["random", "verify"])
+    def test_vertex_count_over_the_cap(self, tmp_path, capsys, command):
+        # (10^8,)/(10^8,) has one selection but 10^8 vertices: refused before
+        # any vertex table is built, where building it would take some 40 GB.
+        if command == "random":
+            args = ("random", "--n", "100000000", "--alpha", "100000000")
+        else:
+            doc = {"k": 1, "n": [10**8], "alpha": [10**8], "losers": [[1, 1]]}
+            args = ("verify", write_instance(tmp_path, doc))
+        code, out, err = run(capsys, *args)
+        assert code == 4
+        assert out == ""
+        assert "100000000 vertices exceed" in err and "Traceback" not in err
+
     def test_bad_shape_flags(self, capsys):
         code, _, _ = run(capsys, "random", "--n", "2,x", "--alpha", "1,1")
         assert code == 2
