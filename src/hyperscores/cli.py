@@ -28,7 +28,6 @@ from .criteria import (
     scores_to_losing,
 )
 from .model import (
-    Arc,
     CapacityError,
     Hypertournament,
     ScoreLists,
@@ -132,19 +131,16 @@ def _check_document(doc, witness: bool) -> None:
     Documents come from json.loads or the text reader, which build only
     dict, list, str, int, float, bool and None, so exact type tests suffice.
     The loops test ``type(x) is int`` first and call _integral only for
-    entries that fail it: a well-formed document costs one call per arc, none per entry.
+    entries that fail it.
     """
     _check_fields(doc, witness)
     if witness:
-        for i, arc in enumerate(doc.get("arcs", ())):
-            _check_pairs(arc, f"arcs[{i}]")
-        if "losers" in doc:
-            _check_pairs(doc["losers"], "losers")
+        _witness_vertices(doc, {})
 
 
 def _check_fields(doc, witness: bool) -> None:
     """_check_document but for a witness's vertex pairs, which
-    _hypertournament_from_doc checks as it looks them up."""
+    _witness_vertices checks as it looks them up."""
     if type(doc) is not dict:
         raise _schema_error("the document", "an object")
     for key in ("k", "n", "alpha") if witness else ("k", "n", "alpha", "kind", "lists"):
@@ -174,18 +170,6 @@ def _check_fields(doc, witness: bool) -> None:
                     raise _schema_error(f"lists[{i}][{j}]", "an integer")
     if witness and "arcs" in doc and type(doc["arcs"]) is not list:
         raise _schema_error("arcs", "an array of arcs")
-
-
-def _check_pairs(pairs, path: str) -> None:
-    """Raise InputError, naming the entry, unless pairs is an array of vertex pairs."""
-    if type(pairs) is not list:
-        raise _schema_error(path, "an array of vertex pairs")
-    for j, pair in enumerate(pairs):
-        if type(pair) is not list or len(pair) != 2:
-            raise _schema_error(f"{path}[{j}]", "a pair of integers")
-        a, b = pair
-        if (type(a) is not int or type(b) is not int) and not (_integral(a) and _integral(b)):
-            raise _schema_error(f"{path}[{j}]", "a pair of integers")
 
 
 def _read_document(path: str, witness: bool = False) -> dict:
@@ -241,10 +225,6 @@ def _shape_from_flags(args) -> Shape:
         return Shape(n, alpha)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _vertex_in(pair) -> VertexId:
-    return VertexId(int(pair[0]) - 1, int(pair[1]) - 1)
 
 
 def _instance_doc(shape: Shape, lists: ScoreLists) -> dict:
@@ -356,16 +336,14 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
-    """The witness read in one pass: each pair of ints (only ints: True == 1
-    and hashes alike) is looked up in one table of the shape's vertices. Any
-    other entry, or a miss, has the document checked before the pairs are
-    read again: integral floats find their vertex, and a pair outside the
-    shape goes through _vertex_in, so that a violation names it. Only a
-    document with arcs other than those its losers make builds Arc objects."""
-    if "arcs" not in doc and "losers" not in doc:
-        raise InputError("witness document needs an 'arcs' or 'losers' field")
-    table = {(v.part + 1, v.index + 1): v for v in shape.vertices()}
+def _witness_vertices(doc: dict, table: dict) -> list[list[VertexId]]:
+    """Each of a witness's arrays of vertex pairs (its arcs, then its losers,
+    [] when absent) as vertices. One pass looks each pair of ints (only ints:
+    True == 1 and hashes alike) up in ``table``, keyed by 1-based pairs. On
+    any miss or other entry, a second pass reads the arrays entry by entry:
+    it raises InputError at the first entry that is not a pair of integers,
+    lets an integral float find its vertex, and turns a pair outside the
+    table into its VertexId, so that a violation names it."""
     groups = [*doc.get("arcs", ()), doc.get("losers", [])]
     try:
         found = [
@@ -373,19 +351,36 @@ def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
              for a, b in (pairs if type(pairs) is list else [None])]
             for pairs in groups
         ]
-        hit = all(map(all, found))  # every vertex found: a VertexId is never falsy
+        if all(map(all, found)):  # every vertex found: a VertexId is never falsy
+            return found
     except (TypeError, ValueError):  # an entry that does not unpack into two
-        hit = False
-    if not hit:
-        _check_document(doc, witness=True)
-        found = [[table.get((a, b)) or _vertex_in((a, b)) for a, b in pairs] for pairs in groups]
-    *arcs, losers = found
-    if "arcs" not in doc:
-        return Hypertournament.from_losers(shape, losers)
-    M = Hypertournament.from_losers(shape, [arc[-1] if arc else None for arc in arcs])
-    if len(arcs) == len(M.losers) and all(map(list.__eq__, arcs, map(list, M.orders()))):
-        return M  # each arc is its selection with its loser moved last: keep the losers
-    return Hypertournament(shape, tuple(map(Arc, map(tuple, arcs))))
+        pass
+    found = []
+    for i, pairs in enumerate(groups):
+        path = f"arcs[{i}]" if i < len(groups) - 1 else "losers"
+        if type(pairs) is not list:
+            raise _schema_error(path, "an array of vertex pairs")
+        found.append([])
+        for j, pair in enumerate(pairs):
+            if type(pair) is not list or len(pair) != 2 or not all(map(_integral, pair)):
+                raise _schema_error(f"{path}[{j}]", "a pair of integers")
+            a, b = map(int, pair)
+            found[-1].append(table.get((a, b)) or VertexId(a - 1, b - 1))
+    return found
+
+
+def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
+    """The witness of a document, its pairs read by _witness_vertices against
+    the shape's vertices: from its arcs if it has them, which the model keeps
+    as their losers when each is its selection with its loser moved last, or
+    else from its losers."""
+    if "arcs" not in doc and "losers" not in doc:
+        raise InputError("witness document needs an 'arcs' or 'losers' field")
+    table = {(v.part + 1, v.index + 1): v for v in shape.vertices()}
+    *arcs, losers = _witness_vertices(doc, table)
+    if "arcs" in doc:
+        return Hypertournament(shape, arcs)
+    return Hypertournament.from_losers(shape, losers)
 
 
 def cmd_verify(args) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product
 from math import comb, log2
-from operator import gt
+from operator import eq, gt
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -214,45 +214,55 @@ class Arc:
         return vertex in self.order
 
 
+def _order(arc) -> tuple[VertexId, ...] | None:
+    """The vertices of an :class:`Arc` or a vertex sequence as a tuple; None stays None."""
+    return arc if arc is None else tuple(getattr(arc, "order", arc))
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Hypertournament:
-    """One loser per selection rank, with the arcs built on first access.
+    """One loser per rank, and the arcs' vertex orders only where not canonical.
 
-    :meth:`from_losers` keeps only the losers. ``Hypertournament(shape,
-    arcs)`` keeps explicit arcs (``_given``), in any vertex order before the
-    loser, and reads their losers once. Equality is equality of the arcs;
-    equal arcs have equal losers, so two loser-backed values compare only
-    their losers, and the hash reads the losers.
+    A canonical order is the rank's selection with its loser moved last.
+    :meth:`from_losers` keeps only the losers. ``Hypertournament(shape, arcs)``
+    takes :class:`Arc` objects, vertex sequences (loser last) or None (a
+    missing arc). It keeps only their losers when there are at most T and each
+    is canonical, else their orders as tuples (``_orders``). Arcs are compared
+    one at a time, so a tuple is built only after a mismatch; the comparison
+    builds the selection table, so above :data:`MAX_SELECTIONS` it raises
+    :class:`CapacityError`. Only :attr:`arcs` builds :class:`Arc` objects.
     """
 
     shape: Shape
     losers: tuple[VertexId, ...]
 
-    def __init__(self, shape: Shape, arcs: Sequence[Arc]) -> None:
+    def __init__(self, shape: Shape, arcs: Iterable[Arc | Sequence[VertexId] | None]) -> None:
         arcs = tuple(arcs)
-        losers = tuple(a.order[-1] if a is not None and a.order else None for a in arcs)
-        self.__dict__.update(shape=shape, losers=losers, _given=arcs)
+        losers = tuple(getattr(a, "order", a)[-1] if a else None for a in arcs)
+        self.__dict__.update(shape=shape, losers=losers, _orders=None)
+        if len(arcs) > shape.total_arcs() or not all(map(eq, map(_order, arcs), self.orders())):
+            self.__dict__["_orders"] = tuple(map(_order, arcs))
 
     @classmethod
     def from_losers(cls, shape: Shape, losers: Iterable[VertexId]) -> "Hypertournament":
         """``losers[r]`` loses the arc at rank r; entries past the last rank are
         dropped, and no arc is built."""
         M = cls.__new__(cls)
-        losers = tuple(islice(losers, shape.total_arcs()))
-        M.__dict__.update(shape=shape, losers=losers, _given=None)
+        losers = tuple(losers)[: shape.total_arcs()]
+        M.__dict__.update(shape=shape, losers=losers, _orders=None)
         return M
 
     @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        """The given arcs, or one :class:`Arc` per order of :meth:`orders`."""
-        return self._given if self._given is not None else tuple(map(Arc, self.orders()))
+    def arcs(self) -> tuple[Arc | None, ...]:
+        """One :class:`Arc` per order of :meth:`orders`, None for a missing arc."""
+        return tuple(o if o is None else Arc(o) for o in self.orders())
 
-    def orders(self) -> Iterator[tuple[VertexId, ...]]:
-        """Each arc's vertices, loser last, with no :class:`Arc` built: the given
-        arcs' orders, or selection r with ``losers[r]`` moved last (appended
-        when outside it, for :func:`validate` to report)."""
-        if self._given is not None:
-            return (arc.order for arc in self._given)
+    def orders(self) -> Iterator[tuple[VertexId, ...] | None]:
+        """Each arc's vertices, loser last, with no :class:`Arc` built: the kept
+        orders (None for a missing arc), or selection r with ``losers[r]``
+        moved last (appended when outside it, for :func:`validate` to report)."""
+        if self._orders is not None:
+            return iter(self._orders)
         sels, losers = selection_vertices(self.shape), self.losers
         cut = [sel.index(v) if v in sel else len(sel) for sel, v in zip(sels, losers)]
         return (sel[:i] + sel[i + 1 :] + (v,) for sel, v, i in zip(sels, losers, cut))
@@ -260,8 +270,7 @@ class Hypertournament:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypertournament):
             return NotImplemented
-        same = self.shape == other.shape and self.losers == other.losers
-        return same and (self._given is None and other._given is None or self.arcs == other.arcs)
+        return (self.shape, self.losers, self._orders) == (other.shape, other.losers, other._orders)
 
     def __hash__(self) -> int:
         return hash((self.shape, self.losers))
@@ -379,8 +388,10 @@ def score_map(M: Hypertournament) -> dict[VertexId, int]:
     """Score per vertex: arcs containing it in which it is not last."""
     counts = {v: 0 for v in M.shape.vertices()}
     try:
-        for arc in M.arcs:
-            for v in arc.order[:-1]:
+        for rank, order in enumerate(M.orders()):
+            if order is None:
+                raise StructuralError(f"no arc stored for selection {rank}")
+            for v in order[:-1]:
                 counts[v] += 1
     except KeyError as exc:
         raise StructuralError(f"arc contains unknown vertex {exc.args[0]}") from exc
@@ -412,28 +423,27 @@ def validate(M: Hypertournament) -> list[Violation]:
     Checks one arc per selection rank, per-arc distinctness and arity, and
     agreement between each arc's vertex set and its selection. Violations are
     data, not failures. One test accepts a well-formed rank, and only a rank
-    that fails it is diagnosed: a loser-backed rank's loser lies in its
-    selection, and a given arc's sorted vertices equal its selection.
+    that fails it is diagnosed: a rank kept as its loser has the loser in its
+    selection, and a kept order's sorted vertices equal its selection.
     """
     expected, stored = selection_vertices(M.shape), len(M.losers)
-    if M._given is None:
+    if M._orders is None:
         ranks = enumerate(zip(expected, M.losers))
-        bad = [(r, Arc(sel + (v,))) for r, (sel, v) in ranks if v not in sel]
+        bad = [(r, sel + (v,)) for r, (sel, v) in ranks if v not in sel]
     else:
-        ranks = enumerate(zip(expected, M.arcs))
-        bad = [(r, a) for r, (sel, a) in ranks if a is None or tuple(sorted(a.order)) != sel]
+        ranks = enumerate(zip(expected, M._orders))
+        bad = [(r, o) for r, (sel, o) in ranks if o is None or tuple(sorted(o)) != sel]
     bad += [(r, None) for r in range(stored, len(expected))]
-    out = [_diagnose(M.shape, r, arc) for r, arc in bad]
+    out = [_diagnose(M.shape, r, order) for r, order in bad]
     for r in range(len(expected), stored):
         out.append(Violation(r, "extra-arc", "arc beyond the selection table"))
     return out
 
 
-def _diagnose(shape: Shape, rank: int, arc: Arc | None) -> Violation:
-    """The first defect of an arc that does not hold its selection's vertices."""
-    if arc is None:
+def _diagnose(shape: Shape, rank: int, order: tuple[VertexId, ...] | None) -> Violation:
+    """The first defect of an arc order that does not hold its selection's vertices."""
+    if order is None:
         return Violation(rank, "missing-arc", f"no arc stored for selection {rank}")
-    order = arc.order
     if len(set(order)) != len(order):
         return Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {order}")
     bad = [v for v in order if not (0 <= v.part < shape.k and 0 <= v.index < shape.n[v.part])]
@@ -458,10 +468,10 @@ def arc_swap(M: Hypertournament, a: VertexId, b: VertexId) -> Hypertournament:
     b = VertexId(*b)
     if a == b:
         raise ValueError("the two vertices must differ")
-    for rank, arc in enumerate(M.arcs):
-        order = arc.order
-        if order[-1] == b and a in order:
+    orders = list(M.orders())
+    for rank, order in enumerate(orders):
+        if order and order[-1] == b and a in order:
             i = order.index(a)
-            arc = Arc(order[:i] + (b,) + order[i + 1 : -1] + (a,))
-            return Hypertournament(M.shape, M.arcs[:rank] + (arc,) + M.arcs[rank + 1 :])
+            orders[rank] = order[:i] + (b,) + order[i + 1 : -1] + (a,)
+            return Hypertournament(M.shape, orders)
     raise NoEligibleArcError(f"no arc contains both {a} and {b} with {b} last")

@@ -28,7 +28,6 @@ from typing import Iterator
 
 from .criteria import _accepted_lists, _reverse_complement
 from .model import (
-    Arc,
     Hypertournament,
     Kind,
     Shape,
@@ -181,14 +180,14 @@ def random_hypertournament(
     sels = selection_vertices(shape)
     if mode == "loser-only":
         return Hypertournament.from_losers(shape, [sel[rng.below(len(sel))] for sel in sels])
-    arcs = []
+    orders = []
     for sel in sels:
         order = list(sel)
         for i in range(len(sel) - 1, 0, -1):
             j = rng.below(i + 1)
             order[i], order[j] = order[j], order[i]
-        arcs.append(Arc(tuple(order)))
-    return Hypertournament(shape, tuple(arcs))
+        orders.append(tuple(order))
+    return Hypertournament(shape, orders)
 
 
 def bounded_candidate_lists(

@@ -283,14 +283,20 @@ class TestRealizeVerify:
         assert code == 2
         assert "arcs" in err
 
-    @pytest.mark.parametrize("emit", ["losers", "arcs"])
-    def test_verify_of_a_written_witness_builds_no_arc(self, tmp_path, capsys, emit):
+    @pytest.mark.parametrize(
+        "emit, mode",
+        [("losers", "loser-only"), ("arcs", "loser-only"), ("arcs", "full-permutation")],
+        ids=["losers", "arcs", "arcs-full-permutation"],
+    )
+    def test_verify_of_a_written_witness_builds_no_arc(self, tmp_path, capsys, emit, mode):
+        """Also a full-permutation witness, whose non-canonical arcs are kept as
+        vertex orders, not as Arc objects."""
         argv = ["random", "--n", "10,8", "--alpha", "3,2", "--seed", "5", "--emit", emit]
         path = tmp_path / "w.json"
-        path.write_text(run(capsys, *argv)[1])
+        path.write_text(run(capsys, *argv, "--mode", mode)[1])
         built = AssertionError("an arc was built")
         with mock.patch("hyperscores.model.Arc", side_effect=built), \
-                mock.patch("hyperscores.cli.Arc", side_effect=built):
+                mock.patch("hyperscores.cli.Arc", side_effect=built, create=True):
             code, out, _ = run(capsys, "verify", str(path))
         assert code == 0 and json.loads(out)["arc_count"] == 120 * 28
 
@@ -434,6 +440,17 @@ class TestEnumerateRandom:
         assert code == 4
         assert out == ""
         assert "exceeds the magnitude limit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["losers", "arcs"])
+    def test_verify_past_sys_maxsize_selections(self, tmp_path, capsys, field):
+        # C(40, 20)^2 ~ 1.9e22 selections: past sys.maxsize but under the
+        # magnitude guard, so the table cap ends the run, not a ValueError.
+        pairs = [[1, 1]] if field == "losers" else [[[1, 1]]]
+        doc = {"k": 2, "n": [40, 40], "alpha": [20, 20], field: pairs}
+        code, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+        assert code == 4
+        assert out == ""
+        assert "selections exceed" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["random", "verify"])
     def test_vertex_count_over_the_cap(self, tmp_path, capsys, command):
@@ -742,6 +759,20 @@ class TestDocumentCheck:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_integral_float_pairs_read_as_their_int_pairs(self, tmp_path, capsys):
+        # Inside the shape a float pair finds its vertex; outside it, the
+        # violation names the vertex with int fields, as the int pair does.
+        arcs = [[[2, 1], [1, 1]], [[1, 2], [2, 1]], [[1, 1], [2, 2]], [[9, 1], [2, 2]]]
+        doc = {"k": 2, "n": [2, 2], "alpha": [1, 1], "arcs": arcs}
+        floats = dict(doc, arcs=[[[float(x) for x in pair] for pair in arc] for arc in arcs])
+        code, out, _ = run(capsys, "verify", write_instance(tmp_path, doc))
+        assert code == 1
+        assert json.loads(out)["violations"] == [{
+            "selection_rank": 3, "kind": "bad-vertex",
+            "detail": "vertices outside the shape: [VertexId(part=8, index=0)]",
+        }]
+        assert run(capsys, "verify", write_instance(tmp_path, floats)) == (code, out, "")
+
     @pytest.mark.parametrize(
         "fields", [("losers",), ("arcs",), ("arcs", "losers")], ids=["losers", "arcs", "both"]
     )
@@ -885,6 +916,7 @@ def fuzz_path(tmp_path_factory):
 @example(call=(["check"], UTF16, False))
 @example(call=(["check"], UTF16, True))
 @example(call=(["enumerate", "--n", "100", "--alpha", "3"], None, False))
+@example(call=(["verify"], b'{"k":2,"n":[40,40],"alpha":[20,20],"losers":[[1,1]]}', True))
 def test_every_call_ends_in_a_documented_exit_code(fuzz_path, call):
     """main returns 0-4 or argparse exits 2; any other exception fails."""
     argv, data, via_stdin = call

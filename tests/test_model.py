@@ -2,6 +2,7 @@ import math
 import re
 from collections import Counter
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,17 @@ class TestSelectionTable:
         with pytest.raises(CapacityError):
             selection_vertices(shape)
 
+    def test_constructor_over_the_cap(self):
+        # Deciding whether given arcs are canonical reads the table, so the
+        # constructor raises where from_losers, which keeps losers only, does not.
+        from hyperscores.model import MAX_SELECTIONS
+
+        shape = Shape((MAX_SELECTIONS + 1,), (1,))
+        for arcs in ([], [Arc((V(0, 0),))], [[V(0, 0)]]):
+            with pytest.raises(CapacityError):
+                Hypertournament(shape, arcs)
+        assert Hypertournament.from_losers(shape, [V(0, 0)]).losers == (V(0, 0),)
+
 
 @st.composite
 def loser_sequences(draw):
@@ -401,12 +413,25 @@ def _reference_losses(shape, arcs):
     return counts
 
 
+def _reference_eq(M, N):
+    """Equality as it was before the constructor chose what to keep: equal
+    shape, losers and arcs."""
+    return M.shape == N.shape and M.losers == N.losers and M.arcs == N.arcs
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(["reverse", "none", "extra"]), st.integers(0, 99)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=corrupted_loser_arrays())
-def test_loser_backed_model_agrees_with_explicit_arcs(case):
+@given(case=corrupted_loser_arrays(), edits=_EDITS)
+def test_loser_backed_model_agrees_with_explicit_arcs(case, edits):
     """A hypertournament kept as one loser per rank validates, counts its
     losses, has as many arcs and compares equal exactly as the explicit arcs
-    of the same losers do."""
+    of the same losers do. Given arcs, also edited (an arc reversed, missing
+    or repeated past the end), are kept as their losers alone exactly when
+    there are at most T of them and each is its selection with its loser
+    moved last; Arc objects and vertex lists give equal values, and equality
+    agrees with comparing shape, losers and arcs."""
     shape, first, second = case
     arrays = (first, second)
     by_losers = [Hypertournament.from_losers(shape, losers) for losers in arrays]
@@ -422,6 +447,25 @@ def test_loser_backed_model_agrees_with_explicit_arcs(case):
     assert (by_losers[0] == by_losers[1]) == same
     assert (by_losers[0] == by_arcs[1]) == same == (by_arcs[0] == by_losers[1])
     assert by_losers[0].arcs == _arcs_of_losers(shape, first)
+    given = []
+    for losers in arrays:
+        arcs = list(_arcs_of_losers(shape, losers))
+        for edit, at in edits:
+            if edit == "extra" or not arcs:
+                arcs.append(arcs[at % len(arcs)] if arcs else None)
+            elif arcs[at % len(arcs)] is not None:
+                order = arcs[at % len(arcs)].order
+                arcs[at % len(arcs)] = None if edit == "none" else Arc(order[::-1])
+        N = Hypertournament(shape, arcs)
+        assert N == Hypertournament(shape, [a and list(a.order) for a in arcs])
+        assert N.arcs == tuple(arcs)
+        canonical = len(arcs) <= shape.total_arcs() and N.arcs == _arcs_of_losers(shape, N.losers)
+        assert (N._orders is None) == canonical
+        assert (N == Hypertournament.from_losers(shape, N.losers)) == canonical
+        given.append(N)
+    for M in (*by_losers, *by_arcs, *given):
+        for N in (*by_losers, *by_arcs, *given):
+            assert (M == N) == _reference_eq(M, N)
 
 
 class TestArcsThrough:
@@ -487,6 +531,28 @@ class TestShapeConstants:
 
 
 class TestScores:
+    def test_scores_of_a_loser_backed_value_build_no_arc(self):
+        """score_map reads orders(), so no Arc is built or cached on M."""
+        shape = Shape((4, 3), (2, 1))
+        M = random_hypertournament(shape, seed=5)
+        reference = Counter(v for arc in Hypertournament.from_losers(shape, M.losers).arcs
+                            for v in arc.order[:-1])
+        with mock.patch("hyperscores.model.Arc", side_effect=AssertionError("an arc was built")):
+            by_vertex = score_map(M)
+            lists = scores(M)
+        assert by_vertex == {v: reference[v] for v in shape.vertices()}
+        assert lists == ScoreLists.from_map("score", shape, reference)
+        assert "arcs" not in vars(M)
+
+    def test_missing_arc(self):
+        m = example_m()
+        short = Hypertournament(m.shape, (None, *m.arcs[1:]))
+        assert list(short.orders()) == [None, *(arc.order for arc in m.arcs[1:])]
+        with pytest.raises(StructuralError, match="no arc stored for selection 0"):
+            score_map(short)
+        with pytest.raises(StructuralError):
+            losing_score_map(short)
+
     def test_losing_example(self):
         assert losing_scores(example_m()).lists == ((0, 2), (1, 1))
 
