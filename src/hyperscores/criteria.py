@@ -12,12 +12,17 @@ which is negative exactly where the bound fails:
 - score side: base_i(p) = pref_i(p) - p * arcs_through_i,
   g_i(p) = C(n_i - p, alpha_i), offset = T, the number of arcs.
 
-For a fixed head (p_1, ..., p_{k-1}) the slack is a + base_k(p) - g_k(p) * c
-with a and c fixed, so the smallest slack over the last coordinate is the lower
-envelope of the lines base_k(p) - g_k(p) * x at x = c. The envelope is built
-once per call and each head is decided by one binary search, so a check costs
-O(prod_{i<k} (n_i + 1) * log n_k) instead of one step per prefix tuple. All
-arithmetic is exact in integers.
+Split the parts into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
+For a fixed head the slack is a + b(t) - m(t) * c with a and c fixed, where
+b(t) sums the tail bases and m(t) multiplies the tail g's at the tail t, so
+the smallest slack over all tails is the lower envelope of the lines
+b(t) - m(t) * x at x = c. The envelope is built once per call over the L
+tails and each of the H heads is decided by one binary search. j is the least
+index with L <= H, or k - 1 when there is none (a meet in the middle), so a
+check costs O((H + L) * log L) with H * L = prod_i (n_i + 1) instead of one
+step per prefix tuple; on parts of similar size H and L are both near
+sqrt(prod_i (n_i + 1)). A tail never grows past MAX_SELECTIONS lines, which
+bounds its memory. All arithmetic is exact in integers.
 
 Everything but the lists' prefix sums depends only on the shape: the g rows
 (the score side reads each row C(p, alpha_i) reversed), the arcs through a
@@ -34,7 +39,7 @@ from itertools import accumulate, combinations_with_replacement
 from math import prod
 from typing import Sequence
 
-from .model import ScoreLists, Shape, conform_lists
+from .model import MAX_SELECTIONS, ScoreLists, Shape, conform_lists
 
 __all__ = [
     "CheckResult",
@@ -108,25 +113,40 @@ def _extend(heads, pairs):
 def _first_violation(offset, base, g):
     """Lexicographically smallest p with a negative slack, or None.
 
-    Heads are visited in lexicographic order and each is decided on the
-    envelope of the last coordinate; only the first violating head is scanned
-    along the last coordinate, for the least violating p_k.
+    The parts split into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
+    The tail starts as the last part and takes in the part before it while it
+    then has at most as many lines L as there are heads H, and at most
+    MAX_SELECTIONS, so j is the least such index, or k - 1 if there is none.
+    The tail's lines, intercept the summed tail bases and slope the product
+    of the tail g's, are made in lexicographic order and put on one envelope;
+    heads are visited in lexicographic order and each is decided by one
+    query. Only the first violating head is scanned along the tail, for the
+    least violating tail, and p is decoded by mixed radix.
     """
-    *head_base, last_base = base
-    *head_g, last_g = g
-    hull, steps = _lower_envelope(last_base, last_g)
+    tail_base, tail_g = base[-1], g[-1]
+    j = len(base) - 1
+    # H * L = prod_i (n_i + 1), so L <= H exactly when L * L is at most that.
+    while j > 1 and (
+        (lines := len(tail_base) * len(base[j - 1])) <= MAX_SELECTIONS
+        and lines * lines <= prod(map(len, base))
+    ):
+        j -= 1
+        tail_base = [b + t for b in base[j] for t in tail_base]
+        tail_g = [m * t for m in g[j] for t in tail_g]
+    hull, steps = _lower_envelope(tail_base, tail_g)
     heads = [(offset, 1)]
-    for b_i, g_i in zip(head_base, head_g):
+    for b_i, g_i in zip(base[:j], g[:j]):
         heads = _extend(heads, tuple(zip(b_i, g_i)))
     for index, (a, c) in enumerate(heads):
         b, m = hull[bisect_right(steps, c)]
         if a + b < m * c:
-            head = []
-            for b_i in reversed(head_base):
+            tail = next(t for t, (bt, gt) in enumerate(zip(tail_base, tail_g)) if a + bt < gt * c)
+            index = index * len(tail_base) + tail
+            p = []
+            for b_i in reversed(base):
                 index, p_i = divmod(index, len(b_i))
-                head.append(p_i)
-            p_k = next(p for p, (bp, gp) in enumerate(zip(last_base, last_g)) if a + bp < gp * c)
-            return (*reversed(head), p_k)
+                p.append(p_i)
+            return tuple(reversed(p))
     return None
 
 
@@ -246,7 +266,8 @@ def check_losing_lists(shape: Shape, R) -> CheckResult:
 
     Valid iff for every prefix tuple p, the summed prefixes of the lists are at
     least prod_i C(p_i, alpha_i), with equality at the full prefix. Costs
-    O(prod_{i<k} (n_i + 1) * log n_k) on the envelope of the last coordinate.
+    O((H + L) * log L): one envelope over the L tails and one query per head,
+    with H * L = prod_i (n_i + 1) (see the module docstring).
     """
     data = conform_lists(shape, R, "losing")
     return _check(shape, data, "losing")
@@ -258,7 +279,8 @@ def check_score_lists(shape: Shape, S) -> CheckResult:
     Valid iff for every prefix tuple p, the summed prefixes are at least
     sum_i p_i * C(n_i - 1, alpha_i - 1) * prod_{t != i} C(n_t, alpha_t)
     + prod_i C(n_i - p_i, alpha_i) - prod_i C(n_i, alpha_i),
-    with equality at the full prefix. Same cost as :func:`check_losing_lists`.
+    with equality at the full prefix. Same cost as :func:`check_losing_lists`,
+    O((H + L) * log L) over H heads and L tails.
     """
     data = conform_lists(shape, S, "score")
     return _check(shape, data, "score")

@@ -10,6 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -552,6 +557,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+def test_early_score_violation_on_many_parts_exits_1_in_bounded_memory(tmp_path):
+    # All-zero score lists of (3,)^40/(2,)^40 fail at (0, ..., 0, 2). The
+    # check's tail envelope stops short of MAX_SELECTIONS lines, so the
+    # command answers under a 1 GiB address-space limit; a tail of
+    # sqrt(4^40) = 2^40 lines would exhaust it.
+    doc = {"k": 40, "n": [3] * 40, "alpha": [2] * 40, "kind": "score", "lists": [[0] * 3] * 40}
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperscores", "check", write_instance(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    violation = json.loads(proc.stdout)["violation"]
+    assert violation == {"prefix": [0] * 39 + [2], "lhs": 0, "rhs": 3**39}
 
 
 def test_closed_stdout_exits_4_without_a_traceback():

@@ -1,9 +1,10 @@
 import math
+import random
 from collections import Counter
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from hyperscores import (
     CheckResult,
@@ -24,7 +25,8 @@ from hyperscores import (
     scores_to_losing,
     selection_vertices,
 )
-from hyperscores.model import conform_lists
+from hyperscores import criteria
+from hyperscores.model import MAX_SELECTIONS, conform_lists
 
 SMALL_SHAPES = [
     Shape((2, 2), (1, 1)),
@@ -261,8 +263,8 @@ def near_bound_lists(shape, kind, rng):
 
 @st.composite
 def check_cases(draw, max_tuples=3000, max_arcs=3000):
-    """Shape, kind and lists with k <= 4 and n_i <= 9, mostly near the bound."""
-    k = draw(st.integers(1, 4))
+    """Shape, kind and lists with k <= 5 and n_i <= 9, mostly near the bound."""
+    k = draw(st.integers(1, 5))
     n, alpha, tuples, arcs = [], [], 1, 1
     for _ in range(k):
         n_i = draw(st.integers(1, max(1, min(9, max_tuples // tuples - 1))))
@@ -293,3 +295,101 @@ class TestEnvelopeAgainstNaiveScan:
         shape, kind, lists = case
         fn = check_losing_lists if kind == "losing" else check_score_lists
         assert fn(shape, lists) == naive_check(shape, lists, kind)
+
+
+def split_of(shape, cap=MAX_SELECTIONS):
+    """The number j of head parts the check should pick: the least j >= 1
+    whose tail has at most as many lines as there are heads and at most cap
+    lines, else k - 1."""
+    sizes = [n_i + 1 for n_i in shape.n]
+    return next(
+        (
+            j
+            for j in range(1, shape.k)
+            if math.prod(sizes[j:]) <= min(math.prod(sizes[:j]), cap)
+        ),
+        shape.k - 1,
+    )
+
+
+# (shape, the split the check picks): every j from 1 to k - 1 for k = 2..5.
+SPLIT_SHAPES = [
+    (Shape((4, 3), (2, 1)), 1),
+    (Shape((8, 2, 1), (3, 1, 1)), 1),
+    (Shape((3, 3, 2), (2, 1, 1)), 2),
+    (Shape((11, 2, 1, 1), (2, 1, 1, 1)), 1),
+    (Shape((4, 3, 2, 2), (2, 2, 1, 1)), 2),
+    (Shape((2, 2, 4, 4), (1, 1, 2, 2)), 3),
+    (Shape((15, 1, 1, 1, 1), (2, 1, 1, 1, 1)), 1),
+    (Shape((4, 3, 1, 1, 1), (2, 2, 1, 1, 1)), 2),
+    (Shape((2, 2, 2, 2, 2), (1, 2, 1, 1, 1)), 3),
+    (Shape((1, 1, 2, 3, 3), (1, 1, 1, 2, 1)), 4),
+]
+
+
+def split_cases(shape, kind):
+    """Valid lists, the grand total one over, an early violation (each
+    list's first entry moved to its last) and near-bound lists."""
+    valid = losing_scores(random_hypertournament(shape, seed=sum(shape.n)))
+    if kind == "score":
+        valid = losing_to_scores(shape, valid)
+    valid = [list(lst) for lst in valid.lists]
+    plus = [list(lst) for lst in valid]
+    plus[-1][-1] += 1
+    early = [[0, *lst[1:-1], lst[-1] + lst[0]] if len(lst) > 1 else lst for lst in valid]
+    rng = random.Random(shape.k)
+    near = [near_bound_lists(shape, kind, rng) for _ in range(8)]
+    return [valid, plus, early, *near]
+
+
+class TestEverySplit:
+    @pytest.mark.parametrize("kind", ["losing", "score"])
+    @pytest.mark.parametrize(("shape", "j"), SPLIT_SHAPES, ids=lambda x: str(getattr(x, "n", x)))
+    def test_whole_result_equals_naive(self, shape, j, kind, monkeypatch):
+        assert split_of(shape) == j
+        tails, lower_envelope = [], criteria._lower_envelope
+
+        def envelope(base, g):
+            tails.append(len(base))
+            return lower_envelope(base, g)
+
+        monkeypatch.setattr(criteria, "_lower_envelope", envelope)
+        fn = check_losing_lists if kind == "losing" else check_score_lists
+        cases = split_cases(shape, kind)
+        for lists in cases:
+            assert fn(shape, lists) == naive_check(shape, lists, kind)
+        # One envelope per check, over the lines of the tail parts j..k-1.
+        assert tails == [math.prod(n_i + 1 for n_i in shape.n[j:])] * len(cases)
+
+    @pytest.mark.parametrize("kind", ["losing", "score"])
+    def test_tail_stops_at_the_line_cap(self, kind, monkeypatch):
+        # With a cap of 8 lines, tails of 9 or more lines are never built and
+        # the heads take the parts they would have held.
+        tails, lower_envelope = [], criteria._lower_envelope
+
+        def envelope(base, g):
+            tails.append(len(base))
+            return lower_envelope(base, g)
+
+        monkeypatch.setattr(criteria, "MAX_SELECTIONS", 8)
+        monkeypatch.setattr(criteria, "_lower_envelope", envelope)
+        fn = check_losing_lists if kind == "losing" else check_score_lists
+        moved = 0
+        for shape, j in SPLIT_SHAPES:
+            capped = split_of(shape, cap=8)
+            moved += capped != j
+            tails.clear()
+            cases = split_cases(shape, kind)
+            for lists in cases:
+                assert fn(shape, lists) == naive_check(shape, lists, kind)
+            assert tails == [math.prod(n_i + 1 for n_i in shape.n[capped:])] * len(cases)
+        assert moved > 0
+
+    def test_shapes_cover_every_split(self):
+        assert {(shape.k, j) for shape, j in SPLIT_SHAPES} == {
+            (k, j) for k in range(2, 6) for j in range(1, k)
+        }
+
+    def test_drawn_shapes_reach_a_tail_of_several_parts(self):
+        # find raises when no case check_cases draws has j < k - 1.
+        find(check_cases(), lambda case: split_of(case[0]) < case[0].k - 1)
