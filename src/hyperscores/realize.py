@@ -4,12 +4,13 @@ Both routes keep one loser per selection rank and meet the loss targets by one
 repair: phases of shortest interchange chains from the vertices over their
 targets to those under. ``realize_inductive`` runs two passes. Down, it shrinks
 one part at a time: the last entry of the active list is raised to the
-per-vertex arc count of its part by a logged sequence of list transformations
-(saturation), unless it is there already, and that vertex, which loses every
-arc through it, is dropped. Up, from the single arc left, each level gives the
-arcs through its vertex to that vertex, sets the targets back to its lists
-before saturation and repairs.
-A saturation step is decided at a handful of prefix tuples, not by a scan. It
+per-vertex arc count of its part in one pass of first-choice moves decided by
+one full check (saturation), unless it is there already, and that vertex, which
+loses every arc through it, is dropped. Up, from the single arc left, each level
+gives the arcs through its vertex to that vertex, sets the targets back to its
+lists before saturation and repairs.
+The stepwise greedy, behind :func:`saturate` and a level whose check rejects,
+decides each step at a handful of prefix tuples, not by a scan. A step
 lowers the slack by 1 on a box of prefixes, and with every other coordinate
 fixed the slack along one part is its prefix sums, linear on each run of equal
 entries, minus a multiple of the convex C(p, alpha_i): concave between run
@@ -223,6 +224,40 @@ def _saturate(shape: Shape, lists, active: int) -> TransformLog:
     return TransformLog(tuple(steps))
 
 
+def _first_choice_walk(lists, active: int, bound: int) -> bool:
+    """Apply, unchecked, the moves :meth:`_Saturation.step` commits when it
+    accepts its first candidate, until the active list's last entry reaches
+    ``bound``; False when no candidate is left."""
+    lst = lists[active]
+    donors = [donor for s, donor in enumerate(lists) if s != active]
+    while lst[-1] < bound:
+        if (donor := next((d for d in donors if d[-1] > 0), None)) is not None:
+            lst[bisect_right(lst, lst[0]) - 1] += 1
+            donor[bisect_left(donor, donor[-1])] -= 1
+        elif (t := next((t for t in _shift_sources(lst) if lst[t] > 0), None)) is not None:
+            lst[-1] += 1
+            lst[t] -= 1
+        else:
+            return False
+    return True
+
+
+def _saturate_level(shape: Shape, lists, active: int) -> list[tuple[VertexId, int]]:
+    """Saturate the active list in one pass, mutating ``lists``, and return
+    each moved entry's net change, before minus after. Only if one full check
+    rejects the walked lists, or no move is left, are the lists restored,
+    checked and saturated by the stepwise :func:`_saturate`."""
+    before = [list(lst) for lst in lists]
+    walked = _first_choice_walk(lists, active, shape.through[active])
+    if not (walked and check_losing_lists(shape, lists).valid):
+        lists[:] = [list(lst) for lst in before]
+        if not check_losing_lists(shape, lists).valid:
+            raise NoValidStepError(f"saturation needs valid lists, got {lists}")
+        _saturate(shape, lists, active)
+    return [(VertexId(i, j), b - a) for i, (old, new) in enumerate(zip(before, lists))
+            if old != new for j, (b, a) in enumerate(zip(old, new)) if b != a]
+
+
 def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
     """Raise part 1's final entry to the per-vertex arc count of part 1.
 
@@ -325,25 +360,23 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
     """One loser per selection rank whose losing lists are ``lists`` (mutated),
     which the caller has checked.
 
-    Down: per level, saturate the first part with slack if its last entry is
-    below its bound, then drop that part's last vertex, which loses every arc
-    through it. Up: each top rank goes to the level of the first-dropped vertex
-    it holds (the bottom's single arc if none); each level gives its ranks to
-    its vertex, takes its steps back out of ``need`` and repairs, all on one
+    Down: per level, saturate the first part with slack in one pass decided
+    by one full check, if its last entry is below its bound, then drop that
+    part's last vertex, which loses every arc through it. Up: each top rank
+    goes to the level of the first-dropped vertex it holds (the bottom's
+    single arc if none); each level gives its ranks to its vertex, adds its
+    net change back to ``need`` and repairs, all on one
     engine. A level's ranks are the top ranks on its vertices, in order, so no
     search changes.
     """
     sub, levels = shape, []
     for active in range(shape.k):
         while sub.n[active] > sub.alpha[active]:
-            steps = ()
+            change = []
             if lists[active][-1] < sub.through[active]:
-                # The caller checked the top level's lists; a lower level's are checked here.
-                if sub is not shape and not check_losing_lists(sub, lists).valid:
-                    raise NoValidStepError(f"saturation needs valid lists, got {lists}")
-                steps = _saturate(sub, lists, active).steps
+                change = _saturate_level(sub, lists, active)
             n_a = sub.n[active] - 1
-            levels.append((VertexId(active, n_a), steps))
+            levels.append((VertexId(active, n_a), change))
             lists[active].pop()
             sub = Shape(sub.n[:active] + (n_a,) + sub.n[active + 1 :], sub.alpha)
     # The single arc left is the last level: the unique unit entry marks its loser.
@@ -352,7 +385,7 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
         raise RealizationGapError(
             f"single-arc shape needs exactly one unit loss, got lists {lists}"
         )
-    levels.append((losers[0], ()))
+    levels.append((losers[0], []))
 
     sels = selection_vertices(shape)
     depth = {v: level for level, (v, _) in enumerate(levels)}
@@ -360,18 +393,15 @@ def _realize(shape: Shape, lists) -> list[VertexId]:
     for rank, sel in enumerate(sels):
         buckets[min([depth.get(v, len(levels) - 1) for v in sel])].append(rank)
     chains, need = _LoserChains(sels), dict.fromkeys(shape.vertices(), 0)
-    for (vertex, steps), ranks in zip(reversed(levels), reversed(buckets)):
+    for (vertex, change), ranks in zip(reversed(levels), reversed(buckets)):
         for rank in ranks:
             chains.give(rank, vertex)
-        for step in steps:
-            # Undone, the steps set the targets back to the lists before
-            # saturation: the incremented vertex loses one arc fewer.
-            need[step.incremented] -= 1
-            need[step.decremented] += 1
+        for v, x in change:  # the targets go back to the lists before saturation
+            need[v] += x
         try:
             chains.repair(need)
         except NoEligibleArcError as exc:
-            raise RealizationGapError(f"no interchange chain undoes the steps at {vertex}") from exc
+            raise RealizationGapError(f"no interchange chain undoes the level at {vertex}") from exc
     return chains.losers
 
 

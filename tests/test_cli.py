@@ -217,8 +217,8 @@ class TestRealizeVerify:
 
     def test_inductive_route_checks_the_input_lists_twice(self, capsys, monkeypatch):
         """cmd_realize and realize_inductive check the input lists once each;
-        saturating the top level checks them no more, lower levels once each."""
-        checked = []
+        each saturated level checks its saturated lists once, and no more."""
+        checked, levels = [], []
 
         def counting(check):
             def wrapper(shape, lists):
@@ -228,11 +228,16 @@ class TestRealizeVerify:
 
         for module in (cli, realize):
             monkeypatch.setattr(module, "check_losing_lists", counting(module.check_losing_lists))
+        saturate_level = realize._saturate_level
+        monkeypatch.setattr(
+            realize, "_saturate_level", lambda *a: levels.append(a[0]) or saturate_level(*a)
+        )
         code, _, _ = run(capsys, "realize", str(FIXTURES / "inst_3x2_21.json"))
         assert code == 0
         top = ((3, 2), [[0, 1, 2], [1, 2]])
         assert checked[:2] == [top, top]
         assert top not in checked[2:]
+        assert levels and len(checked) == 2 + len(levels)
 
     def test_invalid_instance_exits_1(self, tmp_path, capsys):
         code, out, _ = run(capsys, "realize", write_instance(tmp_path, INVALID))

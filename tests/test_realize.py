@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, count, product
 from math import comb
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperscores import (
     BudgetExceededError,
+    RealizationGapError,
     InfeasibleError,
     InvalidListsError,
     NoValidStepError,
@@ -28,7 +29,14 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.realize import _Saturation, _saturate
+from hyperscores import realize
+from hyperscores.realize import (
+    _first_choice_walk,
+    _realize,
+    _Saturation,
+    _saturate,
+    _saturate_level,
+)
 
 V = VertexId
 
@@ -351,6 +359,38 @@ def assert_saturation_matches_reference(shape, lists, tiers, every_candidate=Fal
             assert _saturate(shape, work, active).steps == expected
 
 
+def assert_level_matches_stepwise(shape, lists, active, tiers):
+    """The one-pass level saturation leaves the lists the stepwise greedy
+    leaves and returns the net change of its step log, before minus after;
+    ``tiers["fallback"]`` counts the levels that fell back to the greedy."""
+    stepwise = [list(lst) for lst in lists]
+    try:
+        log = _saturate(shape, stepwise, active)
+    except NoValidStepError:
+        log = None
+    one_pass = [list(lst) for lst in lists]
+
+    def counting(*args):
+        tiers["fallback"] += 1
+        return _saturate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize, "_saturate", counting)
+        if log is None:
+            with pytest.raises(NoValidStepError):
+                _saturate_level(shape, one_pass, active)
+            return
+        change = _saturate_level(shape, one_pass, active)
+    net = Counter()
+    for step in log.steps:
+        net[step.incremented] -= 1
+        net[step.decremented] += 1
+    assert one_pass == stepwise, (shape, lists, active)
+    assert len(dict(change)) == len(change)
+    assert dict(change) == {v: x for v, x in net.items() if x}, (shape, lists, active)
+    tiers["levels"] += 1
+
+
 @st.composite
 def valid_lists(draw, max_arcs=400):
     """Shape with k <= 4 and n_i <= 6, and valid losing lists near the bounds.
@@ -451,7 +491,8 @@ class TestSaturationBox:
         """Every achievable list tuple of 13 part-size tuples, each arity with
         at most 3 * 10^5 assignments, saturated at every part: the box route
         takes the full-check route's steps, and that route never needed a
-        donor position other than the canonical one."""
+        donor position other than the canonical one; the one-pass saturation
+        of each level leaves the same lists and never falls back."""
         sizes = [
             (3,), (4,), (5,), (6,), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
             (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
@@ -465,7 +506,97 @@ class TestSaturationBox:
                     continue
                 for lists in sorted(achievable_losing_lists(shape).lists):
                     assert_saturation_matches_reference(shape, lists, tiers)
+                    for active in range(shape.k):
+                        if lists[active][-1] < shape.through[active]:
+                            assert_level_matches_stepwise(shape, lists, active, tiers)
                     lists_seen += 1
         assert lists_seen == 2568
         assert tiers[1] > 0 and tiers[2] > 0
         assert tiers[3] == 0
+        assert tiers["levels"] == 5821
+        assert tiers["fallback"] == 0
+
+
+FALLBACK_SHAPES = [((4, 3), (2, 1)), ((6, 5), (2, 2)), ((3, 3, 3), (1, 1, 1)), ((7,), (2,))]
+
+
+def count_calls(monkeypatch, walk):
+    """Replace the walk by ``walk`` and wrap ``_saturate``; returns the lists
+    that record each call of either."""
+    walks, fallbacks = [], []
+
+    def walking(*args):
+        walks.append(args[1])
+        return walk(*args)
+
+    def stepwise(*args):
+        fallbacks.append(args[2])
+        return _saturate(*args)
+
+    monkeypatch.setattr(realize, "_first_choice_walk", walking)
+    monkeypatch.setattr(realize, "_saturate", stepwise)
+    return walks, fallbacks
+
+
+class TestOnePassLevel:
+    """A level is saturated by the greedy's first-choice moves, unchecked, and
+    decided by one full check; the stepwise greedy is only the fallback."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(valid_lists())
+    def test_one_pass_equals_the_stepwise_greedy(self, case):
+        shape, lists = case
+        tiers = Counter()
+        for active in range(shape.k):
+            if lists[active][-1] < shape.through[active]:
+                assert_level_matches_stepwise(shape, lists, active, tiers)
+
+    @pytest.mark.parametrize("n, alpha", FALLBACK_SHAPES)
+    def test_a_failed_walk_falls_back_to_the_same_witness(self, n, alpha, monkeypatch):
+        shape = Shape(n, alpha)
+        lists = losing_scores(random_hypertournament(shape, 1)).lists
+        expected = _realize(shape, [list(lst) for lst in lists])
+        walks, fallbacks = count_calls(monkeypatch, lambda lists, active, bound: False)
+        assert _realize(shape, [list(lst) for lst in lists]) == expected
+        assert len(fallbacks) == len(walks) > 0
+
+    @pytest.mark.parametrize("n, alpha", FALLBACK_SHAPES)
+    def test_a_rejected_check_falls_back_to_the_same_witness(self, n, alpha, monkeypatch):
+        shape = Shape(n, alpha)
+        lists = losing_scores(random_hypertournament(shape, 1)).lists
+        expected = _realize(shape, [list(lst) for lst in lists])
+        rejected = check_losing_lists(Shape((2, 2), (1, 1)), [[0, 2], [0, 2]])
+        calls = count()
+
+        def rejecting(shape, lists):
+            # Each level checks its walked lists (rejected here), then the
+            # restored lists before the fallback.
+            return rejected if next(calls) % 2 == 0 else check_losing_lists(shape, lists)
+
+        monkeypatch.setattr(realize, "check_losing_lists", rejecting)
+        walks, fallbacks = count_calls(monkeypatch, _first_choice_walk)
+        assert _realize(shape, [list(lst) for lst in lists]) == expected
+        assert len(fallbacks) == len(walks) > 0
+
+    @pytest.mark.parametrize(
+        "n, alpha, lists",
+        [
+            # The top level is saturated; the walk ends on a wrong total.
+            ((2, 2), (1, 1), [[0, 1], [0, 1]]),
+            # The top level is saturated already; the level below has no move.
+            ((3, 2), (1, 1), [[0, 0, 2], [0, 0]]),
+        ],
+    )
+    def test_invalid_lists_entering_a_level_raise(self, n, alpha, lists):
+        with pytest.raises(NoValidStepError, match="saturation needs valid lists"):
+            _realize(Shape(n, alpha), lists)
+
+    def test_a_lost_level_change_fails_the_final_verification(self, monkeypatch):
+        def forgetful(shape, lists, active):
+            _saturate_level(shape, lists, active)
+            return []
+
+        monkeypatch.setattr(realize, "_saturate_level", forgetful)
+        with pytest.raises(RealizationGapError, match="does not reproduce"):
+            realize_inductive(Shape((2, 2), (1, 1)), [[1, 1], [1, 1]])
+
