@@ -4,20 +4,20 @@ Both routes keep one loser per selection rank and meet the loss targets by one
 repair: phases of shortest interchange chains from the vertices over their
 targets to those under. ``realize_inductive`` runs two passes. Down, it shrinks
 one part at a time: the last entry of the active list is raised to the
-per-vertex arc count of its part in one pass of first-choice moves decided by
-one full check (saturation), unless it is there already, and that vertex, which
-loses every arc through it, is dropped. Up, from the single arc left, each level
-gives the arcs through its vertex to that vertex, sets the targets back to its
-lists before saturation and repairs.
-The stepwise greedy, behind :func:`saturate` and a level whose check rejects,
-decides each step at a handful of prefix tuples, not by a scan. A step
-lowers the slack by 1 on a box of prefixes, and with every other coordinate
-fixed the slack along one part is its prefix sums, linear on each run of equal
-entries, minus a multiple of the convex C(p, alpha_i): concave between run
-starts, so least at a box end or a run start inside the box. The parts the move
-leaves alone are minimized by one query on the lower envelope of their
-prefix-tuple lines, built once per level and rebuilt only after a step changes
-one of their lists.
+per-vertex arc count of its part in one pass of first-choice moves, unchecked
+(saturation), unless it is there already, and that vertex, which loses every
+arc through it, is dropped. Up, from the single arc left, each level gives the
+arcs through its vertex to that vertex, sets the targets back to its lists
+before saturation and repairs. The repairs are exact, so they decide every
+walk; if one fails, ``realize_flow``'s start realizes the input instead.
+The stepwise greedy behind :func:`saturate` decides each step at a handful of
+prefix tuples, not by a scan. A step lowers the slack by 1 on a box of
+prefixes, and with every other coordinate fixed the slack along one part is its
+prefix sums, linear on each run of equal entries, minus a multiple of the
+convex C(p, alpha_i): concave between run starts, so least at a box end or a
+run start inside the box. The parts the move leaves alone are minimized by one
+query on the lower envelope of their prefix-tuple lines, built once per level
+and rebuilt only after a step changes one of their lists.
 ``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
 that serves as an oracle for the first route.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
+from math import prod
 
 from .criteria import CheckResult, _extend, _lower_envelope, check_losing_lists
 from .model import (
@@ -227,7 +228,7 @@ def _saturate(shape: Shape, lists, active: int) -> TransformLog:
 def _first_choice_walk(lists, active: int, bound: int) -> bool:
     """Apply, unchecked, the moves :meth:`_Saturation.step` commits when it
     accepts its first candidate, until the active list's last entry reaches
-    ``bound``; False when no candidate is left."""
+    ``bound``; False when no candidate is left or the entry is past it."""
     lst = lists[active]
     donors = [donor for s, donor in enumerate(lists) if s != active]
     while lst[-1] < bound:
@@ -239,21 +240,16 @@ def _first_choice_walk(lists, active: int, bound: int) -> bool:
             lst[t] -= 1
         else:
             return False
-    return True
+    return lst[-1] == bound
 
 
-def _saturate_level(shape: Shape, lists, active: int) -> list[tuple[VertexId, int]]:
-    """Saturate the active list in one pass, mutating ``lists``, and return
-    each moved entry's net change, before minus after. Only if one full check
-    rejects the walked lists, or no move is left, are the lists restored,
-    checked and saturated by the stepwise :func:`_saturate`."""
+def _saturate_level(shape: Shape, lists, active: int) -> list[tuple[VertexId, int]] | None:
+    """Saturate the active list in one pass of first-choice moves, unchecked,
+    mutating ``lists``, and return each moved entry's net change, before minus
+    after; None when no move is left or its last entry is past the bound."""
     before = [list(lst) for lst in lists]
-    walked = _first_choice_walk(lists, active, shape.through[active])
-    if not (walked and check_losing_lists(shape, lists).valid):
-        lists[:] = [list(lst) for lst in before]
-        if not check_losing_lists(shape, lists).valid:
-            raise NoValidStepError(f"saturation needs valid lists, got {lists}")
-        _saturate(shape, lists, active)
+    if not _first_choice_walk(lists, active, shape.through[active]):
+        return None
     return [(VertexId(i, j), b - a) for i, (old, new) in enumerate(zip(before, lists))
             if old != new for j, (b, a) in enumerate(zip(old, new)) if b != a]
 
@@ -349,60 +345,88 @@ class _LoserChains:
                     path.append((rank, w))
                     if d == depth:  # w is under its target: interchange along the chain
                         for rank, w in path[1:]:
-                            lost[losers[rank]].remove(rank)
+                            held = lost[losers[rank]]
+                            del held[bisect_left(held, rank)]
                             losers[rank] = w
                             insort(lost.setdefault(w, []), rank)
                         need[s], need[w] = need[s] + 1, need[w] - 1
                         path = [(None, s)]
 
 
-def _realize(shape: Shape, lists) -> list[VertexId]:
-    """One loser per selection rank whose losing lists are ``lists`` (mutated),
-    which the caller has checked.
+def _level_ranks(shape: Shape, part: int, m: int) -> list[int]:
+    """The top ranks whose first-dropped vertex is (part, m), ascending: ranks
+    are mixed-radix with part 1 fastest, so ``part`` holds the first non-zero
+    digit, and the colex digits of the subsets with largest vertex m are
+    [C(m, alpha), C(m+1, alpha))."""
+    g = shape.binomial_rows[part]
+    stride = prod(row[-1] for row in shape.binomial_rows[:part])
+    digits = range(g[m] * stride, g[m + 1] * stride, stride)
+    return [q + d for q in range(0, shape.total_arcs(), stride * g[-1]) for d in digits]
 
-    Down: per level, saturate the first part with slack in one pass decided
-    by one full check, if its last entry is below its bound, then drop that
-    part's last vertex, which loses every arc through it. Up: each top rank
-    goes to the level of the first-dropped vertex it holds (the bottom's
-    single arc if none); each level gives its ranks to its vertex, adds its
-    net change back to ``need`` and repairs, all on one
-    engine. A level's ranks are the top ranks on its vertices, in order, so no
-    search changes.
-    """
+
+def _inductive_losers(shape: Shape, lists) -> list[VertexId] | None:
+    """The two passes on ``lists`` (mutated); None when a walk has no move, the
+    single arc left has no unit loser or a repair finds no chain."""
     sub, levels = shape, []
     for active in range(shape.k):
         while sub.n[active] > sub.alpha[active]:
-            change = []
-            if lists[active][-1] < sub.through[active]:
-                change = _saturate_level(sub, lists, active)
+            change = _saturate_level(sub, lists, active)
+            if change is None:
+                return None
             n_a = sub.n[active] - 1
             levels.append((VertexId(active, n_a), change))
             lists[active].pop()
             sub = Shape(sub.n[:active] + (n_a,) + sub.n[active + 1 :], sub.alpha)
-    # The single arc left is the last level: the unique unit entry marks its loser.
-    losers = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
-    if len(losers) != 1:
-        raise RealizationGapError(
-            f"single-arc shape needs exactly one unit loss, got lists {lists}"
-        )
-    levels.append((losers[0], []))
-
-    sels = selection_vertices(shape)
-    depth = {v: level for level, (v, _) in enumerate(levels)}
-    buckets: list[list[int]] = [[] for _ in levels]
-    for rank, sel in enumerate(sels):
-        buckets[min([depth.get(v, len(levels) - 1) for v in sel])].append(rank)
-    chains, need = _LoserChains(sels), dict.fromkeys(shape.vertices(), 0)
-    for (vertex, change), ranks in zip(reversed(levels), reversed(buckets)):
+    # The single arc left, at rank 0, goes to the vertex of the unit entry.
+    bottom = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
+    if len(bottom) != 1:
+        return None
+    chains, need = _LoserChains(selection_vertices(shape)), dict.fromkeys(shape.vertices(), 0)
+    chains.give(0, bottom[0])
+    for vertex, change in reversed(levels):
+        # The level's vertex has lost nothing yet, so its ranks are its lost list.
+        ranks = chains.lost[vertex] = _level_ranks(shape, *vertex)
         for rank in ranks:
-            chains.give(rank, vertex)
+            chains.losers[rank] = vertex
         for v, x in change:  # the targets go back to the lists before saturation
             need[v] += x
         try:
             chains.repair(need)
-        except NoEligibleArcError as exc:
-            raise RealizationGapError(f"no interchange chain undoes the level at {vertex}") from exc
+        except NoEligibleArcError:
+            return None
     return chains.losers
+
+
+def _flow_losers(shape: Shape, data) -> list[VertexId]:
+    """``realize_flow``'s losers for ``data``, whose grand total is T."""
+    need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
+    chains = _LoserChains(selection_vertices(shape))
+    for rank, sel in enumerate(chains.sels):
+        loser = max(sel, key=need.__getitem__)
+        need[loser] -= 1
+        chains.give(rank, loser)
+    chains.repair(need)
+    return chains.losers
+
+
+def _realize(shape: Shape, data) -> list[VertexId]:
+    """One loser per selection rank whose losing lists are ``data``, which the
+    caller has checked.
+
+    Down: per level, saturate the first part with slack in one unchecked pass,
+    then drop that part's last vertex, which loses every arc through it. Up,
+    on one engine, each level gives the ranks whose first-dropped vertex is
+    its own to that vertex, adds its net change back to ``need`` and repairs:
+    an exact b-matching for the lists the walk of the level above left, so it
+    finds no chain exactly when that walk broke a bound. If a walk has no
+    move, the bottom has no unit loser or a repair fails, the engine goes and
+    ``realize_flow``'s start realizes ``data``, exact as ``data`` is valid.
+    """
+    losers = _inductive_losers(shape, [list(lst) for lst in data])
+    try:
+        return losers or _flow_losers(shape, data)
+    except NoEligibleArcError as exc:
+        raise RealizationGapError(f"lists are not realizable: {exc}") from exc
 
 
 def realize_inductive(shape: Shape, R) -> Hypertournament:
@@ -418,7 +442,7 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
-    M = Hypertournament.from_losers(shape, _realize(shape, [list(lst) for lst in data]))
+    M = Hypertournament.from_losers(shape, _realize(shape, data))
     targets = {VertexId(i, j): x for i, lst in enumerate(data) for j, x in enumerate(lst)}
     if losing_score_map(M) != targets:
         raise RealizationGapError("constructed witness does not reproduce the input lists")
@@ -445,17 +469,8 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
-    need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
-    sels = selection_vertices(shape)
-    chains = _LoserChains(sels)
-    for rank, sel in enumerate(sels):
-        loser = max(sel, key=need.__getitem__)
-        need[loser] -= 1
-        chains.give(rank, loser)
     try:
-        chains.repair(need)
+        losers = _flow_losers(shape, data)
     except NoEligibleArcError as exc:
         raise InfeasibleError(f"lists are not realizable: {exc}") from exc
-    losers = chains.losers
-    del chains  # its lost-rank lists go before the losers are copied
     return Hypertournament.from_losers(shape, losers)

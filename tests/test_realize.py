@@ -30,8 +30,10 @@ from hyperscores import (
     validate,
 )
 from hyperscores import realize
+from hyperscores.model import NoEligibleArcError
 from hyperscores.realize import (
     _first_choice_walk,
+    _level_ranks,
     _realize,
     _Saturation,
     _saturate,
@@ -171,6 +173,27 @@ class TestInductivePasses:
         selection_vertices.cache_clear()
         realize_inductive(shape, lists)
         assert selection_vertices.cache_info().misses == 1
+
+    def test_level_ranks_are_the_per_selection_minimum(self):
+        """On every shape with k <= 3 and n_i <= 5, the ranks of each dropped
+        vertex's level by rank arithmetic are the top ranks whose least level
+        over their vertices, in drop order (the single arc left last), is that
+        vertex's; the single arc left is rank 0."""
+        sizes = [(n_i, a_i) for n_i in range(1, 6) for a_i in range(1, n_i + 1)]
+        shapes = 0
+        for k in (1, 2, 3):
+            for parts in product(sizes, repeat=k):
+                shape = Shape(*map(tuple, zip(*parts)))
+                dropped = [V(i, m) for i in range(k)
+                           for m in range(shape.n[i] - 1, shape.alpha[i] - 1, -1)]
+                depth = {v: level for level, v in enumerate(dropped)}
+                buckets = [[] for _ in range(len(dropped) + 1)]
+                for rank, sel in enumerate(selection_vertices(shape)):
+                    buckets[min(depth.get(v, len(dropped)) for v in sel)].append(rank)
+                assert [_level_ranks(shape, *v) for v in dropped] == buckets[:-1], shape
+                assert buckets[-1] == [0]
+                shapes += 1
+        assert shapes == 3615
 
 
 class TestRealizeFlow:
@@ -360,27 +383,19 @@ def assert_saturation_matches_reference(shape, lists, tiers, every_candidate=Fal
 
 
 def assert_level_matches_stepwise(shape, lists, active, tiers):
-    """The one-pass level saturation leaves the lists the stepwise greedy
-    leaves and returns the net change of its step log, before minus after;
-    ``tiers["fallback"]`` counts the levels that fell back to the greedy."""
+    """The one-pass level saturation leaves lists that pass the check, the
+    lists the stepwise greedy leaves, and returns the net change of its step
+    log, before minus after; ``tiers["levels"]`` counts the levels and
+    ``tiers["stuck"]`` the ones the stepwise greedy cannot saturate."""
     stepwise = [list(lst) for lst in lists]
     try:
         log = _saturate(shape, stepwise, active)
     except NoValidStepError:
-        log = None
+        tiers["stuck"] += 1
+        return
     one_pass = [list(lst) for lst in lists]
-
-    def counting(*args):
-        tiers["fallback"] += 1
-        return _saturate(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(realize, "_saturate", counting)
-        if log is None:
-            with pytest.raises(NoValidStepError):
-                _saturate_level(shape, one_pass, active)
-            return
-        change = _saturate_level(shape, one_pass, active)
+    change = _saturate_level(shape, one_pass, active)
+    assert check_losing_lists(shape, one_pass).valid, (shape, lists, active)
     net = Counter()
     for step in log.steps:
         net[step.incremented] -= 1
@@ -492,7 +507,7 @@ class TestSaturationBox:
         at most 3 * 10^5 assignments, saturated at every part: the box route
         takes the full-check route's steps, and that route never needed a
         donor position other than the canonical one; the one-pass saturation
-        of each level leaves the same lists and never falls back."""
+        of each level leaves the same lists, and they pass the check."""
         sizes = [
             (3,), (4,), (5,), (6,), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
             (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
@@ -514,33 +529,51 @@ class TestSaturationBox:
         assert tiers[1] > 0 and tiers[2] > 0
         assert tiers[3] == 0
         assert tiers["levels"] == 5821
-        assert tiers["fallback"] == 0
+        assert tiers["stuck"] == 0
 
 
 FALLBACK_SHAPES = [((4, 3), (2, 1)), ((6, 5), (2, 2)), ((3, 3, 3), (1, 1, 1)), ((7,), (2,))]
 
 
-def count_calls(monkeypatch, walk):
-    """Replace the walk by ``walk`` and wrap ``_saturate``; returns the lists
-    that record each call of either."""
-    walks, fallbacks = [], []
+def break_a_bound(shape, lists, active):
+    """Move units from the first non-zero entry into the last entry of the
+    first other list (the active list's second last when there is none) until
+    the walked ``lists`` fail the check, and then store them in place; they
+    stay sorted and keep their total and the active list's last entry. False,
+    with ``lists`` unchanged, when the moves run out first."""
+    sub, work = Shape(tuple(map(len, lists)), shape.alpha), [list(lst) for lst in lists]
+    last = (active, len(work[active]) - 1)
+    into = next(((i, len(lst) - 1) for i, lst in enumerate(work) if i != active),
+                (active, last[1] - 1))
+    while check_losing_lists(sub, work).valid:
+        source = next(((i, j) for i, lst in enumerate(work) for j, x in enumerate(lst)
+                       if x and (i, j) not in (into, last)), None)
+        if source is None or into[0] == active and work[active][into[1]] == work[active][-1]:
+            return False
+        work[source[0]][source[1]] -= 1
+        work[into[0]][into[1]] += 1
+    lists[:] = work
+    return True
 
-    def walking(*args):
-        walks.append(args[1])
-        return walk(*args)
 
-    def stepwise(*args):
-        fallbacks.append(args[2])
-        return _saturate(*args)
-
-    monkeypatch.setattr(realize, "_first_choice_walk", walking)
-    monkeypatch.setattr(realize, "_saturate", stepwise)
-    return walks, fallbacks
+def assert_falls_back_to_flow(shape, lists, patch):
+    """With ``patch`` applied, ``_realize`` falls back exactly once and returns
+    ``realize_flow``'s witness, which validates and reproduces ``lists``."""
+    expected = realize_flow(shape, lists)
+    assert validate(expected) == [] and losing_scores(expected).lists == lists
+    fallbacks = []
+    flow_losers = realize._flow_losers
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        mp.setattr(realize, "_flow_losers", lambda *a: fallbacks.append(a) or flow_losers(*a))
+        assert _realize(shape, lists) == list(expected.losers)
+    assert len(fallbacks) == 1
 
 
 class TestOnePassLevel:
-    """A level is saturated by the greedy's first-choice moves, unchecked, and
-    decided by one full check; the stepwise greedy is only the fallback."""
+    """A level is saturated by the greedy's first-choice moves, unchecked; the
+    up pass's repairs decide every walked level, and the flow route on the
+    input lists is the only fallback."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(valid_lists())
@@ -550,33 +583,52 @@ class TestOnePassLevel:
         for active in range(shape.k):
             if lists[active][-1] < shape.through[active]:
                 assert_level_matches_stepwise(shape, lists, active, tiers)
+        assert tiers["stuck"] == 0
 
     @pytest.mark.parametrize("n, alpha", FALLBACK_SHAPES)
-    def test_a_failed_walk_falls_back_to_the_same_witness(self, n, alpha, monkeypatch):
+    def test_a_failed_walk_falls_back_to_the_same_witness(self, n, alpha):
+        """A walk with no move left, or one that breaks a bound, at the first
+        level that can be broken, yields realize_flow's witness."""
         shape = Shape(n, alpha)
         lists = losing_scores(random_hypertournament(shape, 1)).lists
-        expected = _realize(shape, [list(lst) for lst in lists])
-        walks, fallbacks = count_calls(monkeypatch, lambda lists, active, bound: False)
-        assert _realize(shape, [list(lst) for lst in lists]) == expected
-        assert len(fallbacks) == len(walks) > 0
+        for fail in ("stuck", "broken"):
+            failed = []
+
+            def walk(lists, active, bound):
+                walked = _first_choice_walk(lists, active, bound)
+                if failed:
+                    return walked
+                if fail == "stuck":
+                    failed.append(active)
+                    return False
+                if break_a_bound(shape, lists, active):
+                    failed.append(active)
+                return walked
+
+            assert_falls_back_to_flow(
+                shape, lists, lambda mp: mp.setattr(realize, "_first_choice_walk", walk)
+            )
+            assert len(failed) == 1, fail
 
     @pytest.mark.parametrize("n, alpha", FALLBACK_SHAPES)
-    def test_a_rejected_check_falls_back_to_the_same_witness(self, n, alpha, monkeypatch):
+    def test_a_rejected_check_falls_back_to_the_same_witness(self, n, alpha):
+        """The up pass's repairs are the check of the walked levels: a repair
+        that finds no chain at the chosen level yields realize_flow's witness."""
         shape = Shape(n, alpha)
         lists = losing_scores(random_hypertournament(shape, 1)).lists
-        expected = _realize(shape, [list(lst) for lst in lists])
-        rejected = check_losing_lists(Shape((2, 2), (1, 1)), [[0, 2], [0, 2]])
-        calls = count()
+        repair = realize._LoserChains.repair
+        for level in (0, sum(n) - sum(alpha) - 1):  # the bottom and the top level's repair
+            calls = count()
 
-        def rejecting(shape, lists):
-            # Each level checks its walked lists (rejected here), then the
-            # restored lists before the fallback.
-            return rejected if next(calls) % 2 == 0 else check_losing_lists(shape, lists)
+            def rejecting(chains, need):
+                if next(calls) == level:
+                    raise NoEligibleArcError("rejected")
+                return repair(chains, need)
 
-        monkeypatch.setattr(realize, "check_losing_lists", rejecting)
-        walks, fallbacks = count_calls(monkeypatch, _first_choice_walk)
-        assert _realize(shape, [list(lst) for lst in lists]) == expected
-        assert len(fallbacks) == len(walks) > 0
+            assert_falls_back_to_flow(
+                shape, lists, lambda mp: mp.setattr(realize._LoserChains, "repair", rejecting)
+            )
+            assert next(calls) == level + 2  # the failing repair and the flow's
 
     @pytest.mark.parametrize(
         "n, alpha, lists",
@@ -588,7 +640,7 @@ class TestOnePassLevel:
         ],
     )
     def test_invalid_lists_entering_a_level_raise(self, n, alpha, lists):
-        with pytest.raises(NoValidStepError, match="saturation needs valid lists"):
+        with pytest.raises(RealizationGapError, match="not realizable"):
             _realize(Shape(n, alpha), lists)
 
     def test_a_lost_level_change_fails_the_final_verification(self, monkeypatch):
