@@ -3,21 +3,17 @@
 Both routes keep one loser per selection rank and meet the loss targets by one
 repair: phases of shortest interchange chains from the vertices over their
 targets to those under. ``realize_inductive`` runs two passes. Down, it shrinks
-one part at a time: the last entry of the active list is raised to the
-per-vertex arc count of its part in one pass of first-choice moves, unchecked
-(saturation), unless it is there already, and that vertex, which loses every
-arc through it, is dropped. Up, from the single arc left, each level gives the
-arcs through its vertex to that vertex, sets the targets back to its lists
-before saturation and repairs. The repairs are exact, so they decide every
-walk; if one fails, ``realize_flow``'s start realizes the input instead.
+one part at a time: the other lists drain from the top into the active list,
+filled from the bottom, then its own entries into its last, until that entry
+is the per-vertex arc count of its part (saturation, unchecked), and that
+vertex, which loses every arc through it, is dropped. Up, from the single arc
+left, each level gives the arcs through its vertex to that vertex, sets the
+targets of the entries it moved back and repairs from those. The repairs are
+exact, so they decide every walk; if one fails, ``realize_flow``'s start
+realizes the input instead.
 The stepwise greedy behind :func:`saturate` decides each step at a handful of
-prefix tuples, not by a scan. A step lowers the slack by 1 on a box of
-prefixes, and with every other coordinate fixed the slack along one part is its
-prefix sums, linear on each run of equal entries, minus a multiple of the
-convex C(p, alpha_i): concave between run starts, so least at a box end or a
-run start inside the box. The parts the move leaves alone are minimized by one
-query on the lower envelope of their prefix-tuple lines, built once per level
-and rebuilt only after a step changes one of their lists.
+prefix tuples, not by a scan (:meth:`_Saturation.keeps_bounds`), against the
+lower envelope of the other parts' prefix-tuple lines.
 ``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
 that serves as an oracle for the first route.
 """
@@ -26,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
 
 from .criteria import CheckResult, _extend, _lower_envelope, check_losing_lists
@@ -225,33 +221,50 @@ def _saturate(shape: Shape, lists, active: int) -> TransformLog:
     return TransformLog(tuple(steps))
 
 
-def _first_choice_walk(lists, active: int, bound: int) -> bool:
-    """Apply, unchecked, the moves :meth:`_Saturation.step` commits when it
-    accepts its first candidate, until the active list's last entry reaches
-    ``bound``; False when no candidate is left or the entry is past it."""
-    lst = lists[active]
-    donors = [donor for s, donor in enumerate(lists) if s != active]
-    while lst[-1] < bound:
-        if (donor := next((d for d in donors if d[-1] > 0), None)) is not None:
-            lst[bisect_right(lst, lst[0]) - 1] += 1
-            donor[bisect_left(donor, donor[-1])] -= 1
-        elif (t := next((t for t in _shift_sources(lst) if lst[t] > 0), None)) is not None:
-            lst[-1] += 1
-            lst[t] -= 1
-        else:
-            return False
-    return lst[-1] == bound
+def _spread(lst, lo: int, hi: int, total: int, part: int, before: dict) -> None:
+    """Spread ``total`` evenly, the higher entries rightmost, over the sorted
+    lst[lo:hi], recording each changed entry's first value in ``before``."""
+    q, r = divmod(total, hi - lo)
+    for a, b, x in ((lo, hi - r, q), (hi - r, hi, q + 1)):
+        for i in chain(range(a, bisect_left(lst, x, a, b)), range(bisect_right(lst, x, a, b), b)):
+            before.setdefault((part, i), lst[i])
+            lst[i] = x
 
 
-def _saturate_level(shape: Shape, lists, active: int) -> list[tuple[VertexId, int]] | None:
-    """Saturate the active list in one pass of first-choice moves, unchecked,
-    mutating ``lists``, and return each moved entry's net change, before minus
-    after; None when no move is left or its last entry is past the bound."""
-    before = [list(lst) for lst in lists]
-    if not _first_choice_walk(lists, active, shape.through[active]):
-        return None
-    return [(VertexId(i, j), b - a) for i, (old, new) in enumerate(zip(before, lists))
-            if old != new for j, (b, a) in enumerate(zip(old, new)) if b != a]
+def _drain(lst, stop: int, units: int, part: int, before: dict) -> int:
+    """Lower lst[:stop] by ``units``, top run first; return the shortfall."""
+    j, held = stop, 0
+    while j and (x := lst[j - 1]) and held - (stop - j) * x < units:
+        i = bisect_left(lst, x, 0, j)
+        j, held = i, held + x * (j - i)
+    if j < stop:
+        _spread(lst, j, stop, max(held - units, 0), part, before)
+    return max(units - held, 0)
+
+
+def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | None:
+    """Apply to ``lists``, in closed form, the moves :meth:`_Saturation.step`
+    commits on its first candidates until the active list's last entry is
+    ``bound``; each moved entry's net change, before minus after, or None when
+    the lists run short or that entry is past the bound."""
+    lst, before = lists[active], {}
+    if lst[-1] >= bound:
+        return [] if lst[-1] == bound else None
+    short = units = (len(lst) - 1) * (bound - 1) + bound - sum(lst)
+    for s, donor in enumerate(lists):
+        if s != active and short:
+            short = _drain(donor, len(donor), short, s, before)
+    j = held = 0
+    while j < len(lst) and j * (x := lst[j]) - held < units - short:
+        i = bisect_right(lst, x, j)
+        j, held = i, held + x * (i - j)
+    if j:  # the donors' units lift the bottom block to an even level
+        _spread(lst, 0, j, held + units - short, active, before)
+    if short:  # the shift: lst[:-1] gives the last entry the rest
+        short = _drain(lst, len(lst) - 1, bound - lst[-1], active, before)
+        _spread(lst, len(lst) - 1, len(lst), bound - short, active, before)
+    return None if short else [(VertexId(p, i), x - y) for (p, i), x in before.items()
+                               if x != (y := lists[p][i])]
 
 
 def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
@@ -296,11 +309,12 @@ class _LoserChains:
         self.losers[rank] = loser
         insort(self.lost.setdefault(loser, []), rank)
 
-    def repair(self, need: dict[VertexId, int]) -> None:
+    def repair(self, need: dict[VertexId, int], over: list[VertexId]) -> None:
         """Move losses by interchange chains until no ``need`` is negative.
 
         ``need[v]`` is how many more arcs v should lose (0 when absent) and is
-        kept current. A chain u0, ..., um, where u_(i-1) loses an arc holding
+        kept current; ``over`` lists, in ``need``'s order, every v whose need
+        is negative. A chain u0, ..., um, where u_(i-1) loses an arc holding
         u_i, makes each u_i that arc's loser: only u0 and um change counts.
         The first phase is a one-hop sweep. Each later one layers the vertices
         from all over-target ones up to the first layer that holds an
@@ -311,7 +325,7 @@ class _LoserChains:
         :class:`NoEligibleArcError` when a layering reaches no under-target vertex.
         """
         sels, losers, lost = self.sels, self.losers, self.lost
-        over, swept = [v for v, x in need.items() if x < 0], False
+        swept = False
         while over := [v for v in over if need[v] < 0]:
             dist, layer, depth = dict.fromkeys(over, 0), over, 1
             while swept:  # layers up to the first that holds an under-target vertex
@@ -367,16 +381,15 @@ def _level_ranks(shape: Shape, part: int, m: int) -> list[int]:
 def _inductive_losers(shape: Shape, lists) -> list[VertexId] | None:
     """The two passes on ``lists`` (mutated); None when a walk has no move, the
     single arc left has no unit loser or a repair finds no chain."""
-    sub, levels = shape, []
-    for active in range(shape.k):
-        while sub.n[active] > sub.alpha[active]:
-            change = _saturate_level(sub, lists, active)
+    arcs, levels = shape.total_arcs(), []
+    for active, (n_a, a) in enumerate(zip(shape.n, shape.alpha)):
+        for m in range(n_a - 1, a - 1, -1):  # the sub-shape has m + 1 vertices in part active
+            change = _walk_level(lists, active, arcs * a // (m + 1))
             if change is None:
                 return None
-            n_a = sub.n[active] - 1
-            levels.append((VertexId(active, n_a), change))
+            levels.append((VertexId(active, m), change))
             lists[active].pop()
-            sub = Shape(sub.n[:active] + (n_a,) + sub.n[active + 1 :], sub.alpha)
+            arcs = arcs * (m + 1 - a) // (m + 1)
     # The single arc left, at rank 0, goes to the vertex of the unit entry.
     bottom = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
@@ -391,7 +404,7 @@ def _inductive_losers(shape: Shape, lists) -> list[VertexId] | None:
         for v, x in change:  # the targets go back to the lists before saturation
             need[v] += x
         try:
-            chains.repair(need)
+            chains.repair(need, sorted(v for v, x in change if need[v] < 0))
         except NoEligibleArcError:
             return None
     return chains.losers
@@ -405,7 +418,7 @@ def _flow_losers(shape: Shape, data) -> list[VertexId]:
         loser = max(sel, key=need.__getitem__)
         need[loser] -= 1
         chains.give(rank, loser)
-    chains.repair(need)
+    chains.repair(need, [v for v, x in need.items() if x < 0])
     return chains.losers
 
 
@@ -413,13 +426,15 @@ def _realize(shape: Shape, data) -> list[VertexId]:
     """One loser per selection rank whose losing lists are ``data``, which the
     caller has checked.
 
-    Down: per level, saturate the first part with slack in one unchecked pass,
-    then drop that part's last vertex, which loses every arc through it. Up,
-    on one engine, each level gives the ranks whose first-dropped vertex is
-    its own to that vertex, adds its net change back to ``need`` and repairs:
-    an exact b-matching for the lists the walk of the level above left, so it
-    finds no chain exactly when that walk broke a bound. If a walk has no
-    move, the bottom has no unit loser or a repair fails, the engine goes and
+    Down: per level, saturate the first part with slack, unchecked: drain the
+    other lists from the top, in part order, into it from the bottom, then its
+    own entries into its last; drop its last vertex, which loses every arc
+    through it. Up, on one engine, each level gives the ranks whose
+    first-dropped vertex is its own to that vertex, adds the net change of the
+    entries its walk moved back to ``need`` and repairs from those: an exact
+    b-matching for the lists the walk of the level above left, so it finds no
+    chain exactly when that walk broke a bound. If a walk runs short, the
+    bottom has no unit loser or a repair fails, the engine goes and
     ``realize_flow``'s start realizes ``data``, exact as ``data`` is valid.
     """
     losers = _inductive_losers(shape, [list(lst) for lst in data])

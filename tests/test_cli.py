@@ -228,9 +228,9 @@ class TestRealizeVerify:
 
         for module in (cli, realize):
             monkeypatch.setattr(module, "check_losing_lists", counting(module.check_losing_lists))
-        saturate_level = realize._saturate_level
+        walk_level = realize._walk_level
         monkeypatch.setattr(
-            realize, "_saturate_level", lambda *a: levels.append(a[0]) or saturate_level(*a)
+            realize, "_walk_level", lambda *a: levels.append(a[1:]) or walk_level(*a)
         )
         code, _, _ = run(capsys, "realize", str(FIXTURES / "inst_3x2_21.json"))
         assert code == 0

@@ -67,6 +67,11 @@ def reference_repair(chains: _LoserChains, need: dict) -> None:
             need[w] -= 1
 
 
+def over(need: dict) -> list:
+    """The vertices over their targets, in ``need``'s order, as repair takes them."""
+    return [v for v, x in need.items() if x < 0]
+
+
 @st.composite
 def small_shapes(draw):
     k = draw(st.integers(1, 3))
@@ -123,7 +128,7 @@ def test_move_loss_matches_reference(shape, seeds, modes):
     reference_repair(reference, dict(need))
     assert _losses(shape, reference.losers) == targets
     chains = _LoserChains(sels, start)
-    chains.repair(need)
+    chains.repair(need, over(need))
     assert set(need.values()) <= {0}
     assert _losses(shape, chains.losers) == targets
     _assert_exact(chains, sels)
@@ -146,7 +151,7 @@ def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, dat
     chains = _LoserChains(sels, start)
     if valid:
         reference_repair(reference, dict(need))
-        chains.repair(need)
+        chains.repair(need, over(need))
         assert set(need.values()) <= {0}
         assert losing_scores(Hypertournament.from_losers(shape, chains.losers)).lists == moved
         _assert_exact(chains, sels)
@@ -154,7 +159,7 @@ def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, dat
         with pytest.raises(NoEligibleArcError):
             reference_repair(reference, dict(need))
         with pytest.raises(NoEligibleArcError):
-            chains.repair(need)
+            chains.repair(need, over(need))
 
 
 def test_named_move_falls_back_to_a_chain():
@@ -165,7 +170,7 @@ def test_named_move_falls_back_to_a_chain():
     losers = [a, c, b]
     chains = _LoserChains(selection_vertices(shape), losers)
     need = {a: -1, c: 1}
-    chains.repair(need)
+    chains.repair(need, over(need))
     assert chains.losers == [b, c, c]
     assert need == {a: 0, c: 0}
     reference = _LoserChains(selection_vertices(shape), losers)

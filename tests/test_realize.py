@@ -1,5 +1,6 @@
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, count, product
+from itertools import accumulate, combinations_with_replacement, count, product
 from math import comb
 
 import pytest
@@ -32,12 +33,12 @@ from hyperscores import (
 from hyperscores import realize
 from hyperscores.model import NoEligibleArcError
 from hyperscores.realize import (
-    _first_choice_walk,
     _level_ranks,
     _realize,
     _Saturation,
     _saturate,
-    _saturate_level,
+    _shift_sources,
+    _walk_level,
 )
 
 V = VertexId
@@ -394,7 +395,7 @@ def assert_level_matches_stepwise(shape, lists, active, tiers):
         tiers["stuck"] += 1
         return
     one_pass = [list(lst) for lst in lists]
-    change = _saturate_level(shape, one_pass, active)
+    change = _walk_level(one_pass, active, shape.through[active])
     assert check_losing_lists(shape, one_pass).valid, (shape, lists, active)
     net = Counter()
     for step in log.steps:
@@ -556,6 +557,81 @@ def break_a_bound(shape, lists, active):
     return True
 
 
+def reference_walk(lists, active, bound):
+    """The unit walk the closed form replaced: apply, unchecked, the moves
+    :meth:`_Saturation.step` commits when it accepts its first candidate,
+    until the active list's last entry reaches ``bound``; False when no
+    candidate is left or the entry is past it."""
+    lst = lists[active]
+    donors = [donor for s, donor in enumerate(lists) if s != active]
+    while lst[-1] < bound:
+        if (donor := next((d for d in donors if d[-1] > 0), None)) is not None:
+            lst[bisect_right(lst, lst[0]) - 1] += 1
+            donor[bisect_left(donor, donor[-1])] -= 1
+        elif (t := next((t for t in _shift_sources(lst) if lst[t] > 0), None)) is not None:
+            lst[-1] += 1
+            lst[t] -= 1
+        else:
+            return False
+    return lst[-1] == bound
+
+
+def net_change(before, after):
+    """Each changed entry's change, before minus after."""
+    return {V(i, j): b - a for i, (old, new) in enumerate(zip(before, after))
+            for j, (b, a) in enumerate(zip(old, new)) if b != a}
+
+
+def assert_walk_matches_reference(lists, active, bound):
+    """The closed-form walk fails exactly where the unit walk does, leaves the
+    lists it leaves and, when it succeeds, returns each moved entry's net
+    change once. Returns whether the walks succeed."""
+    expected, work = [list(lst) for lst in lists], [list(lst) for lst in lists]
+    walked = reference_walk(expected, active, bound)
+    change = _walk_level(work, active, bound)
+    case = (lists, active, bound)
+    assert (change is not None) == walked, case
+    assert work == expected, case
+    if walked:
+        assert len(dict(change)) == len(change), case
+        assert dict(change) == net_change(lists, expected), case
+    return walked
+
+
+class TestClosedFormWalk:
+    """A level's walk in closed form: donors drained from the top in part order,
+    the active list filled from the bottom, then the shift."""
+
+    def test_every_small_case_walks_as_the_unit_walk(self):
+        """Every sorted list tuple with k <= 2, n_i <= 3 and entries <= 4, at
+        every active part and every bound <= 6."""
+        walks = Counter()
+        for k in (1, 2):
+            for n in product(range(1, 4), repeat=k):
+                for lists in product(*(combinations_with_replacement(range(5), n_i) for n_i in n)):
+                    for active, bound in product(range(k), range(7)):
+                        walks[assert_walk_matches_reference(lists, active, bound)] += 1
+        assert walks == {True: 23717, False: 19018}
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(valid_lists())
+    def test_valid_lists_walk_as_the_unit_walk(self, case):
+        """The first level at every part, and every level of the down pass
+        until a walk fails."""
+        shape, lists = case
+        for active in range(shape.k):
+            assert assert_walk_matches_reference(lists, active, shape.through[active])
+        work, arcs = [list(lst) for lst in lists], shape.total_arcs()
+        for active, (n_a, a) in enumerate(zip(shape.n, shape.alpha)):
+            for m in range(n_a - 1, a - 1, -1):
+                bound = arcs * a // (m + 1)
+                if not assert_walk_matches_reference(work, active, bound):
+                    return
+                reference_walk(work, active, bound)
+                work[active].pop()
+                arcs = arcs * (m + 1 - a) // (m + 1)
+
+
 def assert_falls_back_to_flow(shape, lists, patch):
     """With ``patch`` applied, ``_realize`` falls back exactly once and returns
     ``realize_flow``'s witness, which validates and reproduces ``lists``."""
@@ -595,18 +671,22 @@ class TestOnePassLevel:
             failed = []
 
             def walk(lists, active, bound):
-                walked = _first_choice_walk(lists, active, bound)
+                change = _walk_level(lists, active, bound)
                 if failed:
-                    return walked
+                    return change
                 if fail == "stuck":
                     failed.append(active)
-                    return False
+                    return None
+                walked = [list(lst) for lst in lists]
                 if break_a_bound(shape, lists, active):
                     failed.append(active)
-                return walked
+                    net = Counter(dict(change))
+                    net.update(net_change(walked, lists))
+                    change = [(v, x) for v, x in net.items() if x]
+                return change
 
             assert_falls_back_to_flow(
-                shape, lists, lambda mp: mp.setattr(realize, "_first_choice_walk", walk)
+                shape, lists, lambda mp: mp.setattr(realize, "_walk_level", walk)
             )
             assert len(failed) == 1, fail
 
@@ -620,10 +700,10 @@ class TestOnePassLevel:
         for level in (0, sum(n) - sum(alpha) - 1):  # the bottom and the top level's repair
             calls = count()
 
-            def rejecting(chains, need):
+            def rejecting(chains, need, over):
                 if next(calls) == level:
                     raise NoEligibleArcError("rejected")
-                return repair(chains, need)
+                return repair(chains, need, over)
 
             assert_falls_back_to_flow(
                 shape, lists, lambda mp: mp.setattr(realize._LoserChains, "repair", rejecting)
@@ -644,11 +724,11 @@ class TestOnePassLevel:
             _realize(Shape(n, alpha), lists)
 
     def test_a_lost_level_change_fails_the_final_verification(self, monkeypatch):
-        def forgetful(shape, lists, active):
-            _saturate_level(shape, lists, active)
+        def forgetful(lists, active, bound):
+            _walk_level(lists, active, bound)
             return []
 
-        monkeypatch.setattr(realize, "_saturate_level", forgetful)
+        monkeypatch.setattr(realize, "_walk_level", forgetful)
         with pytest.raises(RealizationGapError, match="does not reproduce"):
             realize_inductive(Shape((2, 2), (1, 1)), [[1, 1], [1, 1]])
 
