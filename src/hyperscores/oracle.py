@@ -6,9 +6,16 @@ cross-validation report comparing the decision procedures against that
 exact truth. Both range over loser choices only: scores depend only on the
 last position of each arc, so nothing is lost while the space shrinks from
 orderings to one choice per selection. The achievable lists come from a
-dynamic program over distinct loss-count vectors, in which each part's
-finished counts are kept sorted, rather than from one pass per assignment;
-the enumeration budget still bounds the assignment space m**T, not the work.
+dynamic program over distinct loss-count vectors rather than from one pass
+per assignment. It merges states up to symmetry: after a rank it sorts the
+counts of each block of one part's vertices that all remaining selections
+treat alike, the finished vertices and vertices 0..M once the part's digit
+passes the last subset of 0..M with every lower digit maxed, and it keeps a
+part in every selection sorted by branching only on the end of each run of
+equal counts. A permutation inside one part that maps the remaining
+selections onto themselves maps reachable final states onto reachable final
+states, and the result sorts each part anyway, so no list is lost or added.
+The enumeration budget still bounds the assignment space m**T, not the work.
 
 The accepted side is a pruned search, not a check per candidate. It fixes
 one part's list at a time and keeps, per level, only the lower envelope of
@@ -133,35 +140,58 @@ def achievable_losing_lists(
 ) -> AchievableSet:
     """Exact set of sorted losing-score list tuples over all assignments.
 
-    A dynamic program over distinct loss-count vectors. Walking the
-    selections in rank order, each state (one count per vertex) branches on
-    the selection's possible losers, and equal states merge. A vertex is
-    finished once its last selection has passed: no later selection changes
-    its count, and the result sorts each part anyway, so every state keeps
-    each part's finished counts sorted. That canonical form is what keeps the
-    state set small. ``budget`` bounds the assignment space m**T, checked
-    before any work, not the number of states.
+    A dynamic program over distinct loss-count vectors (vertex j of part i at
+    position offsets[i] + j) that walks the selections in rank order: each
+    state branches on the selection's possible losers, and equal states
+    merge. After a rank, the counts of each block of one part's vertices that
+    all remaining selections treat alike are sorted:
+
+    - the finished vertices, whose last selection has passed;
+    - vertices 0..M of part i after a rank whose digits below part i are
+      maxed and whose part-i colex digit is C(M+1, alpha_i) - 1, the last
+      subset with largest vertex M (so the whole part once it is maxed);
+    - a part with alpha_i = n_i, in every selection: its counts stay sorted
+      because a state branches only on the last position of each run of
+      equal counts.
+
+    A vertex's last rank does not fall as its index grows, so each block is
+    a prefix of its part. ``budget`` bounds the assignment space m**T,
+    checked before any work, not the number of states.
     """
     count = _assignment_count(shape, budget)
     sels = selection_vertices(shape)
-    last = {v: rank for rank, sel in enumerate(sels) for v in sel}
-    # A state holds a part's counts in the order its vertices finish, so the
-    # finished counts of a part always fill a prefix of the part's positions.
-    order = sorted(last, key=lambda v: (v.part, last[v]))
-    position = {v: p for p, v in enumerate(order)}
     offsets = tuple(accumulate(shape.n, initial=0))
-    finished_prefixes: dict[int, dict[int, int]] = {}  # rank -> {start: end}
-    for p, v in enumerate(order):
-        finished_prefixes.setdefault(last[v], {})[offsets[v.part]] = p + 1
+    spans = list(zip(offsets, offsets[1:]))
+    # Parts of several vertices in every selection, and their non-last positions.
+    full = {lo: hi for (lo, hi), a in zip(spans, shape.alpha) if hi - lo == a > 1}
+    inner = [e for lo, hi in full.items() for e in range(lo, hi - 1)]
+    prefixes: dict[int, dict[int, int]] = {}  # rank -> {part start: block end}
+
+    def sort_after(rank: int, lo: int, hi: int) -> None:
+        if hi - lo > 1 and lo not in full:
+            ends = prefixes.setdefault(rank, {})
+            ends[lo] = max(ends.get(lo, lo), hi)
+
+    for v, rank in {v: rank for rank, sel in enumerate(sels) for v in sel}.items():
+        sort_after(rank, offsets[v.part], offsets[v.part] + v.index + 1)
+    period = 1  # ranks in one cycle of the parts below part i
+    for i, row in enumerate(shape.binomial_rows):  # row[size] = C(size, alpha_i)
+        for base in range(0, len(sels), period * row[-1]):
+            for size in range(shape.alpha[i], len(row)):
+                sort_after(base + row[size] * period - 1, offsets[i], offsets[i] + size)
+        period *= row[-1]
     states = {(0,) * offsets[-1]}
     for rank, sel in enumerate(sels):
-        choices = [position[v] for v in sel]
-        states = {st[:p] + (st[p] + 1,) + st[p + 1:] for st in states for p in choices}
-        for lo, hi in finished_prefixes.get(rank, {}).items():
+        moves = [p for v in sel if (p := offsets[v.part] + v.index) not in inner]
+        states = {
+            st[:p] + (st[p] + 1,) + st[p + 1:]
+            for st in states
+            for p in moves + [e for e in inner if st[e] != st[e + 1]]
+        }
+        for lo, hi in prefixes.get(rank, {}).items():
             states = {st[:lo] + tuple(sorted(st[lo:hi])) + st[hi:] for st in states}
-    # The last rank finishes every vertex, so each part's counts are sorted.
-    spans = [(offsets[i], offsets[i + 1]) for i in range(shape.k)]
-    lists = frozenset(tuple(st[lo:hi] for lo, hi in spans) for st in states)
+    rows = list(states)  # the last rank maxes every digit, so each part is sorted
+    lists = frozenset(zip(*([st[lo:hi] for st in rows] for lo, hi in spans)))
     return AchievableSet(shape, lists, count)
 
 

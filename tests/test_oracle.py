@@ -7,6 +7,7 @@ from hyperscores import (
     BudgetExceededError,
     Shape,
     SplitMix64,
+    VertexId,
     achievable_losing_lists,
     arcs_through,
     bounded_candidate_lists,
@@ -67,15 +68,44 @@ def filtered_candidates(shape, kind):
     return [c for c in bounded_candidate_lists(shape, kind) if CHECKS[kind](shape, c).valid]
 
 
-def _shape_box(max_k, max_n, max_arcs):
-    """Every shape, in every part order, with k <= max_k, n_i <= max_n and
-    at most max_arcs arcs."""
-    parts = [(n, a) for n in range(1, max_n + 1) for a in range(1, n + 1)]
+def _shapes(max_k, max_n, max_alpha, keep):
+    """Every shape, in every part order, with k <= max_k, n_i <= max_n,
+    alpha_i <= max_alpha and keep(shape) true."""
+    parts = [(n, a) for n in range(1, max_n + 1) for a in range(1, min(n, max_alpha) + 1)]
     for k in range(1, max_k + 1):
         for chosen in product(parts, repeat=k):
             shape = Shape(tuple(n for n, _ in chosen), tuple(a for _, a in chosen))
-            if shape.total_arcs() <= max_arcs:
+            if keep(shape):
                 yield shape
+
+
+def _shape_box(max_k, max_n, max_arcs):
+    """Every shape, in every part order, with k <= max_k, n_i <= max_n and
+    at most max_arcs arcs."""
+    return _shapes(max_k, max_n, max_n, lambda shape: shape.total_arcs() <= max_arcs)
+
+
+def reference_achievable(shape):
+    """Reference: the dynamic program before it merged states up to symmetry.
+    It sorts only each part's finished counts, those of vertices whose last
+    selection has passed, and holds a part's counts in the order its
+    vertices finish."""
+    sels = selection_vertices(shape)
+    last = {v: rank for rank, sel in enumerate(sels) for v in sel}
+    order = sorted(last, key=lambda v: (v.part, last[v]))
+    position = {v: p for p, v in enumerate(order)}
+    offsets = tuple(accumulate(shape.n, initial=0))
+    finished_prefixes = {}  # rank -> {start: end}
+    for p, v in enumerate(order):
+        finished_prefixes.setdefault(last[v], {})[offsets[v.part]] = p + 1
+    states = {(0,) * offsets[-1]}
+    for rank, sel in enumerate(sels):
+        choices = [position[v] for v in sel]
+        states = {st[:p] + (st[p] + 1,) + st[p + 1:] for st in states for p in choices}
+        for lo, hi in finished_prefixes.get(rank, {}).items():
+            states = {st[:lo] + tuple(sorted(st[lo:hi])) + st[hi:] for st in states}
+    spans = [(offsets[i], offsets[i + 1]) for i in range(shape.k)]
+    return frozenset(tuple(st[lo:hi] for lo, hi in spans) for st in states)
 
 
 class TestEnumerate:
@@ -156,6 +186,29 @@ class TestAchievable:
         ach = achievable_losing_lists(shape)
         assert ach.lists == naive_achievable(shape)
         assert ach.assignment_count == sum(shape.alpha) ** shape.total_arcs()
+
+    def test_matches_the_finished_sort_reference(self):
+        """Every shape with k <= 4, n_i <= 6, alpha_i <= 3 and at most 2*10^4
+        assignments, in every part order: merging states up to symmetry
+        changes no list."""
+        shapes = list(_shapes(4, 6, 3, lambda s: sum(s.alpha) ** s.total_arcs() <= 20_000))
+        assert len(shapes) == 1157
+        for shape in shapes:
+            ach = achievable_losing_lists(shape)
+            assert ach.lists == reference_achievable(shape), shape
+            assert ach.assignment_count == sum(shape.alpha) ** shape.total_arcs(), shape
+
+    def test_last_rank_does_not_fall_with_the_index(self):
+        """Within a part, a vertex's last selection comes no earlier than that
+        of a vertex with a smaller index, so the vertices a rank finishes, and
+        every block the program sorts, fill a prefix of the part's positions."""
+        shapes = list(_shapes(3, 6, 4, lambda s: s.total_arcs() <= 400))
+        assert len(shapes) == 5326
+        for shape in shapes:
+            last = {v: rank for rank, sel in enumerate(selection_vertices(shape)) for v in sel}
+            for i, n_i in enumerate(shape.n):
+                ranks = [last[VertexId(i, j)] for j in range(n_i)]
+                assert ranks == sorted(ranks), shape
 
 
 class TestRandom:
@@ -283,9 +336,9 @@ A000571 = {
 
 
 class TestTournamentScoreSequences:
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_achievable_lists_count_a000571(self, n):
-        ach = achievable_losing_lists(Shape((n,), (2,)), budget=2**21)
+        ach = achievable_losing_lists(Shape((n,), (2,)), budget=2 ** (n * (n - 1) // 2))
         assert len(ach.lists) == A000571[n]
 
     @pytest.mark.parametrize("n", range(2, 12))
