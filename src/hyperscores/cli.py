@@ -45,7 +45,6 @@ from .oracle import (
 from .realize import (
     InfeasibleError,
     InvalidListsError,
-    NoValidStepError,
     RealizationGapError,
     realize_flow,
     realize_inductive,
@@ -321,7 +320,7 @@ def cmd_realize(args) -> int:
     realizer = realize_inductive if args.method == "inductive" else realize_flow
     try:
         M = realizer(shape, lists)
-    except (RealizationGapError, InfeasibleError, NoValidStepError) as exc:
+    except (RealizationGapError, InfeasibleError) as exc:
         _note(f"error: {exc}")
         return EXIT_GAP
     except InvalidListsError as exc:

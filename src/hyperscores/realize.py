@@ -11,9 +11,9 @@ left, each level gives the arcs through its vertex to that vertex, sets the
 targets of the entries it moved back and repairs from those. The repairs are
 exact, so they decide every walk; if one fails, ``realize_flow``'s start
 realizes the input instead.
-The stepwise greedy behind :func:`saturate` decides each step at a handful of
-prefix tuples, not by a scan (:meth:`_Saturation.keeps_bounds`), against the
-lower envelope of the other parts' prefix-tuple lines.
+:func:`saturate` takes the same first-choice moves one unit at a time, logs
+them and checks only the result; that every tuple of lists on the way meets
+the bounds is a tested property, not a runtime check.
 ``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
 that serves as an oracle for the first route.
 """
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from math import prod
 
-from .criteria import CheckResult, _extend, _lower_envelope, check_losing_lists
+from .criteria import CheckResult, check_losing_lists
 from .model import (
     Hypertournament,
     NoEligibleArcError,
@@ -63,7 +63,7 @@ class InvalidListsError(ValueError):
 
 
 class NoValidStepError(Exception):
-    """No list transformation step preserves the prefix bounds."""
+    """The first-choice walk of :func:`saturate` does not end within the prefix bounds."""
 
 
 class RealizationGapError(Exception):
@@ -78,10 +78,10 @@ class InfeasibleError(Exception):
 class TransformStep:
     """One saturation move: +1 at ``incremented``, -1 at ``decremented``.
 
-    Both fields are (part, index) positions into the lists. The preferred move
-    takes the unit from another part's list; the decremented position sits in
-    the incremented part itself only when no canonical donor move preserves
-    the bounds (always the case for single-part shapes).
+    Both fields are (part, index) positions into the lists. The move takes
+    the unit from another part's list; the decremented position sits in the
+    incremented part itself only when every other list is zero (always the
+    case for single-part shapes).
     """
 
     incremented: VertexId
@@ -93,132 +93,12 @@ class TransformLog:
     steps: tuple[TransformStep, ...]
 
 
-def _run_corners(lst, lo: int, hi: int):
-    """Prefix lengths lo..hi of ``lst`` at which a part's slack can be least:
-    both ends and every run start between them, where the prefix sums bend."""
-    p = lo
-    yield p
-    while p < hi:
-        p = min(bisect_right(lst, lst[p]), hi)
-        yield p
-
-
 def _shift_sources(lst):
     """Run starts of ``lst`` before its last entry, latest first."""
     t = len(lst) - 1
     while t > 0:
         t = bisect_left(lst, lst[t - 1])
         yield t
-
-
-class _Saturation:
-    """One level's saturation of the active part: the lists (mutated in place),
-    their prefix rows, the shape's binomial rows, and per moved part s the lower
-    envelope of the prefix-tuple lines of the free parts (all but the active
-    part and s), built on first use and kept until a committed step changes a
-    row among its free parts."""
-
-    def __init__(self, shape: Shape, lists, active: int):
-        self.lists, self.active, self.g = lists, active, shape.binomial_rows
-        self.pref = [list(accumulate(lst, initial=0)) for lst in lists]
-        self.envelopes: dict[int, tuple[list, list]] = {}
-
-    def _envelope(self, s: int):
-        """Build and keep the envelope of the free parts of a move from part s."""
-        heads = [(0, 1)]
-        for j, (pref_j, g_j) in enumerate(zip(self.pref, self.g)):
-            if j != self.active and j != s:
-                heads = _extend(heads, tuple(zip(pref_j, g_j)))
-        env = self.envelopes[s] = _lower_envelope(*zip(*heads))
-        return env
-
-    def keeps_bounds(self, inc: int, s: int, t: int) -> bool:
-        """Whether +1 at (active, inc) and -1 at (s, t) leave the valid lists valid.
-
-        The move lowers the slack by exactly 1 on the box of prefixes with
-        p_active <= inc and p_s > t (t < p_active <= inc for a shift inside
-        the active list) and nowhere else, so it keeps the bounds iff the
-        least slack on the box is positive. With every other coordinate fixed,
-        the slack along part i is A + pref_i(p) - c * C(p, alpha_i) with
-        c >= 0: pref_i is linear on a run of equal entries and C(p, alpha_i)
-        is convex, so the slack is concave between consecutive run starts and
-        least at a box end or a run start inside the box (:func:`_run_corners`).
-        At each such point of the moved parts the least slack over the free
-        parts is one query on their envelope.
-        """
-        lists, active = self.lists, self.active
-        pref_a, g_a = self.pref[active], self.g[active]
-        if s == active:
-            points = [(pref_a[p], g_a[p]) for p in _run_corners(lists[active], t + 1, inc)]
-        else:
-            pref_s, g_s = self.pref[s], self.g[s]
-            donor = [(pref_s[q], g_s[q]) for q in _run_corners(lists[s], t + 1, len(lists[s]))]
-            points = [
-                (pref_a[p] + b, g_a[p] * m)
-                for p in _run_corners(lists[active], 0, inc)
-                for b, m in donor
-            ]
-        hull, steps = self.envelopes.get(s) or self._envelope(s)
-        for a, c in points:
-            b, m = hull[bisect_right(steps, c)]
-            if a + b <= m * c:
-                return False
-        return True
-
-    def commit(self, inc: int, s: int, t: int) -> TransformStep:
-        """Apply +1 at (active, inc) and -1 at (s, t), refresh the two prefix
-        rows, and drop every envelope whose free parts hold a changed row."""
-        active, lists = self.active, self.lists
-        lists[active][inc] += 1
-        lists[s][t] -= 1
-        self.pref[active] = list(accumulate(lists[active], initial=0))
-        if s != active:
-            self.pref[s] = list(accumulate(lists[s], initial=0))
-            self.envelopes = {s: self.envelopes[s]} if s in self.envelopes else {}
-        return TransformStep(VertexId(active, inc), VertexId(s, t))
-
-    def step(self) -> TransformStep | None:
-        """Commit the first bound-preserving move, or return None.
-
-        The preferred move adds 1 at the end of the active list's initial
-        minimal run and subtracts 1 at the start of a donor list's final
-        maximal run, trying donors in part order. A shape with a single part
-        has no donor and donor lists may all sit at zero, so shifts inside the
-        active list follow: raise its last entry, take from a run start,
-        latest first. Every such move keeps both lists sorted, and each is
-        decided exactly by :meth:`keeps_bounds`.
-        """
-        lists, active = self.lists, self.active
-        lst = lists[active]
-        inc = bisect_right(lst, lst[0]) - 1
-        for s, donor in enumerate(lists):
-            if s != active:
-                t = bisect_left(donor, donor[-1])
-                if donor[t] > 0 and self.keeps_bounds(inc, s, t):
-                    return self.commit(inc, s, t)
-        last = len(lst) - 1
-        for t in _shift_sources(lst):
-            if lst[t] > 0 and self.keeps_bounds(last, active, t):
-                return self.commit(last, active, t)
-        return None
-
-
-def _saturate(shape: Shape, lists, active: int) -> TransformLog:
-    """Raise the active list's last entry to its bound, mutating ``lists``.
-
-    The lists must be valid on entry; every step keeps them valid after it.
-    """
-    bound = shape.through[active]
-    level = _Saturation(shape, lists, active)
-    steps = []
-    while lists[active][-1] < bound:
-        step = level.step()
-        if step is None:
-            raise NoValidStepError(
-                f"no transformation preserves the prefix bounds at {lists}"
-            )
-        steps.append(step)
-    return TransformLog(tuple(steps))
 
 
 def _spread(lst, lo: int, hi: int, total: int, part: int, before: dict) -> None:
@@ -243,10 +123,10 @@ def _drain(lst, stop: int, units: int, part: int, before: dict) -> int:
 
 
 def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | None:
-    """Apply to ``lists``, in closed form, the moves :meth:`_Saturation.step`
-    commits on its first candidates until the active list's last entry is
-    ``bound``; each moved entry's net change, before minus after, or None when
-    the lists run short or that entry is past the bound."""
+    """Apply to ``lists``, in closed form, the first-choice unit moves that
+    :func:`saturate` logs at part 1, here at part ``active``, until its last
+    entry is ``bound``; each moved entry's net change, before minus after, or
+    None when the lists run short or that entry is past the bound."""
     lst, before = lists[active], {}
     if lst[-1] >= bound:
         return [] if lst[-1] == bound else None
@@ -271,24 +151,40 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
     """Raise part 1's final entry to the per-vertex arc count of part 1.
 
     Requires valid input; returns the transformed lists together with the step
-    log. Each step adds 1 inside part 1's list and subtracts 1 elsewhere
-    (normally from another part's list, from part 1 itself when no donor
-    move works). After one full check, each step is decided exactly on the
-    box of prefixes whose slack it lowers: the slack along a part is concave
-    between run starts (linear prefix sums minus a convex binomial), so only
-    the box ends and the run starts inside it are evaluated for the moved
-    parts, each against the envelope of the other parts. Every intermediate
-    tuple of lists meets the bounds and an impossible step surfaces as
-    :class:`NoValidStepError` rather than being skipped. Already-saturated
-    input comes back unchanged with an empty log.
+    log. Each step is the first-choice unit move: +1 at the end of part 1's
+    first run and -1 at the start of the last run of the first other list, in
+    part order, whose last entry is non-zero; when every other list is zero,
+    +1 at part 1's last entry and -1 at its latest non-zero run start. The
+    steps are not checked one by one. The result is checked once, and
+    :class:`NoValidStepError` is raised when no move is left or that check
+    rejects. That every intermediate tuple of
+    lists meets the bounds is a tested property: on the 2 568 achievable
+    tuples of the small test shapes and on random near-transitive lists, each
+    step is the first candidate a full check accepts. Already-saturated input
+    comes back unchanged with an empty log.
     """
     data = conform_lists(shape, R, "losing")
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
-    work = [list(lst) for lst in data]
-    log = _saturate(shape, work, 0)
-    return ScoreLists("losing", tuple(tuple(lst) for lst in work)), log
+    lists = [list(lst) for lst in data]
+    lst, bound, steps = lists[0], shape.through[0], []
+    while lst[-1] < bound:
+        if (s := next((s for s in range(1, shape.k) if lists[s][-1]), None)) is not None:
+            inc, t = bisect_right(lst, lst[0]) - 1, bisect_left(lists[s], lists[s][-1])
+        elif (t := next((t for t in _shift_sources(lst) if lst[t]), None)) is not None:
+            inc, s = len(lst) - 1, 0
+        else:
+            break
+        lst[inc] += 1
+        lists[s][t] -= 1
+        steps.append(TransformStep(VertexId(0, inc), VertexId(s, t)))
+    out = tuple(map(tuple, lists))
+    if lst[-1] != bound or not check_losing_lists(shape, out).valid:
+        raise NoValidStepError(
+            f"the first-choice walk does not saturate part 1 within the prefix bounds: {lists}"
+        )
+    return ScoreLists("losing", out), TransformLog(tuple(steps))
 
 
 class _LoserChains:

@@ -31,7 +31,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores.cli import InputError, main
-from hyperscores.realize import NoValidStepError
+from hyperscores.realize import RealizationGapError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -243,15 +243,15 @@ class TestRealizeVerify:
         assert code == 1
         assert json.loads(out)["valid"] is False
 
-    def test_no_valid_step_is_a_gap(self, tmp_path, capsys, monkeypatch):
-        def stuck(shape, lists):
-            raise NoValidStepError("no transformation preserves the prefix bounds")
+    def test_realization_gap_exits_3(self, tmp_path, capsys, monkeypatch):
+        def gap(shape, lists):
+            raise RealizationGapError("constructed witness does not reproduce the input lists")
 
-        monkeypatch.setattr(cli, "realize_inductive", stuck)
+        monkeypatch.setattr(cli, "realize_inductive", gap)
         code, out, err = run(capsys, "realize", write_instance(tmp_path, VALID))
         assert code == 3
         assert out == ""
-        assert "no transformation" in err and "Traceback" not in err
+        assert "does not reproduce" in err and "Traceback" not in err
 
     def test_score_input_converted(self, tmp_path, capsys):
         doc = dict(VALID, kind="score")

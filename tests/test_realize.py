@@ -1,10 +1,11 @@
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, combinations_with_replacement, count, product
+from dataclasses import replace
+from itertools import combinations_with_replacement, count, product
 from math import comb
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hyperscores import (
@@ -35,8 +36,6 @@ from hyperscores.model import NoEligibleArcError
 from hyperscores.realize import (
     _level_ranks,
     _realize,
-    _Saturation,
-    _saturate,
     _shift_sources,
     _walk_level,
 )
@@ -56,53 +55,6 @@ ROUND_TRIP_SHAPES = [
     Shape((2, 3), (2, 1)),
     Shape((3, 3), (1, 2)),
 ]
-
-
-class TestSaturate:
-    def test_single_step_example(self):
-        shape = Shape((2, 2), (1, 1))
-        sat, log = saturate(shape, [[1, 1], [1, 1]])
-        assert sat.lists == ((1, 2), (0, 1))
-        assert log.steps == (TransformStep(V(0, 1), V(1, 0)),)
-
-    def test_already_saturated_is_identity(self):
-        shape = Shape((2, 2), (1, 1))
-        sat, log = saturate(shape, [[0, 2], [1, 1]])
-        assert sat.lists == ((0, 2), (1, 1))
-        assert log.steps == ()
-
-    def test_at_bound_evaluation(self):
-        # The final entry 2 already equals C(1,0) * C(2,1).
-        shape = Shape((2, 2), (1, 1))
-        assert arcs_through(shape, 0) == 2
-        sat, log = saturate(shape, ScoreLists("losing", ((0, 2), (1, 1))))
-        assert len(log.steps) == 0
-
-    def test_invalid_input_rejected(self):
-        with pytest.raises(InvalidListsError):
-            saturate(Shape((2, 2), (1, 1)), [[0, 2], [0, 2]])
-
-    def test_replay_reaches_saturated_lists(self):
-        shape = Shape((3, 2), (2, 1))
-        start = ((0, 1, 2), (1, 2))
-        sat, log = saturate(shape, start)
-        work = [list(lst) for lst in start]
-        for step in log.steps:
-            work[step.incremented.part][step.incremented.index] += 1
-            work[step.decremented.part][step.decremented.index] -= 1
-        assert tuple(map(tuple, work)) == sat.lists
-        assert sat.lists[0][-1] == arcs_through(shape, 0)
-
-    def test_every_intermediate_passes_the_check(self):
-        shape = Shape((3, 2), (2, 1))
-        start = ((1, 1, 1), (1, 2))
-        sat, log = saturate(shape, start)
-        work = [list(lst) for lst in start]
-        for step in log.steps:
-            work[step.incremented.part][step.incremented.index] += 1
-            work[step.decremented.part][step.decremented.index] -= 1
-            assert check_losing_lists(shape, [tuple(lst) for lst in work]).valid
-        assert tuple(tuple(lst) for lst in work) == sat.lists
 
 
 class TestRealizeInductive:
@@ -277,11 +229,11 @@ def test_full_candidate_space_agreement_including_bad_totals():
         assert feasible == valid
 
 
-# -- saturation: the corner decision against the full-check route it replaced
+# -- saturation: the first-choice walk against the full-check route
 
 
 def reference_candidates(lists, active):
-    """Every move the full-check route tried, in its order, as (tier, inc
+    """Every move the full-check route tries, in its order, as (tier, inc
     position, donor part, donor position): the canonical move from each donor
     (tier 1), shifts inside the active list (tier 2) and the other run starts
     of each donor (tier 3)."""
@@ -317,44 +269,18 @@ def full_check_verdict(shape, lists, active, inc, s, t):
     return check_losing_lists(shape, trial).valid
 
 
-def assert_state_exact(shape, level, work):
-    """``level`` holds the lists ``work``, their exact prefix rows, and only
-    envelopes equal to ones built afresh from them; returns the fresh state,
-    which keeps the envelopes it built."""
-    fresh = _Saturation(shape, [list(lst) for lst in work], level.active)
-    assert level.lists == work
-    assert level.pref == [list(accumulate(lst, initial=0)) for lst in work]
-    for s, envelope in level.envelopes.items():
-        assert envelope == fresh._envelope(s), (shape, work, level.active, s)
-    return fresh
-
-
-def reference_saturation(shape, lists, active, tiers, every_candidate):
-    """Saturate ``active`` by the full-check route, counting the tier of each
-    step in ``tiers``; None when no move keeps the bounds. With
-    ``every_candidate``, each candidate of every tier at every intermediate
-    tuple of lists is also decided at its corners twice, on a state built
-    afresh for that tuple and on one state carried through the whole
-    saturation (so its envelopes are dropped and rebuilt as steps commit), and
-    both must agree with the full check; ``tiers["dropped"]`` counts the
-    envelopes the carried state drops."""
-    work = [list(lst) for lst in lists]
-    carried = _Saturation(shape, [list(lst) for lst in lists], active)
-    steps = []
+def reference_saturation(shape, lists, active, tiers):
+    """Saturate ``active`` by the full-check route: at each tuple of lists take
+    the first candidate that a full check accepts, counting its tier in
+    ``tiers``. Returns the saturated lists and the steps, or None when no
+    candidate keeps the bounds."""
+    work, steps = [list(lst) for lst in lists], []
     while work[active][-1] < arcs_through(shape, active):
-        if every_candidate:
-            fresh = assert_state_exact(shape, carried, work)
-        chosen = None
-        for tier, inc, s, t in reference_candidates(work, active):
-            if work[s][t] == 0 or (chosen is not None and not every_candidate):
-                continue
-            verdict = full_check_verdict(shape, work, active, inc, s, t)
-            if every_candidate:
-                case = (shape, work, active, tier, inc, s, t)
-                assert fresh.keeps_bounds(inc, s, t) == verdict, case
-                assert carried.keeps_bounds(inc, s, t) == verdict, case
-            if verdict and chosen is None:
-                chosen = tier, inc, s, t
+        chosen = next(
+            ((tier, inc, s, t) for tier, inc, s, t in reference_candidates(work, active)
+             if work[s][t] and full_check_verdict(shape, work, active, inc, s, t)),
+            None,
+        )
         if chosen is None:
             return None
         tier, inc, s, t = chosen
@@ -362,49 +288,46 @@ def reference_saturation(shape, lists, active, tiers, every_candidate):
         work[active][inc] += 1
         work[s][t] -= 1
         steps.append(TransformStep(V(active, inc), V(s, t)))
-        if every_candidate:
-            cached = len(carried.envelopes)
-            assert carried.commit(inc, s, t) == steps[-1]
-            tiers["dropped"] += cached - len(carried.envelopes)
-    if every_candidate:
-        assert_state_exact(shape, carried, work)
-    return tuple(steps)
+    return tuple(map(tuple, work)), tuple(steps)
 
 
-def assert_saturation_matches_reference(shape, lists, tiers, every_candidate=False):
-    """For every part as the active one, the corner route takes the reference's steps."""
-    for active in range(shape.k):
-        expected = reference_saturation(shape, lists, active, tiers, every_candidate)
-        work = [list(lst) for lst in lists]
-        if expected is None:
-            with pytest.raises(NoValidStepError):
-                _saturate(shape, work, active)
-        else:
-            assert _saturate(shape, work, active).steps == expected
+def saturated(shape, lists):
+    """``saturate``'s lists and steps, in the form of ``reference_saturation``."""
+    sat, log = saturate(shape, lists)
+    return sat.lists, log.steps
+
+
+def replay(lists, steps):
+    """Apply ``steps`` to a copy of ``lists``, yielding the lists after each."""
+    work = [list(lst) for lst in lists]
+    for step in steps:
+        work[step.incremented.part][step.incremented.index] += 1
+        work[step.decremented.part][step.decremented.index] -= 1
+        yield tuple(map(tuple, work))
 
 
 def assert_level_matches_stepwise(shape, lists, active, tiers):
-    """The one-pass level saturation leaves lists that pass the check, the
-    lists the stepwise greedy leaves, and returns the net change of its step
-    log, before minus after; ``tiers["levels"]`` counts the levels and
-    ``tiers["stuck"]`` the ones the stepwise greedy cannot saturate."""
-    stepwise = [list(lst) for lst in lists]
-    try:
-        log = _saturate(shape, stepwise, active)
-    except NoValidStepError:
+    """The one-pass level saturation leaves the lists the full-check route
+    leaves, which pass the check, and returns the net change of that route's
+    steps, before minus after; returns the route's lists and steps.
+    ``tiers["levels"]`` counts the levels and ``tiers["stuck"]`` the ones the
+    route cannot saturate."""
+    expected = reference_saturation(shape, lists, active, tiers)
+    if expected is None:
         tiers["stuck"] += 1
-        return
+        return None
     one_pass = [list(lst) for lst in lists]
     change = _walk_level(one_pass, active, shape.through[active])
     assert check_losing_lists(shape, one_pass).valid, (shape, lists, active)
     net = Counter()
-    for step in log.steps:
+    for step in expected[1]:
         net[step.incremented] -= 1
         net[step.decremented] += 1
-    assert one_pass == stepwise, (shape, lists, active)
+    assert tuple(map(tuple, one_pass)) == expected[0], (shape, lists, active)
     assert len(dict(change)) == len(change)
     assert dict(change) == {v: x for v, x in net.items() if x}, (shape, lists, active)
     tiers["levels"] += 1
+    return expected
 
 
 @st.composite
@@ -448,67 +371,127 @@ def valid_lists(draw, max_arcs=400):
     return shape, lists
 
 
-class TestSaturationBox:
+TIGHT_RUN_LISTS = [
+    ((6,), (2,), ((1, 1, 1, 4, 4, 4),)),
+    ((4, 4), (1, 1), ((1, 1, 3, 3), (1, 1, 3, 3))),
+]
+
+
+class TestSaturate:
+    def test_single_step_example(self):
+        shape = Shape((2, 2), (1, 1))
+        sat, log = saturate(shape, [[1, 1], [1, 1]])
+        assert sat.lists == ((1, 2), (0, 1))
+        assert log.steps == (TransformStep(V(0, 1), V(1, 0)),)
+
+    def test_already_saturated_is_identity(self):
+        shape = Shape((2, 2), (1, 1))
+        sat, log = saturate(shape, [[0, 2], [1, 1]])
+        assert sat.lists == ((0, 2), (1, 1))
+        assert log.steps == ()
+
+    def test_at_bound_evaluation(self):
+        # The final entry 2 already equals C(1,0) * C(2,1).
+        shape = Shape((2, 2), (1, 1))
+        assert arcs_through(shape, 0) == 2
+        sat, log = saturate(shape, ScoreLists("losing", ((0, 2), (1, 1))))
+        assert len(log.steps) == 0
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(InvalidListsError):
+            saturate(Shape((2, 2), (1, 1)), [[0, 2], [0, 2]])
+
+    def test_replay_reaches_saturated_lists(self):
+        shape = Shape((3, 2), (2, 1))
+        start = ((0, 1, 2), (1, 2))
+        sat, log = saturate(shape, start)
+        assert list(replay(start, log.steps))[-1] == sat.lists
+        assert sat.lists[0][-1] == arcs_through(shape, 0)
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(valid_lists())
-    def test_box_decides_every_candidate_as_the_full_check(self, case):
+    @example((Shape((3, 2), (2, 1)), ((1, 1, 1), (1, 2))))
+    def test_every_intermediate_passes_the_check(self, case):
+        # The steps are not checked as they are taken; only the result is.
         shape, lists = case
-        tiers = Counter()
-        assert_saturation_matches_reference(shape, lists, tiers, every_candidate=True)
-        assert tiers[3] == 0
+        sat, log = saturate(shape, lists)
+        walked = list(replay(lists, log.steps))
+        for work in walked:
+            assert check_losing_lists(shape, work).valid, (shape, lists, work)
+        assert (walked[-1] if walked else lists) == sat.lists
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(valid_lists())
+    def test_valid_lists_saturate_as_the_reference(self, case):
+        shape, lists = case
+        assert saturated(shape, lists) == reference_saturation(shape, lists, 0, Counter())
 
     @pytest.mark.parametrize(
         "n, alpha, lists",
         [
-            # Long runs on k = 2: a canonical donor box lies in one run, while
-            # shift and other-run-start boxes reach across run starts.
+            # Long runs on k = 2: each move splits a run of equal entries.
             ((20, 20), (1, 1), ((10,) * 20, (10,) * 20)),
             ((20, 20), (1, 1), ((5,) * 10 + (15,) * 10, (10,) * 20)),
             ((12, 12), (2, 1), ((33,) * 12, (33,) * 12)),
-            # k = 3: the donor changes part mid-saturation, dropping envelopes.
+            # k = 3: the donor changes part mid-saturation.
             ((6, 6, 6), (1, 1, 1), ((12,) * 6, (12,) * 6, (12,) * 6)),
+            # A shift that breaks a bound only at a run start inside the
+            # prefixes it lowers (TestSaturationBox).
+            *TIGHT_RUN_LISTS,
         ],
     )
-    def test_long_runs_decide_every_candidate_as_the_full_check(self, n, alpha, lists):
+    def test_long_and_tight_runs_saturate_as_the_reference(self, n, alpha, lists):
         shape = Shape(n, alpha)
         assert check_losing_lists(shape, lists).valid
-        tiers = Counter()
-        assert_saturation_matches_reference(shape, lists, tiers, every_candidate=True)
-        assert tiers[3] == 0
-        assert tiers["dropped"] > 0
+        assert saturated(shape, lists) == reference_saturation(shape, lists, 0, Counter())
 
-    @pytest.mark.parametrize(
-        "n, alpha, lists",
-        [((6,), (2,), ((1, 1, 1, 4, 4, 4),)), ((4, 4), (1, 1), ((1, 1, 3, 3), (1, 1, 3, 3)))],
-    )
+    def test_a_walk_with_no_move_left_raises(self, monkeypatch):
+        # A single part needs the shift from a run start into its last entry.
+        shape, lists = Shape((6,), (2,)), ((1, 1, 1, 4, 4, 4),)
+        assert saturated(shape, lists)[0] == ((1, 1, 1, 3, 4, 5),)
+        monkeypatch.setattr(realize, "_shift_sources", lambda lst: iter(()))
+        with pytest.raises(NoValidStepError, match="does not saturate part 1"):
+            saturate(shape, lists)
+
+    def test_a_rejected_final_check_raises(self, monkeypatch):
+        calls = []
+
+        def rejecting(shape, lists):
+            result = check_losing_lists(shape, lists)
+            calls.append(lists)
+            return result if len(calls) == 1 else replace(result, valid=False)
+
+        monkeypatch.setattr(realize, "check_losing_lists", rejecting)
+        with pytest.raises(NoValidStepError, match="does not saturate part 1"):
+            saturate(Shape((2, 2), (1, 1)), [[1, 1], [1, 1]])
+        assert calls[1] == ((1, 2), (0, 1))  # the input is checked, then the result
+
+
+class TestSaturationBox:
+    """The full-check route that ``saturate`` and the closed-form walk are
+    compared against. A move lowers the slack by 1 exactly on a box of
+    prefixes, and the route decides each candidate by a check of the whole
+    tuple."""
+
+    @pytest.mark.parametrize("n, alpha, lists", TIGHT_RUN_LISTS)
     def test_a_tight_run_start_inside_a_shift_box_rejects_the_shift(self, n, alpha, lists):
         # The shift from entry 0 to the last entry of part 0 lowers the slack
         # on prefixes 1..n_0 - 1 of part 0. Both ends of that range have slack
-        # 1, but the run start between them has slack 0, so a decision at the
-        # box ends alone would accept the shift.
+        # 1, but the run start between them has slack 0, so the full check
+        # rejects the shift; the route and the walk saturate every part.
         shape, last = Shape(n, alpha), n[0] - 1
         assert not full_check_verdict(shape, lists, 0, last, 0, 0)
-        assert not _Saturation(shape, [list(lst) for lst in lists], 0).keeps_bounds(last, 0, 0)
-        assert_saturation_matches_reference(shape, lists, Counter(), every_candidate=True)
-
-    @settings(max_examples=100, deadline=None)
-    @given(valid_lists())
-    def test_steps_keep_the_prefix_rows_exact(self, case):
-        shape, lists = case
+        tiers = Counter()
         for active in range(shape.k):
-            work = [list(lst) for lst in lists]
-            level = _Saturation(shape, work, active)
-            while work[active][-1] < arcs_through(shape, active):
-                if level.step() is None:
-                    break
-                assert_state_exact(shape, level, work)
+            assert_level_matches_stepwise(shape, lists, active, tiers)
+        assert tiers["levels"] == shape.k and tiers[3] == 0
 
     def test_donor_tier_beyond_the_canonical_move_never_fires(self):
         """Every achievable list tuple of 13 part-size tuples, each arity with
-        at most 3 * 10^5 assignments, saturated at every part: the box route
-        takes the full-check route's steps, and that route never needed a
-        donor position other than the canonical one; the one-pass saturation
-        of each level leaves the same lists, and they pass the check."""
+        at most 3 * 10^5 assignments, saturated at every part by the
+        full-check route: that route never needs a donor position other than
+        the canonical one, the one-pass saturation of each level leaves its
+        lists, which pass the check, and ``saturate`` logs its steps at part 1."""
         sizes = [
             (3,), (4,), (5,), (6,), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
             (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
@@ -521,10 +504,12 @@ class TestSaturationBox:
                 if sum(alpha) ** shape.total_arcs() > 3 * 10**5:
                     continue
                 for lists in sorted(achievable_losing_lists(shape).lists):
-                    assert_saturation_matches_reference(shape, lists, tiers)
                     for active in range(shape.k):
+                        expected = lists, ()
                         if lists[active][-1] < shape.through[active]:
-                            assert_level_matches_stepwise(shape, lists, active, tiers)
+                            expected = assert_level_matches_stepwise(shape, lists, active, tiers)
+                        if active == 0:
+                            assert saturated(shape, lists) == expected, (shape, lists)
                     lists_seen += 1
         assert lists_seen == 2568
         assert tiers[1] > 0 and tiers[2] > 0
@@ -558,10 +543,10 @@ def break_a_bound(shape, lists, active):
 
 
 def reference_walk(lists, active, bound):
-    """The unit walk the closed form replaced: apply, unchecked, the moves
-    :meth:`_Saturation.step` commits when it accepts its first candidate,
-    until the active list's last entry reaches ``bound``; False when no
-    candidate is left or the entry is past it."""
+    """The unit walk the closed form replaced: apply, unchecked, the
+    first-choice moves, the ones :func:`saturate` logs at part 1, until the
+    active list's last entry reaches ``bound``; False when no candidate is
+    left or the entry is past it."""
     lst = lists[active]
     donors = [donor for s, donor in enumerate(lists) if s != active]
     while lst[-1] < bound:
