@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from math import comb, log2
-from operator import eq, gt
+from operator import eq, gt, mul
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -129,9 +129,9 @@ class Shape:
     """Instance signature: part sizes ``n`` and per-part arities ``alpha``.
 
     The counts that depend only on the shape (the number of arcs, the arcs
-    through one vertex of each part and each part's binomial row) are computed
-    once per instance, on first use, and kept as tuples; equality, hashing and
-    repr still see only ``n`` and ``alpha``.
+    through one vertex of each part, each part's binomial row and rank stride)
+    are computed once per instance, on first use, and kept as tuples;
+    equality, hashing and repr still see only ``n`` and ``alpha``.
     """
 
     n: tuple[int, ...]
@@ -178,6 +178,11 @@ class Shape:
         return tuple(
             tuple(comb(p, a_i) for p in range(n_i + 1)) for n_i, a_i in zip(self.n, self.alpha)
         )
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Per part i, the rank step of its digit: the product of C(n_t, alpha_t), t < i."""
+        return tuple(accumulate((row[-1] for row in self.binomial_rows[:-1]), mul, initial=1))
 
     @cached_property
     def score_total(self) -> int:
@@ -340,9 +345,13 @@ def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
     """All selections of ``shape`` as canonically ordered vertex tuples, by rank.
 
     Rank order is the product of the parts' alpha_i-subsets, each part's in
-    colexicographic order, with part 1 as the fastest digit. Each part makes
-    one :class:`VertexId` per vertex, and every selection holding a vertex
-    holds that one object.
+    colexicographic order, with part 1 as the fastest digit. Callers rely on
+    three digit facts: part i's digit steps by ``shape.strides[i]``, the
+    subsets whose largest vertex is m take its colex digits [C(m, alpha_i),
+    C(m+1, alpha_i)), and the last rank holding vertex j of part i is T - 1 -
+    (n_i - alpha_i - j) * strides[i] for j < n_i - alpha_i, else T - 1. Each
+    part makes one :class:`VertexId` per vertex, and every selection holding a
+    vertex holds that one object.
 
     Raises :class:`CapacityError` before allocating anything when the shape
     has more than :data:`MAX_SELECTIONS` selections or vertices.

@@ -10,12 +10,13 @@ dynamic program over distinct loss-count vectors rather than from one pass
 per assignment. It merges states up to symmetry: after a rank it sorts the
 counts of each block of one part's vertices that all remaining selections
 treat alike, the finished vertices and vertices 0..M once the part's digit
-passes the last subset of 0..M with every lower digit maxed, and it keeps a
-part in every selection sorted by branching only on the end of each run of
-equal counts. A permutation inside one part that maps the remaining
-selections onto themselves maps reachable final states onto reachable final
-states, and the result sorts each part anyway, so no list is lost or added.
-The enumeration budget still bounds the assignment space m**T, not the work.
+passes the last subset of 0..M with every lower digit maxed (both ranks by
+arithmetic on ``Shape.strides``), and it keeps a part in every selection
+sorted by branching only on the end of each run of equal counts. A
+permutation inside one part that maps the remaining selections onto
+themselves maps reachable final states onto reachable final states, and the
+result sorts each part anyway, so no list is lost or added. The enumeration
+budget bounds the assignment space m**T, m = 1 included, not the work.
 
 The accepted side is a pruned search, not a check per candidate. It fixes
 one part's list at a time and keeps, per level, only the lower envelope of
@@ -106,11 +107,8 @@ class AchievableSet:
 
 def _assignment_count(shape: Shape, budget: int) -> int:
     """Assignment-space size m**T, raising when it exceeds the budget."""
-    m = sum(shape.alpha)
-    total = shape.total_arcs()
-    if m == 1:
-        return 1
-    count = m**total if total <= 1_000_000 else None
+    m, total = sum(shape.alpha), shape.total_arcs()
+    count = m**total if m == 1 or total <= 1_000_000 else None
     if count is None or count > budget:
         # Past 10**100 the count shows as a power: str() limits an int's digits.
         shown = count if count is not None and count < 10**100 else f"{m}**{total}"
@@ -154,9 +152,9 @@ def achievable_losing_lists(
       because a state branches only on the last position of each run of
       equal counts.
 
-    A vertex's last rank does not fall as its index grows, so each block is
-    a prefix of its part. ``budget`` bounds the assignment space m**T,
-    checked before any work, not the number of states.
+    Last ranks follow from the digit facts of :func:`selection_vertices` and
+    do not fall as the index grows, so each block is a prefix of its part.
+    ``budget`` bounds m**T, checked before any work, not the number of states.
     """
     count = _assignment_count(shape, budget)
     sels = selection_vertices(shape)
@@ -172,14 +170,13 @@ def achievable_losing_lists(
             ends = prefixes.setdefault(rank, {})
             ends[lo] = max(ends.get(lo, lo), hi)
 
-    for v, rank in {v: rank for rank, sel in enumerate(sels) for v in sel}.items():
-        sort_after(rank, offsets[v.part], offsets[v.part] + v.index + 1)
-    period = 1  # ranks in one cycle of the parts below part i
-    for i, row in enumerate(shape.binomial_rows):  # row[size] = C(size, alpha_i)
-        for base in range(0, len(sels), period * row[-1]):
+    for i, (row, stride) in enumerate(zip(shape.binomial_rows, shape.strides)):
+        free = len(row) - 1 - shape.alpha[i]  # row[size] = C(size, alpha_i)
+        for j in range(free):  # vertex j's last rank; the others finish at the last rank
+            sort_after(len(sels) - 1 - (free - j) * stride, offsets[i], offsets[i] + j + 1)
+        for base in range(0, len(sels), stride * row[-1]):
             for size in range(shape.alpha[i], len(row)):
-                sort_after(base + row[size] * period - 1, offsets[i], offsets[i] + size)
-        period *= row[-1]
+                sort_after(base + row[size] * stride - 1, offsets[i], offsets[i] + size)
     states = {(0,) * offsets[-1]}
     for rank, sel in enumerate(sels):
         moves = [p for v in sel if (p := offsets[v.part] + v.index) not in inner]

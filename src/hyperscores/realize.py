@@ -7,10 +7,10 @@ one part at a time: the other lists drain from the top into the active list,
 filled from the bottom, then its own entries into its last, until that entry
 is the per-vertex arc count of its part (saturation, unchecked), and that
 vertex, which loses every arc through it, is dropped. Up, from the single arc
-left, each level gives the arcs through its vertex to that vertex, sets the
-targets of the entries it moved back and repairs from those. The repairs are
-exact, so they decide every walk; if one fails, ``realize_flow``'s start
-realizes the input instead.
+left, each level gives the arcs through its vertex, ranked by arithmetic on
+``Shape.strides``, to that vertex, sets the targets of the entries it moved
+back and repairs from those. The repairs are exact, so they decide every
+walk; if one fails, ``realize_flow``'s start realizes the input instead.
 :func:`saturate` takes the same first-choice moves one unit at a time, logs
 them and checks only the result; that every tuple of lists on the way meets
 the bounds is a tested property, not a runtime check.
@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain
-from math import prod
 
 from .criteria import CheckResult, check_losing_lists
 from .model import (
@@ -192,13 +191,10 @@ class _LoserChains:
     selection rank (None until given) and each vertex's lost ranks, kept
     sorted as losses move. The arc at a rank is its selection, loser last."""
 
-    def __init__(self, sels, losers: list[VertexId | None] | None = None):
+    def __init__(self, sels):
         self.sels = sels
-        self.losers = [None] * len(sels) if losers is None else list(losers)
+        self.losers: list[VertexId | None] = [None] * len(sels)
         self.lost: dict[VertexId, list[int]] = {}
-        for rank, loser in enumerate(self.losers):
-            if loser is not None:
-                self.lost.setdefault(loser, []).append(rank)
 
     def give(self, rank: int, loser: VertexId) -> None:
         """Make ``loser`` lose the unassigned arc at ``rank``."""
@@ -264,12 +260,10 @@ class _LoserChains:
 
 
 def _level_ranks(shape: Shape, part: int, m: int) -> list[int]:
-    """The top ranks whose first-dropped vertex is (part, m), ascending: ranks
-    are mixed-radix with part 1 fastest, so ``part`` holds the first non-zero
-    digit, and the colex digits of the subsets with largest vertex m are
-    [C(m, alpha), C(m+1, alpha))."""
-    g = shape.binomial_rows[part]
-    stride = prod(row[-1] for row in shape.binomial_rows[:part])
+    """The top ranks whose first-dropped vertex is (part, m), ascending: ``part``
+    holds the first non-zero digit, and by the digit facts of
+    :func:`selection_vertices` its digits for m are [C(m, alpha), C(m+1, alpha))."""
+    g, stride = shape.binomial_rows[part], shape.strides[part]
     digits = range(g[m] * stride, g[m + 1] * stride, stride)
     return [q + d for q in range(0, shape.total_arcs(), stride * g[-1]) for d in digits]
 

@@ -83,6 +83,14 @@ def small_shapes(draw):
 MODES = st.sampled_from(["loser-only", "full-permutation"])
 
 
+def _chains(sels, losers) -> _LoserChains:
+    """An engine on ``sels`` whose arc at rank r is lost by losers[r]."""
+    chains = _LoserChains(sels)
+    for rank, loser in enumerate(losers):
+        chains.give(rank, loser)
+    return chains
+
+
 def _losses(shape, losers) -> dict:
     counts = dict.fromkeys(shape.vertices(), 0)
     counts.update(Counter(losers))
@@ -124,10 +132,10 @@ def test_move_loss_matches_reference(shape, seeds, modes):
     sels = selection_vertices(shape)
     targets, counts = _losses(shape, goal), _losses(shape, start)
     need = {v: targets[v] - counts[v] for v in targets}
-    reference = _LoserChains(sels, start)
+    reference = _chains(sels, start)
     reference_repair(reference, dict(need))
     assert _losses(shape, reference.losers) == targets
-    chains = _LoserChains(sels, start)
+    chains = _chains(sels, start)
     chains.repair(need, over(need))
     assert set(need.values()) <= {0}
     assert _losses(shape, chains.losers) == targets
@@ -147,8 +155,8 @@ def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, dat
     valid = check_losing_lists(shape, moved).valid
     sels, counts = selection_vertices(shape), _losses(shape, start)
     need = {v: moved[v.part][v.index] - counts[v] for v in counts}
-    reference = _LoserChains(sels, start)
-    chains = _LoserChains(sels, start)
+    reference = _chains(sels, start)
+    chains = _chains(sels, start)
     if valid:
         reference_repair(reference, dict(need))
         chains.repair(need, over(need))
@@ -168,12 +176,12 @@ def test_named_move_falls_back_to_a_chain():
     a, b, c = (VertexId(0, j) for j in range(3))
     shape = Shape((3,), (2,))
     losers = [a, c, b]
-    chains = _LoserChains(selection_vertices(shape), losers)
+    chains = _chains(selection_vertices(shape), losers)
     need = {a: -1, c: 1}
     chains.repair(need, over(need))
     assert chains.losers == [b, c, c]
     assert need == {a: 0, c: 0}
-    reference = _LoserChains(selection_vertices(shape), losers)
+    reference = _chains(selection_vertices(shape), losers)
     assert reference_move_loss(reference, a, c.__eq__) == c
     assert reference.losers == chains.losers
     _assert_exact(chains, selection_vertices(shape))

@@ -238,14 +238,17 @@ class TestSelectionTable:
         # paths to the same indexing.
         table = selection_vertices(shape)
         assert len(table) == shape.total_arcs()
+        radices = [math.comb(n_i, a_i) for n_i, a_i in zip(shape.n, shape.alpha)]
         for rank, sel in enumerate(table):
             expected = []
             r = rank
             for part, (n_i, a_i) in enumerate(zip(shape.n, shape.alpha)):
-                radix = math.comb(n_i, a_i)
+                radix = radices[part]
                 expected.extend(V(part, e) for e in _colex_unrank(r % radix, n_i, a_i))
                 r //= radix
             assert sel == tuple(expected)
+        # Part i's digit steps by the product of the radices below it.
+        assert shape.strides == tuple(math.prod(radices[:part]) for part in range(shape.k))
 
     def test_matches_colex_product_reference(self):
         """Every shape with k <= 3, n_i <= 4 and 1 <= alpha_i <= n_i: the

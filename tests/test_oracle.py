@@ -130,6 +130,12 @@ class TestEnumerate:
             list(enumerate_assignments(Shape((2, 2), (1, 1)), budget=15))
         assert err.value.count == 16
 
+    def test_budget_bounds_a_single_assignment(self):
+        # m = 1: the one assignment is still compared with the budget.
+        with pytest.raises(BudgetExceededError) as err:
+            achievable_losing_lists(Shape((5,), (1,)), budget=0)
+        assert err.value.count == 1
+
     def test_deterministic_order(self):
         shape = Shape((3, 1), (1, 1))
         first = [m.arcs for m in enumerate_assignments(shape)]
@@ -201,14 +207,19 @@ class TestAchievable:
     def test_last_rank_does_not_fall_with_the_index(self):
         """Within a part, a vertex's last selection comes no earlier than that
         of a vertex with a smaller index, so the vertices a rank finishes, and
-        every block the program sorts, fill a prefix of the part's positions."""
+        every block the program sorts, fill a prefix of the part's positions.
+        Each last rank is T - 1 - (n_i - alpha_i - j) * strides[i], or T - 1
+        for j >= n_i - alpha_i, as the program computes it."""
         shapes = list(_shapes(3, 6, 4, lambda s: s.total_arcs() <= 400))
         assert len(shapes) == 5326
         for shape in shapes:
             last = {v: rank for rank, sel in enumerate(selection_vertices(shape)) for v in sel}
-            for i, n_i in enumerate(shape.n):
+            for i, (n_i, a_i) in enumerate(zip(shape.n, shape.alpha)):
                 ranks = [last[VertexId(i, j)] for j in range(n_i)]
                 assert ranks == sorted(ranks), shape
+                formula = [shape.total_arcs() - 1 - max(n_i - a_i - j, 0) * shape.strides[i]
+                           for j in range(n_i)]
+                assert ranks == formula, shape
 
 
 class TestRandom:
