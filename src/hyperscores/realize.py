@@ -10,7 +10,8 @@ vertex, which loses every arc through it, is dropped. Up, from the single arc
 left, each level gives the arcs through its vertex, ranked by arithmetic on
 ``Shape.strides``, to that vertex, sets the targets of the entries it moved
 back and repairs from those. The repairs are exact, so they decide every
-walk; if one fails, ``realize_flow``'s start realizes the input instead.
+walk; a walk that runs short, a repair that finds no chain or a bottom with
+no unique unit loser raises :class:`RealizationGapError` naming the level.
 :func:`saturate` takes the same first-choice moves one unit at a time, logs
 them and checks only the result; that every tuple of lists on the way meets
 the bounds is a tested property, not a runtime check.
@@ -66,7 +67,7 @@ class NoValidStepError(Exception):
 
 
 class RealizationGapError(Exception):
-    """The inductive construction could not complete an interchange."""
+    """The inductive construction stopped at a level, or its witness misses the targets."""
 
 
 class InfeasibleError(Exception):
@@ -268,22 +269,33 @@ def _level_ranks(shape: Shape, part: int, m: int) -> list[int]:
     return [q + d for q in range(0, shape.total_arcs(), stride * g[-1]) for d in digits]
 
 
-def _inductive_losers(shape: Shape, lists) -> list[VertexId] | None:
-    """The two passes on ``lists`` (mutated); None when a walk has no move, the
-    single arc left has no unit loser or a repair finds no chain."""
+def _gap(vertex: VertexId, what: str) -> RealizationGapError:
+    return RealizationGapError(f"gap at level [{vertex.part + 1}, {vertex.index + 1}]: {what}")
+
+
+def _inductive_losers(shape: Shape, lists) -> list[VertexId]:
+    """One loser per selection rank by the two passes on ``lists`` (mutated).
+
+    A level's repair is an exact b-matching for the lists the walk of the
+    level above left, so it finds no chain exactly when that walk broke a
+    bound. Raises :class:`RealizationGapError` naming the level's vertex when
+    a walk runs short, a repair finds no chain or, at the last level, the
+    single arc left has no unique unit loser.
+    """
     arcs, levels = shape.total_arcs(), []
     for active, (n_a, a) in enumerate(zip(shape.n, shape.alpha)):
         for m in range(n_a - 1, a - 1, -1):  # the sub-shape has m + 1 vertices in part active
-            change = _walk_level(lists, active, arcs * a // (m + 1))
+            bound = arcs * a // (m + 1)
+            change = _walk_level(lists, active, bound)
             if change is None:
-                return None
+                raise _gap(VertexId(active, m), f"the walk cannot bring its last entry to {bound}")
             levels.append((VertexId(active, m), change))
             lists[active].pop()
             arcs = arcs * (m + 1 - a) // (m + 1)
     # The single arc left, at rank 0, goes to the vertex of the unit entry.
     bottom = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
-        return None
+        raise _gap(levels[-1][0], f"the single arc left has {len(bottom)} unit entries, not 1")
     chains, need = _LoserChains(selection_vertices(shape)), dict.fromkeys(shape.vertices(), 0)
     chains.give(0, bottom[0])
     for vertex, change in reversed(levels):
@@ -295,43 +307,9 @@ def _inductive_losers(shape: Shape, lists) -> list[VertexId] | None:
             need[v] += x
         try:
             chains.repair(need, sorted(v for v, x in change if need[v] < 0))
-        except NoEligibleArcError:
-            return None
+        except NoEligibleArcError as exc:
+            raise _gap(vertex, f"the repair finds no chain: {exc}") from exc
     return chains.losers
-
-
-def _flow_losers(shape: Shape, data) -> list[VertexId]:
-    """``realize_flow``'s losers for ``data``, whose grand total is T."""
-    need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
-    chains = _LoserChains(selection_vertices(shape))
-    for rank, sel in enumerate(chains.sels):
-        loser = max(sel, key=need.__getitem__)
-        need[loser] -= 1
-        chains.give(rank, loser)
-    chains.repair(need, [v for v, x in need.items() if x < 0])
-    return chains.losers
-
-
-def _realize(shape: Shape, data) -> list[VertexId]:
-    """One loser per selection rank whose losing lists are ``data``, which the
-    caller has checked.
-
-    Down: per level, saturate the first part with slack, unchecked: drain the
-    other lists from the top, in part order, into it from the bottom, then its
-    own entries into its last; drop its last vertex, which loses every arc
-    through it. Up, on one engine, each level gives the ranks whose
-    first-dropped vertex is its own to that vertex, adds the net change of the
-    entries its walk moved back to ``need`` and repairs from those: an exact
-    b-matching for the lists the walk of the level above left, so it finds no
-    chain exactly when that walk broke a bound. If a walk runs short, the
-    bottom has no unit loser or a repair fails, the engine goes and
-    ``realize_flow``'s start realizes ``data``, exact as ``data`` is valid.
-    """
-    losers = _inductive_losers(shape, [list(lst) for lst in data])
-    try:
-        return losers or _flow_losers(shape, data)
-    except NoEligibleArcError as exc:
-        raise RealizationGapError(f"lists are not realizable: {exc}") from exc
 
 
 def realize_inductive(shape: Shape, R) -> Hypertournament:
@@ -340,14 +318,15 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     Entry j of list i is realized at vertex (i, j). The down pass shrinks the
     first part that still has more vertices than its arity until a single arc
     is left; the up pass builds the witness back on the top shape's selection
-    table. The result is verified against the targets before being returned,
-    so a silent construction defect cannot escape.
+    table. A level that cannot complete raises :class:`RealizationGapError`
+    naming its vertex, and the result is verified against the targets before
+    being returned, so a construction defect cannot pass as a witness.
     """
     data = conform_lists(shape, R, "losing")
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
-    M = Hypertournament.from_losers(shape, _realize(shape, data))
+    M = Hypertournament.from_losers(shape, _inductive_losers(shape, [list(lst) for lst in data]))
     targets = {VertexId(i, j): x for i, lst in enumerate(data) for j, x in enumerate(lst)}
     if losing_score_map(M) != targets:
         raise RealizationGapError("constructed witness does not reproduce the input lists")
@@ -374,8 +353,14 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
+    need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
+    chains = _LoserChains(selection_vertices(shape))
+    for rank, sel in enumerate(chains.sels):
+        loser = max(sel, key=need.__getitem__)
+        need[loser] -= 1
+        chains.give(rank, loser)
     try:
-        losers = _flow_losers(shape, data)
+        chains.repair(need, [v for v, x in need.items() if x < 0])
     except NoEligibleArcError as exc:
         raise InfeasibleError(f"lists are not realizable: {exc}") from exc
-    return Hypertournament.from_losers(shape, losers)
+    return Hypertournament.from_losers(shape, chains.losers)

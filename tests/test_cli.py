@@ -244,14 +244,24 @@ class TestRealizeVerify:
         assert json.loads(out)["valid"] is False
 
     def test_realization_gap_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A gap exits 3 with empty stdout and no traceback, both from a
+        replaced realizer and from the construction itself when only its
+        walks run short: then stderr names the top level's vertex, 1-based."""
         def gap(shape, lists):
             raise RealizationGapError("constructed witness does not reproduce the input lists")
 
-        monkeypatch.setattr(cli, "realize_inductive", gap)
-        code, out, err = run(capsys, "realize", write_instance(tmp_path, VALID))
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "realize_inductive", gap)
+            code, out, err = run(capsys, "realize", write_instance(tmp_path, VALID))
         assert code == 3
         assert out == ""
         assert "does not reproduce" in err and "Traceback" not in err
+
+        monkeypatch.setattr(realize, "_walk_level", lambda lists, active, bound: None)
+        code, out, err = run(capsys, "realize", write_instance(tmp_path, VALID))
+        assert code == 3
+        assert out == ""
+        assert "gap at level [1, 2]: the walk cannot" in err and "Traceback" not in err
 
     def test_score_input_converted(self, tmp_path, capsys):
         doc = dict(VALID, kind="score")

@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -35,7 +36,7 @@ from hyperscores import realize
 from hyperscores.model import NoEligibleArcError
 from hyperscores.realize import (
     _level_ranks,
-    _realize,
+    _inductive_losers,
     _shift_sources,
     _walk_level,
 )
@@ -518,7 +519,7 @@ class TestSaturationBox:
         assert tiers["stuck"] == 0
 
 
-FALLBACK_SHAPES = [((4, 3), (2, 1)), ((6, 5), (2, 2)), ((3, 3, 3), (1, 1, 1)), ((7,), (2,))]
+GAP_SHAPES = [((4, 3), (2, 1)), ((6, 5), (2, 2)), ((3, 3, 3), (1, 1, 1)), ((7,), (2,))]
 
 
 def break_a_bound(shape, lists, active):
@@ -617,24 +618,32 @@ class TestClosedFormWalk:
                 arcs = arcs * (m + 1 - a) // (m + 1)
 
 
-def assert_falls_back_to_flow(shape, lists, patch):
-    """With ``patch`` applied, ``_realize`` falls back exactly once and returns
-    ``realize_flow``'s witness, which validates and reproduces ``lists``."""
-    expected = realize_flow(shape, lists)
-    assert validate(expected) == [] and losing_scores(expected).lists == lists
-    fallbacks = []
-    flow_losers = realize._flow_losers
+def down_levels(shape):
+    """The vertices the down pass drops, in its order: one per level."""
+    return [V(i, m) for i, (n_i, a) in enumerate(zip(shape.n, shape.alpha))
+            for m in range(n_i - 1, a - 1, -1)]
+
+
+def gap_at(vertex):
+    """The start of a gap message that names ``vertex``'s level, 1-based."""
+    return f"gap at level [{vertex.part + 1}, {vertex.index + 1}]: "
+
+
+def gap_message(shape, lists, patch):
+    """With ``patch`` applied, the message of the :class:`RealizationGapError`
+    that ``realize_inductive`` raises, which must not run ``realize_flow``."""
     with pytest.MonkeyPatch.context() as mp:
         patch(mp)
-        mp.setattr(realize, "_flow_losers", lambda *a: fallbacks.append(a) or flow_losers(*a))
-        assert _realize(shape, lists) == list(expected.losers)
-    assert len(fallbacks) == 1
+        mp.setattr(realize, "realize_flow", lambda *a: pytest.fail("the flow route ran"))
+        with pytest.raises(RealizationGapError) as info:
+            realize_inductive(shape, lists)
+    return str(info.value)
 
 
 class TestOnePassLevel:
     """A level is saturated by the greedy's first-choice moves, unchecked; the
-    up pass's repairs decide every walked level, and the flow route on the
-    input lists is the only fallback."""
+    up pass's repairs decide every walked level, and a level that cannot
+    complete raises a gap that names it: no other route stands in."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(valid_lists())
@@ -646,43 +655,50 @@ class TestOnePassLevel:
                 assert_level_matches_stepwise(shape, lists, active, tiers)
         assert tiers["stuck"] == 0
 
-    @pytest.mark.parametrize("n, alpha", FALLBACK_SHAPES)
-    def test_a_failed_walk_falls_back_to_the_same_witness(self, n, alpha):
-        """A walk with no move left, or one that breaks a bound, at the first
-        level that can be broken, yields realize_flow's witness."""
+    @pytest.mark.parametrize("n, alpha", GAP_SHAPES)
+    def test_a_failed_walk_raises_a_gap(self, n, alpha):
+        """A walk with no move left is the gap at its level. A walk that breaks
+        a bound, at the first level that can be broken, is the gap at the next
+        level down, the first to work on the broken lists: its walk runs short
+        or its repair finds no chain."""
         shape = Shape(n, alpha)
         lists = losing_scores(random_hypertournament(shape, 1)).lists
+        levels = down_levels(shape)
         for fail in ("stuck", "broken"):
             failed = []
 
             def walk(lists, active, bound):
+                level = V(active, len(lists[active]) - 1)
                 change = _walk_level(lists, active, bound)
                 if failed:
                     return change
                 if fail == "stuck":
-                    failed.append(active)
+                    failed.append(level)
                     return None
                 walked = [list(lst) for lst in lists]
                 if break_a_bound(shape, lists, active):
-                    failed.append(active)
+                    failed.append(level)
                     net = Counter(dict(change))
                     net.update(net_change(walked, lists))
                     change = [(v, x) for v, x in net.items() if x]
                 return change
 
-            assert_falls_back_to_flow(
-                shape, lists, lambda mp: mp.setattr(realize, "_walk_level", walk)
-            )
+            message = gap_message(shape, lists, lambda mp: mp.setattr(realize, "_walk_level", walk))
             assert len(failed) == 1, fail
+            if fail == "stuck":
+                assert message.startswith(gap_at(failed[0]) + "the walk cannot"), message
+            else:
+                assert message.startswith(gap_at(levels[levels.index(failed[0]) + 1])), message
 
-    @pytest.mark.parametrize("n, alpha", FALLBACK_SHAPES)
-    def test_a_rejected_check_falls_back_to_the_same_witness(self, n, alpha):
+    @pytest.mark.parametrize("n, alpha", GAP_SHAPES)
+    def test_a_rejected_check_raises_a_gap(self, n, alpha):
         """The up pass's repairs are the check of the walked levels: a repair
-        that finds no chain at the chosen level yields realize_flow's witness."""
+        that finds no chain at the bottom or the top level is the gap there."""
         shape = Shape(n, alpha)
         lists = losing_scores(random_hypertournament(shape, 1)).lists
         repair = realize._LoserChains.repair
-        for level in (0, sum(n) - sum(alpha) - 1):  # the bottom and the top level's repair
+        up = down_levels(shape)[::-1]
+        for level in (0, len(up) - 1):  # the bottom and the top level's repair
             calls = count()
 
             def rejecting(chains, need, over):
@@ -690,10 +706,11 @@ class TestOnePassLevel:
                     raise NoEligibleArcError("rejected")
                 return repair(chains, need, over)
 
-            assert_falls_back_to_flow(
+            message = gap_message(
                 shape, lists, lambda mp: mp.setattr(realize._LoserChains, "repair", rejecting)
             )
-            assert next(calls) == level + 2  # the failing repair and the flow's
+            assert message == gap_at(up[level]) + "the repair finds no chain: rejected"
+            assert next(calls) == level + 1  # no repair after the failing one
 
     @pytest.mark.parametrize(
         "n, alpha, lists",
@@ -705,8 +722,10 @@ class TestOnePassLevel:
         ],
     )
     def test_invalid_lists_entering_a_level_raise(self, n, alpha, lists):
-        with pytest.raises(RealizationGapError, match="not realizable"):
-            _realize(Shape(n, alpha), lists)
+        shape = Shape(n, alpha)
+        second = re.escape(gap_at(down_levels(shape)[1]))
+        with pytest.raises(RealizationGapError, match=f"^{second}the walk cannot"):
+            _inductive_losers(shape, lists)
 
     def test_a_lost_level_change_fails_the_final_verification(self, monkeypatch):
         def forgetful(lists, active, bound):
