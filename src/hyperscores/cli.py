@@ -253,10 +253,11 @@ def _check_doc(kind: str, result: CheckResult) -> dict:
 
 
 def _emit(doc: dict, args, text_renderer=None) -> None:
-    if getattr(args, "format", "json") == "text" and text_renderer is not None:
-        print(text_renderer(doc))
-    else:
-        print(json.dumps(doc))
+    try:
+        out = text_renderer(doc) if args.format == "text" and text_renderer else json.dumps(doc)
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise CapacityError(f"an output integer is too long to print: {exc}") from exc
+    print(out)
 
 
 def _emit_witness(doc: dict, M: Hypertournament, args) -> None:

@@ -1,20 +1,21 @@
 """Witness construction for valid losing-score lists.
 
-Both routes keep one loser per selection rank and meet the loss targets by one
-repair: phases of shortest interchange chains from the vertices over their
-targets to those under. ``realize_inductive`` runs two passes. Down, it shrinks
-one part at a time: the other lists drain from the top into the active list,
-filled from the bottom, then its own entries into its last, until that entry
-is the per-vertex arc count of its part (saturation, unchecked), and that
-vertex, which loses every arc through it, is dropped. Up, from the single arc
-left, each level gives the arcs through its vertex, ranked by arithmetic on
-``Shape.strides``, to that vertex, sets the targets of the entries it moved
-back and repairs from those. The repairs are exact, so they decide every
-walk; a walk that runs short, a repair that finds no chain or a bottom with
-no unique unit loser raises :class:`RealizationGapError` naming the level.
-:func:`saturate` takes the same first-choice moves one unit at a time, logs
-them and checks only the result; that every tuple of lists on the way meets
-the bounds is a tested property, not a runtime check.
+Both routes build one loser per selection rank and each vertex's lost ranks and
+meet the loss targets by one repair of both, ``_repair``: phases of shortest
+interchange chains from the vertices over their targets to those under.
+``realize_inductive`` runs two passes. Down, it shrinks one part at a time: the
+other lists drain from the top into the active list, filled from the bottom,
+then its own entries into its last, until that entry is the per-vertex arc
+count of its part (saturation, unchecked), and that vertex, which loses every
+arc through it, is dropped. Up, from the single arc left, each level gives the
+arcs through its vertex, ranked by arithmetic on ``Shape.strides``, to that
+vertex, sets the targets of the entries it moved back and repairs from those.
+The repairs are exact, so they decide every walk; a walk that runs short, a
+repair that finds no chain or a bottom with no unique unit loser raises
+:class:`RealizationGapError` naming the level. :func:`saturate` takes the same
+first-choice moves one unit at a time, logs them and checks only the result;
+that every tuple of lists on the way meets the bounds is a tested property, not
+a runtime check.
 ``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
 that serves as an oracle for the first route.
 """
@@ -130,7 +131,8 @@ def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | 
     lst, before = lists[active], {}
     if lst[-1] >= bound:
         return [] if lst[-1] == bound else None
-    short = units = (len(lst) - 1) * (bound - 1) + bound - sum(lst)
+    i = bisect_left(lst, bound - 1, 0, len(lst) - 1)  # lst[i:-1] are all bound - 1
+    short = units = i * (bound - 1) - sum(lst[:i]) + bound - lst[-1]
     for s, donor in enumerate(lists):
         if s != active and short:
             short = _drain(donor, len(donor), short, s, before)
@@ -187,77 +189,62 @@ def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
     return ScoreLists("losing", out), TransformLog(tuple(steps))
 
 
-class _LoserChains:
-    """Interchange-chain engine on one selection table: the loser of each
-    selection rank (None until given) and each vertex's lost ranks, kept
-    sorted as losses move. The arc at a rank is its selection, loser last."""
+def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId]) -> None:
+    """Move losses by interchange chains until no ``need`` is negative.
 
-    def __init__(self, sels):
-        self.sels = sels
-        self.losers: list[VertexId | None] = [None] * len(sels)
-        self.lost: dict[VertexId, list[int]] = {}
-
-    def give(self, rank: int, loser: VertexId) -> None:
-        """Make ``loser`` lose the unassigned arc at ``rank``."""
-        self.losers[rank] = loser
-        insort(self.lost.setdefault(loser, []), rank)
-
-    def repair(self, need: dict[VertexId, int], over: list[VertexId]) -> None:
-        """Move losses by interchange chains until no ``need`` is negative.
-
-        ``need[v]`` is how many more arcs v should lose (0 when absent) and is
-        kept current; ``over`` lists, in ``need``'s order, every v whose need
-        is negative. A chain u0, ..., um, where u_(i-1) loses an arc holding
-        u_i, makes each u_i that arc's loser: only u0 and um change counts.
-        The first phase is a one-hop sweep. Each later one layers the vertices
-        from all over-target ones up to the first layer that holds an
-        under-target one. Every phase moves a blocking set of shortest chains
-        along its layers by a search that resumes each vertex at a cursor
-        (Dinic; Hopcroft-Karp), so the shortest chain lengthens every phase.
-        Scans go in rank order, then selection order. Raises
-        :class:`NoEligibleArcError` when a layering reaches no under-target vertex.
-        """
-        sels, losers, lost = self.sels, self.losers, self.lost
-        swept = False
-        while over := [v for v in over if need[v] < 0]:
-            dist, layer, depth = dict.fromkeys(over, 0), over, 1
-            while swept:  # layers up to the first that holds an under-target vertex
-                layer = {w: depth for u in layer for r in lost.get(u, ())
-                         for w in sels[r] if w not in dist}
-                if not layer:
-                    raise NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
-                if any(need.get(w, 0) > 0 for w in layer):
-                    break
-                dist.update(layer)
-                depth += 1
-            swept, cursor = True, {}
-            for s in over:  # each s moves losses by a depth-first search up the layers
-                path = [(None, s)]
-                while path and need[s] < 0:
-                    u = path[-1][1]
-                    d, ranks = dist[u] + 1, lost.get(u, ())
-                    rank = w = None
-                    for i in range(bisect_left(ranks, cursor.get(u, 0)), len(ranks)):
-                        for w in sels[ranks[i]]:
-                            if need.get(w, 0) > 0 if d == depth else dist.get(w) == d:
-                                rank = ranks[i]
-                                break
-                        if rank is not None:
+    ``losers[r]`` loses the arc at rank r, ``sels[r]``; ``lost[v]`` holds v's
+    ranks ascending; ``need[v]`` is how many more arcs v should lose (0 when
+    absent). All three are kept current. ``over`` lists, in ``need``'s order,
+    every v whose need is negative. A chain u0, ..., um, where u_(i-1) loses an
+    arc holding u_i, makes each u_i that arc's loser: only u0 and um change
+    counts. The first phase is a one-hop sweep. Each later one layers the
+    vertices from all over-target ones up to the first layer that holds an
+    under-target one. Every phase moves a blocking set of shortest chains along
+    its layers by a search that resumes each vertex at a cursor (Dinic;
+    Hopcroft-Karp), so the shortest chain lengthens every phase. Scans go in
+    rank order, then selection order. Raises :class:`NoEligibleArcError` when a
+    layering reaches no under-target vertex.
+    """
+    swept = False
+    while over := [v for v in over if need[v] < 0]:
+        dist, layer, depth = dict.fromkeys(over, 0), over, 1
+        while swept:  # layers up to the first that holds an under-target vertex
+            layer = {w: depth for u in layer for r in lost.get(u, ())
+                     for w in sels[r] if w not in dist}
+            if not layer:
+                raise NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+            if any(need.get(w, 0) > 0 for w in layer):
+                break
+            dist.update(layer)
+            depth += 1
+        swept, cursor = True, {}
+        for s in over:  # each s moves losses by a depth-first search up the layers
+            path = [(None, s)]
+            while path and need[s] < 0:
+                u = path[-1][1]
+                d, ranks = dist[u] + 1, lost.get(u, ())
+                rank = w = None
+                for i in range(bisect_left(ranks, cursor.get(u, 0)), len(ranks)):
+                    for w in sels[ranks[i]]:
+                        if need.get(w, 0) > 0 if d == depth else dist.get(w) == d:
+                            rank = ranks[i]
                             break
-                    if rank is None:  # a dead end leaves the layering
-                        dist[u] = None
-                        path.pop()
-                        continue
-                    cursor[u] = rank
-                    path.append((rank, w))
-                    if d == depth:  # w is under its target: interchange along the chain
-                        for rank, w in path[1:]:
-                            held = lost[losers[rank]]
-                            del held[bisect_left(held, rank)]
-                            losers[rank] = w
-                            insort(lost.setdefault(w, []), rank)
-                        need[s], need[w] = need[s] + 1, need[w] - 1
-                        path = [(None, s)]
+                    if rank is not None:
+                        break
+                if rank is None:  # a dead end leaves the layering
+                    dist[u] = None
+                    path.pop()
+                    continue
+                cursor[u] = rank
+                path.append((rank, w))
+                if d == depth:  # w is under its target: interchange along the chain
+                    for rank, w in path[1:]:
+                        held = lost[losers[rank]]
+                        del held[bisect_left(held, rank)]
+                        losers[rank] = w
+                        insort(lost.setdefault(w, []), rank)
+                    need[s], need[w] = need[s] + 1, need[w] - 1
+                    path = [(None, s)]
 
 
 def _level_ranks(shape: Shape, part: int, m: int) -> list[int]:
@@ -276,11 +263,12 @@ def _gap(vertex: VertexId, what: str) -> RealizationGapError:
 def _inductive_losers(shape: Shape, lists) -> list[VertexId]:
     """One loser per selection rank by the two passes on ``lists`` (mutated).
 
-    A level's repair is an exact b-matching for the lists the walk of the
-    level above left, so it finds no chain exactly when that walk broke a
-    bound. Raises :class:`RealizationGapError` naming the level's vertex when
-    a walk runs short, a repair finds no chain or, at the last level, the
-    single arc left has no unique unit loser.
+    The up pass fills the losers and lost lists from rank 0 on, level by level.
+    A level's repair is an exact b-matching for the lists the walk of the level
+    above left, so it finds no chain exactly when that walk broke a bound.
+    Raises :class:`RealizationGapError` naming the level's vertex when a walk
+    runs short, a repair finds no chain or, at the last level, the single arc
+    left has no unique unit loser.
     """
     arcs, levels = shape.total_arcs(), []
     for active, (n_a, a) in enumerate(zip(shape.n, shape.alpha)):
@@ -296,20 +284,21 @@ def _inductive_losers(shape: Shape, lists) -> list[VertexId]:
     bottom = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
         raise _gap(levels[-1][0], f"the single arc left has {len(bottom)} unit entries, not 1")
-    chains, need = _LoserChains(selection_vertices(shape)), dict.fromkeys(shape.vertices(), 0)
-    chains.give(0, bottom[0])
+    sels, need = selection_vertices(shape), dict.fromkeys(shape.vertices(), 0)
+    losers, lost = [None] * len(sels), {bottom[0]: [0]}
+    losers[0] = bottom[0]
     for vertex, change in reversed(levels):
         # The level's vertex has lost nothing yet, so its ranks are its lost list.
-        ranks = chains.lost[vertex] = _level_ranks(shape, *vertex)
+        ranks = lost[vertex] = _level_ranks(shape, *vertex)
         for rank in ranks:
-            chains.losers[rank] = vertex
+            losers[rank] = vertex
         for v, x in change:  # the targets go back to the lists before saturation
             need[v] += x
         try:
-            chains.repair(need, sorted(v for v, x in change if need[v] < 0))
+            _repair(sels, losers, lost, need, sorted(v for v, x in change if need[v] < 0))
         except NoEligibleArcError as exc:
             raise _gap(vertex, f"the repair finds no chain: {exc}") from exc
-    return chains.losers
+    return losers
 
 
 def realize_inductive(shape: Shape, R) -> Hypertournament:
@@ -337,8 +326,9 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     """Assign one loser per selection so that vertex (i, j) loses R[i][j] arcs.
 
     A greedy start gives each selection, in rank order, to its vertex with the
-    largest remaining need (ties to the first); one repair then moves losses by
-    interchange chains from the vertices over their targets to those under.
+    largest remaining need (ties to the first), appending the rank to its lost
+    ranks; one repair then moves losses by interchange chains from the
+    vertices over their targets to those under.
     :class:`InfeasibleError` is raised on a wrong grand total or when a layering
     of the repair ends short, which is exact by max-flow/min-cut: let S be the
     vertices that layering reached from all over-target vertices together.
@@ -348,19 +338,18 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     acceptance by the losing-list check.
     """
     data = conform_lists(shape, R, "losing")
-    total = shape.total_arcs()
-    grand = sum(sum(lst) for lst in data)
+    total, grand = shape.total_arcs(), sum(sum(lst) for lst in data)
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
     need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
-    chains = _LoserChains(selection_vertices(shape))
-    for rank, sel in enumerate(chains.sels):
-        loser = max(sel, key=need.__getitem__)
+    sels, losers, lost = selection_vertices(shape), [None] * total, {}
+    for rank, sel in enumerate(sels):  # ascending ranks keep every lost list sorted
+        losers[rank] = loser = max(sel, key=need.__getitem__)
         need[loser] -= 1
-        chains.give(rank, loser)
+        lost.setdefault(loser, []).append(rank)
     try:
-        chains.repair(need, [v for v, x in need.items() if x < 0])
+        _repair(sels, losers, lost, need, [v for v, x in need.items() if x < 0])
     except NoEligibleArcError as exc:
         raise InfeasibleError(f"lists are not realizable: {exc}") from exc
-    return Hypertournament.from_losers(shape, chains.losers)
+    return Hypertournament.from_losers(shape, losers)

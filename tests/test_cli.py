@@ -485,6 +485,20 @@ class TestEnumerateRandom:
         assert out == ""
         assert "100000000 vertices exceed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [("check",), ("check", "--format", "text"), ("realize",)])
+    def test_output_integer_past_the_digit_limit(self, tmp_path, capsys, args):
+        # Entries at the interpreter's digit limit read in, but their sum does
+        # not print: a resource limit, not an invalid verdict.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no limit on integer string conversion")
+        big = int("9" * limit)
+        doc = {"k": 1, "n": [2], "alpha": [1], "kind": "losing", "lists": [[big, big]]}
+        code, out, err = run(capsys, args[0], write_instance(tmp_path, doc), *args[1:])
+        assert code == 4
+        assert out == ""
+        assert "too long to print" in err and "Traceback" not in err
+
     def test_bad_shape_flags(self, capsys):
         code, _, _ = run(capsys, "random", "--n", "2,x", "--alpha", "1,1")
         assert code == 2

@@ -6,6 +6,7 @@ import json
 from bisect import insort
 from collections import Counter, deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,12 +27,12 @@ from hyperscores import (
     validate,
 )
 from hyperscores.cli import _hypertournament_from_doc, main
-from hyperscores.realize import _LoserChains
+from hyperscores.realize import _repair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def reference_move_loss(chains: _LoserChains, source: VertexId, is_target) -> VertexId:
+def reference_move_loss(chains: SimpleNamespace, source: VertexId, is_target) -> VertexId:
     """The loss mover the phased repair replaced: one breadth-first search over
     lost arcs from ``source``, in rank order and each arc's vertices in
     selection order, to the first vertex passing ``is_target``, then one
@@ -58,7 +59,7 @@ def reference_move_loss(chains: _LoserChains, source: VertexId, is_target) -> Ve
     raise NoEligibleArcError(f"no chain of interchanges moves a loss away from {source}")
 
 
-def reference_repair(chains: _LoserChains, need: dict) -> None:
+def reference_repair(chains: SimpleNamespace, need: dict) -> None:
     """One reference move per unit over target, vertex by vertex."""
     for v in need:
         while need[v] < 0:
@@ -83,12 +84,18 @@ def small_shapes(draw):
 MODES = st.sampled_from(["loser-only", "full-permutation"])
 
 
-def _chains(sels, losers) -> _LoserChains:
-    """An engine on ``sels`` whose arc at rank r is lost by losers[r]."""
-    chains = _LoserChains(sels)
+def _chains(sels, losers) -> SimpleNamespace:
+    """The repair's state on ``sels`` whose arc at rank r is lost by losers[r]:
+    ``sels``, ``losers`` and ``lost``, each vertex's lost ranks ascending."""
+    lost: dict = {}
     for rank, loser in enumerate(losers):
-        chains.give(rank, loser)
-    return chains
+        lost.setdefault(loser, []).append(rank)
+    return SimpleNamespace(sels=sels, losers=list(losers), lost=lost)
+
+
+def repair(chains: SimpleNamespace, need: dict) -> None:
+    """:func:`_repair` on ``chains``' state from every vertex over its target."""
+    _repair(chains.sels, chains.losers, chains.lost, need, over(need))
 
 
 def _losses(shape, losers) -> dict:
@@ -136,7 +143,7 @@ def test_move_loss_matches_reference(shape, seeds, modes):
     reference_repair(reference, dict(need))
     assert _losses(shape, reference.losers) == targets
     chains = _chains(sels, start)
-    chains.repair(need, over(need))
+    repair(chains, need)
     assert set(need.values()) <= {0}
     assert _losses(shape, chains.losers) == targets
     _assert_exact(chains, sels)
@@ -159,7 +166,7 @@ def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, dat
     chains = _chains(sels, start)
     if valid:
         reference_repair(reference, dict(need))
-        chains.repair(need, over(need))
+        repair(chains, need)
         assert set(need.values()) <= {0}
         assert losing_scores(Hypertournament.from_losers(shape, chains.losers)).lists == moved
         _assert_exact(chains, sels)
@@ -167,7 +174,7 @@ def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, dat
         with pytest.raises(NoEligibleArcError):
             reference_repair(reference, dict(need))
         with pytest.raises(NoEligibleArcError):
-            chains.repair(need, over(need))
+            repair(chains, need)
 
 
 def test_named_move_falls_back_to_a_chain():
@@ -178,7 +185,7 @@ def test_named_move_falls_back_to_a_chain():
     losers = [a, c, b]
     chains = _chains(selection_vertices(shape), losers)
     need = {a: -1, c: 1}
-    chains.repair(need, over(need))
+    repair(chains, need)
     assert chains.losers == [b, c, c]
     assert need == {a: 0, c: 0}
     reference = _chains(selection_vertices(shape), losers)

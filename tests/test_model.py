@@ -1,6 +1,8 @@
 import math
 import re
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
 
@@ -101,7 +103,8 @@ class TestShape:
             Shape(n, alpha)
 
     def test_accepts_integral_floats(self):
-        shape = Shape((3.0, 2), (2, 1.0))
+        # Any non-bool value equal to an int passes, not only floats.
+        shape = Shape((3.0, Fraction(4, 2)), (Decimal("2"), 1.0))
         assert shape.n == (3, 2) and shape.alpha == (2, 1)
         assert all(type(x) is int for x in shape.n + shape.alpha)
 
@@ -194,7 +197,7 @@ class TestScoreLists:
             ScoreLists("losing", lists)
 
     def test_accepts_integral_floats(self):
-        sl = ScoreLists("losing", ((0.0, 2.0), (1, 1)))
+        sl = ScoreLists("losing", ((0.0, 2.0), (Fraction(2, 2), Decimal("1"))))
         assert sl.lists == ((0, 2), (1, 1))
         assert all(type(x) is int for lst in sl.lists for x in lst)
 

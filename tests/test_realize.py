@@ -599,6 +599,24 @@ class TestClosedFormWalk:
                         walks[assert_walk_matches_reference(lists, active, bound)] += 1
         assert walks == {True: 23717, False: 19018}
 
+    @pytest.mark.parametrize(
+        "lists, active, bound, walked",
+        [
+            # Donors lift the two entries below bound - 1; 301 entries sit at it.
+            (((0, 2) + (4,) * 300 + (4,), (3, 5, 5)), 0, 5, True),
+            # No donor: the run at bound - 1 gives the last entry its unit.
+            (((1,) * 2 + (5,) * 400 + (5,),), 0, 6, True),
+            # Every entry at bound - 1 = 0 and no donor: the walk runs short.
+            (((0,) * 500,), 0, 1, False),
+            # The same run, lifted by one donor unit.
+            (((0,) * 500, (0,) * 3 + (1,)), 0, 1, True),
+        ],
+    )
+    def test_long_runs_at_the_bound_walk_as_the_unit_walk(self, lists, active, bound, walked):
+        """Tall lists whose entries mostly sit at bound - 1, the entries the
+        unit count reads without summing them."""
+        assert assert_walk_matches_reference(lists, active, bound) == walked
+
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(valid_lists())
     def test_valid_lists_walk_as_the_unit_walk(self, case):
@@ -696,19 +714,17 @@ class TestOnePassLevel:
         that finds no chain at the bottom or the top level is the gap there."""
         shape = Shape(n, alpha)
         lists = losing_scores(random_hypertournament(shape, 1)).lists
-        repair = realize._LoserChains.repair
+        repair = realize._repair
         up = down_levels(shape)[::-1]
         for level in (0, len(up) - 1):  # the bottom and the top level's repair
             calls = count()
 
-            def rejecting(chains, need, over):
+            def rejecting(*state):
                 if next(calls) == level:
                     raise NoEligibleArcError("rejected")
-                return repair(chains, need, over)
+                return repair(*state)
 
-            message = gap_message(
-                shape, lists, lambda mp: mp.setattr(realize._LoserChains, "repair", rejecting)
-            )
+            message = gap_message(shape, lists, lambda mp: mp.setattr(realize, "_repair", rejecting))
             assert message == gap_at(up[level]) + "the repair finds no chain: rejected"
             assert next(calls) == level + 1  # no repair after the failing one
 
