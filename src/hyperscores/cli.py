@@ -489,6 +489,18 @@ def _add_format(sub) -> None:
                      help="output format (default json)")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer 0 <= seed < 2^64, so that no two seeds
+    name the same SplitMix64 stream."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer 0 <= seed < 2^64, got {text!r}")
+    return seed
+
+
 def _add_shape_flags(sub) -> None:
     sub.add_argument("--n", required=True, help="comma-separated part sizes, e.g. 2,2")
     sub.add_argument("--alpha", required=True, help="comma-separated arities, e.g. 1,1")
@@ -539,7 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("random", help="generate a seeded random hypertournament")
     _add_shape_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed, an integer 0 <= seed < 2^64 (default 0)")
     p.add_argument("--mode", choices=["loser-only", "full-permutation"], default="loser-only")
     p.add_argument("--emit", choices=["losers", "arcs"], default="losers")
     _add_format(p)

@@ -195,20 +195,44 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
     ``losers[r]`` loses the arc at rank r, ``sels[r]``; ``lost[v]`` holds v's
     ranks ascending; ``need[v]`` is how many more arcs v should lose (0 when
     absent). All three are kept current. ``over`` lists, in ``need``'s order,
-    every v whose need is negative. A chain u0, ..., um, where u_(i-1) loses an
-    arc holding u_i, makes each u_i that arc's loser: only u0 and um change
-    counts. The first phase is a one-hop sweep. Each later one layers the
-    vertices from all over-target ones up to the first layer that holds an
-    under-target one. Every phase moves a blocking set of shortest chains along
-    its layers by a search that resumes each vertex at a cursor (Dinic;
-    Hopcroft-Karp), so the shortest chain lengthens every phase. Scans go in
-    rank order, then selection order. Raises :class:`NoEligibleArcError` when a
-    layering reaches no under-target vertex.
+    exactly the v whose need is negative. A chain u0, ..., um, where u_(i-1)
+    loses an arc holding u_i, makes each u_i that arc's loser: only u0 and um
+    change counts. The first phase is a one-hop sweep, one ascending pass over
+    each s of ``over`` that gives each rank of ``lost[s]`` to the first
+    under-target vertex of its selection until s meets its target. A gaining
+    vertex is never a source, so the ranks s scanned are replaced once by
+    those it keeps, and each gainer's new ranks are merged into its list once,
+    from the first of them on. Each later phase layers the vertices from all
+    over-target ones up to the first layer that holds an under-target one.
+    Every phase moves a blocking set of shortest chains along its layers by a
+    search that resumes each vertex at a cursor (Dinic; Hopcroft-Karp), so the
+    shortest chain lengthens every phase. Scans go in rank order, then
+    selection order. Raises :class:`NoEligibleArcError` when a layering
+    reaches no under-target vertex.
     """
-    swept = False
+    gained: dict[VertexId, list[int]] = {}
+    for s in over:
+        ranks, kept, left = lost.get(s, []), [], need[s]
+        for rank in ranks:
+            for w in sels[rank]:
+                if need.get(w, 0) > 0:
+                    break
+            else:
+                kept.append(rank)
+                continue
+            losers[rank], need[w], left = w, need[w] - 1, left + 1
+            gained.setdefault(w, []).append(rank)
+            if not left:
+                break
+        ranks[:len(kept) + left - need[s]] = kept  # the scanned ranks, less those moved
+        need[s] = left
+    for w, ranks in gained.items():
+        held = lost.setdefault(w, [])
+        i = bisect_left(held, min(ranks))
+        held[i:] = sorted(held[i:] + ranks)
     while over := [v for v in over if need[v] < 0]:
         dist, layer, depth = dict.fromkeys(over, 0), over, 1
-        while swept:  # layers up to the first that holds an under-target vertex
+        while True:  # layers up to the first that holds an under-target vertex
             layer = {w: depth for u in layer for r in lost.get(u, ())
                      for w in sels[r] if w not in dist}
             if not layer:
@@ -217,7 +241,7 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
                 break
             dist.update(layer)
             depth += 1
-        swept, cursor = True, {}
+        cursor = {}
         for s in over:  # each s moves losses by a depth-first search up the layers
             path = [(None, s)]
             while path and need[s] < 0:

@@ -437,6 +437,17 @@ class TestEnumerateRandom:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_random_refuses_a_seed_outside_64_bits(self, capsys, seed):
+        # SplitMix64 keeps 64 bits: either would draw an in-range seed's stream
+        # and echo a seed that did not.
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--n", "2,2", "--alpha", "1,1", f"--seed={seed}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: argument --seed" in captured.err and "Traceback" not in captured.err
+
     def test_random_full_permutation(self, capsys):
         code, out, _ = run(
             capsys, "random", "--n", "2,2", "--alpha", "1,1", "--seed", "3",

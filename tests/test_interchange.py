@@ -3,7 +3,7 @@ witness bytes of both realizers."""
 
 import hashlib
 import json
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from pathlib import Path
 from types import SimpleNamespace
@@ -66,6 +66,52 @@ def reference_repair(chains: SimpleNamespace, need: dict) -> None:
             w = reference_move_loss(chains, v, lambda w: need[w] > 0)
             need[v] += 1
             need[w] -= 1
+
+
+def reference_unit_repair(sels, losers, lost, need: dict, over: list) -> None:
+    """The repair before its one-hop sweep moved units in bulk: the first phase
+    runs the layered search at depth 1, so each unit it moves pays its own
+    deletion, insertion and search."""
+    swept = False
+    while over := [v for v in over if need[v] < 0]:
+        dist, layer, depth = dict.fromkeys(over, 0), over, 1
+        while swept:
+            layer = {w: depth for u in layer for r in lost.get(u, ())
+                     for w in sels[r] if w not in dist}
+            if not layer:
+                raise NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+            if any(need.get(w, 0) > 0 for w in layer):
+                break
+            dist.update(layer)
+            depth += 1
+        swept, cursor = True, {}
+        for s in over:
+            path = [(None, s)]
+            while path and need[s] < 0:
+                u = path[-1][1]
+                d, ranks = dist[u] + 1, lost.get(u, ())
+                rank = w = None
+                for i in range(bisect_left(ranks, cursor.get(u, 0)), len(ranks)):
+                    for w in sels[ranks[i]]:
+                        if need.get(w, 0) > 0 if d == depth else dist.get(w) == d:
+                            rank = ranks[i]
+                            break
+                    if rank is not None:
+                        break
+                if rank is None:
+                    dist[u] = None
+                    path.pop()
+                    continue
+                cursor[u] = rank
+                path.append((rank, w))
+                if d == depth:
+                    for rank, w in path[1:]:
+                        held = lost[losers[rank]]
+                        del held[bisect_left(held, rank)]
+                        losers[rank] = w
+                        insort(lost.setdefault(w, []), rank)
+                    need[s], need[w] = need[s] + 1, need[w] - 1
+                    path = [(None, s)]
 
 
 def over(need: dict) -> list:
@@ -192,6 +238,59 @@ def test_named_move_falls_back_to_a_chain():
     assert reference_move_loss(reference, a, c.__eq__) == c
     assert reference.losers == chains.losers
     _assert_exact(chains, selection_vertices(shape))
+
+
+def _assert_same_as_unit_repair(sels, losers, need) -> None:
+    """:func:`_repair` and :func:`reference_unit_repair`, each from the same
+    start, end with the same losers, lost ranks and needs, or both raise
+    NoEligibleArcError."""
+    chains, reference = _chains(sels, losers), _chains(sels, losers)
+    reference_need = dict(need)
+    try:
+        reference_unit_repair(sels, reference.losers, reference.lost, reference_need,
+                              over(reference_need))
+    except NoEligibleArcError:
+        with pytest.raises(NoEligibleArcError):
+            repair(chains, need)
+        return
+    repair(chains, need)
+    assert chains.losers == reference.losers
+    assert ({v: r for v, r in chains.lost.items() if r}
+            == {v: r for v, r in reference.lost.items() if r})
+    assert need == reference_need
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=small_shapes(), seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+       modes=st.tuples(MODES, MODES), moved=st.booleans(), data=st.data())
+def test_bulk_sweep_matches_the_unit_repair(shape, seeds, modes, moved, data):
+    """From the losers of one hypertournament towards the loss counts of
+    another, or towards those lists after ``_moved`` (some infeasible), the
+    repair moves the same units to the same losers as the unit-by-unit repair
+    it replaced, and raises exactly when that one does."""
+    start, goal = (random_hypertournament(shape, s, m).losers for s, m in zip(seeds, modes))
+    sels, counts = selection_vertices(shape), _losses(shape, start)
+    targets = _losses(shape, goal)
+    if moved:
+        lists = _moved(shape, losing_scores(Hypertournament.from_losers(shape, goal)).lists, data, 0)
+        targets = {v: lists[v.part][v.index] for v in targets}
+    _assert_same_as_unit_repair(sels, start, {v: targets[v] - counts[v] for v in targets})
+
+
+def test_bulk_sweep_leaves_units_to_a_layered_phase():
+    # (4,)/(2,), each arc lost by its lower vertex: 0, 1, 2 and 3 lose 3, 2, 1
+    # and 0 arcs; the targets are 1, 1, 1 and 3. The sweep moves {0, 3} and
+    # {1, 3} to 3, but no other arc 0 loses holds 3, so 0's last unit takes
+    # the depth-2 chain 0 -> 2 -> 3 through {0, 2} and {2, 3}.
+    sels, v = selection_vertices(Shape((4,), (2,))), [VertexId(0, j) for j in range(4)]
+    losers, need = [v[0], v[0], v[1], v[0], v[1], v[2]], {v[0]: -2, v[1]: -1, v[2]: 0, v[3]: 3}
+    _assert_same_as_unit_repair(sels, losers, dict(need))
+    chains = _chains(sels, losers)
+    repair(chains, need)
+    assert chains.losers == [v[0], v[2], v[1], v[3], v[3], v[3]]
+    # The named-move case: the sweep moves nothing and one chain of two moves it.
+    a, b, c = v[:3]
+    _assert_same_as_unit_repair(selection_vertices(Shape((3,), (2,))), [a, c, b], {a: -1, c: 1})
 
 
 def _family_lists(shape, family, seed, mode):
