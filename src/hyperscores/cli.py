@@ -501,6 +501,17 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: an integer budget >= 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer budget >= 0, got {text!r}")
+    return budget
+
+
 def _add_shape_flags(sub) -> None:
     sub.add_argument("--n", required=True, help="comma-separated part sizes, e.g. 2,2")
     sub.add_argument("--alpha", required=True, help="comma-separated arities, e.g. 1,1")
@@ -544,8 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("enumerate", help="enumerate the achievable lists of a shape")
     _add_shape_flags(p)
     p.add_argument("--kind", choices=["losing", "score"], default="losing")
-    p.add_argument("--budget", type=int, default=DEFAULT_ASSIGNMENT_BUDGET,
-                   help="assignment enumeration budget")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_ASSIGNMENT_BUDGET,
+                   help="assignment enumeration budget, an integer >= 0 (default %(default)s)")
     _add_format(p)
     p.set_defaults(handler=cmd_enumerate)
 

@@ -12,10 +12,9 @@ arcs through its vertex, ranked by arithmetic on ``Shape.strides``, to that
 vertex, sets the targets of the entries it moved back and repairs from those.
 The repairs are exact, so they decide every walk; a walk that runs short, a
 repair that finds no chain or a bottom with no unique unit loser raises
-:class:`RealizationGapError` naming the level. :func:`saturate` takes the same
-first-choice moves one unit at a time, logs them and checks only the result;
-that every tuple of lists on the way meets the bounds is a tested property, not
-a runtime check.
+:class:`RealizationGapError` naming the level. That every tuple of lists a
+walk's unit moves pass through meets the bounds is a tested property, not a
+runtime check.
 ``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
 that serves as an oracle for the first route.
 """
@@ -23,14 +22,12 @@ that serves as an oracle for the first route.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from itertools import chain
 
 from .criteria import CheckResult, check_losing_lists
 from .model import (
     Hypertournament,
     NoEligibleArcError,
-    ScoreLists,
     Shape,
     VertexId,
     conform_lists,
@@ -41,13 +38,9 @@ from .model import (
 __all__ = [
     "InfeasibleError",
     "InvalidListsError",
-    "NoValidStepError",
     "RealizationGapError",
-    "TransformLog",
-    "TransformStep",
     "realize_flow",
     "realize_inductive",
-    "saturate",
 ]
 
 
@@ -63,43 +56,12 @@ class InvalidListsError(ValueError):
         self.result = result
 
 
-class NoValidStepError(Exception):
-    """The first-choice walk of :func:`saturate` does not end within the prefix bounds."""
-
-
 class RealizationGapError(Exception):
     """The inductive construction stopped at a level, or its witness misses the targets."""
 
 
 class InfeasibleError(Exception):
     """No assignment of one loser per selection meets the target loss counts."""
-
-
-@dataclass(frozen=True)
-class TransformStep:
-    """One saturation move: +1 at ``incremented``, -1 at ``decremented``.
-
-    Both fields are (part, index) positions into the lists. The move takes
-    the unit from another part's list; the decremented position sits in the
-    incremented part itself only when every other list is zero (always the
-    case for single-part shapes).
-    """
-
-    incremented: VertexId
-    decremented: VertexId
-
-
-@dataclass(frozen=True)
-class TransformLog:
-    steps: tuple[TransformStep, ...]
-
-
-def _shift_sources(lst):
-    """Run starts of ``lst`` before its last entry, latest first."""
-    t = len(lst) - 1
-    while t > 0:
-        t = bisect_left(lst, lst[t - 1])
-        yield t
 
 
 def _spread(lst, lo: int, hi: int, total: int, part: int, before: dict) -> None:
@@ -124,10 +86,14 @@ def _drain(lst, stop: int, units: int, part: int, before: dict) -> int:
 
 
 def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | None:
-    """Apply to ``lists``, in closed form, the first-choice unit moves that
-    :func:`saturate` logs at part 1, here at part ``active``, until its last
-    entry is ``bound``; each moved entry's net change, before minus after, or
-    None when the lists run short or that entry is past the bound."""
+    """Apply to ``lists``, in closed form, the first-choice unit moves at part
+    ``active`` until its last entry is ``bound``; each moved entry's net
+    change, before minus after, or None when the lists run short or that entry
+    is past the bound. A first-choice move is +1 at the end of the active
+    list's first run and -1 at the start of the last run of the first other
+    list, in part order, whose last entry is non-zero; when every other list is
+    zero, +1 at the active list's last entry and -1 at its latest non-zero run
+    start before that entry."""
     lst, before = lists[active], {}
     if lst[-1] >= bound:
         return [] if lst[-1] == bound else None
@@ -147,46 +113,6 @@ def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | 
         _spread(lst, len(lst) - 1, len(lst), bound - short, active, before)
     return None if short else [(VertexId(p, i), x - y) for (p, i), x in before.items()
                                if x != (y := lists[p][i])]
-
-
-def saturate(shape: Shape, R) -> tuple[ScoreLists, TransformLog]:
-    """Raise part 1's final entry to the per-vertex arc count of part 1.
-
-    Requires valid input; returns the transformed lists together with the step
-    log. Each step is the first-choice unit move: +1 at the end of part 1's
-    first run and -1 at the start of the last run of the first other list, in
-    part order, whose last entry is non-zero; when every other list is zero,
-    +1 at part 1's last entry and -1 at its latest non-zero run start. The
-    steps are not checked one by one. The result is checked once, and
-    :class:`NoValidStepError` is raised when no move is left or that check
-    rejects. That every intermediate tuple of
-    lists meets the bounds is a tested property: on the 2 568 achievable
-    tuples of the small test shapes and on random near-transitive lists, each
-    step is the first candidate a full check accepts. Already-saturated input
-    comes back unchanged with an empty log.
-    """
-    data = conform_lists(shape, R, "losing")
-    result = check_losing_lists(shape, data)
-    if not result.valid:
-        raise InvalidListsError(result)
-    lists = [list(lst) for lst in data]
-    lst, bound, steps = lists[0], shape.through[0], []
-    while lst[-1] < bound:
-        if (s := next((s for s in range(1, shape.k) if lists[s][-1]), None)) is not None:
-            inc, t = bisect_right(lst, lst[0]) - 1, bisect_left(lists[s], lists[s][-1])
-        elif (t := next((t for t in _shift_sources(lst) if lst[t]), None)) is not None:
-            inc, s = len(lst) - 1, 0
-        else:
-            break
-        lst[inc] += 1
-        lists[s][t] -= 1
-        steps.append(TransformStep(VertexId(0, inc), VertexId(s, t)))
-    out = tuple(map(tuple, lists))
-    if lst[-1] != bound or not check_losing_lists(shape, out).valid:
-        raise NoValidStepError(
-            f"the first-choice walk does not saturate part 1 within the prefix bounds: {lists}"
-        )
-    return ScoreLists("losing", out), TransformLog(tuple(steps))
 
 
 def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId]) -> None:

@@ -402,6 +402,15 @@ class TestEnumerateRandom:
         assert code == 4 and out == ""
         assert "3**161700 assignments exceed the enumeration budget" in err
 
+    def test_enumerate_refuses_a_negative_budget(self, capsys):
+        # An input error, not a resource limit: no shape fits a budget below 0.
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "2,2", "--alpha", "1,1", "--budget", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: argument --budget" in captured.err and "Traceback" not in captured.err
+
     # sha256 of the stdout, recorded before the achievable lists came from a
     # dynamic program: list order and the "assignments" field are unchanged.
     @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations_with_replacement, count, product
 from math import comb
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,10 +14,8 @@ from hyperscores import (
     RealizationGapError,
     InfeasibleError,
     InvalidListsError,
-    NoValidStepError,
     ScoreLists,
     Shape,
-    TransformStep,
     VertexId,
     achievable_losing_lists,
     arcs_through,
@@ -28,7 +26,6 @@ from hyperscores import (
     random_hypertournament,
     realize_flow,
     realize_inductive,
-    saturate,
     selection_vertices,
     validate,
 )
@@ -37,7 +34,6 @@ from hyperscores.model import NoEligibleArcError
 from hyperscores.realize import (
     _level_ranks,
     _inductive_losers,
-    _shift_sources,
     _walk_level,
 )
 
@@ -270,6 +266,13 @@ def full_check_verdict(shape, lists, active, inc, s, t):
     return check_losing_lists(shape, trial).valid
 
 
+class Move(NamedTuple):
+    """One unit move: +1 at ``incremented``, -1 at ``decremented``."""
+
+    incremented: VertexId
+    decremented: VertexId
+
+
 def reference_saturation(shape, lists, active, tiers):
     """Saturate ``active`` by the full-check route: at each tuple of lists take
     the first candidate that a full check accepts, counting its tier in
@@ -288,14 +291,8 @@ def reference_saturation(shape, lists, active, tiers):
         tiers[tier] += 1
         work[active][inc] += 1
         work[s][t] -= 1
-        steps.append(TransformStep(V(active, inc), V(s, t)))
+        steps.append(Move(V(active, inc), V(s, t)))
     return tuple(map(tuple, work)), tuple(steps)
-
-
-def saturated(shape, lists):
-    """``saturate``'s lists and steps, in the form of ``reference_saturation``."""
-    sat, log = saturate(shape, lists)
-    return sat.lists, log.steps
 
 
 def replay(lists, steps):
@@ -310,13 +307,12 @@ def replay(lists, steps):
 def assert_level_matches_stepwise(shape, lists, active, tiers):
     """The one-pass level saturation leaves the lists the full-check route
     leaves, which pass the check, and returns the net change of that route's
-    steps, before minus after; returns the route's lists and steps.
-    ``tiers["levels"]`` counts the levels and ``tiers["stuck"]`` the ones the
-    route cannot saturate."""
+    steps, before minus after. ``tiers["levels"]`` counts the levels and
+    ``tiers["stuck"]`` the ones the route cannot saturate."""
     expected = reference_saturation(shape, lists, active, tiers)
     if expected is None:
         tiers["stuck"] += 1
-        return None
+        return
     one_pass = [list(lst) for lst in lists]
     change = _walk_level(one_pass, active, shape.through[active])
     assert check_losing_lists(shape, one_pass).valid, (shape, lists, active)
@@ -328,7 +324,6 @@ def assert_level_matches_stepwise(shape, lists, active, tiers):
     assert len(dict(change)) == len(change)
     assert dict(change) == {v: x for v, x in net.items() if x}, (shape, lists, active)
     tiers["levels"] += 1
-    return expected
 
 
 @st.composite
@@ -379,53 +374,33 @@ TIGHT_RUN_LISTS = [
 
 
 class TestSaturate:
-    def test_single_step_example(self):
-        shape = Shape((2, 2), (1, 1))
-        sat, log = saturate(shape, [[1, 1], [1, 1]])
-        assert sat.lists == ((1, 2), (0, 1))
-        assert log.steps == (TransformStep(V(0, 1), V(1, 0)),)
-
-    def test_already_saturated_is_identity(self):
-        shape = Shape((2, 2), (1, 1))
-        sat, log = saturate(shape, [[0, 2], [1, 1]])
-        assert sat.lists == ((0, 2), (1, 1))
-        assert log.steps == ()
-
-    def test_at_bound_evaluation(self):
-        # The final entry 2 already equals C(1,0) * C(2,1).
-        shape = Shape((2, 2), (1, 1))
-        assert arcs_through(shape, 0) == 2
-        sat, log = saturate(shape, ScoreLists("losing", ((0, 2), (1, 1))))
-        assert len(log.steps) == 0
-
-    def test_invalid_input_rejected(self):
-        with pytest.raises(InvalidListsError):
-            saturate(Shape((2, 2), (1, 1)), [[0, 2], [0, 2]])
-
-    def test_replay_reaches_saturated_lists(self):
-        shape = Shape((3, 2), (2, 1))
-        start = ((0, 1, 2), (1, 2))
-        sat, log = saturate(shape, start)
-        assert list(replay(start, log.steps))[-1] == sat.lists
-        assert sat.lists[0][-1] == arcs_through(shape, 0)
+    """The saturation lemma on the unit walk: at every part, each first-choice
+    move is the first candidate the full-check route accepts, so every tuple
+    of lists on the way meets the bounds."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(valid_lists())
     @example((Shape((3, 2), (2, 1)), ((1, 1, 1), (1, 2))))
+    @example((Shape((6,), (2,)), ((1, 1, 1, 4, 4, 4),)))  # a shift from entry 0 breaks a bound
     def test_every_intermediate_passes_the_check(self, case):
-        # The steps are not checked as they are taken; only the result is.
+        # The moves are not checked as they are taken.
         shape, lists = case
-        sat, log = saturate(shape, lists)
-        walked = list(replay(lists, log.steps))
-        for work in walked:
-            assert check_losing_lists(shape, work).valid, (shape, lists, work)
-        assert (walked[-1] if walked else lists) == sat.lists
+        for active in range(shape.k):
+            seen = []
+            assert reference_walk([list(lst) for lst in lists], active, shape.through[active], seen)
+            for work in seen:
+                assert check_losing_lists(shape, work).valid, (shape, lists, active, work)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(valid_lists())
     def test_valid_lists_saturate_as_the_reference(self, case):
         shape, lists = case
-        assert saturated(shape, lists) == reference_saturation(shape, lists, 0, Counter())
+        for active in range(shape.k):
+            seen = []
+            reference_walk([list(lst) for lst in lists], active, shape.through[active], seen)
+            expected = reference_saturation(shape, lists, active, Counter())
+            assert expected is not None, (shape, lists, active)
+            assert seen == list(replay(lists, expected[1])), (shape, lists, active)
 
     @pytest.mark.parametrize(
         "n, alpha, lists",
@@ -444,32 +419,14 @@ class TestSaturate:
     def test_long_and_tight_runs_saturate_as_the_reference(self, n, alpha, lists):
         shape = Shape(n, alpha)
         assert check_losing_lists(shape, lists).valid
-        assert saturated(shape, lists) == reference_saturation(shape, lists, 0, Counter())
-
-    def test_a_walk_with_no_move_left_raises(self, monkeypatch):
-        # A single part needs the shift from a run start into its last entry.
-        shape, lists = Shape((6,), (2,)), ((1, 1, 1, 4, 4, 4),)
-        assert saturated(shape, lists)[0] == ((1, 1, 1, 3, 4, 5),)
-        monkeypatch.setattr(realize, "_shift_sources", lambda lst: iter(()))
-        with pytest.raises(NoValidStepError, match="does not saturate part 1"):
-            saturate(shape, lists)
-
-    def test_a_rejected_final_check_raises(self, monkeypatch):
-        calls = []
-
-        def rejecting(shape, lists):
-            result = check_losing_lists(shape, lists)
-            calls.append(lists)
-            return result if len(calls) == 1 else replace(result, valid=False)
-
-        monkeypatch.setattr(realize, "check_losing_lists", rejecting)
-        with pytest.raises(NoValidStepError, match="does not saturate part 1"):
-            saturate(Shape((2, 2), (1, 1)), [[1, 1], [1, 1]])
-        assert calls[1] == ((1, 2), (0, 1))  # the input is checked, then the result
+        tiers = Counter()
+        for active in range(shape.k):
+            assert_level_matches_stepwise(shape, lists, active, tiers)
+        assert tiers["levels"] == shape.k and tiers["stuck"] == 0
 
 
 class TestSaturationBox:
-    """The full-check route that ``saturate`` and the closed-form walk are
+    """The full-check route that the unit walk and the closed-form walk are
     compared against. A move lowers the slack by 1 exactly on a box of
     prefixes, and the route decides each candidate by a check of the whole
     tuple."""
@@ -491,8 +448,8 @@ class TestSaturationBox:
         """Every achievable list tuple of 13 part-size tuples, each arity with
         at most 3 * 10^5 assignments, saturated at every part by the
         full-check route: that route never needs a donor position other than
-        the canonical one, the one-pass saturation of each level leaves its
-        lists, which pass the check, and ``saturate`` logs its steps at part 1."""
+        the canonical one, and the one-pass saturation of each level leaves
+        its lists, which pass the check."""
         sizes = [
             (3,), (4,), (5,), (6,), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
             (2, 2, 2), (3, 2, 2), (2, 2, 2, 2),
@@ -506,11 +463,8 @@ class TestSaturationBox:
                     continue
                 for lists in sorted(achievable_losing_lists(shape).lists):
                     for active in range(shape.k):
-                        expected = lists, ()
                         if lists[active][-1] < shape.through[active]:
-                            expected = assert_level_matches_stepwise(shape, lists, active, tiers)
-                        if active == 0:
-                            assert saturated(shape, lists) == expected, (shape, lists)
+                            assert_level_matches_stepwise(shape, lists, active, tiers)
                     lists_seen += 1
         assert lists_seen == 2568
         assert tiers[1] > 0 and tiers[2] > 0
@@ -543,22 +497,33 @@ def break_a_bound(shape, lists, active):
     return True
 
 
-def reference_walk(lists, active, bound):
+def shift_sources(lst):
+    """Run starts of ``lst`` before its last entry, latest first."""
+    t = len(lst) - 1
+    while t > 0:
+        t = bisect_left(lst, lst[t - 1])
+        yield t
+
+
+def reference_walk(lists, active, bound, seen=None):
     """The unit walk the closed form replaced: apply, unchecked, the
-    first-choice moves, the ones :func:`saturate` logs at part 1, until the
-    active list's last entry reaches ``bound``; False when no candidate is
-    left or the entry is past it."""
+    first-choice moves :func:`_walk_level` defines until the active list's
+    last entry reaches ``bound``, appending the tuple of lists after each move
+    to ``seen`` when given; False when no candidate is left or the entry is
+    past it."""
     lst = lists[active]
     donors = [donor for s, donor in enumerate(lists) if s != active]
     while lst[-1] < bound:
         if (donor := next((d for d in donors if d[-1] > 0), None)) is not None:
             lst[bisect_right(lst, lst[0]) - 1] += 1
             donor[bisect_left(donor, donor[-1])] -= 1
-        elif (t := next((t for t in _shift_sources(lst) if lst[t] > 0), None)) is not None:
+        elif (t := next((t for t in shift_sources(lst) if lst[t] > 0), None)) is not None:
             lst[-1] += 1
             lst[t] -= 1
         else:
             return False
+        if seen is not None:
+            seen.append(tuple(map(tuple, lists)))
     return lst[-1] == bound
 
 
