@@ -183,16 +183,10 @@ def _check(shape: Shape, data, kind: str) -> CheckResult:
     return CheckResult(violation is None and equality, violation, equality)
 
 
-def _at(hull, breaks, x):
-    """The lower envelope ``_lower_envelope`` returned, evaluated at x."""
-    b, m = hull[bisect_right(breaks, x)]
-    return b - m * x
-
-
-def _fill(n, cap, total, floor):
-    """Non-decreasing lists of n entries in [0, cap] summing to total (at most
-    n * cap) whose prefix sums P(q) are at least floor[q] for 0 < q < n."""
-    out = []
+def _fill(n, cap, total, floor, head, out):
+    """Append (*head, lst) to out for each non-decreasing list lst of n entries
+    in [0, cap] summing to total (at most n * cap) whose prefix sums P(q) are
+    at least floor[q] for 0 < q < n."""
     cur = [0] * n
 
     def place(q, prev, used):
@@ -200,7 +194,7 @@ def _fill(n, cap, total, floor):
         if q == n - 1:
             if prev <= left:
                 cur[q] = left
-                out.append(tuple(cur))
+                out.append((*head, tuple(cur)))
             return
         r = n - q  # entries still to place; each later one is at least this one
         for e in range(max(prev, floor[q + 1] - used, left - (r - 1) * cap), left // r + 1):
@@ -208,22 +202,23 @@ def _fill(n, cap, total, floor):
             place(q + 1, e, used + e)
 
     place(0, 0, 0)
-    return out
 
 
 def _accepted_lists(shape: Shape, kind: str):
-    """Every list tuple the check of ``kind`` accepts, each exactly once, in
-    the order ``oracle.bounded_candidate_lists`` yields the candidates.
+    """A list of every list tuple the check of ``kind`` accepts, each exactly
+    once, in the order ``oracle.bounded_candidate_lists`` yields the candidates.
 
     Parts are fixed one list at a time, each part's lists grouped by sum with
-    the grand total pinned. A fixed head (p_1, ..., p_j) is the line
-    y = a - c * x, and the free parts meet it only at
-    x = prod_{i>j} g_i(p_i) >= 0, plus their bases, so each level keeps only
-    the lower envelope of its heads' lines.
-    A branch is cut when the free parts all at p = 0, or all at p = n_i,
-    leave a negative slack; their bases there are 0 and the remaining total
-    less their steps. The last list is built entry by entry against the
-    floor q * step_k - envelope(g_k(q)) on its prefix sums, 0 < q < n_k; the
+    the grand total pinned. With heads p_1, ..., p_j fixed, the free parts
+    j+1..k meet them only at x = prod_{i>j} g_i(p_i), one of the finite set
+    X_j of products the free parts can form, plus their own bases. So level j
+    keeps just V_j, the least slack of its heads at each x in X_j:
+    V_0(x) = offset - x, and fixing part j+1's list adds
+    V_{j+1}(x) = min_p (base_{j+1}(p) + V_j(g_{j+1}(p) * x)), exactly in
+    integers. A branch is cut when the free parts all at p = 0, or all at
+    p = n_i, leave a negative slack; their bases there are 0 and the remaining
+    total less their steps. The last list is built entry by entry against the
+    floor q * step_k - V_{k-1}(g_k(q)) on its prefix sums, 0 < q < n_k; the
     cut one level up decides q = 0 and q = n_k.
     """
     offset, steps, g, total = _kind_terms(shape, kind)
@@ -232,33 +227,43 @@ def _accepted_lists(shape: Shape, kind: str):
     for n_i, t_i, step, g_i in parts[:-1]:
         by_sum = {}
         for lst in combinations_with_replacement(range(t_i + 1), n_i):
-            base = (s - p * step for p, s in enumerate(accumulate(lst, initial=0)))
-            by_sum.setdefault(sum(lst), []).append((lst, tuple(zip(base, g_i))))
+            base = tuple(s - p * step for p, s in enumerate(accumulate(lst, initial=0)))
+            by_sum.setdefault(sum(lst), []).append((lst, base))
         tables.append(by_sum)
-    # Per level j, over the free parts j..k-1: x with every p = 0, x with
-    # every p = n_i, the summed steps at p = n_i and the most they can hold.
-    free = [parts[j:] for j in range(len(parts) + 1)]
-    zeros = [prod(g_i[0] for *_, g_i in f) for f in free]
-    fulls = [prod(g_i[-1] for *_, g_i in f) for f in free]
+    # X_j in ascending order and each x's position in it; per level j < k - 1
+    # and p, the position in X_j of g[j][p] * x for each x of X_{j+1}.
+    xs = [sorted(set(g[-1]))]
+    for g_j in reversed(g[:-1]):
+        xs.insert(0, sorted({m * x for m in g_j for x in xs[0]}))
+    at = [{x: i for i, x in enumerate(x_j)} for x_j in xs]
+    moves = [[[at[j][m * x] for x in xs[j + 1]] for m in g[j]] for j in range(len(tables))]
+    # Per level j, over the free parts j..k-1: the positions of x with every
+    # p = 0 and with every p = n_i, the summed steps at p = n_i and the most
+    # they can hold.
+    free = [parts[j:] for j in range(len(parts))]
+    zeros = [at[j][prod(g_i[0] for *_, g_i in f)] for j, f in enumerate(free)]
+    fulls = [at[j][prod(g_i[-1] for *_, g_i in f)] for j, f in enumerate(free)]
     drops = [sum(n_i * step for n_i, _, step, _ in f) for f in free]
     caps = [sum(n_i * t_i for n_i, t_i, *_ in f) for f in free]
     n_k, t_k, step_k, g_k = parts[-1]
+    last = [at[-1][x] for x in g_k]
+    out = []
 
-    def search(j, hull, breaks, rest, chosen):
-        if _at(hull, breaks, zeros[j]) < 0 or _at(hull, breaks, fulls[j]) + rest < drops[j]:
+    def search(j, least, rest, chosen):
+        if least[zeros[j]] < 0 or least[fulls[j]] + rest < drops[j]:
             return
         if j == len(tables):
-            floor = [q * step_k - _at(hull, breaks, x) for q, x in enumerate(g_k)]
-            for lst in _fill(n_k, t_k, rest, floor):
-                yield (*chosen, lst)
+            floor = [q * step_k - least[i] for q, i in enumerate(last)]
+            _fill(n_k, t_k, rest, floor, chosen, out)
             return
         for s, entries in tables[j].items():
             if s <= rest <= s + caps[j + 1]:
-                for lst, pairs in entries:
-                    envelope = _lower_envelope(*zip(*_extend(hull, pairs)))
-                    yield from search(j + 1, *envelope, rest - s, (*chosen, lst))
+                for lst, base in entries:
+                    sums = ([b + least[i] for i in row] for b, row in zip(base, moves[j]))
+                    search(j + 1, list(map(min, *sums)), rest - s, (*chosen, lst))
 
-    yield from search(0, [(offset, 1)], [], total, ())
+    search(0, [offset - x for x in xs[0]], total, ())
+    return out
 
 
 def check_losing_lists(shape: Shape, R) -> CheckResult:

@@ -19,13 +19,14 @@ result sorts each part anyway, so no list is lost or added. The enumeration
 budget bounds the assignment space m**T, m = 1 included, not the work.
 
 The accepted side is a pruned search, not a check per candidate. It fixes
-one part's list at a time and keeps, per level, only the lower envelope of
-the fixed heads' lines y = a - c * x. That is exact because the parts still
-free meet a head only at x = prod g_j(p_j) >= 0, plus their own bases, so no
-line off the envelope can give a later prefix its least slack. The last list
-is built entry by entry against the floor the envelope puts on its prefix
-sums. :func:`bounded_candidate_lists` filtered through the checks stays the
-reference the search is tested against.
+one part's list at a time and keeps, per level, only the fixed heads' least
+slack at each product x = prod g_j(p_j) the parts still free can form. That
+is exact because the free parts meet a head only at those x, plus their own
+bases, and the least slacks of one level follow from the previous level's
+in integers. The last list is built entry by entry against the floor those
+least slacks put on its prefix sums. :func:`bounded_candidate_lists`
+filtered through the checks stays the reference the search is tested
+against.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterator
 
-from .criteria import _accepted_lists, _reverse_complement
+from .criteria import _accepted_lists
 from .model import (
     Hypertournament,
     Kind,
@@ -286,12 +287,18 @@ def cross_validate(shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> 
     """Compare both decision procedures against exhaustive enumeration.
 
     The achievable score lists are the reverse complements of the DP's
-    losing lists; each accepted side is the pruned search of the module
+    losing lists, each distinct list of a part reversed and complemented
+    once; each accepted side is the pruned search of the module
     docstring, which yields exactly the bounded candidates its check accepts.
     """
     ach = achievable_losing_lists(shape, budget=budget)
     accepted_losing = set(_accepted_lists(shape, "losing"))
-    ach_scores = {_reverse_complement(shape, lists) for lists in ach.lists}
+    columns = list(zip(*ach.lists))  # per part, its list in every tuple
+    flips = [
+        {lst: tuple(a_i - x for x in reversed(lst)) for lst in set(col)}
+        for col, a_i in zip(columns, shape.through)
+    ]
+    ach_scores = set(zip(*(map(flip.__getitem__, col) for flip, col in zip(flips, columns))))
     accepted_scores = set(_accepted_lists(shape, "score"))
     return CrossValidationReport(
         shape=shape,

@@ -321,6 +321,12 @@ class TestAcceptedSearch:
             Shape((5, 2, 2, 2), (1, 2, 2, 2)),
             Shape((3, 4, 2, 3), (3, 3, 2, 3)),
             Shape((2, 3, 2, 2), (1, 2, 1, 2)),
+            # Four-part desk shapes from the costly end of the benchmark's
+            # ground-truth workload, 14 641 to 16 807 assignments each.
+            Shape((2, 6, 1, 1), (2, 1, 1, 1)),
+            Shape((4, 1, 1, 1), (2, 1, 1, 1)),
+            Shape((2, 2, 5, 2), (2, 2, 1, 2)),
+            Shape((2, 3, 4, 3), (2, 3, 3, 3)),
         },
         key=lambda s: (s.k, s.n, s.alpha),
     )
@@ -333,8 +339,26 @@ class TestAcceptedSearch:
             assert found == filtered_candidates(shape, kind), shape
 
     def test_boxes_reach_four_parts(self):
-        assert len(self.SHAPES) == 755
+        assert len(self.SHAPES) == 759
         assert max(s.k for s in self.SHAPES) == 4
+
+    # sha256 of repr(list(_accepted_lists(shape, kind))), recorded while each
+    # level of the search still kept the lower envelope of its heads' lines.
+    @pytest.mark.parametrize(
+        "n, alpha, kind, count, digest",
+        [
+            ((2, 2, 2, 2), (1, 1, 1, 1), "losing", 23320, "028fc39e6a9c5544906ac753e5c8a084a08aea6a9218d130fda7d37c0cd846ed"),
+            ((2, 2, 2, 2), (1, 1, 1, 1), "score", 23320, "9ab11feb01c15ceaed0ed0e2a0cf66d3b912f29d0e0ce2312abd3cac613dc1e9"),
+            ((3, 3, 2), (1, 1, 1), "losing", 8081, "a92f2733d8edbf984aff90ef84c41d1dc99b9ebd03ab0d93f04bb71fca69ade9"),
+            ((3, 3, 2), (1, 1, 1), "score", 8081, "05e389323eca3feff6ec8d9c4064c98b6f2424a814fb4d1ad7a5d7d24d0d9ecf"),
+            ((3, 2, 2), (2, 1, 2), "losing", 121, "8879f4d196b1daa1d6adb9b0ce599152a07e3ab90d5e10814a335432ef001e5c"),
+            ((3, 2, 2), (2, 1, 2), "score", 121, "67386e85ed17f809c368b84f234e16417c524ebbb64391deb695b1d0f224878d"),
+        ],
+    )
+    def test_search_sequence_is_pinned(self, n, alpha, kind, count, digest):
+        found = list(_accepted_lists(Shape(n, alpha), kind))
+        assert len(found) == count
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
 # OEIS A000571: score sequences of n-vertex tournaments, n = 2..14. A shape
