@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .criteria import (
     CheckResult,
-    _reverse_complement,
     check_losing_lists,
     check_score_lists,
     losing_to_scores,
@@ -39,6 +38,7 @@ from .model import (
 from .oracle import (
     BudgetExceededError,
     DEFAULT_ASSIGNMENT_BUDGET,
+    _score_tuples,
     achievable_losing_lists,
     random_hypertournament,
 )
@@ -450,7 +450,7 @@ def cmd_enumerate(args) -> int:
     shape = _shape_from_flags(args)
     ach = achievable_losing_lists(shape, budget=args.budget)
     if args.kind == "score":
-        lists = sorted(_reverse_complement(shape, tup) for tup in ach.lists)
+        lists = sorted(_score_tuples(shape, ach.lists))
     else:
         lists = sorted(ach.lists)
     doc = {

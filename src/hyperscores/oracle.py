@@ -254,6 +254,15 @@ def bounded_candidate_lists(
     yield from rec(0, target, [])
 
 
+def _score_tuples(shape: Shape, tuples) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each losing list tuple's score lists, every distinct list of a part
+    reversed and complemented against its per-vertex arc count once."""
+    columns = list(zip(*tuples))  # per part, its list in every tuple
+    flips = [{lst: tuple(a_i - x for x in reversed(lst)) for lst in set(col)}
+             for col, a_i in zip(columns, shape.through)]
+    return zip(*(map(flip.__getitem__, col) for flip, col in zip(flips, columns)))
+
+
 @dataclass(frozen=True)
 class CrossValidationReport:
     """Predicate acceptance versus enumerated achievability, both kinds.
@@ -286,19 +295,13 @@ class CrossValidationReport:
 def cross_validate(shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CrossValidationReport:
     """Compare both decision procedures against exhaustive enumeration.
 
-    The achievable score lists are the reverse complements of the DP's
-    losing lists, each distinct list of a part reversed and complemented
-    once; each accepted side is the pruned search of the module
-    docstring, which yields exactly the bounded candidates its check accepts.
+    The achievable score lists are :func:`_score_tuples` of the DP's losing
+    lists; each accepted side is the pruned search of the module docstring,
+    which yields exactly the bounded candidates its check accepts.
     """
     ach = achievable_losing_lists(shape, budget=budget)
     accepted_losing = set(_accepted_lists(shape, "losing"))
-    columns = list(zip(*ach.lists))  # per part, its list in every tuple
-    flips = [
-        {lst: tuple(a_i - x for x in reversed(lst)) for lst in set(col)}
-        for col, a_i in zip(columns, shape.through)
-    ]
-    ach_scores = set(zip(*(map(flip.__getitem__, col) for flip, col in zip(flips, columns))))
+    ach_scores = set(_score_tuples(shape, ach.lists))
     accepted_scores = set(_accepted_lists(shape, "score"))
     return CrossValidationReport(
         shape=shape,

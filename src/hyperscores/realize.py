@@ -15,8 +15,8 @@ repair that finds no chain or a bottom with no unique unit loser raises
 :class:`RealizationGapError` naming the level. That every tuple of lists a
 walk's unit moves pass through meets the bounds is a tested property, not a
 runtime check.
-``realize_flow`` assigns losers greedily and repairs once, an exact b-matching
-that serves as an oracle for the first route.
+``realize_flow`` starts each selection at its first vertex and repairs once, an
+exact b-matching that serves as an oracle for the first route.
 """
 
 from __future__ import annotations
@@ -275,29 +275,26 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
 def realize_flow(shape: Shape, R) -> Hypertournament:
     """Assign one loser per selection so that vertex (i, j) loses R[i][j] arcs.
 
-    A greedy start gives each selection, in rank order, to its vertex with the
-    largest remaining need (ties to the first), appending the rank to its lost
-    ranks; one repair then moves losses by interchange chains from the
-    vertices over their targets to those under.
-    :class:`InfeasibleError` is raised on a wrong grand total or when a layering
-    of the repair ends short, which is exact by max-flow/min-cut: let S be the
-    vertices that layering reached from all over-target vertices together.
-    Every arc lost in S lies inside S, no vertex of S is under its target and
-    some are over, so more arcs lie inside S than its targets sum to, and any
-    hypertournament makes S lose them all. Feasibility thus coincides with
-    acceptance by the losing-list check.
+    Each selection starts lost by its first vertex, ``sel[0]``, and one repair
+    moves losses by interchange chains from the vertices over their targets to
+    those under. :class:`InfeasibleError` is raised on a wrong grand total or
+    when a layering of the repair ends short, which is exact by max-flow/min-cut
+    from any start: let S be the vertices that layering reached from all
+    over-target vertices together. Every arc a vertex of S loses lies inside S,
+    no vertex of S is under its target and some are over, so more arcs lie
+    inside S than its targets sum to, and any hypertournament makes S lose them
+    all. Feasibility thus coincides with acceptance by the losing-list check.
     """
     data = conform_lists(shape, R, "losing")
     total, grand = shape.total_arcs(), sum(sum(lst) for lst in data)
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
-    need = {VertexId(i, j): data[i][j] for i in range(shape.k) for j in range(shape.n[i])}
-    sels, losers, lost = selection_vertices(shape), [None] * total, {}
-    for rank, sel in enumerate(sels):  # ascending ranks keep every lost list sorted
-        losers[rank] = loser = max(sel, key=need.__getitem__)
-        need[loser] -= 1
-        lost.setdefault(loser, []).append(rank)
+    sels = selection_vertices(shape)
+    losers, lost = [sel[0] for sel in sels], {v: [] for v in shape.vertices()}
+    for rank, loser in enumerate(losers):  # ascending ranks keep every lost list sorted
+        lost[loser].append(rank)
+    need = {v: x - len(lost[v]) for v, x in zip(lost, chain.from_iterable(data))}
     try:
         _repair(sels, losers, lost, need, [v for v, x in need.items() if x < 0])
     except NoEligibleArcError as exc:

@@ -402,9 +402,11 @@ def test_flow_witness_bytes_of_seeded_instances():
     Re-recorded when the engine came to keep one loser per rank: the losers
     are those recorded then, with the non-losers sorted into selection order.
     Re-pinned when one phased repair replaced the repair by one chain per
-    excess unit: it picks other chains."""
+    excess unit: it picks other chains. Re-pinned when every selection came to
+    start at its first vertex instead of a greedy choice: the start decides
+    which chains the repair takes."""
     assert _golden_digest(realize_flow) == (
-        "8611b9a0b3dad7715f7d8d473715a03879941a682fc80c553bf0c9e441590553"
+        "7e727b0cb7f8b0cbaefc42396b9961d141afc26f2de8e175df35da4daed0a178"
     )
 
 
