@@ -183,10 +183,11 @@ def _check(shape: Shape, data, kind: str) -> CheckResult:
     return CheckResult(violation is None and equality, violation, equality)
 
 
-def _fill(n, cap, total, floor, head, out):
-    """Append (*head, lst) to out for each non-decreasing list lst of n entries
-    in [0, cap] summing to total (at most n * cap) whose prefix sums P(q) are
-    at least floor[q] for 0 < q < n."""
+def _fill(n, cap, total, floor, out):
+    """Append (lst,) to out for each non-decreasing list lst of n entries in
+    [0, cap] summing to total (at most n * cap) whose prefix sums P(q) are at
+    least floor[q] for 0 < q < n. The search calls it once per distinct
+    last-level state and shares the result."""
     cur = [0] * n
 
     def place(q, prev, used):
@@ -194,7 +195,7 @@ def _fill(n, cap, total, floor, head, out):
         if q == n - 1:
             if prev <= left:
                 cur[q] = left
-                out.append((*head, tuple(cur)))
+                out.append((tuple(cur),))
             return
         r = n - q  # entries still to place; each later one is at least this one
         for e in range(max(prev, floor[q + 1] - used, left - (r - 1) * cap), left // r + 1):
@@ -220,6 +221,13 @@ def _accepted_lists(shape: Shape, kind: str):
     total less their steps. The last list is built entry by entry against the
     floor q * step_k - V_{k-1}(g_k(q)) on its prefix sums, 0 < q < n_k; the
     cut one level up decides q = 0 and q = n_k.
+
+    Nothing below level j reads more than j, V_j and the remaining total: the
+    cuts, the sum filter, the recurrence and the last floor. So the tuples of
+    lists that complete a state (j, V_j, rest) are found once, kept for the
+    call and shared by every head that reaches it, each head's list put in
+    front of them in the search's order. The search costs one expansion per
+    distinct state, plus one tuple per completion it keeps.
     """
     offset, steps, g, total = _kind_terms(shape, kind)
     parts = list(zip(shape.n, shape.through, steps, g))
@@ -247,23 +255,27 @@ def _accepted_lists(shape: Shape, kind: str):
     caps = [sum(n_i * t_i for n_i, t_i, *_ in f) for f in free]
     n_k, t_k, step_k, g_k = parts[-1]
     last = [at[-1][x] for x in g_k]
-    out = []
+    done = {}
 
-    def search(j, least, rest, chosen):
+    def search(j, least, rest):
+        key = (j, *least, rest)
+        if (tails := done.get(key)) is not None:
+            return tails
+        tails = done[key] = []
         if least[zeros[j]] < 0 or least[fulls[j]] + rest < drops[j]:
-            return
+            return tails
         if j == len(tables):
             floor = [q * step_k - least[i] for q, i in enumerate(last)]
-            _fill(n_k, t_k, rest, floor, chosen, out)
-            return
+            _fill(n_k, t_k, rest, floor, tails)
+            return tails
         for s, entries in tables[j].items():
             if s <= rest <= s + caps[j + 1]:
                 for lst, base in entries:
                     sums = ([b + least[i] for i in row] for b, row in zip(base, moves[j]))
-                    search(j + 1, list(map(min, *sums)), rest - s, (*chosen, lst))
+                    tails += [(lst, *t) for t in search(j + 1, list(map(min, *sums)), rest - s)]
+        return tails
 
-    search(0, [offset - x for x in xs[0]], total, ())
-    return out
+    return search(0, [offset - x for x in xs[0]], total)
 
 
 def check_losing_lists(shape: Shape, R) -> CheckResult:

@@ -24,7 +24,11 @@ slack at each product x = prod g_j(p_j) the parts still free can form. That
 is exact because the free parts meet a head only at those x, plus their own
 bases, and the least slacks of one level follow from the previous level's
 in integers. The last list is built entry by entry against the floor those
-least slacks put on its prefix sums. :func:`bounded_candidate_lists`
+least slacks put on its prefix sums. Since nothing below a level reads more
+than its least slacks and the remaining total, the completions of each
+distinct (level, least slacks, remaining total) are found once per call and
+shared by every head that reaches it: one expansion per distinct state, plus
+one tuple per completion kept. :func:`bounded_candidate_lists`
 filtered through the checks stays the reference the search is tested
 against.
 """

@@ -61,7 +61,16 @@ class RealizationGapError(Exception):
 
 
 class InfeasibleError(Exception):
-    """No assignment of one loser per selection meets the target loss counts."""
+    """No assignment of one loser per selection meets the target loss counts.
+
+    ``reached`` is the certificate: a frozenset S of vertices with more arcs
+    inside S than S's targets sum to, or None when the entries' grand total
+    is wrong.
+    """
+
+    def __init__(self, message: str, reached: frozenset[VertexId] | None = None):
+        super().__init__(message)
+        self.reached = reached
 
 
 def _spread(lst, lo: int, hi: int, total: int, part: int, before: dict) -> None:
@@ -134,7 +143,8 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
     search that resumes each vertex at a cursor (Dinic; Hopcroft-Karp), so the
     shortest chain lengthens every phase. Scans go in rank order, then
     selection order. Raises :class:`NoEligibleArcError` when a layering
-    reaches no under-target vertex.
+    reaches no under-target vertex, with the vertices it reached as its
+    ``reached`` attribute.
     """
     gained: dict[VertexId, list[int]] = {}
     for s in over:
@@ -162,7 +172,9 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
             layer = {w: depth for u in layer for r in lost.get(u, ())
                      for w in sels[r] if w not in dist}
             if not layer:
-                raise NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+                exc = NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+                exc.reached = frozenset(dist)
+                raise exc
             if any(need.get(w, 0) > 0 for w in layer):
                 break
             dist.update(layer)
@@ -284,6 +296,7 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     no vertex of S is under its target and some are over, so more arcs lie
     inside S than its targets sum to, and any hypertournament makes S lose them
     all. Feasibility thus coincides with acceptance by the losing-list check.
+    The error carries S as ``reached``.
     """
     data = conform_lists(shape, R, "losing")
     total, grand = shape.total_arcs(), sum(sum(lst) for lst in data)
@@ -298,5 +311,5 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     try:
         _repair(sels, losers, lost, need, [v for v, x in need.items() if x < 0])
     except NoEligibleArcError as exc:
-        raise InfeasibleError(f"lists are not realizable: {exc}") from exc
+        raise InfeasibleError(f"lists are not realizable: {exc}", exc.reached) from exc
     return Hypertournament.from_losers(shape, losers)

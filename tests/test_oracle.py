@@ -343,7 +343,9 @@ class TestAcceptedSearch:
         assert max(s.k for s in self.SHAPES) == 4
 
     # sha256 of repr(list(_accepted_lists(shape, kind))), recorded while each
-    # level of the search still kept the lower envelope of its heads' lines.
+    # level of the search still kept the lower envelope of its heads' lines;
+    # the last four, the shapes whose search states repeat most, while each
+    # level still kept its least slacks but expanded every repeated state anew.
     @pytest.mark.parametrize(
         "n, alpha, kind, count, digest",
         [
@@ -353,6 +355,10 @@ class TestAcceptedSearch:
             ((3, 3, 2), (1, 1, 1), "score", 8081, "05e389323eca3feff6ec8d9c4064c98b6f2424a814fb4d1ad7a5d7d24d0d9ecf"),
             ((3, 2, 2), (2, 1, 2), "losing", 121, "8879f4d196b1daa1d6adb9b0ce599152a07e3ab90d5e10814a335432ef001e5c"),
             ((3, 2, 2), (2, 1, 2), "score", 121, "67386e85ed17f809c368b84f234e16417c524ebbb64391deb695b1d0f224878d"),
+            ((4, 4), (2, 2), "losing", 121636, "d54f6b9fc36912e6ab0eabd627abfe62cec53b8bc382f6885186e2e0f4dffecb"),
+            ((4, 4), (2, 2), "score", 121636, "e5fac22ca28c1c5e35deb2de293e8a432504e16dee831f66582d9274a359cc68"),
+            ((3, 3, 3), (1, 1, 1), "losing", 130968, "23fc20b0d905e2a3ec8d1cd36d2c4578f57e3bbee2f09ae45f8ef0df1dd0bb66"),
+            ((3, 3, 3), (1, 1, 1), "score", 130968, "b3a6b8a76259dda81f2c2fdb8a28ef53c77ac94b50e11f770d94726502e172a5"),
         ],
     )
     def test_search_sequence_is_pinned(self, n, alpha, kind, count, digest):

@@ -1,3 +1,4 @@
+import random
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hyperscores import (
     BudgetExceededError,
+    Hypertournament,
     RealizationGapError,
     InfeasibleError,
     InvalidListsError,
@@ -166,8 +168,41 @@ class TestRealizeFlow:
             realize_flow(shape, [[0, 2], [0, 2]])
 
     def test_total_mismatch_is_infeasible(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as info:
             realize_flow(Shape((2, 2), (1, 1)), [[0, 1], [1, 1]])
+        assert info.value.reached is None
+
+    def test_infeasible_error_carries_its_certificate(self):
+        """Near the boundary, on the lists of weighted-transitive
+        hypertournaments (each selection lost by its vertex of least weight)
+        with one unit moved and re-sorted: each InfeasibleError's set S has
+        more arcs inside it than S's targets sum to, so no hypertournament
+        meets them, and the check rejects the same lists."""
+        rng, runs, errors = random.Random(11), 0, 0
+        while runs < 1000:
+            n = [rng.randint(1, 7) for _ in range(rng.randint(1, 4))]
+            shape = Shape(n, [rng.randint(1, x) for x in n])
+            if shape.total_arcs() > 3000:
+                continue
+            runs += 1
+            w = {v: rng.random() for v in shape.vertices()}
+            sels = selection_vertices(shape)
+            M = Hypertournament.from_losers(shape, [min(s, key=w.__getitem__) for s in sels])
+            moved = [list(lst) for lst in losing_scores(M).lists]
+            cells = [(i, j) for i, lst in enumerate(moved) for j in range(len(lst))]
+            (i, j), (p, q) = rng.choice([(i, j) for i, j in cells if moved[i][j]]), rng.choice(cells)
+            moved[i][j] -= 1
+            moved[p][q] += 1
+            moved = [sorted(lst) for lst in moved]
+            try:
+                realize_flow(shape, moved)
+            except InfeasibleError as exc:
+                S = exc.reached
+                inside = sum(1 for sel in sels if S.issuperset(sel))
+                assert inside > sum(moved[v.part][v.index] for v in S), (shape, moved)
+                assert not check_losing_lists(shape, moved).valid, (shape, moved)
+                errors += 1
+        assert errors == 148
 
     def test_deterministic(self):
         shape = Shape((3, 2), (2, 1))
