@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice, product, repeat
 from math import comb, log2
-from operator import eq, gt, mul
+from operator import contains, eq, gt, mul
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -46,12 +46,13 @@ __all__ = [
 
 Kind = Literal["losing", "score"]
 
-# Largest selection table that selection_vertices builds, and most vertices
-# that Shape.vertices gives a per-vertex table. A selection of m vertices is a
-# tuple of pointers to vertex objects the whole table shares, 48 + 8m bytes
-# with its table slot (64 to 96 bytes at m = 2 to 6), so 10^6 selections take
-# about 0.1 GB; (10^6,)/(1,), where every selection brings its own vertex,
-# takes 0.15 GB.
+# Largest selection table that _selection_ids and selection_vertices build,
+# and most vertices that Shape.vertices gives a per-vertex table. A selection
+# of m vertices is a tuple of pointers to vertex objects (ids or VertexIds)
+# the whole table shares, 48 + 8m bytes with its table slot (64 to 96 bytes
+# at m = 2 to 6), so 10^6 selections take about 0.1 GB; (10^6,)/(1,), where
+# every selection brings its own vertex, takes about 0.1 GB as ids and
+# 0.15 GB as VertexIds.
 MAX_SELECTIONS = 10**6
 
 #: Ceiling for any single computed count. Oversized shapes fail loudly
@@ -268,9 +269,12 @@ class Hypertournament:
         moved last (appended when outside it, for :func:`validate` to report)."""
         if self._orders is not None:
             return iter(self._orders)
-        sels, losers = selection_vertices(self.shape), self.losers
-        cut = [sel.index(v) if v in sel else len(sel) for sel, v in zip(sels, losers)]
-        return (sel[:i] + sel[i + 1 :] + (v,) for sel, v, i in zip(sels, losers, cut))
+        verts = tuple(self.shape.vertices())
+        ids = dict(zip(verts, range(len(verts))))
+        return (
+            tuple([verts[x] for x in sel if x != i]) + (v,)
+            for sel, v, i in zip(_selection_ids(self.shape), self.losers, map(ids.get, self.losers))
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypertournament):
@@ -340,27 +344,28 @@ def conform_lists(shape: Shape, lists, kind: Kind) -> tuple[tuple[int, ...], ...
     return data
 
 
-@lru_cache(maxsize=256)
-def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
-    """All selections of ``shape`` as canonically ordered vertex tuples, by rank.
+def _selection_table(shape: Shape, vertices: Iterator) -> tuple[tuple, ...]:
+    """All selections of ``shape`` by rank, each a tuple of the labels that
+    ``vertices`` gives, one per vertex in :meth:`Shape.vertices` order.
 
     Rank order is the product of the parts' alpha_i-subsets, each part's in
-    colexicographic order, with part 1 as the fastest digit. Callers rely on
-    three digit facts: part i's digit steps by ``shape.strides[i]``, the
-    subsets whose largest vertex is m take its colex digits [C(m, alpha_i),
-    C(m+1, alpha_i)), and the last rank holding vertex j of part i is T - 1 -
-    (n_i - alpha_i - j) * strides[i] for j < n_i - alpha_i, else T - 1. Each
-    part makes one :class:`VertexId` per vertex, and every selection holding a
-    vertex holds that one object.
+    colexicographic order, with part 1 as the fastest digit, and each
+    selection holds its vertices in that order. Callers rely on three digit
+    facts: part i's digit steps by ``shape.strides[i]``, the subsets whose
+    largest vertex is m take its colex digits [C(m, alpha_i), C(m+1,
+    alpha_i)), and the last rank holding vertex j of part i is T - 1 - (n_i -
+    alpha_i - j) * strides[i] for j < n_i - alpha_i, else T - 1. Every
+    selection holding a vertex holds the one label object ``vertices`` gave
+    for it.
 
-    Raises :class:`CapacityError` before allocating anything when the shape
-    has more than :data:`MAX_SELECTIONS` selections or vertices.
+    Raises :class:`CapacityError` when the shape has more than
+    :data:`MAX_SELECTIONS` selections.
     """
     if shape.total_arcs() > MAX_SELECTIONS:
         raise CapacityError(
             f"{shape.total_arcs()} selections exceed the table limit of {MAX_SELECTIONS}"
         )
-    vertices, parts = shape.vertices(), []
+    parts = []
     for n_i, a_i in zip(shape.n, shape.alpha):
         # Colex order is the lex order of the subsets of the vertices taken
         # from the last, reversed, with each subset read backwards.
@@ -369,6 +374,30 @@ def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
     # product varies its last argument fastest, so the parts go in reversed
     # and each selection is joined back in part order: part 1 fastest.
     return tuple(sum(reversed(sel), ()) for sel in product(*parts[::-1]))
+
+
+@lru_cache(maxsize=256)
+def _selection_ids(shape: Shape) -> tuple[tuple[int, ...], ...]:
+    """The selection table of :func:`_selection_table` with vertex (i, j) as
+    the int ``offsets[i] + j``, its position in :meth:`Shape.vertices`: the
+    representation the package computes on. Each id is one int object from a
+    single ``range``, shared by every selection holding it (CPython shares
+    only the ints up to 256 by itself)."""
+    shape.vertices()  # raises CapacityError past the vertex limit
+    return _selection_table(shape, iter(range(sum(shape.n))))
+
+
+@lru_cache(maxsize=256)
+def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
+    """All selections of ``shape`` as canonically ordered vertex tuples, by
+    rank, in the order and with the digit facts of :func:`_selection_table`.
+    Each part makes one :class:`VertexId` per vertex, and every selection
+    holding a vertex holds that one object.
+
+    Raises :class:`CapacityError` before allocating anything when the shape
+    has more than :data:`MAX_SELECTIONS` selections or vertices.
+    """
+    return _selection_table(shape, shape.vertices())
 
 
 def arcs_through(shape: Shape, part: int) -> int:
@@ -435,13 +464,17 @@ def validate(M: Hypertournament) -> list[Violation]:
     that fails it is diagnosed: a rank kept as its loser has the loser in its
     selection, and a kept order's sorted vertices equal its selection.
     """
-    expected, stored = selection_vertices(M.shape), len(M.losers)
+    expected, stored = _selection_ids(M.shape), len(M.losers)
+    verts = tuple(M.shape.vertices())
+    ids = dict(zip(verts, range(len(verts))))
     if M._orders is None:
-        ranks = enumerate(zip(expected, M.losers))
-        bad = [(r, sel + (v,)) for r, (sel, v) in ranks if v not in sel]
+        held = map(contains, expected, map(ids.get, M.losers))
+        bad = [(r, tuple(map(verts.__getitem__, expected[r])) + (M.losers[r],))
+               for r, ok in enumerate(held) if not ok]
     else:
         ranks = enumerate(zip(expected, M._orders))
-        bad = [(r, o) for r, (sel, o) in ranks if o is None or tuple(sorted(o)) != sel]
+        bad = [(r, o) for r, (sel, o) in ranks
+               if o is None or tuple(sorted(map(ids.get, o, repeat(-1)))) != sel]
     bad += [(r, None) for r in range(stored, len(expected))]
     out = [_diagnose(M.shape, r, order) for r, order in bad]
     for r in range(len(expected), stored):

@@ -44,7 +44,7 @@ from .model import (
     Hypertournament,
     Kind,
     Shape,
-    selection_vertices,
+    _selection_ids,
 )
 
 __all__ = [
@@ -133,9 +133,9 @@ def enumerate_assignments(
     with selection 0 as the fastest digit.
     """
     _assignment_count(shape, budget)
-    sels = selection_vertices(shape)
-    for losers in product(*reversed(sels)):
-        yield Hypertournament.from_losers(shape, losers[::-1])
+    vertex = tuple(shape.vertices()).__getitem__
+    for losers in product(*reversed(_selection_ids(shape))):
+        yield Hypertournament.from_losers(shape, map(vertex, reversed(losers)))
 
 
 def achievable_losing_lists(
@@ -143,10 +143,10 @@ def achievable_losing_lists(
 ) -> AchievableSet:
     """Exact set of sorted losing-score list tuples over all assignments.
 
-    A dynamic program over distinct loss-count vectors (vertex j of part i at
-    position offsets[i] + j) that walks the selections in rank order: each
-    state branches on the selection's possible losers, and equal states
-    merge. After a rank, the counts of each block of one part's vertices that
+    A dynamic program over distinct loss-count vectors, indexed by vertex id
+    (offsets[i] + j for vertex j of part i), that walks the selections in
+    rank order: each state branches on the selection's possible losers, and
+    equal states merge. After a rank, the counts of each block of one part's vertices that
     all remaining selections treat alike are sorted:
 
     - the finished vertices, whose last selection has passed;
@@ -157,12 +157,12 @@ def achievable_losing_lists(
       because a state branches only on the last position of each run of
       equal counts.
 
-    Last ranks follow from the digit facts of :func:`selection_vertices` and
-    do not fall as the index grows, so each block is a prefix of its part.
+    Last ranks follow from the digit facts of the selection table and do not
+    fall as the index grows, so each block is a prefix of its part.
     ``budget`` bounds m**T, checked before any work, not the number of states.
     """
     count = _assignment_count(shape, budget)
-    sels = selection_vertices(shape)
+    sels = _selection_ids(shape)
     offsets = tuple(accumulate(shape.n, initial=0))
     spans = list(zip(offsets, offsets[1:]))
     # Parts of several vertices in every selection, and their non-last positions.
@@ -184,7 +184,7 @@ def achievable_losing_lists(
                 sort_after(base + row[size] * stride - 1, offsets[i], offsets[i] + size)
     states = {(0,) * offsets[-1]}
     for rank, sel in enumerate(sels):
-        moves = [p for v in sel if (p := offsets[v.part] + v.index) not in inner]
+        moves = [p for p in sel if p not in inner]
         states = {
             st[:p] + (st[p] + 1,) + st[p + 1:]
             for st in states
@@ -209,12 +209,12 @@ def random_hypertournament(
     if mode not in ("loser-only", "full-permutation"):
         raise ValueError(f"mode must be 'loser-only' or 'full-permutation', got {mode!r}")
     rng = SplitMix64(seed)
-    sels = selection_vertices(shape)
+    sels, vertex = _selection_ids(shape), tuple(shape.vertices()).__getitem__
     if mode == "loser-only":
-        return Hypertournament.from_losers(shape, [sel[rng.below(len(sel))] for sel in sels])
+        return Hypertournament.from_losers(shape, [vertex(sel[rng.below(len(sel))]) for sel in sels])
     orders = []
     for sel in sels:
-        order = list(sel)
+        order = list(map(vertex, sel))
         for i in range(len(sel) - 1, 0, -1):
             j = rng.below(i + 1)
             order[i], order[j] = order[j], order[i]

@@ -17,12 +17,19 @@ walk's unit moves pass through meets the bounds is a tested property, not a
 runtime check.
 ``realize_flow`` starts each selection at its first vertex and repairs once, an
 exact b-matching that serves as an oracle for the first route.
+
+Inside, a vertex is its int id, its position in ``Shape.vertices()``, and a
+selection is a tuple of ids from the one cached table of ids: the losers are a
+list of ids by rank, and the lost ranks and needs are lists indexed by id.
+:class:`VertexId` objects are made only at the edge, where the losers are
+handed to :meth:`Hypertournament.from_losers` and where an
+:class:`InfeasibleError` carries its ``reached`` set.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain
+from itertools import accumulate, chain
 
 from .criteria import CheckResult, check_losing_lists
 from .model import (
@@ -30,9 +37,9 @@ from .model import (
     NoEligibleArcError,
     Shape,
     VertexId,
+    _selection_ids,
     conform_lists,
     losing_score_map,
-    selection_vertices,
 )
 
 __all__ = [
@@ -94,15 +101,15 @@ def _drain(lst, stop: int, units: int, part: int, before: dict) -> int:
     return max(units - held, 0)
 
 
-def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | None:
+def _walk_level(lists, active: int, bound: int) -> list[tuple[tuple[int, int], int]] | None:
     """Apply to ``lists``, in closed form, the first-choice unit moves at part
-    ``active`` until its last entry is ``bound``; each moved entry's net
-    change, before minus after, or None when the lists run short or that entry
-    is past the bound. A first-choice move is +1 at the end of the active
-    list's first run and -1 at the start of the last run of the first other
-    list, in part order, whose last entry is non-zero; when every other list is
-    zero, +1 at the active list's last entry and -1 at its latest non-zero run
-    start before that entry."""
+    ``active`` until its last entry is ``bound``; each moved entry's (part,
+    index) and net change, before minus after, or None when the lists run
+    short or that entry is past the bound. A first-choice move is +1 at the
+    end of the active list's first run and -1 at the start of the last run of
+    the first other list, in part order, whose last entry is non-zero; when
+    every other list is zero, +1 at the active list's last entry and -1 at its
+    latest non-zero run start before that entry."""
     lst, before = lists[active], {}
     if lst[-1] >= bound:
         return [] if lst[-1] == bound else None
@@ -120,38 +127,39 @@ def _walk_level(lists, active: int, bound: int) -> list[tuple[VertexId, int]] | 
     if short:  # the shift: lst[:-1] gives the last entry the rest
         short = _drain(lst, len(lst) - 1, bound - lst[-1], active, before)
         _spread(lst, len(lst) - 1, len(lst), bound - short, active, before)
-    return None if short else [(VertexId(p, i), x - y) for (p, i), x in before.items()
-                               if x != (y := lists[p][i])]
+    return None if short else [(v, x - y) for v, x in before.items()
+                               if x != (y := lists[v[0]][v[1]])]
 
 
-def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId]) -> None:
+def _repair(sels, losers, lost, need, over: list[int]) -> None:
     """Move losses by interchange chains until no ``need`` is negative.
 
-    ``losers[r]`` loses the arc at rank r, ``sels[r]``; ``lost[v]`` holds v's
-    ranks ascending; ``need[v]`` is how many more arcs v should lose (0 when
-    absent). All three are kept current. ``over`` lists, in ``need``'s order,
-    exactly the v whose need is negative. A chain u0, ..., um, where u_(i-1)
-    loses an arc holding u_i, makes each u_i that arc's loser: only u0 and um
-    change counts. The first phase is a one-hop sweep, one ascending pass over
-    each s of ``over`` that gives each rank of ``lost[s]`` to the first
-    under-target vertex of its selection until s meets its target. A gaining
-    vertex is never a source, so the ranks s scanned are replaced once by
-    those it keeps, and each gainer's new ranks are merged into its list once,
-    from the first of them on. Each later phase layers the vertices from all
-    over-target ones up to the first layer that holds an under-target one.
-    Every phase moves a blocking set of shortest chains along its layers by a
-    search that resumes each vertex at a cursor (Dinic; Hopcroft-Karp), so the
-    shortest chain lengthens every phase. Scans go in rank order, then
-    selection order. Raises :class:`NoEligibleArcError` when a layering
-    reaches no under-target vertex, with the vertices it reached as its
-    ``reached`` attribute.
+    Vertices are the ids of :func:`_selection_ids`, and every argument is
+    indexed by them or by rank: ``losers[r]`` loses the arc at rank r,
+    ``sels[r]``; ``lost[v]`` holds v's ranks ascending; ``need[v]`` is how
+    many more arcs v should lose. All three are kept current. ``over`` lists
+    exactly the v whose need is negative, in the order they are taken as
+    sources. A chain u0, ..., um, where u_(i-1) loses an arc holding u_i,
+    makes each u_i that arc's loser: only u0 and um change counts. The first
+    phase is a one-hop sweep, one ascending pass over each s of ``over`` that
+    gives each rank of ``lost[s]`` to the first under-target vertex of its
+    selection until s meets its target. A gaining vertex is never a source, so the ranks s
+    scanned are replaced once by those it keeps, and each gainer's new ranks
+    are merged into its list once, from the first of them on. Each later
+    phase layers the vertices from all over-target ones up to the first layer
+    that holds an under-target one. Every phase moves a blocking set of
+    shortest chains along its layers by a search that resumes each vertex at
+    a cursor (Dinic; Hopcroft-Karp), so the shortest chain lengthens every
+    phase. Scans go in rank order, then selection order. Raises
+    :class:`NoEligibleArcError` when a layering reaches no under-target
+    vertex, with the ids it reached as its ``reached`` attribute.
     """
-    gained: dict[VertexId, list[int]] = {}
+    gained: dict[int, list[int]] = {}
     for s in over:
-        ranks, kept, left = lost.get(s, []), [], need[s]
+        ranks, kept, left = lost[s], [], need[s]
         for rank in ranks:
             for w in sels[rank]:
-                if need.get(w, 0) > 0:
+                if need[w] > 0:
                     break
             else:
                 kept.append(rank)
@@ -163,19 +171,18 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
         ranks[:len(kept) + left - need[s]] = kept  # the scanned ranks, less those moved
         need[s] = left
     for w, ranks in gained.items():
-        held = lost.setdefault(w, [])
+        held = lost[w]
         i = bisect_left(held, min(ranks))
         held[i:] = sorted(held[i:] + ranks)
     while over := [v for v in over if need[v] < 0]:
         dist, layer, depth = dict.fromkeys(over, 0), over, 1
         while True:  # layers up to the first that holds an under-target vertex
-            layer = {w: depth for u in layer for r in lost.get(u, ())
-                     for w in sels[r] if w not in dist}
+            layer = {w: depth for u in layer for r in lost[u] for w in sels[r] if w not in dist}
             if not layer:
-                exc = NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+                exc = NoEligibleArcError("no interchange chain moves a loss")
                 exc.reached = frozenset(dist)
                 raise exc
-            if any(need.get(w, 0) > 0 for w in layer):
+            if any(need[w] > 0 for w in layer):
                 break
             dist.update(layer)
             depth += 1
@@ -184,11 +191,11 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
             path = [(None, s)]
             while path and need[s] < 0:
                 u = path[-1][1]
-                d, ranks = dist[u] + 1, lost.get(u, ())
+                d, ranks = dist[u] + 1, lost[u]
                 rank = w = None
                 for i in range(bisect_left(ranks, cursor.get(u, 0)), len(ranks)):
                     for w in sels[ranks[i]]:
-                        if need.get(w, 0) > 0 if d == depth else dist.get(w) == d:
+                        if need[w] > 0 if d == depth else dist.get(w) == d:
                             rank = ranks[i]
                             break
                     if rank is not None:
@@ -204,26 +211,26 @@ def _repair(sels, losers, lost, need: dict[VertexId, int], over: list[VertexId])
                         held = lost[losers[rank]]
                         del held[bisect_left(held, rank)]
                         losers[rank] = w
-                        insort(lost.setdefault(w, []), rank)
+                        insort(lost[w], rank)
                     need[s], need[w] = need[s] + 1, need[w] - 1
                     path = [(None, s)]
 
 
 def _level_ranks(shape: Shape, part: int, m: int) -> list[int]:
     """The top ranks whose first-dropped vertex is (part, m), ascending: ``part``
-    holds the first non-zero digit, and by the digit facts of
-    :func:`selection_vertices` its digits for m are [C(m, alpha), C(m+1, alpha))."""
+    holds the first non-zero digit, and by the digit facts of the selection
+    table its digits for m are [C(m, alpha), C(m+1, alpha))."""
     g, stride = shape.binomial_rows[part], shape.strides[part]
     digits = range(g[m] * stride, g[m + 1] * stride, stride)
     return [q + d for q in range(0, shape.total_arcs(), stride * g[-1]) for d in digits]
 
 
-def _gap(vertex: VertexId, what: str) -> RealizationGapError:
-    return RealizationGapError(f"gap at level [{vertex.part + 1}, {vertex.index + 1}]: {what}")
+def _gap(part: int, index: int, what: str) -> RealizationGapError:
+    return RealizationGapError(f"gap at level [{part + 1}, {index + 1}]: {what}")
 
 
-def _inductive_losers(shape: Shape, lists) -> list[VertexId]:
-    """One loser per selection rank by the two passes on ``lists`` (mutated).
+def _inductive_losers(shape: Shape, lists) -> list[int]:
+    """One loser id per selection rank by the two passes on ``lists`` (mutated).
 
     The up pass fills the losers and lost lists from rank 0 on, level by level.
     A level's repair is an exact b-matching for the lists the walk of the level
@@ -238,28 +245,31 @@ def _inductive_losers(shape: Shape, lists) -> list[VertexId]:
             bound = arcs * a // (m + 1)
             change = _walk_level(lists, active, bound)
             if change is None:
-                raise _gap(VertexId(active, m), f"the walk cannot bring its last entry to {bound}")
-            levels.append((VertexId(active, m), change))
+                raise _gap(active, m, f"the walk cannot bring its last entry to {bound}")
+            levels.append((active, m, change))
             lists[active].pop()
             arcs = arcs * (m + 1 - a) // (m + 1)
     # The single arc left, at rank 0, goes to the vertex of the unit entry.
-    bottom = [VertexId(i, j) for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
+    offsets = list(accumulate(shape.n, initial=0))
+    bottom = [offsets[i] + j for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
-        raise _gap(levels[-1][0], f"the single arc left has {len(bottom)} unit entries, not 1")
-    sels, need = selection_vertices(shape), dict.fromkeys(shape.vertices(), 0)
-    losers, lost = [None] * len(sels), {bottom[0]: [0]}
-    losers[0] = bottom[0]
-    for vertex, change in reversed(levels):
+        raise _gap(*levels[-1][:2], f"the single arc left has {len(bottom)} unit entries, not 1")
+    sels, need = _selection_ids(shape), [0] * offsets[-1]
+    losers, lost = [None] * len(sels), [[] for _ in need]
+    losers[0], lost[bottom[0]] = bottom[0], [0]
+    for part, m, change in reversed(levels):
         # The level's vertex has lost nothing yet, so its ranks are its lost list.
-        ranks = lost[vertex] = _level_ranks(shape, *vertex)
+        v = offsets[part] + m
+        ranks = lost[v] = _level_ranks(shape, part, m)
         for rank in ranks:
-            losers[rank] = vertex
-        for v, x in change:  # the targets go back to the lists before saturation
-            need[v] += x
+            losers[rank] = v
+        change = [(offsets[p] + i, x) for (p, i), x in change]
+        for u, x in change:  # the targets go back to the lists before saturation
+            need[u] += x
         try:
-            _repair(sels, losers, lost, need, sorted(v for v, x in change if need[v] < 0))
+            _repair(sels, losers, lost, need, sorted(u for u, x in change if need[u] < 0))
         except NoEligibleArcError as exc:
-            raise _gap(vertex, f"the repair finds no chain: {exc}") from exc
+            raise _gap(part, m, f"the repair finds no chain: {exc}") from exc
     return losers
 
 
@@ -277,7 +287,8 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
-    M = Hypertournament.from_losers(shape, _inductive_losers(shape, [list(lst) for lst in data]))
+    losers = _inductive_losers(shape, [list(lst) for lst in data])
+    M = Hypertournament.from_losers(shape, map(tuple(shape.vertices()).__getitem__, losers))
     targets = {VertexId(i, j): x for i, lst in enumerate(data) for j, x in enumerate(lst)}
     if losing_score_map(M) != targets:
         raise RealizationGapError("constructed witness does not reproduce the input lists")
@@ -303,13 +314,14 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
-    sels = selection_vertices(shape)
-    losers, lost = [sel[0] for sel in sels], {v: [] for v in shape.vertices()}
+    sels, verts = _selection_ids(shape), tuple(shape.vertices())
+    losers, lost = [sel[0] for sel in sels], [[] for _ in verts]
     for rank, loser in enumerate(losers):  # ascending ranks keep every lost list sorted
         lost[loser].append(rank)
-    need = {v: x - len(lost[v]) for v, x in zip(lost, chain.from_iterable(data))}
+    need = [x - len(held) for x, held in zip(chain.from_iterable(data), lost)]
     try:
-        _repair(sels, losers, lost, need, [v for v, x in need.items() if x < 0])
+        _repair(sels, losers, lost, need, [v for v, x in enumerate(need) if x < 0])
     except NoEligibleArcError as exc:
-        raise InfeasibleError(f"lists are not realizable: {exc}", exc.reached) from exc
-    return Hypertournament.from_losers(shape, losers)
+        reached = frozenset(map(verts.__getitem__, exc.reached))
+        raise InfeasibleError(f"lists are not realizable: {exc}", reached) from exc
+    return Hypertournament.from_losers(shape, map(verts.__getitem__, losers))

@@ -140,8 +140,22 @@ def _chains(sels, losers) -> SimpleNamespace:
 
 
 def repair(chains: SimpleNamespace, need: dict) -> None:
-    """:func:`_repair` on ``chains``' state from every vertex over its target."""
-    _repair(chains.sels, chains.losers, chains.lost, need, over(need))
+    """:func:`_repair` on ``chains``' state from every vertex over its target.
+    The state goes in as the repair keeps it, each vertex as its id (its
+    position in the vertex order, which sorting the table's vertices gives),
+    ``lost`` and ``need`` as lists by id, and comes back into ``chains`` and
+    ``need`` when the repair returns."""
+    verts = sorted({v for sel in chains.sels for v in sel})
+    ids = {v: i for i, v in enumerate(verts)}
+    losers = [ids[v] for v in chains.losers]
+    lost = [list(chains.lost.get(v, ())) for v in verts]
+    need_by_id = [need.get(v, 0) for v in verts]
+    sels = [tuple(map(ids.__getitem__, sel)) for sel in chains.sels]
+    _repair(sels, losers, lost, need_by_id, [ids[v] for v in over(need)])
+    chains.losers[:] = [verts[i] for i in losers]
+    chains.lost.clear()
+    chains.lost.update(zip(verts, lost))
+    need.update((v, need_by_id[ids[v]]) for v in need)
 
 
 def _losses(shape, losers) -> dict:

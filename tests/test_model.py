@@ -34,6 +34,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
+from hyperscores.model import _selection_ids
 
 V = VertexId
 
@@ -116,6 +117,8 @@ class TestShape:
             shape.vertices()
         with pytest.raises(CapacityError, match="1000001 vertices exceed"):
             selection_vertices(shape)
+        with pytest.raises(CapacityError, match="1000001 vertices exceed"):
+            _selection_ids(shape)
         assert next(Shape((10**6,), (10**6,)).vertices()) == V(0, 0)
 
 
@@ -296,14 +299,32 @@ class TestSelectionTable:
             Shape((3, 2), (2, 1)),
             Shape((4, 3, 2), (2, 1, 1)),
             Shape((3, 2, 2, 3), (1, 2, 1, 2)),
+            # Ids past 256, which CPython does not share by itself.
+            Shape((300, 3), (1, 2)),
         ],
         ids=str,
     )
     def test_one_object_per_vertex(self, shape):
-        # Every selection holding a vertex holds the same VertexId object, so
-        # the table's size is its tuples, not T * m vertex objects.
-        table = selection_vertices(shape)
-        assert len({id(v) for sel in table for v in sel}) == sum(shape.n)
+        # Every selection holding a vertex holds the same VertexId object, and
+        # the same int in the table of ids, so each table's size is its
+        # tuples, not T * m vertex objects.
+        for table in (selection_vertices(shape), _selection_ids(shape)):
+            assert len({id(v) for sel in table for v in sel}) == sum(shape.n)
+
+    def test_id_table_is_the_vertex_table(self):
+        """On every shape with k <= 3 and n_i <= 5, the table of vertex ids,
+        each id read as its vertex in Shape.vertices order, is the table of
+        VertexIds."""
+        sizes = [(n_i, a_i) for n_i in range(1, 6) for a_i in range(1, n_i + 1)]
+        shapes = 0
+        for k in (1, 2, 3):
+            for parts in product(sizes, repeat=k):
+                shape = Shape(*map(tuple, zip(*parts)))
+                verts = tuple(shape.vertices())
+                table = tuple(tuple(verts[x] for x in sel) for sel in _selection_ids(shape))
+                assert table == selection_vertices(shape), shape
+                shapes += 1
+        assert shapes == 3615
 
     def test_table_cap(self):
         from hyperscores.model import MAX_SELECTIONS
@@ -311,6 +332,8 @@ class TestSelectionTable:
         shape = Shape((MAX_SELECTIONS + 1,), (1,))
         with pytest.raises(CapacityError):
             selection_vertices(shape)
+        with pytest.raises(CapacityError):
+            _selection_ids(shape)
 
     def test_constructor_over_the_cap(self):
         # Deciding whether given arcs are canonical reads the table, so the

@@ -32,7 +32,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores import realize
-from hyperscores.model import NoEligibleArcError
+from hyperscores.model import NoEligibleArcError, _selection_ids
 from hyperscores.realize import (
     _level_ranks,
     _inductive_losers,
@@ -120,11 +120,19 @@ class TestInductivePasses:
 
     @pytest.mark.parametrize("n, alpha", [((4, 3), (2, 1)), ((6, 5), (2, 2))])
     def test_one_selection_table_per_realization(self, n, alpha):
+        """Both realizers, the arcs of their witness and its validation read
+        one table, of vertex ids; none builds the table of VertexIds."""
         shape = Shape(n, alpha)
         lists = losing_scores(random_hypertournament(shape, 1)).lists
         selection_vertices.cache_clear()
+        _selection_ids.cache_clear()
         realize_inductive(shape, lists)
-        assert selection_vertices.cache_info().misses == 1
+        assert _selection_ids.cache_info().misses == 1
+        M = realize_flow(shape, lists)
+        list(M.orders())
+        assert validate(M) == []
+        assert _selection_ids.cache_info().misses == 1
+        assert selection_vertices.cache_info().misses == 0
 
     def test_level_ranks_are_the_per_selection_minimum(self):
         """On every shape with k <= 3 and n_i <= 5, the ranks of each dropped
