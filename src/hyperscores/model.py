@@ -97,7 +97,8 @@ class StructuralError(Exception):
 
 
 class NoEligibleArcError(Exception):
-    """No arc contains both requested vertices with the designated loser last."""
+    """No arc contains both requested vertices with the designated loser last;
+    raised by :func:`arc_swap` alone."""
 
 
 def _integers(values, *field) -> tuple[int, ...]:
@@ -130,9 +131,9 @@ class Shape:
     """Instance signature: part sizes ``n`` and per-part arities ``alpha``.
 
     The counts that depend only on the shape (the number of arcs, the arcs
-    through one vertex of each part, each part's binomial row and rank stride)
-    are computed once per instance, on first use, and kept as tuples;
-    equality, hashing and repr still see only ``n`` and ``alpha``.
+    through one vertex of each part, each part's binomial row, rank stride and
+    first vertex id) are computed once per instance, on first use, and kept
+    as tuples; equality, hashing and repr still see only ``n`` and ``alpha``.
     """
 
     n: tuple[int, ...]
@@ -186,6 +187,12 @@ class Shape:
         return tuple(accumulate((row[-1] for row in self.binomial_rows[:-1]), mul, initial=1))
 
     @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Per part i, the id of its first vertex, then the vertex count:
+        vertex j of part i is the int ``offsets[i] + j``."""
+        return tuple(accumulate(self.n, initial=0))
+
+    @cached_property
     def score_total(self) -> int:
         """Grand total of any score lists: each arc scores at all but its loser."""
         return (sum(self.alpha) - 1) * self._total_arcs
@@ -194,7 +201,7 @@ class Shape:
         """The vertices, part by part. Every per-vertex table is built from
         them, so more than :data:`MAX_SELECTIONS` raise :class:`CapacityError`
         here, before any is built."""
-        count = sum(self.n)
+        count = self.offsets[-1]
         if count > MAX_SELECTIONS:
             raise CapacityError(f"{count} vertices exceed the table limit of {MAX_SELECTIONS}")
         return (VertexId(part, index) for part, n_i in enumerate(self.n) for index in range(n_i))
@@ -246,13 +253,14 @@ class Hypertournament:
         arcs = tuple(arcs)
         losers = tuple(getattr(a, "order", a)[-1] if a else None for a in arcs)
         self.__dict__.update(shape=shape, losers=losers, _orders=None)
-        if len(arcs) > shape.total_arcs() or not all(map(eq, map(_order, arcs), self.orders())):
+        if (len(arcs) > shape.total_arcs() or None in losers
+                or not all(map(eq, map(_order, arcs), self.orders()))):
             self.__dict__["_orders"] = tuple(map(_order, arcs))
 
     @classmethod
     def from_losers(cls, shape: Shape, losers: Iterable[VertexId]) -> "Hypertournament":
-        """``losers[r]`` loses the arc at rank r; entries past the last rank are
-        dropped, and no arc is built."""
+        """``losers[r]`` loses the arc at rank r, and a None loser is a missing
+        arc; entries past the last rank are dropped, and no arc is built."""
         M = cls.__new__(cls)
         losers = tuple(losers)[: shape.total_arcs()]
         M.__dict__.update(shape=shape, losers=losers, _orders=None)
@@ -265,14 +273,14 @@ class Hypertournament:
 
     def orders(self) -> Iterator[tuple[VertexId, ...] | None]:
         """Each arc's vertices, loser last, with no :class:`Arc` built: the kept
-        orders (None for a missing arc), or selection r with ``losers[r]``
-        moved last (appended when outside it, for :func:`validate` to report)."""
+        orders, or selection r with ``losers[r]`` moved last (appended when
+        outside it, for :func:`validate` to report); None for a missing arc."""
         if self._orders is not None:
             return iter(self._orders)
         verts = tuple(self.shape.vertices())
         ids = dict(zip(verts, range(len(verts))))
         return (
-            tuple([verts[x] for x in sel if x != i]) + (v,)
+            None if v is None else tuple([verts[x] for x in sel if x != i]) + (v,)
             for sel, v, i in zip(_selection_ids(self.shape), self.losers, map(ids.get, self.losers))
         )
 
@@ -379,12 +387,12 @@ def _selection_table(shape: Shape, vertices: Iterator) -> tuple[tuple, ...]:
 @lru_cache(maxsize=256)
 def _selection_ids(shape: Shape) -> tuple[tuple[int, ...], ...]:
     """The selection table of :func:`_selection_table` with vertex (i, j) as
-    the int ``offsets[i] + j``, its position in :meth:`Shape.vertices`: the
+    the int ``shape.offsets[i] + j``, its position in :meth:`Shape.vertices`: the
     representation the package computes on. Each id is one int object from a
     single ``range``, shared by every selection holding it (CPython shares
     only the ints up to 256 by itself)."""
     shape.vertices()  # raises CapacityError past the vertex limit
-    return _selection_table(shape, iter(range(sum(shape.n))))
+    return _selection_table(shape, iter(range(shape.offsets[-1])))
 
 
 @lru_cache(maxsize=256)
@@ -469,8 +477,8 @@ def validate(M: Hypertournament) -> list[Violation]:
     ids = dict(zip(verts, range(len(verts))))
     if M._orders is None:
         held = map(contains, expected, map(ids.get, M.losers))
-        bad = [(r, tuple(map(verts.__getitem__, expected[r])) + (M.losers[r],))
-               for r, ok in enumerate(held) if not ok]
+        bad = [(r, v if v is None else tuple(map(verts.__getitem__, expected[r])) + (v,))
+               for r, (ok, v) in enumerate(zip(held, M.losers)) if not ok]
     else:
         ranks = enumerate(zip(expected, M._orders))
         bad = [(r, o) for r, (sel, o) in ranks

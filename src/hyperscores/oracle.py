@@ -36,7 +36,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 from .criteria import _accepted_lists
@@ -144,7 +144,7 @@ def achievable_losing_lists(
     """Exact set of sorted losing-score list tuples over all assignments.
 
     A dynamic program over distinct loss-count vectors, indexed by vertex id
-    (offsets[i] + j for vertex j of part i), that walks the selections in
+    (``shape.offsets[i] + j`` for vertex j of part i), that walks the selections in
     rank order: each state branches on the selection's possible losers, and
     equal states merge. After a rank, the counts of each block of one part's vertices that
     all remaining selections treat alike are sorted:
@@ -163,7 +163,7 @@ def achievable_losing_lists(
     """
     count = _assignment_count(shape, budget)
     sels = _selection_ids(shape)
-    offsets = tuple(accumulate(shape.n, initial=0))
+    offsets = shape.offsets
     spans = list(zip(offsets, offsets[1:]))
     # Parts of several vertices in every selection, and their non-last positions.
     full = {lo: hi for (lo, hi), a in zip(spans, shape.alpha) if hi - lo == a > 1}

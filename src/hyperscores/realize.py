@@ -18,29 +18,23 @@ runtime check.
 ``realize_flow`` starts each selection at its first vertex and repairs once, an
 exact b-matching that serves as an oracle for the first route.
 
-Inside, a vertex is its int id, its position in ``Shape.vertices()``, and a
-selection is a tuple of ids from the one cached table of ids: the losers are a
-list of ids by rank, and the lost ranks and needs are lists indexed by id.
-:class:`VertexId` objects are made only at the edge, where the losers are
-handed to :meth:`Hypertournament.from_losers` and where an
-:class:`InfeasibleError` carries its ``reached`` set.
+Inside, vertex j of part i is the int id ``Shape.offsets[i] + j`` and a
+selection is a tuple of ids from the one cached table: the losers are a list
+of ids by rank, and the lost ranks and needs are lists indexed by id. The
+repair returns the ids a failed layering reached, and the inductive witness is
+recounted on its loser ids. :class:`VertexId` objects are made only at the
+edge, where the losers are handed to :meth:`Hypertournament.from_losers` and
+where an :class:`InfeasibleError` carries its ``reached`` set.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain
+from collections import Counter
+from itertools import chain
 
 from .criteria import CheckResult, check_losing_lists
-from .model import (
-    Hypertournament,
-    NoEligibleArcError,
-    Shape,
-    VertexId,
-    _selection_ids,
-    conform_lists,
-    losing_score_map,
-)
+from .model import Hypertournament, Shape, VertexId, _selection_ids, conform_lists
 
 __all__ = [
     "InfeasibleError",
@@ -131,7 +125,7 @@ def _walk_level(lists, active: int, bound: int) -> list[tuple[tuple[int, int], i
                                if x != (y := lists[v[0]][v[1]])]
 
 
-def _repair(sels, losers, lost, need, over: list[int]) -> None:
+def _repair(sels, losers, lost, need, over: list[int]) -> frozenset[int] | None:
     """Move losses by interchange chains until no ``need`` is negative.
 
     Vertices are the ids of :func:`_selection_ids`, and every argument is
@@ -150,9 +144,9 @@ def _repair(sels, losers, lost, need, over: list[int]) -> None:
     that holds an under-target one. Every phase moves a blocking set of
     shortest chains along its layers by a search that resumes each vertex at
     a cursor (Dinic; Hopcroft-Karp), so the shortest chain lengthens every
-    phase. Scans go in rank order, then selection order. Raises
-    :class:`NoEligibleArcError` when a layering reaches no under-target
-    vertex, with the ids it reached as its ``reached`` attribute.
+    phase. Scans go in rank order, then selection order. Returns None, or the
+    frozenset of ids its layering reached when that layering reaches no
+    under-target vertex.
     """
     gained: dict[int, list[int]] = {}
     for s in over:
@@ -179,9 +173,7 @@ def _repair(sels, losers, lost, need, over: list[int]) -> None:
         while True:  # layers up to the first that holds an under-target vertex
             layer = {w: depth for u in layer for r in lost[u] for w in sels[r] if w not in dist}
             if not layer:
-                exc = NoEligibleArcError("no interchange chain moves a loss")
-                exc.reached = frozenset(dist)
-                raise exc
+                return frozenset(dist)
             if any(need[w] > 0 for w in layer):
                 break
             dist.update(layer)
@@ -250,7 +242,7 @@ def _inductive_losers(shape: Shape, lists) -> list[int]:
             lists[active].pop()
             arcs = arcs * (m + 1 - a) // (m + 1)
     # The single arc left, at rank 0, goes to the vertex of the unit entry.
-    offsets = list(accumulate(shape.n, initial=0))
+    offsets = shape.offsets
     bottom = [offsets[i] + j for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
         raise _gap(*levels[-1][:2], f"the single arc left has {len(bottom)} unit entries, not 1")
@@ -266,10 +258,9 @@ def _inductive_losers(shape: Shape, lists) -> list[int]:
         change = [(offsets[p] + i, x) for (p, i), x in change]
         for u, x in change:  # the targets go back to the lists before saturation
             need[u] += x
-        try:
-            _repair(sels, losers, lost, need, sorted(u for u, x in change if need[u] < 0))
-        except NoEligibleArcError as exc:
-            raise _gap(part, m, f"the repair finds no chain: {exc}") from exc
+        over = sorted(u for u, x in change if need[u] < 0)
+        if _repair(sels, losers, lost, need, over) is not None:
+            raise _gap(part, m, "the repair finds no chain")
     return losers
 
 
@@ -280,19 +271,18 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     first part that still has more vertices than its arity until a single arc
     is left; the up pass builds the witness back on the top shape's selection
     table. A level that cannot complete raises :class:`RealizationGapError`
-    naming its vertex, and the result is verified against the targets before
-    being returned, so a construction defect cannot pass as a witness.
+    naming its vertex, and its loser ids are recounted against the targets
+    before any :class:`VertexId` is made, so a defect cannot pass as a witness.
     """
     data = conform_lists(shape, R, "losing")
     result = check_losing_lists(shape, data)
     if not result.valid:
         raise InvalidListsError(result)
     losers = _inductive_losers(shape, [list(lst) for lst in data])
-    M = Hypertournament.from_losers(shape, map(tuple(shape.vertices()).__getitem__, losers))
-    targets = {VertexId(i, j): x for i, lst in enumerate(data) for j, x in enumerate(lst)}
-    if losing_score_map(M) != targets:
+    targets, counts = list(chain.from_iterable(data)), Counter(losers)
+    if [counts[v] for v in range(len(targets))] != targets:
         raise RealizationGapError("constructed witness does not reproduce the input lists")
-    return M
+    return Hypertournament.from_losers(shape, map(tuple(shape.vertices()).__getitem__, losers))
 
 
 def realize_flow(shape: Shape, R) -> Hypertournament:
@@ -319,9 +309,8 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     for rank, loser in enumerate(losers):  # ascending ranks keep every lost list sorted
         lost[loser].append(rank)
     need = [x - len(held) for x, held in zip(chain.from_iterable(data), lost)]
-    try:
-        _repair(sels, losers, lost, need, [v for v, x in enumerate(need) if x < 0])
-    except NoEligibleArcError as exc:
-        reached = frozenset(map(verts.__getitem__, exc.reached))
-        raise InfeasibleError(f"lists are not realizable: {exc}", reached) from exc
+    reached = _repair(sels, losers, lost, need, [v for v, x in enumerate(need) if x < 0])
+    if reached is not None:
+        raise InfeasibleError("lists are not realizable: no interchange chain moves a loss",
+                              frozenset(map(verts.__getitem__, reached)))
     return Hypertournament.from_losers(shape, map(verts.__getitem__, losers))

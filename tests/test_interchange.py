@@ -144,14 +144,16 @@ def repair(chains: SimpleNamespace, need: dict) -> None:
     The state goes in as the repair keeps it, each vertex as its id (its
     position in the vertex order, which sorting the table's vertices gives),
     ``lost`` and ``need`` as lists by id, and comes back into ``chains`` and
-    ``need`` when the repair returns."""
+    ``need`` when the repair succeeds. Raises NoEligibleArcError when the
+    repair returns the ids its failed layering reached."""
     verts = sorted({v for sel in chains.sels for v in sel})
     ids = {v: i for i, v in enumerate(verts)}
     losers = [ids[v] for v in chains.losers]
     lost = [list(chains.lost.get(v, ())) for v in verts]
     need_by_id = [need.get(v, 0) for v in verts]
     sels = [tuple(map(ids.__getitem__, sel)) for sel in chains.sels]
-    _repair(sels, losers, lost, need_by_id, [ids[v] for v in over(need)])
+    if _repair(sels, losers, lost, need_by_id, [ids[v] for v in over(need)]) is not None:
+        raise NoEligibleArcError("no interchange chain moves a loss")
     chains.losers[:] = [verts[i] for i in losers]
     chains.lost.clear()
     chains.lost.update(zip(verts, lost))

@@ -3,7 +3,7 @@ import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from unittest import mock
 
 import pytest
@@ -539,6 +539,10 @@ class TestShapeConstants:
                 through = shape.through
                 assert type(through) is tuple and type(shape.binomial_rows) is tuple
                 assert shape.total_arcs() == math.prod(math.comb(n_i, a_i) for n_i, a_i in parts)
+                offsets = shape.offsets
+                assert offsets == (0, *accumulate(shape.n))
+                assert [V(i, j - offsets[i]) for i in range(k)
+                        for j in range(offsets[i], offsets[i + 1])] == list(shape.vertices())
                 for i, (n_i, a_i) in enumerate(parts):
                     direct = through_part[n_i, a_i]
                     for t, part in enumerate(parts):
@@ -730,6 +734,21 @@ class TestValidate:
         m = example_m()
         bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
+
+    def test_a_none_loser_is_a_missing_arc(self):
+        """A None loser given to from_losers is the missing arc that a None
+        arc is: no order at its rank, a missing-arc report, and no scores."""
+        m = example_m()
+        by_losers = Hypertournament.from_losers(m.shape, (None, *m.losers[1:]))
+        by_arcs = Hypertournament(m.shape, (None, *m.arcs[1:]))
+        for M in (by_losers, by_arcs):
+            assert list(M.orders()) == [None, *(arc.order for arc in m.arcs[1:])]
+            assert M.arcs == (None, *m.arcs[1:])
+            assert validate(M) == [Violation(0, "missing-arc", "no arc stored for selection 0")]
+            with pytest.raises(StructuralError, match="no arc stored for selection 0"):
+                score_map(M)
+            with pytest.raises(StructuralError):
+                losing_score_map(M)
 
     @settings(max_examples=400, deadline=None)
     @given(M=defective_witnesses())

@@ -3,7 +3,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import combinations_with_replacement, count, product
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 import pytest
@@ -32,7 +32,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores import realize
-from hyperscores.model import NoEligibleArcError, _selection_ids
+from hyperscores.model import _selection_ids
 from hyperscores.realize import (
     _level_ranks,
     _inductive_losers,
@@ -185,7 +185,10 @@ class TestRealizeFlow:
         hypertournaments (each selection lost by its vertex of least weight)
         with one unit moved and re-sorted: each InfeasibleError's set S has
         more arcs inside it than S's targets sum to, so no hypertournament
-        meets them, and the check rejects the same lists."""
+        meets them, and the check rejects the same lists. With p the per-part
+        sizes of S, the p_i least entries of each part sum below the arcs S
+        holds, prod C(p_i, alpha_i), so the check's witness prefix is at most
+        p lexicographically."""
         rng, runs, errors = random.Random(11), 0, 0
         while runs < 1000:
             n = [rng.randint(1, 7) for _ in range(rng.randint(1, 4))]
@@ -208,7 +211,12 @@ class TestRealizeFlow:
                 S = exc.reached
                 inside = sum(1 for sel in sels if S.issuperset(sel))
                 assert inside > sum(moved[v.part][v.index] for v in S), (shape, moved)
-                assert not check_losing_lists(shape, moved).valid, (shape, moved)
+                result = check_losing_lists(shape, moved)
+                assert not result.valid, (shape, moved)
+                p = [sum(v.part == i for v in S) for i in range(shape.k)]
+                least = sum(sum(lst[:size]) for lst, size in zip(moved, p))
+                assert least < prod(map(comb, p, shape.alpha)), (shape, moved)
+                assert result.witness_violation.prefix <= tuple(p), (shape, moved)
                 errors += 1
         assert errors == 148
 
@@ -729,11 +737,11 @@ class TestOnePassLevel:
 
             def rejecting(*state):
                 if next(calls) == level:
-                    raise NoEligibleArcError("rejected")
+                    return frozenset({0})
                 return repair(*state)
 
             message = gap_message(shape, lists, lambda mp: mp.setattr(realize, "_repair", rejecting))
-            assert message == gap_at(up[level]) + "the repair finds no chain: rejected"
+            assert message == gap_at(up[level]) + "the repair finds no chain"
             assert next(calls) == level + 1  # no repair after the failing one
 
     @pytest.mark.parametrize(
@@ -759,4 +767,21 @@ class TestOnePassLevel:
         monkeypatch.setattr(realize, "_walk_level", forgetful)
         with pytest.raises(RealizationGapError, match="does not reproduce"):
             realize_inductive(Shape((2, 2), (1, 1)), [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("n, alpha", GAP_SHAPES)
+    def test_a_swapped_loser_fails_the_final_verification(self, n, alpha):
+        """The recount of the loser ids catches a construction that gives one
+        rank's loss to another vertex of the same selection."""
+        shape = Shape(n, alpha)
+        lists = losing_scores(random_hypertournament(shape, 1)).lists
+        build = realize._inductive_losers
+
+        def swapping(shape, lists):
+            losers = build(shape, lists)
+            losers[0] = next(v for v in _selection_ids(shape)[0] if v != losers[0])
+            return losers
+
+        message = gap_message(
+            shape, lists, lambda mp: mp.setattr(realize, "_inductive_losers", swapping))
+        assert message == "constructed witness does not reproduce the input lists"
 
