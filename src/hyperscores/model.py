@@ -240,10 +240,10 @@ class Hypertournament:
     :meth:`from_losers` keeps only the losers. ``Hypertournament(shape, arcs)``
     takes :class:`Arc` objects, vertex sequences (loser last) or None (a
     missing arc). It keeps only their losers when there are at most T and each
-    is canonical, else their orders as tuples (``_orders``). Arcs are compared
-    one at a time, so a tuple is built only after a mismatch; the comparison
-    builds the selection table, so above :data:`MAX_SELECTIONS` it raises
-    :class:`CapacityError`. Only :attr:`arcs` builds :class:`Arc` objects.
+    is canonical or None, else their orders as tuples (``_orders``). Arcs are
+    compared one at a time, so a tuple is built only after a mismatch; the
+    comparison builds the selection table, so above :data:`MAX_SELECTIONS` it
+    raises :class:`CapacityError`. Only :attr:`arcs` builds :class:`Arc` objects.
     """
 
     shape: Shape
@@ -253,8 +253,7 @@ class Hypertournament:
         arcs = tuple(arcs)
         losers = tuple(getattr(a, "order", a)[-1] if a else None for a in arcs)
         self.__dict__.update(shape=shape, losers=losers, _orders=None)
-        if (len(arcs) > shape.total_arcs() or None in losers
-                or not all(map(eq, map(_order, arcs), self.orders()))):
+        if len(arcs) > shape.total_arcs() or not all(map(eq, map(_order, arcs), self.orders())):
             self.__dict__["_orders"] = tuple(map(_order, arcs))
 
     @classmethod
@@ -358,13 +357,11 @@ def _selection_table(shape: Shape, vertices: Iterator) -> tuple[tuple, ...]:
 
     Rank order is the product of the parts' alpha_i-subsets, each part's in
     colexicographic order, with part 1 as the fastest digit, and each
-    selection holds its vertices in that order. Callers rely on three digit
-    facts: part i's digit steps by ``shape.strides[i]``, the subsets whose
-    largest vertex is m take its colex digits [C(m, alpha_i), C(m+1,
-    alpha_i)), and the last rank holding vertex j of part i is T - 1 - (n_i -
-    alpha_i - j) * strides[i] for j < n_i - alpha_i, else T - 1. Every
-    selection holding a vertex holds the one label object ``vertices`` gave
-    for it.
+    selection holds its vertices in that order. Callers rely on two digit
+    facts: part i's digit steps by ``shape.strides[i]``, and the subsets
+    whose largest vertex is m take its colex digits [C(m, alpha_i), C(m+1,
+    alpha_i)). Every selection holding a vertex holds the one label object
+    ``vertices`` gave for it.
 
     Raises :class:`CapacityError` when the shape has more than
     :data:`MAX_SELECTIONS` selections.
@@ -424,6 +421,8 @@ def losing_score_map(M: Hypertournament) -> dict[VertexId, int]:
     counts = {v: 0 for v in M.shape.vertices()}
     lost = Counter(M.losers)
     for v in lost:
+        if v is None:
+            raise StructuralError(f"no arc stored for selection {M.losers.index(None)}")
         if v not in counts:
             raise StructuralError(f"arc loses at unknown vertex {v}")
     counts.update(lost)

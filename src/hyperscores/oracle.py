@@ -7,13 +7,13 @@ exact truth. Both range over loser choices only: scores depend only on the
 last position of each arc, so nothing is lost while the space shrinks from
 orderings to one choice per selection. The achievable lists come from a
 dynamic program over distinct loss-count vectors rather than from one pass
-per assignment. It merges states up to symmetry: after a rank it sorts the
-counts of each block of one part's vertices that all remaining selections
-treat alike, the finished vertices and vertices 0..M once the part's digit
-passes the last subset of 0..M with every lower digit maxed (both ranks by
-arithmetic on ``Shape.strides``), and it keeps a part in every selection
-sorted by branching only on the end of each run of equal counts. A
-permutation inside one part that maps the remaining selections onto
+per assignment. It merges states up to symmetry by one rule: after a
+rank whose digits below part i are all maxed, the selections still to come
+are closed under every permutation of part i's vertices from its first one
+through the end of the first run of consecutive part-i vertices in that
+rank's selection, so it sorts their counts; and it keeps a part in every
+selection sorted by branching only on the end of each run of equal counts.
+A permutation inside one part that maps the remaining selections onto
 themselves maps reachable final states onto reachable final states, and the
 result sorts each part anyway, so no list is lost or added. The enumeration
 budget bounds the assignment space m**T, m = 1 included, not the work.
@@ -36,7 +36,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterator
 
 from .criteria import _accepted_lists
@@ -144,44 +144,37 @@ def achievable_losing_lists(
     """Exact set of sorted losing-score list tuples over all assignments.
 
     A dynamic program over distinct loss-count vectors, indexed by vertex id
-    (``shape.offsets[i] + j`` for vertex j of part i), that walks the selections in
-    rank order: each state branches on the selection's possible losers, and
-    equal states merge. After a rank, the counts of each block of one part's vertices that
-    all remaining selections treat alike are sorted:
+    (``shape.offsets[i] + j`` for vertex j of part i), that walks the
+    selections in rank order: each state branches on the selection's possible
+    losers, and equal states merge. States also merge up to symmetry:
 
-    - the finished vertices, whose last selection has passed;
-    - vertices 0..M of part i after a rank whose digits below part i are
-      maxed and whose part-i colex digit is C(M+1, alpha_i) - 1, the last
-      subset with largest vertex M (so the whole part once it is maxed);
-    - a part with alpha_i = n_i, in every selection: its counts stay sorted
-      because a state branches only on the last position of each run of
-      equal counts.
+    - after a rank whose digits below part i are all maxed, with S its part-i
+      subset and e the last vertex of the first run of consecutive vertices
+      in S, the counts of part i's vertices 0..e are sorted. Of those
+      vertices S holds just that run, their last subset of its size in colex
+      order, so each later subset under the same higher digits differs from
+      S above e, and a later higher digit brings every subset: the selections
+      still to come are closed under every permutation of vertices 0..e;
+    - a part with alpha_i = n_i lies whole in every selection, and its counts
+      stay sorted because a state branches only on the last position of each
+      run of equal counts.
 
-    Last ranks follow from the digit facts of the selection table and do not
-    fall as the index grows, so each block is a prefix of its part.
-    ``budget`` bounds m**T, checked before any work, not the number of states.
+    Such a permutation maps reachable final states onto reachable final
+    states, and the result sorts each part anyway, so no list is lost or
+    added. ``budget`` bounds m**T, checked before any work, not the number
+    of states.
     """
     count = _assignment_count(shape, budget)
     sels = _selection_ids(shape)
     offsets = shape.offsets
     spans = list(zip(offsets, offsets[1:]))
     # Parts of several vertices in every selection, and their non-last positions.
-    full = {lo: hi for (lo, hi), a in zip(spans, shape.alpha) if hi - lo == a > 1}
-    inner = [e for lo, hi in full.items() for e in range(lo, hi - 1)]
-    prefixes: dict[int, dict[int, int]] = {}  # rank -> {part start: block end}
-
-    def sort_after(rank: int, lo: int, hi: int) -> None:
-        if hi - lo > 1 and lo not in full:
-            ends = prefixes.setdefault(rank, {})
-            ends[lo] = max(ends.get(lo, lo), hi)
-
-    for i, (row, stride) in enumerate(zip(shape.binomial_rows, shape.strides)):
-        free = len(row) - 1 - shape.alpha[i]  # row[size] = C(size, alpha_i)
-        for j in range(free):  # vertex j's last rank; the others finish at the last rank
-            sort_after(len(sels) - 1 - (free - j) * stride, offsets[i], offsets[i] + j + 1)
-        for base in range(0, len(sels), stride * row[-1]):
-            for size in range(shape.alpha[i], len(row)):
-                sort_after(base + row[size] * stride - 1, offsets[i], offsets[i] + size)
+    inner = [e for (lo, hi), a in zip(spans, shape.alpha) if hi - lo == a > 1
+             for e in range(lo, hi - 1)]
+    # The other parts: first id, first position in a selection, alpha_i, stride.
+    parts = [(lo, at, a, stride) for (lo, hi), a, at, stride
+             in zip(spans, shape.alpha, accumulate(shape.alpha, initial=0), shape.strides)
+             if hi - lo > a]
     states = {(0,) * offsets[-1]}
     for rank, sel in enumerate(sels):
         moves = [p for p in sel if p not in inner]
@@ -190,8 +183,14 @@ def achievable_losing_lists(
             for st in states
             for p in moves + [e for e in inner if st[e] != st[e + 1]]
         }
-        for lo, hi in prefixes.get(rank, {}).items():
-            states = {st[:lo] + tuple(sorted(st[lo:hi])) + st[hi:] for st in states}
+        for lo, at, a, stride in parts:
+            if (rank + 1) % stride == 0:  # every digit below part i is maxed
+                run = sel[at:at + a]  # part i's vertices; e ends their first run
+                e = run[0]
+                while e + 1 in run:
+                    e += 1
+                if e > lo:
+                    states = {st[:lo] + tuple(sorted(st[lo:e + 1])) + st[e + 1:] for st in states}
     rows = list(states)  # the last rank maxes every digit, so each part is sorted
     lists = frozenset(zip(*([st[lo:hi] for st in rows] for lo, hi in spans)))
     return AchievableSet(shape, lists, count)

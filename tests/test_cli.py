@@ -445,6 +445,27 @@ class TestEnumerateRandom:
         doc = json.loads(out)
         assert doc["count"] == 7
 
+    def test_enumerate_as_text(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--n", "2,2", "--alpha", "1,1", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "7 achievable losing list tuples",
+            "0 0 | 2 2", "0 1 | 1 2", "0 2 | 1 1", "1 1 | 0 2", "1 1 | 1 1", "1 2 | 0 1", "2 2 | 0 0",
+        ]
+
+    def test_a_losers_witness_as_text_and_its_verification(self, tmp_path, capsys):
+        args = ("random", "--n", "2,2", "--alpha", "1,1", "--seed", "3", "--emit", "losers")
+        code, out, _ = run(capsys, *args, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == ["2 2 2 1 1 losing", "0 0", "2 2", "2.1 2.1 2.2 2.2"]
+        witness = tmp_path / "witness.json"
+        witness.write_text(run(capsys, *args)[1])
+        code, out, _ = run(capsys, "verify", str(witness), "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "structure ok; losing=[[0, 0], [2, 2]] score=[[2, 2], [0, 0]] totals=4/4 lists match: yes"
+        ]
+
     def test_random_deterministic(self, capsys):
         args = ("random", "--n", "3,2", "--alpha", "2,1", "--seed", "11")
         code1, out1, _ = run(capsys, *args)

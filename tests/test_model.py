@@ -377,9 +377,12 @@ def test_from_losers_matches_filtering_reference(case):
 def _arcs_of_losers(shape, losers):
     """The explicit arcs that ``from_losers`` built before it kept only the
     losers: selection r with losers[r] moved last, appended to all of it when
-    outside; entries past the last selection dropped."""
+    outside, None for a None loser; entries past the last selection dropped."""
     arcs = []
     for sel, loser in zip(selection_vertices(shape), losers):
+        if loser is None:
+            arcs.append(None)
+            continue
         try:
             i = sel.index(loser)
         except ValueError:
@@ -737,7 +740,8 @@ class TestValidate:
 
     def test_a_none_loser_is_a_missing_arc(self):
         """A None loser given to from_losers is the missing arc that a None
-        arc is: no order at its rank, a missing-arc report, and no scores."""
+        arc is: no order at its rank, a missing-arc report, no scores, and
+        an equal hypertournament."""
         m = example_m()
         by_losers = Hypertournament.from_losers(m.shape, (None, *m.losers[1:]))
         by_arcs = Hypertournament(m.shape, (None, *m.arcs[1:]))
@@ -745,10 +749,10 @@ class TestValidate:
             assert list(M.orders()) == [None, *(arc.order for arc in m.arcs[1:])]
             assert M.arcs == (None, *m.arcs[1:])
             assert validate(M) == [Violation(0, "missing-arc", "no arc stored for selection 0")]
-            with pytest.raises(StructuralError, match="no arc stored for selection 0"):
-                score_map(M)
-            with pytest.raises(StructuralError):
-                losing_score_map(M)
+            for scores_of in (score_map, losing_score_map):
+                with pytest.raises(StructuralError, match="no arc stored for selection 0"):
+                    scores_of(M)
+        assert by_losers == by_arcs and hash(by_losers) == hash(by_arcs)
 
     @settings(max_examples=400, deadline=None)
     @given(M=defective_witnesses())

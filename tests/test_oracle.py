@@ -23,7 +23,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores.criteria import _accepted_lists
-from hyperscores.model import ScoreLists
+from hyperscores.model import ScoreLists, _selection_ids
 from hyperscores.oracle import CrossValidationReport
 
 
@@ -204,12 +204,43 @@ class TestAchievable:
             assert ach.lists == reference_achievable(shape), shape
             assert ach.assignment_count == sum(shape.alpha) ** shape.total_arcs(), shape
 
+    def test_every_sorted_block_is_closed_under_its_transpositions(self):
+        """Every shape with k <= 3, n_i <= 4 and at most 100 arcs, in every
+        part order. After a rank whose subset of each part below part i is
+        that part's last one, a swap of two adjacent vertices among part i's
+        vertices 0..e, e the end of the first run of consecutive part-i
+        vertices in the rank's selection, maps the selections still to come
+        onto themselves: each block the dynamic program sorts is symmetric."""
+        shapes = list(_shape_box(3, 4, 100))
+        assert len(shapes) == 1097
+        swaps = 0
+        for shape in shapes:
+            sels, offsets = _selection_ids(shape), shape.offsets
+            rank_of = {sel: rank for rank, sel in enumerate(sels)}
+            spans = list(zip(offsets, offsets[1:]))
+            for rank, sel in enumerate(sels):
+                for (lo, hi), a in zip(spans, shape.alpha):
+                    lasts = [v for (_, top), a_t in zip(spans, shape.alpha) if top <= lo
+                             for v in range(top - a_t, top)]
+                    if [v for v in sel if v < lo] != lasts or hi - lo == a:
+                        continue
+                    mine = [v for v in sel if lo <= v < hi]
+                    e = mine[0]
+                    while e + 1 in mine:
+                        e += 1
+                    for v in range(lo, e):
+                        swap = {v: v + 1, v + 1: v}
+                        for later in sels[rank + 1:]:
+                            image = tuple(sorted(swap.get(x, x) for x in later))
+                            assert rank_of[image] > rank, (shape, rank, v)
+                        swaps += 1
+        assert swaps == 25325
+
     def test_last_rank_does_not_fall_with_the_index(self):
         """Within a part, a vertex's last selection comes no earlier than that
-        of a vertex with a smaller index, so the vertices a rank finishes, and
-        every block the program sorts, fill a prefix of the part's positions.
-        Each last rank is T - 1 - (n_i - alpha_i - j) * strides[i], or T - 1
-        for j >= n_i - alpha_i, as the program computes it."""
+        of a vertex with a smaller index, so the vertices a rank finishes fill
+        a prefix of the part's positions. Each last rank is T - 1 - (n_i -
+        alpha_i - j) * strides[i], or T - 1 for j >= n_i - alpha_i."""
         shapes = list(_shapes(3, 6, 4, lambda s: s.total_arcs() <= 400))
         assert len(shapes) == 5326
         for shape in shapes:
