@@ -261,11 +261,11 @@ def _emit(doc: dict, args, text_renderer=None) -> None:
 
 
 def _emit_witness(doc: dict, M: Hypertournament, args) -> None:
-    """Emit doc with M's losers or arcs, as ``--emit`` asks, each vertex as
-    its 1-based pair from one table of the shape's vertices."""
+    """Emit doc with M's losers, read as ids, or its arcs, as ``--emit`` asks,
+    each vertex as its 1-based pair from one table of the vertices, in id order."""
     pair = {v: [v.part + 1, v.index + 1] for v in M.shape.vertices()}
     if args.emit == "losers":
-        doc["losers"] = [pair[v] for v in M.losers]
+        doc["losers"] = list(map(list(pair.values()).__getitem__, M._ids))
     else:
         doc["arcs"] = [[pair[v] for v in order] for order in M.orders()]
     _emit(doc, args, _text_witness)
@@ -336,14 +336,14 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _witness_vertices(doc: dict, table: dict) -> list[list[VertexId]]:
+def _witness_vertices(doc: dict, table: dict) -> list[list]:
     """Each of a witness's arrays of vertex pairs (its arcs, then its losers,
-    [] when absent) as vertices. One pass looks each pair of ints (only ints:
-    True == 1 and hashes alike) up in ``table``, keyed by 1-based pairs. On
-    any miss or other entry, a second pass reads the arrays entry by entry:
-    it raises InputError at the first entry that is not a pair of integers,
-    lets an integral float find its vertex, and turns a pair outside the
-    table into its VertexId, so that a violation names it."""
+    [] when absent) as what ``table``, keyed by 1-based pairs, gives: VertexIds
+    or ids. One pass looks each pair of ints (only ints: True == 1 and hashes
+    alike) up. On any miss or other entry, a second pass reads the arrays entry
+    by entry: it raises InputError at the first entry that is not a pair of
+    integers, lets an integral float find its vertex, and turns a pair outside
+    the table into its VertexId, so that a violation names it."""
     groups = [*doc.get("arcs", ()), doc.get("losers", [])]
     try:
         found = [
@@ -351,7 +351,7 @@ def _witness_vertices(doc: dict, table: dict) -> list[list[VertexId]]:
              for a, b in (pairs if type(pairs) is list else [None])]
             for pairs in groups
         ]
-        if all(map(all, found)):  # every vertex found: a VertexId is never falsy
+        if all(map(all, found[:-1])) and None not in found[-1]:  # an id, not a VertexId, can be 0
             return found
     except (TypeError, ValueError):  # an entry that does not unpack into two
         pass
@@ -365,22 +365,22 @@ def _witness_vertices(doc: dict, table: dict) -> list[list[VertexId]]:
             if type(pair) is not list or len(pair) != 2 or not all(map(_integral, pair)):
                 raise _schema_error(f"{path}[{j}]", "a pair of integers")
             a, b = map(int, pair)
-            found[-1].append(table.get((a, b)) or VertexId(a - 1, b - 1))
+            found[-1].append(VertexId(a - 1, b - 1) if (v := table.get((a, b))) is None else v)
     return found
 
 
 def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
-    """The witness of a document, its pairs read by _witness_vertices against
-    the shape's vertices: from its arcs if it has them, which the model keeps
-    as their losers when each is its selection with its loser moved last, or
-    else from its losers."""
+    """The witness of a document, read by _witness_vertices: its arcs as VertexIds
+    if it has them, which the model keeps as losers when each is canonical, else
+    its losers as ids. Both arrays leave doc, so they are freed before M is built."""
     if "arcs" not in doc and "losers" not in doc:
         raise InputError("witness document needs an 'arcs' or 'losers' field")
-    table = {(v.part + 1, v.index + 1): v for v in shape.vertices()}
+    by_arcs = "arcs" in doc
+    table = {(v.part + 1, v.index + 1): v if by_arcs else i for i, v in enumerate(shape.vertices())}
     *arcs, losers = _witness_vertices(doc, table)
-    if "arcs" in doc:
-        return Hypertournament(shape, arcs)
-    return Hypertournament.from_losers(shape, losers)
+    for key in ("arcs", "losers"):
+        doc.pop(key, None)
+    return Hypertournament(shape, arcs) if by_arcs else Hypertournament._from_ids(shape, losers)
 
 
 def cmd_verify(args) -> int:
@@ -398,7 +398,7 @@ def cmd_verify(args) -> int:
             {"selection_rank": v.selection_rank, "kind": v.kind, "detail": v.detail}
             for v in violations
         ],
-        "arc_count": len(M.losers),
+        "arc_count": len(M._ids),
     }
     lists_match = None
     if not violations:

@@ -12,12 +12,13 @@ and all operations are pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, islice, product, repeat
+from itertools import accumulate, combinations, compress, count, islice, product, repeat
 from math import comb, log2
-from operator import contains, eq, gt, mul
+from operator import contains, eq, gt, mul, not_
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -232,27 +233,35 @@ def _order(arc) -> tuple[VertexId, ...] | None:
     return arc if arc is None else tuple(getattr(arc, "order", arc))
 
 
+def _id(shape: Shape, v):
+    """The id of vertex v = (i, j) of ``shape``, or v itself when it is None or outside it."""
+    try:
+        i, j = v
+        return shape.offsets[i] + j if 0 <= i < shape.k and 0 <= j < shape.n[i] else v
+    except (TypeError, ValueError):
+        return v
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Hypertournament:
     """One loser per rank, and the arcs' vertex orders only where not canonical.
 
-    A canonical order is the rank's selection with its loser moved last.
-    :meth:`from_losers` keeps only the losers. ``Hypertournament(shape, arcs)``
-    takes :class:`Arc` objects, vertex sequences (loser last) or None (a
-    missing arc). It keeps only their losers when there are at most T and each
-    is canonical or None, else their orders as tuples (``_orders``). Arcs are
+    A canonical order is the rank's selection with its loser moved last, and
+    a loser is kept as its id, or as itself if it has none (None, or a vertex
+    outside the shape). ``Hypertournament(shape, arcs)`` takes :class:`Arc`s,
+    vertex sequences (loser last) or None, and keeps their orders (``_orders``)
+    too unless there are at most T and each is canonical or None. Arcs are
     compared one at a time, so a tuple is built only after a mismatch; the
     comparison builds the selection table, so above :data:`MAX_SELECTIONS` it
     raises :class:`CapacityError`. Only :attr:`arcs` builds :class:`Arc` objects.
     """
 
     shape: Shape
-    losers: tuple[VertexId, ...]
 
     def __init__(self, shape: Shape, arcs: Iterable[Arc | Sequence[VertexId] | None]) -> None:
         arcs = tuple(arcs)
-        losers = tuple(getattr(a, "order", a)[-1] if a else None for a in arcs)
-        self.__dict__.update(shape=shape, losers=losers, _orders=None)
+        ids = tuple(_id(shape, getattr(a, "order", a)[-1]) if a else None for a in arcs)
+        self.__dict__.update(shape=shape, _ids=ids, _orders=None)
         if len(arcs) > shape.total_arcs() or not all(map(eq, map(_order, arcs), self.orders())):
             self.__dict__["_orders"] = tuple(map(_order, arcs))
 
@@ -260,10 +269,22 @@ class Hypertournament:
     def from_losers(cls, shape: Shape, losers: Iterable[VertexId]) -> "Hypertournament":
         """``losers[r]`` loses the arc at rank r, and a None loser is a missing
         arc; entries past the last rank are dropped, and no arc is built."""
+        return cls._from_ids(shape, [_id(shape, v) for v in losers])
+
+    @classmethod
+    def _from_ids(cls, shape: Shape, ids: Iterable) -> "Hypertournament":
+        """:meth:`from_losers` of the losers as the model keeps them."""
         M = cls.__new__(cls)
-        losers = tuple(losers)[: shape.total_arcs()]
-        M.__dict__.update(shape=shape, losers=losers, _orders=None)
+        M.__dict__.update(shape=shape, _ids=tuple(ids)[: shape.total_arcs()], _orders=None)
         return M
+
+    @cached_property
+    def losers(self) -> tuple[VertexId | None, ...]:
+        """Each rank's loser, a :class:`VertexId` per vertex made on first read."""
+        offsets = self.shape.offsets
+        vertex = {i: VertexId(p := bisect_right(offsets, i) - 1, i - offsets[p])
+                  for i in set(self._ids) if type(i) is int}
+        return tuple([vertex.get(i, i) for i in self._ids])
 
     @cached_property
     def arcs(self) -> tuple[Arc | None, ...]:
@@ -272,24 +293,24 @@ class Hypertournament:
 
     def orders(self) -> Iterator[tuple[VertexId, ...] | None]:
         """Each arc's vertices, loser last, with no :class:`Arc` built: the kept
-        orders, or selection r with ``losers[r]`` moved last (appended when
+        orders, or selection r with its loser moved last (appended when
         outside it, for :func:`validate` to report); None for a missing arc."""
         if self._orders is not None:
             return iter(self._orders)
         verts = tuple(self.shape.vertices())
-        ids = dict(zip(verts, range(len(verts))))
         return (
-            None if v is None else tuple([verts[x] for x in sel if x != i]) + (v,)
-            for sel, v, i in zip(_selection_ids(self.shape), self.losers, map(ids.get, self.losers))
+            i if i is None else tuple([verts[x] for x in sel if x != i])
+            + (verts[i] if type(i) is int else i,)
+            for sel, i in zip(_selection_ids(self.shape), self._ids)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypertournament):
             return NotImplemented
-        return (self.shape, self.losers, self._orders) == (other.shape, other.losers, other._orders)
+        return (self.shape, self._ids, self._orders) == (other.shape, other._ids, other._orders)
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.losers))
+        return hash((self.shape, self._ids))
 
 
 def _monotone_lists(lists) -> tuple[tuple[int, ...], ...]:
@@ -418,15 +439,13 @@ def arcs_through(shape: Shape, part: int) -> int:
 
 def losing_score_map(M: Hypertournament) -> dict[VertexId, int]:
     """Loss count per vertex: arcs in which the vertex sits last."""
-    counts = {v: 0 for v in M.shape.vertices()}
-    lost = Counter(M.losers)
-    for v in lost:
-        if v is None:
-            raise StructuralError(f"no arc stored for selection {M.losers.index(None)}")
-        if v not in counts:
-            raise StructuralError(f"arc loses at unknown vertex {v}")
-    counts.update(lost)
-    return counts
+    vertices, lost = M.shape.vertices(), Counter(M._ids)
+    for i in lost:
+        if i is None:
+            raise StructuralError(f"no arc stored for selection {M._ids.index(None)}")
+        if type(i) is not int:
+            raise StructuralError(f"arc loses at unknown vertex {i}")
+    return dict(zip(vertices, map(lost.get, range(M.shape.offsets[-1]), repeat(0))))
 
 
 def score_map(M: Hypertournament) -> dict[VertexId, int]:
@@ -471,17 +490,17 @@ def validate(M: Hypertournament) -> list[Violation]:
     that fails it is diagnosed: a rank kept as its loser has the loser in its
     selection, and a kept order's sorted vertices equal its selection.
     """
-    expected, stored = _selection_ids(M.shape), len(M.losers)
+    expected, ids, stored = _selection_ids(M.shape), M._ids, len(M._ids)
     verts = tuple(M.shape.vertices())
-    ids = dict(zip(verts, range(len(verts))))
     if M._orders is None:
-        held = map(contains, expected, map(ids.get, M.losers))
-        bad = [(r, v if v is None else tuple(map(verts.__getitem__, expected[r])) + (v,))
-               for r, (ok, v) in enumerate(zip(held, M.losers)) if not ok]
+        ranks = compress(count(), map(not_, map(contains, expected, ids)))
+        bad = [(r, i if (i := ids[r]) is None else tuple(map(verts.__getitem__, expected[r]))
+                + (verts[i] if type(i) is int else i,)) for r in ranks]
     else:
+        index = dict(zip(verts, range(len(verts))))
         ranks = enumerate(zip(expected, M._orders))
         bad = [(r, o) for r, (sel, o) in ranks
-               if o is None or tuple(sorted(map(ids.get, o, repeat(-1)))) != sel]
+               if o is None or tuple(sorted(map(index.get, o, repeat(-1)))) != sel]
     bad += [(r, None) for r in range(stored, len(expected))]
     out = [_diagnose(M.shape, r, order) for r, order in bad]
     for r in range(len(expected), stored):

@@ -133,9 +133,8 @@ def enumerate_assignments(
     with selection 0 as the fastest digit.
     """
     _assignment_count(shape, budget)
-    vertex = tuple(shape.vertices()).__getitem__
     for losers in product(*reversed(_selection_ids(shape))):
-        yield Hypertournament.from_losers(shape, map(vertex, reversed(losers)))
+        yield Hypertournament._from_ids(shape, reversed(losers))
 
 
 def achievable_losing_lists(
@@ -208,10 +207,10 @@ def random_hypertournament(
     if mode not in ("loser-only", "full-permutation"):
         raise ValueError(f"mode must be 'loser-only' or 'full-permutation', got {mode!r}")
     rng = SplitMix64(seed)
-    sels, vertex = _selection_ids(shape), tuple(shape.vertices()).__getitem__
+    sels = _selection_ids(shape)
     if mode == "loser-only":
-        return Hypertournament.from_losers(shape, [vertex(sel[rng.below(len(sel))]) for sel in sels])
-    orders = []
+        return Hypertournament._from_ids(shape, [sel[rng.below(len(sel))] for sel in sels])
+    orders, vertex = [], tuple(shape.vertices()).__getitem__
     for sel in sels:
         order = list(map(vertex, sel))
         for i in range(len(sel) - 1, 0, -1):

@@ -22,9 +22,9 @@ Inside, vertex j of part i is the int id ``Shape.offsets[i] + j`` and a
 selection is a tuple of ids from the one cached table: the losers are a list
 of ids by rank, and the lost ranks and needs are lists indexed by id. The
 repair returns the ids a failed layering reached, and the inductive witness is
-recounted on its loser ids. :class:`VertexId` objects are made only at the
-edge, where the losers are handed to :meth:`Hypertournament.from_losers` and
-where an :class:`InfeasibleError` carries its ``reached`` set.
+recounted on its loser ids. The witness keeps the list of ids, so a
+:class:`VertexId` is made only where an :class:`InfeasibleError` carries its
+``reached`` set, or when a caller reads the witness's vertices.
 """
 
 from __future__ import annotations
@@ -246,12 +246,13 @@ def _inductive_losers(shape: Shape, lists) -> list[int]:
     bottom = [offsets[i] + j for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
         raise _gap(*levels[-1][:2], f"the single arc left has {len(bottom)} unit entries, not 1")
-    sels, need = _selection_ids(shape), [0] * offsets[-1]
+    sels, need, ids = _selection_ids(shape), [0] * offsets[-1], list(range(offsets[-1]))
     losers, lost = [None] * len(sels), [[] for _ in need]
     losers[0], lost[bottom[0]] = bottom[0], [0]
     for part, m, change in reversed(levels):
         # The level's vertex has lost nothing yet, so its ranks are its lost list.
-        v = offsets[part] + m
+        # A fresh int for its id, kept by the witness, would pin freed memory.
+        v = ids[offsets[part] + m]
         ranks = lost[v] = _level_ranks(shape, part, m)
         for rank in ranks:
             losers[rank] = v
@@ -272,7 +273,7 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     is left; the up pass builds the witness back on the top shape's selection
     table. A level that cannot complete raises :class:`RealizationGapError`
     naming its vertex, and its loser ids are recounted against the targets
-    before any :class:`VertexId` is made, so a defect cannot pass as a witness.
+    before the witness is built on them, so a defect cannot pass as a witness.
     """
     data = conform_lists(shape, R, "losing")
     result = check_losing_lists(shape, data)
@@ -282,7 +283,7 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     targets, counts = list(chain.from_iterable(data)), Counter(losers)
     if [counts[v] for v in range(len(targets))] != targets:
         raise RealizationGapError("constructed witness does not reproduce the input lists")
-    return Hypertournament.from_losers(shape, map(tuple(shape.vertices()).__getitem__, losers))
+    return Hypertournament._from_ids(shape, losers)
 
 
 def realize_flow(shape: Shape, R) -> Hypertournament:
@@ -304,13 +305,13 @@ def realize_flow(shape: Shape, R) -> Hypertournament:
     if grand != total:
         raise InfeasibleError(f"entries sum to {grand}, but the shape has {total} arcs")
 
-    sels, verts = _selection_ids(shape), tuple(shape.vertices())
-    losers, lost = [sel[0] for sel in sels], [[] for _ in verts]
+    sels = _selection_ids(shape)
+    losers, lost = [sel[0] for sel in sels], [[] for _ in range(shape.offsets[-1])]
     for rank, loser in enumerate(losers):  # ascending ranks keep every lost list sorted
         lost[loser].append(rank)
     need = [x - len(held) for x, held in zip(chain.from_iterable(data), lost)]
     reached = _repair(sels, losers, lost, need, [v for v, x in enumerate(need) if x < 0])
     if reached is not None:
         raise InfeasibleError("lists are not realizable: no interchange chain moves a loss",
-                              frozenset(map(verts.__getitem__, reached)))
-    return Hypertournament.from_losers(shape, map(verts.__getitem__, losers))
+                              frozenset(map(tuple(shape.vertices()).__getitem__, reached)))
+    return Hypertournament._from_ids(shape, losers)

@@ -860,16 +860,22 @@ class TestDocumentCheck:
     def test_integral_float_pairs_read_as_their_int_pairs(self, tmp_path, capsys):
         # Inside the shape a float pair finds its vertex; outside it, the
         # violation names the vertex with int fields, as the int pair does.
+        # A losers document reads an in-shape pair as its vertex id, and the
+        # one loser no id names stays a VertexId for the violation.
         arcs = [[[2, 1], [1, 1]], [[1, 2], [2, 1]], [[1, 1], [2, 2]], [[9, 1], [2, 2]]]
-        doc = {"k": 2, "n": [2, 2], "alpha": [1, 1], "arcs": arcs}
-        floats = dict(doc, arcs=[[[float(x) for x in pair] for pair in arc] for arc in arcs])
-        code, out, _ = run(capsys, "verify", write_instance(tmp_path, doc))
-        assert code == 1
-        assert json.loads(out)["violations"] == [{
-            "selection_rank": 3, "kind": "bad-vertex",
-            "detail": "vertices outside the shape: [VertexId(part=8, index=0)]",
-        }]
-        assert run(capsys, "verify", write_instance(tmp_path, floats)) == (code, out, "")
+        losers = [[2, 1], [2, 1], [1, 1], [9, 1]]
+        shape = {"k": 2, "n": [2, 2], "alpha": [1, 1]}
+        float_arcs = [[[float(x) for x in pair] for pair in arc] for arc in arcs]
+        float_losers = [[float(x) for x in pair] for pair in losers]
+        for doc, floats in [(dict(shape, arcs=arcs), dict(shape, arcs=float_arcs)),
+                            (dict(shape, losers=losers), dict(shape, losers=float_losers))]:
+            code, out, _ = run(capsys, "verify", write_instance(tmp_path, doc))
+            assert code == 1
+            assert json.loads(out)["violations"] == [{
+                "selection_rank": 3, "kind": "bad-vertex",
+                "detail": "vertices outside the shape: [VertexId(part=8, index=0)]",
+            }]
+            assert run(capsys, "verify", write_instance(tmp_path, floats)) == (code, out, "")
 
     @pytest.mark.parametrize(
         "fields", [("losers",), ("arcs",), ("arcs", "losers")], ids=["losers", "arcs", "both"]

@@ -5,6 +5,7 @@ import hashlib
 import json
 from bisect import bisect_left, insort
 from collections import Counter, deque
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores.cli import _hypertournament_from_doc, main
+from hyperscores.oracle import enumerate_assignments
 from hyperscores.realize import _repair
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -467,9 +469,18 @@ def test_emitted_arcs_are_the_hypertournament_of_the_emitted_losers(name, method
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(shape=small_shapes(), seed=st.integers(0, 2**32 - 1), mode=MODES)
 def test_realized_arcs_are_built_from_their_losers(shape, seed, mode):
-    """Both realizers return the hypertournament of their losers: each arc is
-    its selection with the loser moved last, the rest in selection order."""
+    """Every caller that hands loser ids to the model (both realizers,
+    loser-only random and the enumeration) returns the hypertournament of its
+    losers: each arc is its selection with the loser moved last, the rest in
+    selection order, and it equals and hashes as the one from_losers builds
+    from those losers, which read as VertexIds."""
     lists = losing_scores(random_hypertournament(shape, seed, mode)).lists
-    for realizer in (realize_inductive, realize_flow):
-        M = realizer(shape, lists)
-        assert M == Hypertournament.from_losers(shape, [a.loser for a in M.arcs])
+    built = [realizer(shape, lists) for realizer in (realize_inductive, realize_flow)]
+    built.append(random_hypertournament(shape, seed))
+    budget = sum(shape.alpha) ** shape.total_arcs()
+    built += islice(enumerate_assignments(shape, budget=budget), seed % 7, seed % 7 + 40, 3)
+    for M in built:
+        losers = [a.loser for a in M.arcs]
+        assert M.losers == tuple(losers) and all(type(v) is VertexId for v in M.losers)
+        N = Hypertournament.from_losers(shape, losers)
+        assert M == N and hash(M) == hash(N)
