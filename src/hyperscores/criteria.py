@@ -9,7 +9,8 @@ and the full prefix meets it with equality. Both sides share one slack,
 which is negative exactly where the bound fails:
 
 - losing side: base_i = pref_i, g_i(p) = C(p, alpha_i), offset = 0;
-- score side: base_i(p) = pref_i(p) - p * arcs_through_i,
+- score side: base_i(p) = pref_i(p) - p * through_i, with through_i the
+  arcs through one vertex of part i (``Shape.through``),
   g_i(p) = C(n_i - p, alpha_i), offset = T, the number of arcs.
 
 Split the parts into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
@@ -37,7 +38,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import prod
-from typing import Sequence
 
 from .model import MAX_SELECTIONS, ScoreLists, Shape, conform_lists
 
@@ -46,7 +46,6 @@ __all__ = [
     "PrefixViolation",
     "check_losing_lists",
     "check_score_lists",
-    "check_single_part",
     "losing_to_scores",
     "scores_to_losing",
 ]
@@ -207,7 +206,8 @@ def _fill(n, cap, total, floor, out):
 
 def _accepted_lists(shape: Shape, kind: str):
     """A list of every list tuple the check of ``kind`` accepts, each exactly
-    once, in the order ``oracle.bounded_candidate_lists`` yields the candidates.
+    once, in the order that ``bounded_candidate_lists`` of ``tests/reference.py``
+    yields the candidates.
 
     Parts are fixed one list at a time, each part's lists grouped by sum with
     the grand total pinned. With heads p_1, ..., p_j fixed, the free parts
@@ -301,19 +301,6 @@ def check_score_lists(shape: Shape, S) -> CheckResult:
     """
     data = conform_lists(shape, S, "score")
     return _check(shape, data, "score")
-
-
-def check_single_part(n: int, arity: int, R: Sequence[int]) -> CheckResult:
-    """Single-part check: prefix sums against C(j, arity), equality at j = n.
-
-    The k = 1 case of :func:`check_losing_lists`, with its own argument checks.
-    """
-    if not n >= arity > 1:
-        raise ValueError(f"need n >= arity > 1, got n={n}, arity={arity}")
-    lists = ScoreLists("losing", (tuple(R),))
-    if len(lists.lists[0]) != n:
-        raise ValueError(f"expected {n} entries, got {len(lists.lists[0])}")
-    return check_losing_lists(Shape((n,), (arity,)), lists)
 
 
 def _reverse_complement(shape: Shape, data) -> tuple[tuple[int, ...], ...]:

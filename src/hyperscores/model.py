@@ -27,14 +27,11 @@ __all__ = [
     "Hypertournament",
     "Kind",
     "MAX_SELECTIONS",
-    "NoEligibleArcError",
     "ScoreLists",
     "Shape",
     "StructuralError",
     "VertexId",
     "Violation",
-    "arc_swap",
-    "arcs_through",
     "binom",
     "conform_lists",
     "losing_score_map",
@@ -95,11 +92,6 @@ class VertexId(NamedTuple):
 
 class StructuralError(Exception):
     """A hypertournament failed a structural requirement."""
-
-
-class NoEligibleArcError(Exception):
-    """No arc contains both requested vertices with the designated loser last;
-    raised by :func:`arc_swap` alone."""
 
 
 def _integers(values, *field) -> tuple[int, ...]:
@@ -426,17 +418,6 @@ def selection_vertices(shape: Shape) -> tuple[tuple[VertexId, ...], ...]:
     return _selection_table(shape, shape.vertices())
 
 
-def arcs_through(shape: Shape, part: int) -> int:
-    """Number of arcs containing any fixed vertex of ``part``.
-
-    Equals C(n_p - 1, alpha_p - 1) times the product of C(n_t, alpha_t) over
-    the other parts, i.e. the alpha_p/n_p fraction of all arcs.
-    """
-    if not 0 <= part < shape.k:
-        raise ValueError(f"part index {part} outside [0, {shape.k})")
-    return shape.through[part]
-
-
 def losing_score_map(M: Hypertournament) -> dict[VertexId, int]:
     """Loss count per vertex: arcs in which the vertex sits last."""
     vertices, lost = M.shape.vertices(), Counter(M._ids)
@@ -514,32 +495,12 @@ def _diagnose(shape: Shape, rank: int, order: tuple[VertexId, ...] | None) -> Vi
         return Violation(rank, "missing-arc", f"no arc stored for selection {rank}")
     if len(set(order)) != len(order):
         return Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {order}")
-    bad = [v for v in order if not (0 <= v.part < shape.k and 0 <= v.index < shape.n[v.part])]
+    bad = [v for v in order if type(_id(shape, v)) is not int]
     if bad:
         return Violation(rank, "bad-vertex", f"vertices outside the shape: {bad}")
-    arity = Counter(v.part for v in order)
+    arity = Counter(v[0] for v in order)
     if any(arity.get(p, 0) != shape.alpha[p] for p in range(shape.k)):
         got = [arity.get(p, 0) for p in range(shape.k)]
         return Violation(rank, "arity-mismatch", f"per-part counts {got} != {list(shape.alpha)}")
     return Violation(rank, "selection-mismatch", f"arc vertices do not match selection {rank}")
 
-
-def arc_swap(M: Hypertournament, a: VertexId, b: VertexId) -> Hypertournament:
-    """Interchange ``a`` and ``b`` in one arc so that ``a`` becomes its loser.
-
-    Picks the eligible arc (containing both vertices, with ``b`` last) of
-    smallest selection rank, so the operation is deterministic. The result
-    loses one more arc at ``a`` and one fewer at ``b``; every other vertex
-    keeps both of its scores.
-    """
-    a = VertexId(*a)
-    b = VertexId(*b)
-    if a == b:
-        raise ValueError("the two vertices must differ")
-    orders = list(M.orders())
-    for rank, order in enumerate(orders):
-        if order and order[-1] == b and a in order:
-            i = order.index(a)
-            orders[rank] = order[:i] + (b,) + order[i + 1 : -1] + (a,)
-            return Hypertournament(M.shape, orders)
-    raise NoEligibleArcError(f"no arc contains both {a} and {b} with {b} last")

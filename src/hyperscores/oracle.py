@@ -28,24 +28,19 @@ least slacks put on its prefix sums. Since nothing below a level reads more
 than its least slacks and the remaining total, the completions of each
 distinct (level, least slacks, remaining total) are found once per call and
 shared by every head that reaches it: one expansion per distinct state, plus
-one tuple per completion kept. :func:`bounded_candidate_lists`
-filtered through the checks stays the reference the search is tested
-against.
+one tuple per completion kept. The search and the DP are tested against
+naive references kept in ``tests/reference.py``: every candidate list tuple
+filtered through the checks, and every assignment enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate
 from typing import Iterator
 
 from .criteria import _accepted_lists
-from .model import (
-    Hypertournament,
-    Kind,
-    Shape,
-    _selection_ids,
-)
+from .model import Hypertournament, Shape, _selection_ids
 
 __all__ = [
     "AchievableSet",
@@ -54,9 +49,7 @@ __all__ = [
     "DEFAULT_ASSIGNMENT_BUDGET",
     "SplitMix64",
     "achievable_losing_lists",
-    "bounded_candidate_lists",
     "cross_validate",
-    "enumerate_assignments",
     "random_hypertournament",
 ]
 
@@ -121,20 +114,6 @@ def _assignment_count(shape: Shape, budget: int) -> int:
             count, f"{shown} assignments exceed the enumeration budget {budget}"
         )
     return count
-
-
-def enumerate_assignments(
-    shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET
-) -> Iterator[Hypertournament]:
-    """Yield every hypertournament of ``shape`` up to loser choice.
-
-    Each selection keeps its canonical vertex order with one vertex moved to
-    the last position; assignments stream in mixed-radix order over selections
-    with selection 0 as the fastest digit.
-    """
-    _assignment_count(shape, budget)
-    for losers in product(*reversed(_selection_ids(shape))):
-        yield Hypertournament._from_ids(shape, reversed(losers))
 
 
 def achievable_losing_lists(
@@ -218,42 +197,6 @@ def random_hypertournament(
             order[i], order[j] = order[j], order[i]
         orders.append(tuple(order))
     return Hypertournament(shape, orders)
-
-
-def bounded_candidate_lists(
-    shape: Shape, kind: Kind
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every non-decreasing list tuple the predicates could possibly accept.
-
-    Entries range over [0, arcs_through] per part and the grand total is
-    pinned to the kind's forced value; partial sums prune the cross-part
-    allocation.
-    """
-    target = shape.total_arcs() if kind == "losing" else shape.score_total
-    per_part: list[dict[int, list[tuple[int, ...]]]] = []
-    for n_i, a_i in zip(shape.n, shape.through):
-        by_sum: dict[int, list[tuple[int, ...]]] = {}
-        for lst in combinations_with_replacement(range(a_i + 1), n_i):
-            by_sum.setdefault(sum(lst), []).append(lst)
-        per_part.append(by_sum)
-    max_rest = [0] * (shape.k + 1)
-    for i in range(shape.k - 1, -1, -1):
-        max_rest[i] = max_rest[i + 1] + shape.n[i] * shape.through[i]
-
-    def rec(i: int, remaining: int, chosen: list) -> Iterator:
-        if i == shape.k:
-            if remaining == 0:
-                yield tuple(chosen)
-            return
-        for s, lists in per_part[i].items():
-            if s > remaining or remaining - s > max_rest[i + 1]:
-                continue
-            for lst in lists:
-                chosen.append(lst)
-                yield from rec(i + 1, remaining - s, chosen)
-                chosen.pop()
-
-    yield from rec(0, target, [])
 
 
 def _score_tuples(shape: Shape, tuples) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -12,15 +12,13 @@ from pathlib import Path
 import pytest
 
 from hyperscores import (
+    Hypertournament,
     ScoreLists,
     Shape,
     SplitMix64,
     achievable_losing_lists,
-    arc_swap,
-    arcs_through,
     check_losing_lists,
     check_score_lists,
-    check_single_part,
     cross_validate,
     losing_score_map,
     losing_scores,
@@ -32,6 +30,8 @@ from hyperscores import (
     scores_to_losing,
 )
 from hyperscores.cli import main as cli_main
+from hyperscores.model import _selection_ids
+from hyperscores.realize import _repair
 
 QUARTET = [
     Shape((2, 2), (1, 1)),
@@ -148,7 +148,7 @@ def test_criterion_4_total_identities(random_corpus):
 def test_criterion_5_per_vertex_identity(random_corpus):
     checked = 0
     for shape, losing_map, score_by_vertex in random_corpus:
-        through = [arcs_through(shape, i) for i in range(shape.k)]
+        through = shape.through
         for v, lose in losing_map.items():
             assert score_by_vertex[v] + lose == through[v.part]
             checked += 1
@@ -159,7 +159,7 @@ def test_criterion_6_conversion_equivalence():
     rng = SplitMix64(20260811)
     converted = 0
     for shape in QUARTET:
-        caps = [arcs_through(shape, i) for i in range(shape.k)]
+        caps = shape.through
         for _ in range(1000):
             lists = tuple(
                 tuple(sorted(rng.below(caps[i] + 1) for _ in range(shape.n[i])))
@@ -177,15 +177,38 @@ def test_criterion_6_conversion_equivalence():
 
 
 def test_criterion_7_single_part_reduction():
-    checked = 0
+    checked = accepted = 0
     for arity in (2, 3):
         for n in range(arity, 7):
             shape = Shape((n,), (arity,))
-            cap = arcs_through(shape, 0)
-            for lst in combinations_with_replacement(range(cap + 1), n):
-                assert check_single_part(n, arity, lst) == check_losing_lists(shape, (lst,))
+            achievable = achievable_losing_lists(shape, budget=arity ** shape.total_arcs()).lists
+            for lst in combinations_with_replacement(range(shape.through[0] + 1), n):
+                valid = check_losing_lists(shape, (lst,)).valid
+                assert valid == ((lst,) in achievable), (shape, lst)
                 checked += 1
-    report("7", True, f"single-part check agrees on {checked} exhaustive lists")
+                accepted += valid
+    report(
+        "7",
+        True,
+        f"single-part check equals enumeration on {checked} exhaustive lists "
+        f"({accepted} accepted)",
+    )
+
+
+def swap(m, a, b):
+    """``m`` with one loss moved from ``b`` to ``a`` by the realizers' repair:
+    with a one unit under its target and b one over, its one-hop sweep gives
+    a the arc of least rank that b loses and a lies in."""
+    offsets = m.shape.offsets
+    a, b = (offsets[v.part] + v.index for v in (a, b))
+    losers = [offsets[v.part] + v.index for v in m.losers]
+    lost = [[] for _ in range(offsets[-1])]
+    for rank, v in enumerate(losers):
+        lost[v].append(rank)
+    need = [0] * offsets[-1]
+    need[a], need[b] = 1, -1
+    assert _repair(_selection_ids(m.shape), losers, lost, need, [b]) is None
+    return Hypertournament._from_ids(m.shape, losers)
 
 
 def test_criterion_8_swap_contract():
@@ -206,13 +229,13 @@ def test_criterion_8_swap_contract():
         b = arc.loser
         a = arc.order[rng.below(len(arc.order) - 1)]
         before = losing_score_map(m)
-        swapped = arc_swap(m, a, b)
-        changed = [rank for rank in range(len(m.arcs)) if m.arcs[rank] != swapped.arcs[rank]]
+        swapped = swap(m, a, b)
+        changed = [rank for rank in range(len(m.arcs)) if m.losers[rank] != swapped.losers[rank]]
         assert len(changed) == 1
         after = losing_score_map(swapped)
         delta = {v: after[v] - before[v] for v in before if after[v] != before[v]}
         assert delta == {a: 1, b: -1}
-        restored = arc_swap(swapped, b, a)
+        restored = swap(swapped, b, a)
         assert losing_score_map(restored) == before
         performed += 1
     report("8", True, f"{performed} swaps changed one arc and two entries, inverses restored")

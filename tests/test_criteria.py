@@ -13,11 +13,8 @@ from hyperscores import (
     Shape,
     SplitMix64,
     achievable_losing_lists,
-    arcs_through,
     check_losing_lists,
     check_score_lists,
-    check_single_part,
-    enumerate_assignments,
     losing_scores,
     losing_to_scores,
     random_hypertournament,
@@ -27,6 +24,7 @@ from hyperscores import (
 )
 from hyperscores import criteria
 from hyperscores.model import MAX_SELECTIONS, conform_lists
+from reference import enumerate_assignments
 
 SMALL_SHAPES = [
     Shape((2, 2), (1, 1)),
@@ -38,7 +36,7 @@ SMALL_SHAPES = [
 
 
 def random_sorted_lists(shape, rng, kind):
-    caps = [arcs_through(shape, i) for i in range(shape.k)]
+    caps = shape.through
     lists = tuple(
         tuple(sorted(rng.below(caps[i] + 1) for _ in range(shape.n[i])))
         for i in range(shape.k)
@@ -129,40 +127,17 @@ class TestSinglePart:
         # Brute force over the 8 loser assignments of the 3 pair-arcs agrees.
         shape = Shape((3,), (2,))
         assert ((0, 1, 2),) in achievable_losing_lists(shape).lists
-        assert check_single_part(3, 2, [0, 1, 2]).valid
+        assert check_losing_lists(shape, ([0, 1, 2],)).valid
 
     def test_cyclic_valid(self):
         shape = Shape((3,), (2,))
         assert ((1, 1, 1),) in achievable_losing_lists(shape).lists
-        assert check_single_part(3, 2, [1, 1, 1]).valid
+        assert check_losing_lists(shape, ([1, 1, 1],)).valid
 
     def test_concentrated_invalid(self):
-        result = check_single_part(3, 2, [0, 0, 3])
+        result = check_losing_lists(Shape((3,), (2,)), ([0, 0, 3],))
         assert not result.valid
         assert result.witness_violation == PrefixViolation((2,), 0, 1)
-
-    def test_rejects_bad_arity(self):
-        with pytest.raises(ValueError):
-            check_single_part(3, 1, [0, 1, 2])
-        with pytest.raises(ValueError):
-            check_single_part(2, 3, [0, 0])
-
-    def test_agrees_with_k1_reduction(self):
-        from itertools import combinations_with_replacement
-
-        for n in range(2, 8):
-            for arity in (2, 3):
-                if arity > n:
-                    continue
-                shape = Shape((n,), (arity,))
-                cap = arcs_through(shape, 0)
-                seen = 0
-                for lst in combinations_with_replacement(range(cap + 1), n):
-                    seen += 1
-                    assert check_single_part(n, arity, lst) == check_losing_lists(
-                        shape, (lst,)
-                    )
-                assert seen > 0
 
 
 class TestConversion:
@@ -212,7 +187,7 @@ def naive_check(shape, lists, kind):
     data = conform_lists(shape, lists, kind)
     pref = [tuple(accumulate(lst, initial=0)) for lst in data]
     total = shape.total_arcs()
-    through = [arcs_through(shape, i) for i in range(shape.k)]
+    through = shape.through
     found = None
     for p in product(*(range(n_i + 1) for n_i in shape.n)):
         lhs = sum(pref_i[p_i] for pref_i, p_i in zip(pref, p))
@@ -278,7 +253,7 @@ def check_cases(draw, max_tuples=3000, max_arcs=3000):
     shape = Shape(tuple(n), tuple(alpha))
     kind = draw(st.sampled_from(["losing", "score"]))
     if draw(st.integers(0, 3)) == 0:
-        caps = [arcs_through(shape, i) for i in range(k)]
+        caps = shape.through
         lists = tuple(
             tuple(sorted(draw(st.integers(0, caps[i])) for _ in range(n[i])))
             for i in range(k)

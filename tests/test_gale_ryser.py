@@ -5,12 +5,12 @@ import random
 from itertools import product
 
 from gale_ryser import gale_ryser
+from reference import bounded_candidate_lists
 
 from hyperscores import (
     Hypertournament,
     Shape,
     achievable_losing_lists,
-    bounded_candidate_lists,
     check_losing_lists,
     check_score_lists,
     losing_scores,

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hyperscores import (
     Hypertournament,
     InfeasibleError,
-    NoEligibleArcError,
     Shape,
     VertexId,
     check_losing_lists,
@@ -28,10 +27,14 @@ from hyperscores import (
     validate,
 )
 from hyperscores.cli import _hypertournament_from_doc, main
-from hyperscores.oracle import enumerate_assignments
 from hyperscores.realize import _repair
+from reference import enumerate_assignments
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class NoChainError(Exception):
+    """No interchange chain moves a loss from a vertex over its target."""
 
 
 def reference_move_loss(chains: SimpleNamespace, source: VertexId, is_target) -> VertexId:
@@ -58,7 +61,7 @@ def reference_move_loss(chains: SimpleNamespace, source: VertexId, is_target) ->
                         v = loser
                     return w
                 queue.append(w)
-    raise NoEligibleArcError(f"no chain of interchanges moves a loss away from {source}")
+    raise NoChainError(f"no chain of interchanges moves a loss away from {source}")
 
 
 def reference_repair(chains: SimpleNamespace, need: dict) -> None:
@@ -81,7 +84,7 @@ def reference_unit_repair(sels, losers, lost, need: dict, over: list) -> None:
             layer = {w: depth for u in layer for r in lost.get(u, ())
                      for w in sels[r] if w not in dist}
             if not layer:
-                raise NoEligibleArcError(f"no interchange chain moves a loss from {over[0]}")
+                raise NoChainError(f"no interchange chain moves a loss from {over[0]}")
             if any(need.get(w, 0) > 0 for w in layer):
                 break
             dist.update(layer)
@@ -146,7 +149,7 @@ def repair(chains: SimpleNamespace, need: dict) -> None:
     The state goes in as the repair keeps it, each vertex as its id (its
     position in the vertex order, which sorting the table's vertices gives),
     ``lost`` and ``need`` as lists by id, and comes back into ``chains`` and
-    ``need`` when the repair succeeds. Raises NoEligibleArcError when the
+    ``need`` when the repair succeeds. Raises NoChainError when the
     repair returns the ids its failed layering reached."""
     verts = sorted({v for sel in chains.sels for v in sel})
     ids = {v: i for i, v in enumerate(verts)}
@@ -155,7 +158,7 @@ def repair(chains: SimpleNamespace, need: dict) -> None:
     need_by_id = [need.get(v, 0) for v in verts]
     sels = [tuple(map(ids.__getitem__, sel)) for sel in chains.sels]
     if _repair(sels, losers, lost, need_by_id, [ids[v] for v in over(need)]) is not None:
-        raise NoEligibleArcError("no interchange chain moves a loss")
+        raise NoChainError("no interchange chain moves a loss")
     chains.losers[:] = [verts[i] for i in losers]
     chains.lost.clear()
     chains.lost.update(zip(verts, lost))
@@ -218,7 +221,7 @@ def test_move_loss_matches_reference(shape, seeds, modes):
        mode=MODES, data=st.data())
 def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, data):
     """Lists with the right total, some with a broken prefix: from the losers
-    of a random hypertournament, repair raises NoEligibleArcError exactly when
+    of a random hypertournament, repair raises NoChainError exactly when
     the losing-list check rejects the lists, and so does the reference mover."""
     start = random_hypertournament(shape, seeds[0], mode).losers
     lists = losing_scores(random_hypertournament(shape, seeds[1], mode)).lists
@@ -235,9 +238,9 @@ def test_repair_fails_exactly_on_lists_the_check_rejects(shape, seeds, mode, dat
         assert losing_scores(Hypertournament.from_losers(shape, chains.losers)).lists == moved
         _assert_exact(chains, sels)
     else:
-        with pytest.raises(NoEligibleArcError):
+        with pytest.raises(NoChainError):
             reference_repair(reference, dict(need))
-        with pytest.raises(NoEligibleArcError):
+        with pytest.raises(NoChainError):
             repair(chains, need)
 
 
@@ -261,14 +264,14 @@ def test_named_move_falls_back_to_a_chain():
 def _assert_same_as_unit_repair(sels, losers, need) -> None:
     """:func:`_repair` and :func:`reference_unit_repair`, each from the same
     start, end with the same losers, lost ranks and needs, or both raise
-    NoEligibleArcError."""
+    NoChainError."""
     chains, reference = _chains(sels, losers), _chains(sels, losers)
     reference_need = dict(need)
     try:
         reference_unit_repair(sels, reference.losers, reference.lost, reference_need,
                               over(reference_need))
-    except NoEligibleArcError:
-        with pytest.raises(NoEligibleArcError):
+    except NoChainError:
+        with pytest.raises(NoChainError):
             repair(chains, need)
         return
     repair(chains, need)

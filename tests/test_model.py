@@ -14,14 +14,11 @@ from hyperscores import (
     Arc,
     CapacityError,
     Hypertournament,
-    NoEligibleArcError,
     ScoreLists,
     Shape,
     StructuralError,
     VertexId,
     Violation,
-    arc_swap,
-    arcs_through,
     binom,
     check_losing_lists,
     losing_score_map,
@@ -507,23 +504,18 @@ class TestArcsThrough:
         fixed = V(0, 0)
         counted = sum(1 for sel in selection_vertices(shape) if fixed in sel)
         assert counted == 2
-        assert arcs_through(shape, 0) == 2
+        assert shape.through[0] == 2
 
     def test_single_selection_shape(self):
         shape = Shape((3, 2), (3, 2))
-        assert arcs_through(shape, 0) == 1
-        assert arcs_through(shape, 1) == 1
+        assert shape.through == (1, 1)
 
     def test_wider_shape_counted(self):
         shape = Shape((3, 2), (2, 1))
         fixed = V(0, 0)
         counted = sum(1 for sel in selection_vertices(shape) if fixed in sel)
         assert counted == 4
-        assert arcs_through(shape, 0) == 4
-
-    def test_bad_part(self):
-        with pytest.raises(ValueError):
-            arcs_through(two_by_two(), 2)
+        assert shape.through[0] == 4
 
 
 _DESK_PARTS = [(n_i, a_i) for n_i in range(1, 7) for a_i in range(1, n_i + 1)]
@@ -551,13 +543,10 @@ class TestShapeConstants:
                     for t, part in enumerate(parts):
                         if t != i:
                             direct *= selections[part]
-                    assert through[i] == direct == arcs_through(shape, i)
+                    assert through[i] == direct
                     cached = shape.binomial_rows[i]
                     assert type(cached) is tuple
                     assert cached == row[n_i, a_i] and cached[::-1] == row_from_top[n_i, a_i]
-            for part in (-1, shape.k):
-                with pytest.raises(ValueError):
-                    arcs_through(shape, part)
 
     def test_constants_leave_equality_and_hash_alone(self):
         fresh, used = Shape((3, 2), (2, 1)), Shape((3, 2), (2, 1))
@@ -605,7 +594,7 @@ class TestScores:
         m = random_hypertournament(Shape((4, 3), (2, 1)), seed=5)
         lm, sm = losing_score_map(m), score_map(m)
         for v in m.shape.vertices():
-            assert sm[v] + lm[v] == arcs_through(m.shape, v.part)
+            assert sm[v] + lm[v] == m.shape.through[v.part]
 
     def test_totals(self):
         m = random_hypertournament(Shape((3, 3), (2, 2)), seed=9)
@@ -737,6 +726,16 @@ class TestValidate:
         m = example_m()
         bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
+        # Outside the shape as a plain tuple, or no pair at all, as a loser
+        # or as a vertex of an arc's order.
+        for outside in ((9, 9), "x"):
+            for bad in (
+                Hypertournament.from_losers(m.shape, [(0, 0), outside, (0, 1), (1, 1)]),
+                Hypertournament(m.shape, (m.arcs[0], (outside, (1, 0)), *m.arcs[2:])),
+            ):
+                first = validate(bad)[0]
+                assert (first.selection_rank, first.kind) == (1, "bad-vertex")
+                assert first.detail == f"vertices outside the shape: {[outside]}"
 
     def test_a_none_loser_is_a_missing_arc(self):
         """A None loser given to from_losers is the missing arc that a None
@@ -770,43 +769,4 @@ def test_equality_sees_the_order_of_given_arcs():
     assert forward.losers == backward.losers == by_losers.losers
     assert forward != backward and by_losers == forward and by_losers != backward
     assert hash(by_losers) == hash(forward)
-
-
-class TestArcSwap:
-    def test_example_swap(self):
-        m = example_m()
-        swapped = arc_swap(m, V(0, 0), V(1, 0))
-        assert losing_scores(swapped).lists == ((1, 2), (0, 1))
-        # Only the rank-0 arc changed, with the two positions interchanged.
-        assert swapped.arcs[0] == Arc((V(1, 0), V(0, 0)))
-        assert swapped.arcs[1:] == m.arcs[1:]
-
-    def test_swap_changes_two_entries(self):
-        m = example_m()
-        before = losing_score_map(m)
-        after = losing_score_map(arc_swap(m, V(0, 0), V(1, 0)))
-        delta = {v: after[v] - before[v] for v in before if after[v] != before[v]}
-        assert delta == {V(0, 0): 1, V(1, 0): -1}
-
-    def test_swap_back_restores_scores(self):
-        m = example_m()
-        once = arc_swap(m, V(0, 0), V(1, 0))
-        back = arc_swap(once, V(1, 0), V(0, 0))
-        assert losing_score_map(back) == losing_score_map(m)
-
-    def test_no_eligible_arc(self):
-        # u11 loses nothing in the example, so nothing can be taken from it.
-        with pytest.raises(NoEligibleArcError):
-            arc_swap(example_m(), V(1, 0), V(0, 0))
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            arc_swap(example_m(), V(0, 0), V(0, 0))
-
-    def test_picks_smallest_rank(self):
-        m = example_m()
-        # Both rank-1 and rank-3 arcs have u12 last; only rank 1 contains u21.
-        swapped = arc_swap(m, V(1, 0), V(0, 1))
-        assert swapped.arcs[1] == Arc((V(0, 1), V(1, 0)))
-        assert swapped.arcs[3] == m.arcs[3]
 

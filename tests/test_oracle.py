@@ -9,12 +9,9 @@ from hyperscores import (
     SplitMix64,
     VertexId,
     achievable_losing_lists,
-    arcs_through,
-    bounded_candidate_lists,
     check_losing_lists,
     check_score_lists,
     cross_validate,
-    enumerate_assignments,
     losing_scores,
     losing_to_scores,
     random_hypertournament,
@@ -25,6 +22,7 @@ from hyperscores import (
 from hyperscores.criteria import _accepted_lists
 from hyperscores.model import ScoreLists, _selection_ids
 from hyperscores.oracle import CrossValidationReport
+from reference import bounded_candidate_lists, enumerate_assignments
 
 
 def naive_achievable(shape):
@@ -304,7 +302,7 @@ class TestCandidates:
     def test_candidates_respect_bounds_and_total(self):
         shape = Shape((2, 2, 2), (1, 1, 1))
         total = shape.total_arcs()
-        caps = [arcs_through(shape, i) for i in range(shape.k)]
+        caps = shape.through
         count = 0
         for cand in bounded_candidate_lists(shape, "losing"):
             count += 1

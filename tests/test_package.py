@@ -8,6 +8,7 @@ import hyperscores
 from hyperscores import criteria, model, oracle, realize
 
 SRC = Path(hyperscores.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_top_level_all_is_the_union_of_the_module_lists():
@@ -18,6 +19,11 @@ def test_top_level_all_is_the_union_of_the_module_lists():
     for module in (hyperscores, *modules):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name} does not resolve"
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text()
+    assert [name for name in hyperscores.__all__ if f"`{name}`" not in text] == []
 
 
 def _references(node) -> Counter:

@@ -20,8 +20,6 @@ from hyperscores import (
     Shape,
     VertexId,
     achievable_losing_lists,
-    arcs_through,
-    bounded_candidate_lists,
     check_losing_lists,
     losing_score_map,
     losing_scores,
@@ -38,6 +36,7 @@ from hyperscores.realize import (
     _inductive_losers,
     _walk_level,
 )
+from reference import bounded_candidate_lists
 
 V = VertexId
 
@@ -260,7 +259,7 @@ def test_full_candidate_space_agreement_including_bad_totals():
     from itertools import combinations_with_replacement, product
 
     shape = Shape((2, 2), (1, 1))
-    caps = [arcs_through(shape, i) for i in range(shape.k)]
+    caps = shape.through
     part_lists = [
         list(combinations_with_replacement(range(cap + 1), shape.n[i]))
         for i, cap in enumerate(caps)
@@ -330,7 +329,7 @@ def reference_saturation(shape, lists, active, tiers):
     ``tiers``. Returns the saturated lists and the steps, or None when no
     candidate keeps the bounds."""
     work, steps = [list(lst) for lst in lists], []
-    while work[active][-1] < arcs_through(shape, active):
+    while work[active][-1] < shape.through[active]:
         chosen = next(
             ((tier, inc, s, t) for tier, inc, s, t in reference_candidates(work, active)
              if work[s][t] and full_check_verdict(shape, work, active, inc, s, t)),
