@@ -32,6 +32,7 @@ from .model import (
     ScoreLists,
     Shape,
     VertexId,
+    _selection_ids,
     losing_scores,
     validate,
 )
@@ -260,15 +261,36 @@ def _emit(doc: dict, args, text_renderer=None) -> None:
     print(out)
 
 
+# Losers or arcs that _emit_witness joins into one write.
+_CHUNK = 4096
+
+
 def _emit_witness(doc: dict, M: Hypertournament, args) -> None:
-    """Emit doc with M's losers, read as ids, or its arcs, as ``--emit`` asks,
-    each vertex as its 1-based pair from one table of the vertices, in id order."""
-    pair = {v: [v.part + 1, v.index + 1] for v in M.shape.vertices()}
+    """Write doc with M's losers or arcs, as ``--emit`` asks, as its last key:
+    the head, then the items _CHUNK at a time. Each vertex is one string made
+    per id, "[p, i]" in JSON and "p.i" in text; an arc is its rank's selection
+    with the loser moved last, or its kept order. A witness's integers are
+    all short, so the head needs no guard against the digit limit."""
+    shape, ids, text = M.shape, M._ids, args.format == "text"
+    form, sep = ("{}.{}", " ") if text else ("[{}, {}]", ", ")
+    names = [form.format(p, i) for p, n_i in enumerate(shape.n, 1) for i in range(1, n_i + 1)]
     if args.emit == "losers":
-        doc["losers"] = list(map(list(pair.values()).__getitem__, M._ids))
+        items, between = ids, sep
+        chunk = lambda a, b: map(names.__getitem__, ids[a:b])
     else:
-        doc["arcs"] = [[pair[v] for v in order] for order in M.orders()]
-    _emit(doc, args, _text_witness)
+        items, between, (op, cl) = ids, "\n" if text else ", ", ("", "") if text else ("[", "]")
+        if M._orders is None:
+            sels, lead = _selection_ids(shape), [name + sep for name in names]
+            chunk = lambda a, b: [f"{op}{''.join([lead[x] for x in sel if x != i])}{names[i]}{cl}"
+                                  for sel, i in zip(sels[a:b], ids[a:b])]
+        else:
+            items, name = M._orders, dict(zip(shape.vertices(), names)).__getitem__
+            chunk = lambda a, b: [f"{op}{sep.join(map(name, o))}{cl}" for o in items[a:b]]
+    write = sys.stdout.write
+    write(_text_instance(doc) + "\n" if text else json.dumps(doc)[:-1] + f', "{args.emit}": [')
+    for a in range(0, len(items), _CHUNK):
+        write((between if a else "") + between.join(chunk(a, a + _CHUNK)))
+    write("\n" if text else "]}\n")
 
 
 def _text_instance(doc: dict) -> str:
@@ -284,16 +306,6 @@ def _text_check(doc: dict) -> str:
         return "valid"
     v = doc["violation"]
     return f"invalid at p={tuple(v['prefix'])}: lhs={v['lhs']} rhs={v['rhs']}"
-
-
-def _text_witness(doc: dict) -> str:
-    lines = [_text_instance(doc)]
-    if "arcs" in doc:
-        for arc in doc["arcs"]:
-            lines.append(" ".join(f"{p}.{i}" for p, i in arc))
-    elif "losers" in doc:
-        lines.append(" ".join(f"{p}.{i}" for p, i in doc["losers"]))
-    return "\n".join(lines)
 
 
 def cmd_check(args) -> int:
@@ -338,10 +350,10 @@ def cmd_realize(args) -> int:
 
 def _witness_vertices(doc: dict, table: dict) -> list[list]:
     """Each of a witness's arrays of vertex pairs (its arcs, then its losers,
-    [] when absent) as what ``table``, keyed by 1-based pairs, gives: VertexIds
-    or ids. One pass looks each pair of ints (only ints: True == 1 and hashes
-    alike) up. On any miss or other entry, a second pass reads the arrays entry
-    by entry: it raises InputError at the first entry that is not a pair of
+    [] when absent) as the ids ``table``, keyed by 1-based pairs, gives. One
+    pass looks each pair of ints (only ints: True == 1 and hashes alike) up.
+    On any miss or other entry, a second pass reads the arrays entry by
+    entry: it raises InputError at the first entry that is not a pair of
     integers, lets an integral float find its vertex, and turns a pair outside
     the table into its VertexId, so that a violation names it."""
     groups = [*doc.get("arcs", ()), doc.get("losers", [])]
@@ -351,7 +363,7 @@ def _witness_vertices(doc: dict, table: dict) -> list[list]:
              for a, b in (pairs if type(pairs) is list else [None])]
             for pairs in groups
         ]
-        if all(map(all, found[:-1])) and None not in found[-1]:  # an id, not a VertexId, can be 0
+        if all(None not in ids for ids in found):
             return found
     except (TypeError, ValueError):  # an entry that does not unpack into two
         pass
@@ -370,17 +382,27 @@ def _witness_vertices(doc: dict, table: dict) -> list[list]:
 
 
 def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
-    """The witness of a document, read by _witness_vertices: its arcs as VertexIds
-    if it has them, which the model keeps as losers when each is canonical, else
-    its losers as ids. Both arrays leave doc, so they are freed before M is built."""
+    """The witness of a document, its pairs read as ids by _witness_vertices:
+    its losers, or its arcs' losers when there are at most T arcs and each is
+    its rank's selection with the loser moved last. Other arcs go to the model
+    as VertexIds, so that a violation names them. Both arrays leave doc, so
+    they are freed before M is built."""
     if "arcs" not in doc and "losers" not in doc:
         raise InputError("witness document needs an 'arcs' or 'losers' field")
     by_arcs = "arcs" in doc
-    table = {(v.part + 1, v.index + 1): v if by_arcs else i for i, v in enumerate(shape.vertices())}
+    table = {(v.part + 1, v.index + 1): i for i, v in enumerate(shape.vertices())}
     *arcs, losers = _witness_vertices(doc, table)
     for key in ("arcs", "losers"):
         doc.pop(key, None)
-    return Hypertournament(shape, arcs) if by_arcs else Hypertournament._from_ids(shape, losers)
+    if not by_arcs:
+        return Hypertournament._from_ids(shape, losers)
+    if len(arcs) <= shape.total_arcs() and all(
+        arc and arc == [x for x in sel if x != arc[-1]] + arc[-1:]
+        for sel, arc in zip(_selection_ids(shape), arcs)
+    ):
+        return Hypertournament._from_ids(shape, [arc[-1] for arc in arcs])
+    verts = tuple(shape.vertices())
+    return Hypertournament(shape, [[verts[x] if type(x) is int else x for x in arc] for arc in arcs])
 
 
 def cmd_verify(args) -> int:

@@ -226,12 +226,15 @@ def _order(arc) -> tuple[VertexId, ...] | None:
 
 
 def _id(shape: Shape, v):
-    """The id of vertex v = (i, j) of ``shape``, or v itself when it is None or outside it."""
+    """The id of vertex v = (i, j) of ``shape``, or v itself when it is None or
+    outside it, a list as a tuple so that it hashes."""
     try:
         i, j = v
-        return shape.offsets[i] + j if 0 <= i < shape.k and 0 <= j < shape.n[i] else v
+        if 0 <= i < shape.k and 0 <= j < shape.n[i]:
+            return shape.offsets[i] + j
     except (TypeError, ValueError):
-        return v
+        pass
+    return tuple(v) if type(v) is list else v
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -240,9 +243,10 @@ class Hypertournament:
 
     A canonical order is the rank's selection with its loser moved last, and
     a loser is kept as its id, or as itself if it has none (None, or a vertex
-    outside the shape). ``Hypertournament(shape, arcs)`` takes :class:`Arc`s,
-    vertex sequences (loser last) or None, and keeps their orders (``_orders``)
-    too unless there are at most T and each is canonical or None. Arcs are
+    outside the shape, a list as its tuple). ``Hypertournament(shape, arcs)``
+    takes :class:`Arc`s, vertex sequences (loser last) or None, and keeps
+    their orders (``_orders``, a list vertex as its tuple) too unless there
+    are at most T and each is canonical or None. Arcs are
     compared one at a time, so a tuple is built only after a mismatch; the
     comparison builds the selection table, so above :data:`MAX_SELECTIONS` it
     raises :class:`CapacityError`. Only :attr:`arcs` builds :class:`Arc` objects.
@@ -255,13 +259,30 @@ class Hypertournament:
         ids = tuple(_id(shape, getattr(a, "order", a)[-1]) if a else None for a in arcs)
         self.__dict__.update(shape=shape, _ids=ids, _orders=None)
         if len(arcs) > shape.total_arcs() or not all(map(eq, map(_order, arcs), self.orders())):
-            self.__dict__["_orders"] = tuple(map(_order, arcs))
+            orders = tuple(map(_order, arcs))
+            try:
+                hash(orders)
+            except TypeError:  # a list vertex, kept as a tuple so that it hashes
+                orders = tuple(o and tuple(tuple(v) if type(v) is list else v for v in o)
+                               for o in orders)
+            self.__dict__["_orders"] = orders
 
     @classmethod
     def from_losers(cls, shape: Shape, losers: Iterable[VertexId]) -> "Hypertournament":
         """``losers[r]`` loses the arc at rank r, and a None loser is a missing
-        arc; entries past the last rank are dropped, and no arc is built."""
-        return cls._from_ids(shape, [_id(shape, v) for v in losers])
+        arc; entries past the last rank are dropped, and no arc is built. A
+        pair of two ints is looked up in one table of the vertices, built when
+        there are no more vertices than losers; only other entries go to _id."""
+        losers = list(losers)
+        size = shape.offsets[-1]
+        get = (dict(zip(shape.vertices(), count()))
+               if size <= min(len(losers), MAX_SELECTIONS) else {}).get
+        try:
+            ids = [i if (i := get(v)) is not None and type(v[0]) is type(v[1]) is int
+                   else _id(shape, v) for v in losers]
+        except TypeError:  # an entry that does not hash, such as a list
+            ids = [_id(shape, v) for v in losers]
+        return cls._from_ids(shape, ids)
 
     @classmethod
     def _from_ids(cls, shape: Shape, ids: Iterable) -> "Hypertournament":

@@ -1,16 +1,21 @@
 """Naive references for ground truth: every assignment of one loser per
-selection, and every list tuple a check could accept.
+selection, and every list tuple a check could accept; and the witness writer
+that built a whole document before printing it.
 
 The package decides the same questions faster: ``achievable_losing_lists``
 by a dynamic program over loss-count vectors, and the accepted lists by a
 pruned search (``criteria._accepted_lists``). These stream the whole space,
-so the tests can compare the fast paths against it on small shapes.
+so the tests can compare the fast paths against it on small shapes. The CLI
+writes a witness in chunks (``cli._emit_witness``); the tests compare its
+bytes with :func:`witness_stdout`.
 """
 
+import json
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 from hyperscores import DEFAULT_ASSIGNMENT_BUDGET, Hypertournament, Kind, Shape
+from hyperscores.cli import _text_instance
 from hyperscores.model import _selection_ids
 from hyperscores.oracle import _assignment_count
 
@@ -63,3 +68,26 @@ def bounded_candidate_lists(
                 chosen.pop()
 
     yield from rec(0, target, [])
+
+
+def witness_stdout(doc: dict, M: Hypertournament, emit: str, fmt: str) -> str:
+    """What ``realize`` or ``random`` prints for doc with M's losers or arcs as
+    its last key: one list per arc and per vertex pair, then ``json.dumps`` of
+    the whole document, or its text rendering."""
+    pair = {v: [v.part + 1, v.index + 1] for v in M.shape.vertices()}
+    doc = dict(doc)
+    if emit == "losers":
+        doc["losers"] = [pair[v] for v in M.losers]
+    else:
+        doc["arcs"] = [[pair[v] for v in order] for order in M.orders()]
+    return (_text_witness(doc) if fmt == "text" else json.dumps(doc)) + "\n"
+
+
+def _text_witness(doc: dict) -> str:
+    lines = [_text_instance(doc)]
+    if "arcs" in doc:
+        for arc in doc["arcs"]:
+            lines.append(" ".join(f"{p}.{i}" for p, i in arc))
+    elif "losers" in doc:
+        lines.append(" ".join(f"{p}.{i}" for p, i in doc["losers"]))
+    return "\n".join(lines)

@@ -32,6 +32,7 @@ from hyperscores import (
 )
 from hyperscores.cli import InputError, main
 from hyperscores.realize import RealizationGapError
+from reference import witness_stdout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -466,6 +467,14 @@ class TestEnumerateRandom:
             "structure ok; losing=[[0, 0], [2, 2]] score=[[2, 2], [0, 0]] totals=4/4 lists match: yes"
         ]
 
+    def test_an_arcs_witness_as_text(self, capsys):
+        args = ("random", "--n", "2,2", "--alpha", "1,1", "--seed", "3", "--emit", "arcs")
+        code, out, _ = run(capsys, *args, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "2 2 2 1 1 losing", "0 0", "2 2", "1.1 2.1", "1.2 2.1", "1.1 2.2", "1.2 2.2"
+        ]
+
     def test_random_deterministic(self, capsys):
         args = ("random", "--n", "3,2", "--alpha", "2,1", "--seed", "11")
         code1, out1, _ = run(capsys, *args)
@@ -621,6 +630,82 @@ class TestWitnessBytes:
         code, out, _ = run(capsys, "verify", str(path), "--format", fmt)
         assert code == 1 and _sha(out) == digest
 
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("loser-only", "6bfa99d19eebc1845390581f7b9de08bb2cd2167fe9fd0b3d6366056e96fab11"),
+            ("full-permutation", "7633a313cf43f3ae22d77ae168ed70373f88a4b25a8e8b6d9d206a1430a299a3"),
+        ],
+    )
+    def test_text_arcs_witness(self, capsys, mode, digest):
+        argv = ["random", "--n", "10,8", "--alpha", "3,2", "--seed", "5", "--mode", mode]
+        code, out, _ = run(capsys, *argv, "--emit", "arcs", "--format", "text")
+        assert code == 0 and _sha(out) == digest
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("mode", ["loser-only", "full-permutation"])
+    @pytest.mark.parametrize("emit", ["losers", "arcs"])
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [("2,3", "2,3"), *((f"1,{cli._CHUNK + d}", "1,1") for d in (-1, 0, 1))],
+        ids=["T=1", "T=chunk-1", "T=chunk", "T=chunk+1"],
+    )
+    def test_chunks_match_the_whole_document(self, capsys, n, alpha, emit, mode, fmt):
+        """The chunked writer prints the bytes of the writer that built the
+        whole document first, at T = 1 and around the chunk size."""
+        argv = ["random", "--n", n, "--alpha", alpha, "--seed", "7", "--emit", emit,
+                "--mode", mode, "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        whole = lambda doc, M, args: sys.stdout.write(witness_stdout(doc, M, args.emit, args.format))
+        with mock.patch.object(cli, "_emit_witness", whole):
+            assert run(capsys, *argv)[:2] == (code, out)
+        assert code == 0
+
+    def test_a_canonical_arcs_document_reads_as_its_losers(self, capsys):
+        argv = ["random", "--n", "10,8", "--alpha", "3,2", "--seed", "5", "--emit"]
+        shape = Shape((10, 8), (3, 2))
+        by_arcs, by_losers = (
+            cli._hypertournament_from_doc(json.loads(run(capsys, *argv, emit)[1]), shape)
+            for emit in ("arcs", "losers")
+        )
+        assert by_arcs._orders is None
+        assert by_arcs == by_losers == random_hypertournament(shape, 5)
+
+    @pytest.mark.parametrize(
+        "mode, edit, json_digest, text_digest",
+        [
+            ("full-permutation", None,
+             "aa7d46db4e659b07cfc8d595cbea7f64c9ac2a3ec1aa4998993f9dd6fd61939d",
+             "00ee414fce07698734484e11dd033065ccb58795106cc9b63d019808a98fc96a"),
+            ("loser-only", lambda arcs: arcs[1].__setitem__(0, [9, 9]),
+             "e904042fce4aed1593cac2e74e03639504f3a432eae2dc44e584bb5ce0a9b6cf",
+             "6ba54876a0ef0aa80f8459ace6012e68a94aa538db793c335756acb337e47121"),
+            ("loser-only", lambda arcs: arcs.__setitem__(2, []),
+             "df8551ec244001a70bced499ad10f9752d63d43ac18419a941b7738d709f7526",
+             "bf4b9b001871b05f34c09550e2a049366cad1fc563f5a2d3685140e34189a2a3"),
+            ("loser-only", lambda arcs: arcs[3].__setitem__(0, arcs[3][1]),
+             "962e58023866b9a69876ee5c5ac625adc267daa543039813d3a1d8bb780d1d0e",
+             "8a19d26622f56d78b8981d798b6ff9547678020aa490530c1d0f5ca2e809a52f"),
+            ("loser-only", lambda arcs: arcs.append(arcs[0]),
+             "a8166acca191fa7a1429be82ebb11f26133971eb40c5e3df1acb9d3eb77d33a0",
+             "87a878fd8189818bbb20b860c3cfd5ea5d7fe6ab2813c660d945c26f255758b1"),
+        ],
+        ids=["full-permutation", "out-of-shape", "empty-arc", "duplicate-vertex", "extra-arc"],
+    )
+    def test_verify_of_an_arcs_document_that_is_not_canonical(
+        self, tmp_path, capsys, mode, edit, json_digest, text_digest
+    ):
+        """Recorded before canonical arcs documents were read as ids: these
+        still read as their VertexIds, and report the same violations."""
+        argv = ["random", "--n", "4,3", "--alpha", "2,1", "--seed", "3", "--mode", mode]
+        doc = json.loads(run(capsys, *argv, "--emit", "arcs")[1])
+        if edit:
+            edit(doc["arcs"])
+        path = write_instance(tmp_path, doc)
+        for fmt, digest in (("json", json_digest), ("text", text_digest)):
+            code, out, _ = run(capsys, "verify", path, "--format", fmt)
+            assert code == (1 if edit else 0) and _sha(out) == digest
+
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "inst.json"
@@ -667,6 +752,36 @@ def test_closed_stdout_exits_4_without_a_traceback():
     assert proc.wait() == 4
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+def test_a_pipe_closed_after_the_first_chunk_exits_4(tmp_path, capsys, monkeypatch):
+    """The head and the first chunk of losers are written; the second chunk
+    meets the closed pipe."""
+
+    class Pipe(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+        def fileno(self):  # main points it at os.devnull
+            return sink.fileno()
+
+    argv = ["random", "--n", f"1,{2 * cli._CHUNK}", "--alpha", "1,1", "--emit", "losers"]
+    whole = run(capsys, *argv)[1]
+    pipe = Pipe()
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        code = main(argv)
+        monkeypatch.undo()
+    assert code == 4
+    assert capsys.readouterr().err == "error: stdout was closed before the output was written\n"
+    written = pipe.getvalue()
+    assert pipe.writes == 3 and whole.startswith(written)
+    assert len(json.loads(written + "]}")["losers"]) == cli._CHUNK
 
 
 def _imported_by_cli(module):

@@ -31,7 +31,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.model import _selection_ids
+from hyperscores.model import _id, _selection_ids
 
 V = VertexId
 
@@ -369,6 +369,37 @@ def test_from_losers_matches_filtering_reference(case):
         for sel, loser in zip(selection_vertices(shape), losers)
     )
     assert Hypertournament.from_losers(shape, losers).arcs == expected
+
+
+_COORDINATES = st.integers(-1, 4) | st.integers(-1, 4).map(float) | st.booleans()
+_LOSER_ENTRIES = (
+    st.tuples(_COORDINATES, _COORDINATES).flatmap(
+        lambda p: st.sampled_from([V(*p), p, list(p)]))
+    | st.sampled_from([None, "x", 3, (1, 2, 3), [0], [[0], [0]]])
+)
+
+
+@st.composite
+def loose_loser_sequences(draw):
+    """A small shape and a sequence of anything from_losers may be given:
+    pairs of ints, floats and bools as VertexIds, tuples and lists, in the
+    shape or not, None, and entries that are not pairs."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    shape = Shape(tuple(n), tuple(draw(st.integers(1, n_i)) for n_i in n))
+    return shape, draw(st.lists(_LOSER_ENTRIES, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=loose_loser_sequences(), as_iterator=st.booleans())
+def test_from_losers_keeps_the_ids_that_id_gives(case, as_iterator):
+    """The table lookup decides only what _id would: the same ids, of the same
+    types, also past a float or an unhashable entry."""
+    shape, losers = case
+    M = Hypertournament.from_losers(shape, iter(losers) if as_iterator else losers)
+    expected = [_id(shape, v) for v in losers][: shape.total_arcs()]
+    assert list(M._ids) == expected
+    assert list(map(type, M._ids)) == list(map(type, expected))
 
 
 def _arcs_of_losers(shape, losers):
@@ -726,16 +757,20 @@ class TestValidate:
         m = example_m()
         bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
-        # Outside the shape as a plain tuple, or no pair at all, as a loser
-        # or as a vertex of an arc's order.
-        for outside in ((9, 9), "x"):
+        # Outside the shape as a plain tuple, a list (kept as its tuple, so
+        # that the model hashes), or no pair at all, as a loser or as a
+        # vertex of an arc's order.
+        for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ("x", "x")):
             for bad in (
                 Hypertournament.from_losers(m.shape, [(0, 0), outside, (0, 1), (1, 1)]),
                 Hypertournament(m.shape, (m.arcs[0], (outside, (1, 0)), *m.arcs[2:])),
             ):
+                hash(bad)
                 first = validate(bad)[0]
                 assert (first.selection_rank, first.kind) == (1, "bad-vertex")
-                assert first.detail == f"vertices outside the shape: {[outside]}"
+                assert first.detail == f"vertices outside the shape: {[kept]}"
+            with pytest.raises(StructuralError, match=re.escape(f"unknown vertex {kept}")):
+                losing_score_map(Hypertournament.from_losers(m.shape, [(0, 0), outside]))
 
     def test_a_none_loser_is_a_missing_arc(self):
         """A None loser given to from_losers is the missing arc that a None
