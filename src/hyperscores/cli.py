@@ -383,10 +383,8 @@ def _witness_vertices(doc: dict, table: dict) -> list[list]:
 
 def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
     """The witness of a document, its pairs read as ids by _witness_vertices:
-    its losers, or its arcs' losers when there are at most T arcs and each is
-    its rank's selection with the loser moved last. Other arcs go to the model
-    as VertexIds, so that a violation names them. Both arrays leave doc, so
-    they are freed before M is built."""
+    its losers, or its arcs, which the model keeps as their losers when each
+    is canonical. Both arrays leave doc, so they are freed before M is built."""
     if "arcs" not in doc and "losers" not in doc:
         raise InputError("witness document needs an 'arcs' or 'losers' field")
     by_arcs = "arcs" in doc
@@ -394,15 +392,9 @@ def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
     *arcs, losers = _witness_vertices(doc, table)
     for key in ("arcs", "losers"):
         doc.pop(key, None)
-    if not by_arcs:
-        return Hypertournament._from_ids(shape, losers)
-    if len(arcs) <= shape.total_arcs() and all(
-        arc and arc == [x for x in sel if x != arc[-1]] + arc[-1:]
-        for sel, arc in zip(_selection_ids(shape), arcs)
-    ):
-        return Hypertournament._from_ids(shape, [arc[-1] for arc in arcs])
-    verts = tuple(shape.vertices())
-    return Hypertournament(shape, [[verts[x] if type(x) is int else x for x in arc] for arc in arcs])
+    if by_arcs:
+        return Hypertournament._from_id_orders(shape, arcs)
+    return Hypertournament._from_ids(shape, losers)
 
 
 def cmd_verify(args) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, compress, count, islice, product, repeat
 from math import comb, log2
-from operator import contains, eq, gt, mul, not_
+from numbers import Number
+from operator import contains, gt, mul, not_
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -226,15 +227,32 @@ def _order(arc) -> tuple[VertexId, ...] | None:
 
 
 def _id(shape: Shape, v):
-    """The id of vertex v = (i, j) of ``shape``, or v itself when it is None or
-    outside it, a list as a tuple so that it hashes."""
+    """The id of vertex (i, j) of ``shape`` when v equals it, else v itself:
+    None, or a vertex outside the shape with every list in it as a tuple, so
+    that it hashes; a number, which is no pair, in a :class:`_Number`, so that
+    it equals no id."""
     try:
         i, j = v
-        if 0 <= i < shape.k and 0 <= j < shape.n[i]:
-            return shape.offsets[i] + j
-    except (TypeError, ValueError):
+        p, q = int(i), int(j)
+        if p == i and q == j and 0 <= p < shape.k and 0 <= q < shape.n[p]:
+            return shape.offsets[p] + q
+    except (TypeError, ValueError, OverflowError):
         pass
-    return tuple(v) if type(v) is list else v
+    return _Number(v) if isinstance(v, Number) else _hashable(v)
+
+
+class _Number(NamedTuple):
+    """A number given as a vertex, kept apart from the ids; it prints as the number."""
+
+    value: object
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+
+def _hashable(v):
+    """v with each list, in it or in a plain tuple in it at any depth, as a tuple."""
+    return tuple(map(_hashable, v)) if type(v) in (list, tuple) else v
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -242,47 +260,27 @@ class Hypertournament:
     """One loser per rank, and the arcs' vertex orders only where not canonical.
 
     A canonical order is the rank's selection with its loser moved last, and
-    a loser is kept as its id, or as itself if it has none (None, or a vertex
-    outside the shape, a list as its tuple). ``Hypertournament(shape, arcs)``
-    takes :class:`Arc`s, vertex sequences (loser last) or None, and keeps
-    their orders (``_orders``, a list vertex as its tuple) too unless there
-    are at most T and each is canonical or None. Arcs are
-    compared one at a time, so a tuple is built only after a mismatch; the
-    comparison builds the selection table, so above :data:`MAX_SELECTIONS` it
-    raises :class:`CapacityError`. Only :attr:`arcs` builds :class:`Arc` objects.
+    a loser is kept as its id, or as :func:`_id` gives it if it has none
+    (None, or a vertex outside the shape). ``Hypertournament(shape, arcs)``
+    takes :class:`Arc`s, vertex sequences (loser last) or None, reads each
+    vertex as its id, and keeps their orders (``_orders``, a vertex of the
+    shape as its :class:`VertexId`) too unless there are at most T and each
+    is canonical or None. The comparison builds the selection table, so above
+    :data:`MAX_SELECTIONS` it raises :class:`CapacityError`. Only
+    :attr:`arcs` builds :class:`Arc` objects.
     """
 
     shape: Shape
 
     def __init__(self, shape: Shape, arcs: Iterable[Arc | Sequence[VertexId] | None]) -> None:
-        arcs = tuple(arcs)
-        ids = tuple(_id(shape, getattr(a, "order", a)[-1]) if a else None for a in arcs)
-        self.__dict__.update(shape=shape, _ids=ids, _orders=None)
-        if len(arcs) > shape.total_arcs() or not all(map(eq, map(_order, arcs), self.orders())):
-            orders = tuple(map(_order, arcs))
-            try:
-                hash(orders)
-            except TypeError:  # a list vertex, kept as a tuple so that it hashes
-                orders = tuple(o and tuple(tuple(v) if type(v) is list else v for v in o)
-                               for o in orders)
-            self.__dict__["_orders"] = orders
+        orders = [o if o is None else [_id(shape, v) for v in o] for o in map(_order, arcs)]
+        self._keep(shape, orders)
 
     @classmethod
     def from_losers(cls, shape: Shape, losers: Iterable[VertexId]) -> "Hypertournament":
         """``losers[r]`` loses the arc at rank r, and a None loser is a missing
-        arc; entries past the last rank are dropped, and no arc is built. A
-        pair of two ints is looked up in one table of the vertices, built when
-        there are no more vertices than losers; only other entries go to _id."""
-        losers = list(losers)
-        size = shape.offsets[-1]
-        get = (dict(zip(shape.vertices(), count()))
-               if size <= min(len(losers), MAX_SELECTIONS) else {}).get
-        try:
-            ids = [i if (i := get(v)) is not None and type(v[0]) is type(v[1]) is int
-                   else _id(shape, v) for v in losers]
-        except TypeError:  # an entry that does not hash, such as a list
-            ids = [_id(shape, v) for v in losers]
-        return cls._from_ids(shape, ids)
+        arc; entries past the last rank are dropped, and no arc is built."""
+        return cls._from_ids(shape, [_id(shape, v) for v in losers])
 
     @classmethod
     def _from_ids(cls, shape: Shape, ids: Iterable) -> "Hypertournament":
@@ -290,6 +288,31 @@ class Hypertournament:
         M = cls.__new__(cls)
         M.__dict__.update(shape=shape, _ids=tuple(ids)[: shape.total_arcs()], _orders=None)
         return M
+
+    @classmethod
+    def _from_id_orders(cls, shape: Shape, orders: list) -> "Hypertournament":
+        """``Hypertournament(shape, arcs)`` of arcs already read as lists of
+        ids (a vertex outside the shape as itself); a list that is kept is
+        replaced in ``orders`` by its tuple of vertices."""
+        M = cls.__new__(cls)
+        M._keep(shape, orders)
+        return M
+
+    def _keep(self, shape: Shape, orders: list) -> None:
+        """Keep the losers of ``orders``, lists of ids, and unless there are
+        at most T of them and each is canonical or None, their orders too:
+        each list replaced in place, so one at a time is copied."""
+        ids = tuple([o[-1] if o else None for o in orders])
+        self.__dict__.update(shape=shape, _ids=ids, _orders=None)
+        if len(orders) > shape.total_arcs() or not all(
+            o == (i if i is None else [x for x in sel if x != i] + [i])
+            for sel, i, o in zip(_selection_ids(shape), ids, orders)
+        ):
+            verts = tuple(shape.vertices())
+            for r, o in enumerate(orders):
+                if o is not None:
+                    orders[r] = tuple([verts[x] if type(x) is int else x for x in o])
+            self.__dict__["_orders"] = tuple(orders)
 
     @cached_property
     def losers(self) -> tuple[VertexId | None, ...]:

@@ -189,14 +189,14 @@ def random_hypertournament(
     sels = _selection_ids(shape)
     if mode == "loser-only":
         return Hypertournament._from_ids(shape, [sel[rng.below(len(sel))] for sel in sels])
-    orders, vertex = [], tuple(shape.vertices()).__getitem__
+    orders = []
     for sel in sels:
-        order = list(map(vertex, sel))
+        order = list(sel)
         for i in range(len(sel) - 1, 0, -1):
             j = rng.below(i + 1)
             order[i], order[j] = order[j], order[i]
-        orders.append(tuple(order))
-    return Hypertournament(shape, orders)
+        orders.append(order)
+    return Hypertournament._from_id_orders(shape, orders)
 
 
 def _score_tuples(shape: Shape, tuples) -> Iterator[tuple[tuple[int, ...], ...]]:

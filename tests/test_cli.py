@@ -695,8 +695,8 @@ class TestWitnessBytes:
     def test_verify_of_an_arcs_document_that_is_not_canonical(
         self, tmp_path, capsys, mode, edit, json_digest, text_digest
     ):
-        """Recorded before canonical arcs documents were read as ids: these
-        still read as their VertexIds, and report the same violations."""
+        """Recorded before arcs documents were read as ids: these are kept as
+        vertex orders, and report the same violations."""
         argv = ["random", "--n", "4,3", "--alpha", "2,1", "--seed", "3", "--mode", mode]
         doc = json.loads(run(capsys, *argv, "--emit", "arcs")[1])
         if edit:

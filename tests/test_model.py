@@ -31,7 +31,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.model import _id, _selection_ids
+from hyperscores.model import _hashable, _id, _selection_ids
 
 V = VertexId
 
@@ -371,35 +371,50 @@ def test_from_losers_matches_filtering_reference(case):
     assert Hypertournament.from_losers(shape, losers).arcs == expected
 
 
-_COORDINATES = st.integers(-1, 4) | st.integers(-1, 4).map(float) | st.booleans()
-_LOSER_ENTRIES = (
+_COORDINATES = (
+    st.integers(-1, 4) | st.integers(-1, 4).map(float) | st.booleans()
+    | st.sampled_from([0.5, float("nan"), float("inf"), "1"])
+)
+_LOOSE_VERTICES = (
     st.tuples(_COORDINATES, _COORDINATES).flatmap(
         lambda p: st.sampled_from([V(*p), p, list(p)]))
-    | st.sampled_from([None, "x", 3, (1, 2, 3), [0], [[0], [0]]])
+    | st.sampled_from([None, "x", 3, (1, 2, 3), [0], [[0], [0]], ([0], [0])])
 )
 
 
 @st.composite
-def loose_loser_sequences(draw):
-    """A small shape and a sequence of anything from_losers may be given:
-    pairs of ints, floats and bools as VertexIds, tuples and lists, in the
-    shape or not, None, and entries that are not pairs."""
+def loose_vertex_sequences(draw):
+    """A small shape and a sequence of anything a model may be given as a
+    vertex: pairs of ints, floats, bools and strings as VertexIds, tuples
+    and lists, in the shape or not, None, and entries that are not pairs."""
     k = draw(st.integers(1, 3))
     n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
     shape = Shape(tuple(n), tuple(draw(st.integers(1, n_i)) for n_i in n))
-    return shape, draw(st.lists(_LOSER_ENTRIES, max_size=40))
+    return shape, draw(st.lists(_LOOSE_VERTICES, max_size=40))
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=loose_loser_sequences(), as_iterator=st.booleans())
-def test_from_losers_keeps_the_ids_that_id_gives(case, as_iterator):
-    """The table lookup decides only what _id would: the same ids, of the same
-    types, also past a float or an unhashable entry."""
-    shape, losers = case
-    M = Hypertournament.from_losers(shape, iter(losers) if as_iterator else losers)
-    expected = [_id(shape, v) for v in losers][: shape.total_arcs()]
-    assert list(M._ids) == expected
-    assert list(map(type, M._ids)) == list(map(type, expected))
+@given(case=loose_vertex_sequences(), as_iterator=st.booleans())
+def test_anything_given_as_a_vertex_hashes_and_validates(case, as_iterator):
+    """Each entry is read as _id reads it, as a loser or as an arc of that one
+    vertex: an id exactly when it equals a vertex of the shape. The model
+    hashes, and validate reports each other entry at its rank as bad-vertex,
+    or a None loser as missing-arc."""
+    shape, entries = case
+    T = shape.total_arcs()
+    by_losers = Hypertournament.from_losers(shape, iter(entries) if as_iterator else entries)
+    by_arcs = Hypertournament(shape, ([v] for v in entries))
+    ids = [_id(shape, v) for v in entries]
+    assert list(by_losers._ids) == ids[:T] and list(by_arcs._ids) == ids
+    index = {v: i for i, v in enumerate(shape.vertices())}
+    in_shape = [index.get(v) is not None for v in map(_hashable, entries)]
+    assert [type(i) is int for i in ids] == in_shape
+    for M, none_kind in ((by_losers, "missing-arc"), (by_arcs, "bad-vertex")):
+        hash(M)
+        kinds = {v.selection_rank: v.kind for v in validate(M)}
+        for r, i in enumerate(M._ids[:T]):
+            if type(i) is not int:
+                assert kinds[r] == (none_kind if i is None else "bad-vertex")
 
 
 def _arcs_of_losers(shape, losers):
@@ -757,10 +772,13 @@ class TestValidate:
         m = example_m()
         bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
-        # Outside the shape as a plain tuple, a list (kept as its tuple, so
-        # that the model hashes), or no pair at all, as a loser or as a
-        # vertex of an arc's order.
-        for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ("x", "x")):
+        # Outside the shape as a plain tuple, a list, lists in a list or a
+        # tuple (each list kept as its tuple, so that the model hashes), or
+        # no pair at all (a number is not taken for a vertex id), as a loser
+        # or as a vertex of an arc's order.
+        nested = ((0,), (0,))
+        for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ([[0], [0]], nested),
+                              (([0], [0]), nested), ("x", "x"), (1, 1)):
             for bad in (
                 Hypertournament.from_losers(m.shape, [(0, 0), outside, (0, 1), (1, 1)]),
                 Hypertournament(m.shape, (m.arcs[0], (outside, (1, 0)), *m.arcs[2:])),
