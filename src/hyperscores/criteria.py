@@ -84,19 +84,22 @@ def _lower_envelope(base, g):
     cross-multiplication; each breakpoint is stored as its exact integer
     ceiling, which decides integer queries exactly.
     """
-    hull = []
-    for m, b in sorted(zip(g, base)):
-        if hull and hull[-1][1] == m:
+    lines = sorted(zip(g, base))
+    hull, (m2, b2) = [], lines[0]  # the envelope's lines below its top line (b2, m2)
+    for m, b in lines:
+        if m == m2:
             continue  # equal slope: sorted puts the least intercept first
-        while len(hull) >= 2:
-            (b1, m1), (b2, m2) = hull[-2], hull[-1]
+        while hull:
+            b1, m1 = hull[-1]
             # The middle line is never strictly lowest once the new line
             # meets the first one no later than the middle one does.
             if (b - b1) * (m2 - m1) <= (b2 - b1) * (m - m1):
-                hull.pop()
+                b2, m2 = hull.pop()
             else:
                 break
-        hull.append((b, m))
+        hull.append((b2, m2))
+        b2, m2 = b, m
+    hull.append((b2, m2))
     steps = [-((b1 - b2) // (m2 - m1)) for (b1, m1), (b2, m2) in zip(hull, hull[1:])]
     return hull, steps
 
@@ -117,10 +120,13 @@ def _first_violation(offset, base, g):
     then has at most as many lines L as there are heads H, and at most
     MAX_SELECTIONS, so j is the least such index, or k - 1 if there is none.
     The tail's lines, intercept the summed tail bases and slope the product
-    of the tail g's, are made in lexicographic order and put on one envelope;
-    heads are visited in lexicographic order and each is decided by one
-    query. Only the first violating head is scanned along the tail, for the
-    least violating tail, and p is decoded by mixed radix.
+    of the tail g's, are made in lexicographic order and put on one envelope.
+    Heads are visited in lexicographic order, each decided by one query: the
+    outer heads (p_1, ..., p_{j-1}) come from chained :func:`_extend`, and a
+    plain inner loop runs over part j's (base, g) pairs, one running index
+    counting the heads (one empty head when j = 0). Only the first violating
+    head is scanned along the tail, for the least violating tail, and p is
+    decoded from the two indices by mixed radix.
     """
     tail_base, tail_g = base[-1], g[-1]
     j = len(base) - 1
@@ -133,19 +139,23 @@ def _first_violation(offset, base, g):
         tail_base = [b + t for b in base[j] for t in tail_base]
         tail_g = [m * t for m in g[j] for t in tail_g]
     hull, steps = _lower_envelope(tail_base, tail_g)
-    heads = [(offset, 1)]
+    heads, last = [(offset, 1)], ((0, 1),)  # with j = 0, the one empty head
     for b_i, g_i in zip(base[:j], g[:j]):
-        heads = _extend(heads, tuple(zip(b_i, g_i)))
-    for index, (a, c) in enumerate(heads):
-        b, m = hull[bisect_right(steps, c)]
-        if a + b < m * c:
-            tail = next(t for t, (bt, gt) in enumerate(zip(tail_base, tail_g)) if a + bt < gt * c)
-            index = index * len(tail_base) + tail
-            p = []
-            for b_i in reversed(base):
-                index, p_i = divmod(index, len(b_i))
-                p.append(p_i)
-            return tuple(reversed(p))
+        heads, last = _extend(heads, last), tuple(zip(b_i, g_i))
+    index = 0
+    for a0, c0 in heads:
+        for b0, m0 in last:
+            a, c = a0 + b0, c0 * m0
+            b, m = hull[bisect_right(steps, c)]
+            if a + b < m * c:
+                tail = next(t for t, (bt, gt) in enumerate(zip(tail_base, tail_g)) if a + bt < gt * c)
+                index = index * len(tail_base) + tail
+                p = []
+                for b_i in reversed(base):
+                    index, p_i = divmod(index, len(b_i))
+                    p.append(p_i)
+                return tuple(reversed(p))
+            index += 1
     return None
 
 

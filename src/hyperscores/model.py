@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, compress, count, islice, product, repeat
 from math import comb, log2
@@ -228,7 +228,7 @@ def _order(arc) -> tuple[VertexId, ...] | None:
 
 def _id(shape: Shape, v):
     """The id of vertex (i, j) of ``shape`` when v equals it, else v itself:
-    None, or a vertex outside the shape with every list in it as a tuple, so
+    None, or a vertex outside the shape as :func:`_hashable` gives it, so
     that it hashes; a number, which is no pair, in a :class:`_Number`, so that
     it equals no id."""
     try:
@@ -250,9 +250,27 @@ class _Number(NamedTuple):
         return repr(self.value)
 
 
+@dataclass(frozen=True)
+class _Unhashable:
+    """A vertex that does not hash, such as a dict or a set: all of them hash
+    alike, and each equals an equal value and prints as it."""
+
+    value: object = field(hash=False)
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+
 def _hashable(v):
-    """v with each list, in it or in a plain tuple in it at any depth, as a tuple."""
-    return tuple(map(_hashable, v)) if type(v) in (list, tuple) else v
+    """v with each list, in it or in a plain tuple in it at any depth, as a
+    tuple, and any other entry that does not hash as an :class:`_Unhashable`."""
+    if type(v) in (list, tuple):
+        return tuple(map(_hashable, v))
+    try:
+        hash(v)
+    except TypeError:
+        return _Unhashable(v)
+    return v
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -275,7 +275,7 @@ class TestEnvelopeAgainstNaiveScan:
 def split_of(shape, cap=MAX_SELECTIONS):
     """The number j of head parts the check should pick: the least j >= 1
     whose tail has at most as many lines as there are heads and at most cap
-    lines, else k - 1."""
+    lines, else k - 1, so 0 for one part (one empty head)."""
     sizes = [n_i + 1 for n_i in shape.n]
     return next(
         (
@@ -287,8 +287,10 @@ def split_of(shape, cap=MAX_SELECTIONS):
     )
 
 
-# (shape, the split the check picks): every j from 1 to k - 1 for k = 2..5.
+# (shape, the split the check picks): j = 0 for k = 1, and every j from 1 to
+# k - 1 for k = 2..5.
 SPLIT_SHAPES = [
+    (Shape((6,), (2,)), 0),
     (Shape((4, 3), (2, 1)), 1),
     (Shape((8, 2, 1), (3, 1, 1)), 1),
     (Shape((3, 3, 2), (2, 1, 1)), 2),
@@ -361,9 +363,39 @@ class TestEverySplit:
         assert moved > 0
 
     def test_shapes_cover_every_split(self):
-        assert {(shape.k, j) for shape, j in SPLIT_SHAPES} == {
+        assert {(shape.k, j) for shape, j in SPLIT_SHAPES} == {(1, 0)} | {
             (k, j) for k in range(2, 6) for j in range(1, k)
         }
+
+    @pytest.mark.parametrize("kind", ["losing", "score"])
+    def test_one_query_per_head_visited(self, kind, monkeypatch):
+        # Every head up to the first violating one is decided by one envelope
+        # query and no later head is: H = prod_{i<j} (n_i + 1) queries when the
+        # scan finds no violation, else the violating head's mixed-radix index
+        # (p_1, ..., p_j), last head part fastest, plus one.
+        queries, query = [], criteria.bisect_right
+
+        def counted(steps, x):
+            queries.append(x)
+            return query(steps, x)
+
+        monkeypatch.setattr(criteria, "bisect_right", counted)
+        fn = check_losing_lists if kind == "losing" else check_score_lists
+        early = 0
+        for shape, j in SPLIT_SHAPES:
+            sizes = [n_i + 1 for n_i in shape.n[:j]]
+            for lists in split_cases(shape, kind):
+                queries.clear()
+                v = fn(shape, lists).witness_violation
+                if v is None or v.lhs >= v.rhs:  # valid, or only the total is off
+                    assert len(queries) == math.prod(sizes)
+                else:
+                    index = 0
+                    for size, p_i in zip(sizes, v.prefix):
+                        index = index * size + p_i
+                    assert len(queries) == index + 1
+                    early += index + 1 < math.prod(sizes)
+        assert early > 0
 
     def test_drawn_shapes_reach_a_tail_of_several_parts(self):
         # find raises when no case check_cases draws has j < k - 1.

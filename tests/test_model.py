@@ -378,7 +378,8 @@ _COORDINATES = (
 _LOOSE_VERTICES = (
     st.tuples(_COORDINATES, _COORDINATES).flatmap(
         lambda p: st.sampled_from([V(*p), p, list(p)]))
-    | st.sampled_from([None, "x", 3, (1, 2, 3), [0], [[0], [0]], ([0], [0])])
+    | st.sampled_from([None, "x", 3, (1, 2, 3), [0], [[0], [0]], ([0], [0]),
+                       {"p": 1}, {"s"}, [{"p": 1}, {"s"}]])
 )
 
 
@@ -386,7 +387,8 @@ _LOOSE_VERTICES = (
 def loose_vertex_sequences(draw):
     """A small shape and a sequence of anything a model may be given as a
     vertex: pairs of ints, floats, bools and strings as VertexIds, tuples
-    and lists, in the shape or not, None, and entries that are not pairs."""
+    and lists, in the shape or not, None, entries that are not pairs, and
+    entries that do not hash."""
     k = draw(st.integers(1, 3))
     n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
     shape = Shape(tuple(n), tuple(draw(st.integers(1, n_i)) for n_i in n))
@@ -773,12 +775,14 @@ class TestValidate:
         bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
         # Outside the shape as a plain tuple, a list, lists in a list or a
-        # tuple (each list kept as its tuple, so that the model hashes), or
-        # no pair at all (a number is not taken for a vertex id), as a loser
-        # or as a vertex of an arc's order.
+        # tuple (each list kept as its tuple, so that the model hashes), no
+        # pair at all (a number is not taken for a vertex id), or a value that
+        # does not hash (a dict, a set), as a loser or as a vertex of an
+        # arc's order.
         nested = ((0,), (0,))
         for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ([[0], [0]], nested),
-                              (([0], [0]), nested), ("x", "x"), (1, 1)):
+                              (([0], [0]), nested), ("x", "x"), (1, 1),
+                              ({"p": 1}, {"p": 1}), ({"s"}, {"s"})):
             for bad in (
                 Hypertournament.from_losers(m.shape, [(0, 0), outside, (0, 1), (1, 1)]),
                 Hypertournament(m.shape, (m.arcs[0], (outside, (1, 0)), *m.arcs[2:])),
