@@ -227,17 +227,19 @@ def _order(arc) -> tuple[VertexId, ...] | None:
 
 
 def _id(shape: Shape, v):
-    """The id of vertex (i, j) of ``shape`` when v equals it, else v itself:
-    None, or a vertex outside the shape as :func:`_hashable` gives it, so
-    that it hashes; a number, which is no pair, in a :class:`_Number`, so that
-    it equals no id."""
-    try:
-        i, j = v
-        p, q = int(i), int(j)
-        if p == i and q == j and 0 <= p < shape.k and 0 <= q < shape.n[p]:
-            return shape.offsets[p] + q
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """The id of vertex (i, j) of ``shape`` when v is a tuple or list (a
+    :class:`VertexId` included) equal to it, else v itself: None, or a vertex
+    outside the shape as :func:`_hashable` gives it, so that it hashes; a
+    number, which is no pair, in a :class:`_Number`, so that it equals no id.
+    A dict or set of two entries is no pair."""
+    if isinstance(v, (tuple, list)):
+        try:
+            i, j = v
+            p, q = int(i), int(j)
+            if p == i and q == j and 0 <= p < shape.k and 0 <= q < shape.n[p]:
+                return shape.offsets[p] + q
+        except (TypeError, ValueError, OverflowError):
+            pass
     return _Number(v) if isinstance(v, Number) else _hashable(v)
 
 

@@ -14,7 +14,9 @@ The repairs are exact, so they decide every walk; a walk that runs short, a
 repair that finds no chain or a bottom with no unique unit loser raises
 :class:`RealizationGapError` naming the level. That every tuple of lists a
 walk's unit moves pass through meets the bounds is a tested property, not a
-runtime check.
+runtime check. The input lists are not checked either: the prefix-bound check
+runs only when the construction or its recount fails, to tell invalid lists
+(:class:`InvalidListsError`) from a gap.
 ``realize_flow`` starts each selection at its first vertex and repairs once, an
 exact b-matching that serves as an oracle for the first route.
 
@@ -34,7 +36,7 @@ from collections import Counter
 from itertools import chain
 
 from .criteria import CheckResult, check_losing_lists
-from .model import Hypertournament, Shape, VertexId, _selection_ids, conform_lists
+from .model import CapacityError, Hypertournament, Shape, VertexId, _selection_ids, conform_lists
 
 __all__ = [
     "InfeasibleError",
@@ -139,7 +141,8 @@ def _repair(sels, losers, lost, need, over: list[int]) -> frozenset[int] | None:
     gives each rank of ``lost[s]`` to the first under-target vertex of its
     selection until s meets its target. A gaining vertex is never a source, so the ranks s
     scanned are replaced once by those it keeps, and each gainer's new ranks
-    are merged into its list once, from the first of them on. Each later
+    go into its list once: appended when they all follow its last held rank,
+    as they nearly always do, else merged from the first of them on. Each later
     phase layers the vertices from all over-target ones up to the first layer
     that holds an under-target one. Every phase moves a blocking set of
     shortest chains along its layers by a search that resumes each vertex at
@@ -166,8 +169,12 @@ def _repair(sels, losers, lost, need, over: list[int]) -> frozenset[int] | None:
         need[s] = left
     for w, ranks in gained.items():
         held = lost[w]
-        i = bisect_left(held, min(ranks))
-        held[i:] = sorted(held[i:] + ranks)
+        ranks.sort()
+        if not held or held[-1] < ranks[0]:
+            held += ranks
+        else:
+            i = bisect_left(held, ranks[0])
+            held[i:] = sorted(held[i:] + ranks)
     while over := [v for v in over if need[v] < 0]:
         dist, layer, depth = dict.fromkeys(over, 0), over, 1
         while True:  # layers up to the first that holds an under-target vertex
@@ -245,7 +252,8 @@ def _inductive_losers(shape: Shape, lists) -> list[int]:
     offsets = shape.offsets
     bottom = [offsets[i] + j for i, lst in enumerate(lists) for j, x in enumerate(lst) if x == 1]
     if len(bottom) != 1:
-        raise _gap(*levels[-1][:2], f"the single arc left has {len(bottom)} unit entries, not 1")
+        what = f"the single arc left has {len(bottom)} unit entries, not 1"
+        raise _gap(*levels[-1][:2], what) if levels else RealizationGapError(what)
     sels, need, ids = _selection_ids(shape), [0] * offsets[-1], list(range(offsets[-1]))
     losers, lost = [None] * len(sels), [[] for _ in need]
     losers[0], lost[bottom[0]] = bottom[0], [0]
@@ -274,15 +282,23 @@ def realize_inductive(shape: Shape, R) -> Hypertournament:
     table. A level that cannot complete raises :class:`RealizationGapError`
     naming its vertex, and its loser ids are recounted against the targets
     before the witness is built on them, so a defect cannot pass as a witness.
+
+    The lists are checked only when the construction or the recount fails, or
+    the shape is past the selection table's cap (:class:`CapacityError`):
+    lists the prefix-bound check rejects then raise :class:`InvalidListsError`
+    with its result, and any other lists the original error.
     """
     data = conform_lists(shape, R, "losing")
-    result = check_losing_lists(shape, data)
-    if not result.valid:
-        raise InvalidListsError(result)
-    losers = _inductive_losers(shape, [list(lst) for lst in data])
-    targets, counts = list(chain.from_iterable(data)), Counter(losers)
-    if [counts[v] for v in range(len(targets))] != targets:
-        raise RealizationGapError("constructed witness does not reproduce the input lists")
+    try:
+        losers = _inductive_losers(shape, [list(lst) for lst in data])
+        targets, counts = list(chain.from_iterable(data)), Counter(losers)
+        if [counts[v] for v in range(len(targets))] != targets:
+            raise RealizationGapError("constructed witness does not reproduce the input lists")
+    except (RealizationGapError, CapacityError):
+        result = check_losing_lists(shape, data)
+        if not result.valid:
+            raise InvalidListsError(result) from None
+        raise
     return Hypertournament._from_ids(shape, losers)
 
 

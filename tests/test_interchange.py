@@ -5,7 +5,7 @@ import hashlib
 import json
 from bisect import bisect_left, insort
 from collections import Counter, deque
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +27,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores.cli import _hypertournament_from_doc, main
+from hyperscores.model import _selection_ids
 from hyperscores.realize import _repair
 from reference import enumerate_assignments
 
@@ -312,6 +313,38 @@ def test_bulk_sweep_leaves_units_to_a_layered_phase():
     # The named-move case: the sweep moves nothing and one chain of two moves it.
     a, b, c = v[:3]
     _assert_same_as_unit_repair(selection_vertices(Shape((3,), (2,))), [a, c, b], {a: -1, c: 1})
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=small_shapes(), seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+       modes=st.tuples(MODES, MODES), first=st.booleans(), moved=st.booleans(), data=st.data())
+def test_repair_keeps_each_lost_list_sorted_and_exact(shape, seeds, modes, first, moved, data):
+    """From flow's start (each selection lost by its first vertex) or the
+    losers of a random hypertournament, towards the loss counts of another,
+    or towards those lists after ``_moved`` (some infeasible): whether the
+    repair succeeds or not, each vertex's lost list is sorted and holds
+    exactly the ranks it loses. The sweep appends a gainer's new ranks after
+    its held ones and merges them only when one lands before, so both paths
+    keep this index exact."""
+    sels = _selection_ids(shape)
+    if first:
+        losers = [sel[0] for sel in sels]
+    else:
+        losers = list(random_hypertournament(shape, seeds[0], modes[0])._ids)
+    lists = losing_scores(random_hypertournament(shape, seeds[1], modes[1])).lists
+    if moved:
+        lists = _moved(shape, lists, data, 0)
+    lost = [[] for _ in range(shape.offsets[-1])]
+    for rank, v in enumerate(losers):
+        lost[v].append(rank)
+    need = [x - len(held) for x, held in zip(chain.from_iterable(lists), lost)]
+    reached = _repair(sels, losers, lost, need, [v for v, x in enumerate(need) if x < 0])
+    index = [[] for _ in lost]
+    for rank, v in enumerate(losers):
+        index[v].append(rank)
+    assert lost == index
+    assert all(v in sel for v, sel in zip(losers, sels))
+    assert reached is not None or set(need) <= {0}
 
 
 def _family_lists(shape, family, seed, mode):

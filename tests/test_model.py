@@ -778,11 +778,13 @@ class TestValidate:
         # tuple (each list kept as its tuple, so that the model hashes), no
         # pair at all (a number is not taken for a vertex id), or a value that
         # does not hash (a dict, a set), as a loser or as a vertex of an
-        # arc's order.
+        # arc's order. A dict or a set of two ints is no pair either, though
+        # it unpacks into one.
         nested = ((0,), (0,))
         for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ([[0], [0]], nested),
                               (([0], [0]), nested), ("x", "x"), (1, 1),
-                              ({"p": 1}, {"p": 1}), ({"s"}, {"s"})):
+                              ({"p": 1}, {"p": 1}), ({"s"}, {"s"}),
+                              ({0: "a", 1: "b"}, {0: "a", 1: "b"}), ({0, 1}, {0, 1})):
             for bad in (
                 Hypertournament.from_losers(m.shape, [(0, 0), outside, (0, 1), (1, 1)]),
                 Hypertournament(m.shape, (m.arcs[0], (outside, (1, 0)), *m.arcs[2:])),
@@ -793,6 +795,21 @@ class TestValidate:
                 assert first.detail == f"vertices outside the shape: {[kept]}"
             with pytest.raises(StructuralError, match=re.escape(f"unknown vertex {kept}")):
                 losing_score_map(Hypertournament.from_losers(m.shape, [(0, 0), outside]))
+
+    def test_only_a_tuple_or_list_is_read_as_a_pair(self):
+        """A dict or set whose two entries are ints is kept as given, not read
+        as vertex (0, 1): the model differs from the one losing (0, 1) at
+        rank 1, and validate reports the entry there."""
+        shape = Shape((2, 2), (1, 1))
+        proper = Hypertournament.from_losers(shape, [(0, 0), (0, 1), (0, 1), (1, 1)])
+        assert proper._ids == (0, 1, 1, 3)
+        for pair in ({0: "a", 1: "b"}, {0, 1}):
+            M = Hypertournament.from_losers(shape, [(0, 0), pair, (0, 1), (1, 1)])
+            assert type(M._ids[1]) is not int and M != proper
+            first = validate(M)[0]
+            assert (first.selection_rank, first.kind) == (1, "bad-vertex")
+        for pair in ((0, 1), [0, 1], V(0, 1)):
+            assert Hypertournament.from_losers(shape, [(0, 0), pair, (0, 1), (1, 1)]) == proper
 
     def test_a_none_loser_is_a_missing_arc(self):
         """A None loser given to from_losers is the missing arc that a None

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hyperscores import (
     BudgetExceededError,
+    CapacityError,
     Hypertournament,
     RealizationGapError,
     InfeasibleError,
@@ -254,8 +255,9 @@ def test_round_trip_and_oracle_agreement(shape):
 
 
 def test_full_candidate_space_agreement_including_bad_totals():
-    # Wrong totals included: the checker rejects them and the flow realizer
-    # reports them infeasible, in both directions.
+    # Wrong totals included: the checker rejects them, the flow realizer
+    # reports them infeasible, in both directions, and the inductive one
+    # raises InvalidListsError with the check's result.
     from itertools import combinations_with_replacement, product
 
     shape = Shape((2, 2), (1, 1))
@@ -274,6 +276,53 @@ def test_full_candidate_space_agreement_including_bad_totals():
         except InfeasibleError:
             feasible = False
         assert feasible == valid
+        if not valid:
+            with pytest.raises(InvalidListsError) as info:
+                realize_inductive(shape, cand)
+            assert info.value.result == check_losing_lists(shape, cand)
+
+
+def _error_contract_shapes():
+    """Every shape of at most three parts of at most three vertices each and
+    at most 10 arcs."""
+    for k in (1, 2, 3):
+        for n in product(range(1, 4), repeat=k):
+            for alpha in product(*(range(1, x + 1) for x in n)):
+                if prod(map(comb, n, alpha)) <= 10:
+                    yield Shape(n, alpha)
+
+
+def test_inductive_error_contract_matches_the_check():
+    """realize_inductive checks the lists only once its construction fails,
+    yet it raises InvalidListsError, carrying the check's own result, on
+    exactly the bounded candidates that the check rejects, and otherwise
+    returns a witness of them. Past the table cap, lists the check rejects
+    still raise InvalidListsError, and lists it accepts CapacityError."""
+    rejected = 0
+    for shape in _error_contract_shapes():
+        for cand in bounded_candidate_lists(shape, "losing"):
+            result = check_losing_lists(shape, cand)
+            try:
+                m = realize_inductive(shape, cand)
+            except InvalidListsError as exc:
+                assert not result.valid and exc.result == result, (shape, cand)
+                rejected += 1
+                continue
+            assert result.valid, (shape, cand)
+            assert losing_scores(m).lists == cand
+    assert rejected
+    # A single-arc shape has no level, so its bottom names none.
+    shape, empty = Shape((2, 3), (2, 3)), ((0, 0), (0, 0, 0))
+    with pytest.raises(InvalidListsError) as info:
+        realize_inductive(shape, empty)
+    assert info.value.result == check_losing_lists(shape, empty)
+    shape = Shape((2000, 1000), (1, 1))
+    zero = [[0] * 2000, [0] * 1000]
+    with pytest.raises(InvalidListsError) as info:
+        realize_inductive(shape, zero)
+    assert info.value.result == check_losing_lists(shape, zero)
+    with pytest.raises(CapacityError):
+        realize_inductive(shape, [[500] * 2000, [1000] * 1000])
 
 
 # -- saturation: the first-choice walk against the full-check route
