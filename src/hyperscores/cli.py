@@ -284,7 +284,7 @@ def _emit_witness(doc: dict, M: Hypertournament, args) -> None:
             chunk = lambda a, b: [f"{op}{''.join([lead[x] for x in sel if x != i])}{names[i]}{cl}"
                                   for sel, i in zip(sels[a:b], ids[a:b])]
         else:
-            items, name = M._orders, dict(zip(shape.vertices(), names)).__getitem__
+            items, name = M._orders, names.__getitem__
             chunk = lambda a, b: [f"{op}{sep.join(map(name, o))}{cl}" for o in items[a:b]]
     write = sys.stdout.write
     write(_text_instance(doc) + "\n" if text else json.dumps(doc)[:-1] + f', "{args.emit}": [')

@@ -280,14 +280,14 @@ class Hypertournament:
     """One loser per rank, and the arcs' vertex orders only where not canonical.
 
     A canonical order is the rank's selection with its loser moved last, and
-    a loser is kept as its id, or as :func:`_id` gives it if it has none
+    a vertex is kept as its id, or as :func:`_id` gives it if it has none
     (None, or a vertex outside the shape). ``Hypertournament(shape, arcs)``
     takes :class:`Arc`s, vertex sequences (loser last) or None, reads each
-    vertex as its id, and keeps their orders (``_orders``, a vertex of the
-    shape as its :class:`VertexId`) too unless there are at most T and each
-    is canonical or None. The comparison builds the selection table, so above
-    :data:`MAX_SELECTIONS` it raises :class:`CapacityError`. Only
-    :attr:`arcs` builds :class:`Arc` objects.
+    vertex so, and keeps their orders (``_orders``, tuples of those ids) too
+    unless there are at most T and each is canonical or None. The comparison
+    builds the selection table, so above :data:`MAX_SELECTIONS` it raises
+    :class:`CapacityError`. :attr:`losers`, :meth:`orders` and :attr:`arcs`
+    make :class:`VertexId`s when read, and only :attr:`arcs` makes :class:`Arc`s.
     """
 
     shape: Shape
@@ -313,7 +313,7 @@ class Hypertournament:
     def _from_id_orders(cls, shape: Shape, orders: list) -> "Hypertournament":
         """``Hypertournament(shape, arcs)`` of arcs already read as lists of
         ids (a vertex outside the shape as itself); a list that is kept is
-        replaced in ``orders`` by its tuple of vertices."""
+        replaced in ``orders`` by its tuple."""
         M = cls.__new__(cls)
         M._keep(shape, orders)
         return M
@@ -321,17 +321,15 @@ class Hypertournament:
     def _keep(self, shape: Shape, orders: list) -> None:
         """Keep the losers of ``orders``, lists of ids, and unless there are
         at most T of them and each is canonical or None, their orders too:
-        each list replaced in place, so one at a time is copied."""
+        each list replaced in place by its tuple, so one at a time is copied."""
         ids = tuple([o[-1] if o else None for o in orders])
         self.__dict__.update(shape=shape, _ids=ids, _orders=None)
         if len(orders) > shape.total_arcs() or not all(
             o == (i if i is None else [x for x in sel if x != i] + [i])
             for sel, i, o in zip(_selection_ids(shape), ids, orders)
         ):
-            verts = tuple(shape.vertices())
             for r, o in enumerate(orders):
-                if o is not None:
-                    orders[r] = tuple([verts[x] if type(x) is int else x for x in o])
+                orders[r] = o if o is None else tuple(o)
             self.__dict__["_orders"] = tuple(orders)
 
     @cached_property
@@ -348,12 +346,13 @@ class Hypertournament:
         return tuple(o if o is None else Arc(o) for o in self.orders())
 
     def orders(self) -> Iterator[tuple[VertexId, ...] | None]:
-        """Each arc's vertices, loser last, with no :class:`Arc` built: the kept
-        orders, or selection r with its loser moved last (appended when
-        outside it, for :func:`validate` to report); None for a missing arc."""
-        if self._orders is not None:
-            return iter(self._orders)
+        """Each arc's vertices as :class:`VertexId`s, loser last, with no :class:`Arc`
+        built: the kept orders, or selection r with its loser moved last (appended
+        when outside it, for :func:`validate` to report); None for a missing arc."""
         verts = tuple(self.shape.vertices())
+        if self._orders is not None:
+            return (o if o is None else tuple([verts[x] if type(x) is int else x for x in o])
+                    for o in self._orders)
         return (
             i if i is None else tuple([verts[x] for x in sel if x != i])
             + (verts[i] if type(i) is int else i,)
@@ -531,38 +530,37 @@ def validate(M: Hypertournament) -> list[Violation]:
 
     Checks one arc per selection rank, per-arc distinctness and arity, and
     agreement between each arc's vertex set and its selection. Violations are
-    data, not failures. One test accepts a well-formed rank, and only a rank
-    that fails it is diagnosed: a rank kept as its loser has the loser in its
-    selection, and a kept order's sorted vertices equal its selection.
+    data, not failures. One test on ids accepts a well-formed rank, and only
+    a rank that fails it is diagnosed, with the vertex table built then: a
+    loser lies in its selection, or a kept order permutes its selection.
     """
     expected, ids, stored = _selection_ids(M.shape), M._ids, len(M._ids)
-    verts = tuple(M.shape.vertices())
     if M._orders is None:
         ranks = compress(count(), map(not_, map(contains, expected, ids)))
-        bad = [(r, i if (i := ids[r]) is None else tuple(map(verts.__getitem__, expected[r]))
-                + (verts[i] if type(i) is int else i,)) for r in ranks]
+        bad = [(r, i if (i := ids[r]) is None else (*expected[r], i)) for r in ranks]
     else:
-        index = dict(zip(verts, range(len(verts))))
         ranks = enumerate(zip(expected, M._orders))
         bad = [(r, o) for r, (sel, o) in ranks
-               if o is None or tuple(sorted(map(index.get, o, repeat(-1)))) != sel]
+               if o is None or len(o) != len(sel) or not set(o).issuperset(sel)]
     bad += [(r, None) for r in range(stored, len(expected))]
-    out = [_diagnose(M.shape, r, order) for r, order in bad]
+    verts = tuple(M.shape.vertices()) if bad else ()
+    out = [_diagnose(M.shape, verts, r, order) for r, order in bad]
     for r in range(len(expected), stored):
         out.append(Violation(r, "extra-arc", "arc beyond the selection table"))
     return out
 
 
-def _diagnose(shape: Shape, rank: int, order: tuple[VertexId, ...] | None) -> Violation:
-    """The first defect of an arc order that does not hold its selection's vertices."""
+def _diagnose(shape: Shape, verts: tuple, rank: int, order: tuple | None) -> Violation:
+    """The first defect of an id order that fails validate's test; id x reads as verts[x]."""
     if order is None:
         return Violation(rank, "missing-arc", f"no arc stored for selection {rank}")
+    named = tuple([verts[x] if type(x) is int else x for x in order])
     if len(set(order)) != len(order):
-        return Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {order}")
-    bad = [v for v in order if type(_id(shape, v)) is not int]
+        return Violation(rank, "duplicate-vertex", f"arc repeats a vertex: {named}")
+    bad = [x for x in order if type(x) is not int]
     if bad:
         return Violation(rank, "bad-vertex", f"vertices outside the shape: {bad}")
-    arity = Counter(v[0] for v in order)
+    arity = Counter(v[0] for v in named)
     if any(arity.get(p, 0) != shape.alpha[p] for p in range(shape.k)):
         got = [arity.get(p, 0) for p in range(shape.k)]
         return Violation(rank, "arity-mismatch", f"per-part counts {got} != {list(shape.alpha)}")

@@ -827,6 +827,20 @@ class TestValidate:
                     scores_of(M)
         assert by_losers == by_arcs and hash(by_losers) == hash(by_arcs)
 
+    def test_a_kept_order_is_validated_on_ids(self):
+        """A full-permutation draw keeps its orders as ids, and validate
+        accepts them with no VertexId made; read as vertices, its orders and
+        arcs equal those of the same arcs given back as Arc objects."""
+        shape = Shape((10, 8), (3, 2))
+        made = AssertionError("a VertexId was made")
+        with mock.patch("hyperscores.model.VertexId", side_effect=made):
+            M = random_hypertournament(shape, 5, "full-permutation")
+            assert len(M._orders) == shape.total_arcs()
+            assert all(type(x) is int for order in M._orders for x in order)
+            assert validate(M) == []
+        N = Hypertournament(shape, M.arcs)
+        assert list(M.orders()) == list(N.orders()) and M.arcs == N.arcs
+
     @settings(max_examples=400, deadline=None)
     @given(M=defective_witnesses())
     def test_agrees_with_the_reference(self, M):
