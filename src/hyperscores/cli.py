@@ -115,9 +115,10 @@ def _schema_error(path: str, expected: str) -> InputError:
     return InputError(f"document fails the schema: {path} must be {expected}")
 
 
-def _check_document(doc, witness: bool) -> None:
+def _check_fields(doc, witness: bool) -> None:
     """Raise InputError, naming the field, unless doc is a well-formed
-    instance document (or witness document, if witness is set).
+    instance document (or witness document, if witness is set), but for a
+    witness's vertex pairs, which _witness_vertices checks as it reads them.
 
     An instance needs k, n, alpha, kind and lists; a witness needs k, n and
     alpha. k is an integer >= 1; n and alpha are non-empty arrays of
@@ -133,14 +134,6 @@ def _check_document(doc, witness: bool) -> None:
     The loops test ``type(x) is int`` first and call _integral only for
     entries that fail it.
     """
-    _check_fields(doc, witness)
-    if witness:
-        _witness_vertices(doc, {})
-
-
-def _check_fields(doc, witness: bool) -> None:
-    """_check_document but for a witness's vertex pairs, which
-    _witness_vertices checks as it looks them up."""
     if type(doc) is not dict:
         raise _schema_error("the document", "an object")
     for key in ("k", "n", "alpha") if witness else ("k", "n", "alpha", "kind", "lists"):
@@ -348,14 +341,22 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _witness_vertices(doc: dict, table: dict) -> list[list]:
+def _witness_vertices(doc: dict, shape: Shape | None) -> list[list]:
     """Each of a witness's arrays of vertex pairs (its arcs, then its losers,
-    [] when absent) as the ids ``table``, keyed by 1-based pairs, gives. One
-    pass looks each pair of ints (only ints: True == 1 and hashes alike) up.
-    On any miss or other entry, a second pass reads the arrays entry by
-    entry: it raises InputError at the first entry that is not a pair of
-    integers, lets an integral float find its vertex, and turns a pair outside
-    the table into its VertexId, so that a violation names it."""
+    [] when absent) as the ids of ``shape``'s vertices, read from 1-based
+    pairs; ``shape`` None finds no vertex. One pass looks each pair of ints
+    (only ints: True == 1 and hashes alike) up. Then only the entries it
+    missed are read again, in document order: an integral float finds its
+    vertex, a pair outside the shape becomes its VertexId, so that a
+    violation names it, and the first entry that is not a pair of integers
+    raises InputError; every entry the pass found is such a pair. If the pass
+    meets an entry that does not unpack into two, every entry is read again."""
+    table = {}
+    if shape is not None:
+        shape.vertices()  # raises CapacityError past the vertex limit
+        offsets = shape.offsets
+        table = {(p + 1, i - first + 1): i for p, first in enumerate(offsets[:-1])
+                 for i in range(first, offsets[p + 1])}
     groups = [*doc.get("arcs", ()), doc.get("losers", [])]
     try:
         found = [
@@ -363,21 +364,21 @@ def _witness_vertices(doc: dict, table: dict) -> list[list]:
              for a, b in (pairs if type(pairs) is list else [None])]
             for pairs in groups
         ]
-        if all(None not in ids for ids in found):
-            return found
     except (TypeError, ValueError):  # an entry that does not unpack into two
-        pass
-    found = []
-    for i, pairs in enumerate(groups):
+        found = [[None] * len(pairs) if type(pairs) is list else [None] for pairs in groups]
+    for i in [i for i, ids in enumerate(found) if None in ids]:
+        pairs, ids = groups[i], found[i]
         path = f"arcs[{i}]" if i < len(groups) - 1 else "losers"
         if type(pairs) is not list:
             raise _schema_error(path, "an array of vertex pairs")
-        found.append([])
-        for j, pair in enumerate(pairs):
+        j = -1
+        for _ in range(ids.count(None)):
+            j = ids.index(None, j + 1)
+            pair = pairs[j]
             if type(pair) is not list or len(pair) != 2 or not all(map(_integral, pair)):
                 raise _schema_error(f"{path}[{j}]", "a pair of integers")
             a, b = map(int, pair)
-            found[-1].append(VertexId(a - 1, b - 1) if (v := table.get((a, b))) is None else v)
+            ids[j] = VertexId(a - 1, b - 1) if (v := table.get((a, b))) is None else v
     return found
 
 
@@ -388,8 +389,7 @@ def _hypertournament_from_doc(doc: dict, shape: Shape) -> Hypertournament:
     if "arcs" not in doc and "losers" not in doc:
         raise InputError("witness document needs an 'arcs' or 'losers' field")
     by_arcs = "arcs" in doc
-    table = {(v.part + 1, v.index + 1): i for i, v in enumerate(shape.vertices())}
-    *arcs, losers = _witness_vertices(doc, table)
+    *arcs, losers = _witness_vertices(doc, shape)
     for key in ("arcs", "losers"):
         doc.pop(key, None)
     if by_arcs:
@@ -402,7 +402,7 @@ def cmd_verify(args) -> int:
     try:
         shape = _shape_from_doc(doc)
     except (InputError, CapacityError):
-        _check_document(doc, witness=True)  # a schema error comes first
+        _witness_vertices(doc, None)  # a pair's schema error comes first
         raise
     M = _hypertournament_from_doc(doc, shape)
     violations = validate(M)

@@ -226,14 +226,13 @@ def _accepted_lists(shape: Shape, kind: str):
     keeps just V_j, the least slack of its heads at each x in X_j:
     V_0(x) = offset - x, and fixing part j+1's list adds
     V_{j+1}(x) = min_p (base_{j+1}(p) + V_j(g_{j+1}(p) * x)), exactly in
-    integers. A branch is cut when the free parts all at p = 0, or all at
-    p = n_i, leave a negative slack; their bases there are 0 and the remaining
-    total less their steps. The last list is built entry by entry against the
-    floor q * step_k - V_{k-1}(g_k(q)) on its prefix sums, 0 < q < n_k; the
-    cut one level up decides q = 0 and q = n_k.
+    integers. The last list is built entry by entry against the floor
+    q * step_k - V_{k-1}(g_k(q)) on its prefix sums, 0 < q < n_k, once its
+    fixed prefix sums, 0 at q = 0 and the remaining total at q = n_k, meet
+    the floor there.
 
     Nothing below level j reads more than j, V_j and the remaining total: the
-    cuts, the sum filter, the recurrence and the last floor. So the tuples of
+    sum filter, the recurrence and the last floor. So the tuples of
     lists that complete a state (j, V_j, rest) are found once, kept for the
     call and shared by every head that reaches it, each head's list put in
     front of them in the search's order. The search costs one expansion per
@@ -255,14 +254,8 @@ def _accepted_lists(shape: Shape, kind: str):
         xs.insert(0, sorted({m * x for m in g_j for x in xs[0]}))
     at = [{x: i for i, x in enumerate(x_j)} for x_j in xs]
     moves = [[[at[j][m * x] for x in xs[j + 1]] for m in g[j]] for j in range(len(tables))]
-    # Per level j, over the free parts j..k-1: the positions of x with every
-    # p = 0 and with every p = n_i, the summed steps at p = n_i and the most
-    # they can hold.
-    free = [parts[j:] for j in range(len(parts))]
-    zeros = [at[j][prod(g_i[0] for *_, g_i in f)] for j, f in enumerate(free)]
-    fulls = [at[j][prod(g_i[-1] for *_, g_i in f)] for j, f in enumerate(free)]
-    drops = [sum(n_i * step for n_i, _, step, _ in f) for f in free]
-    caps = [sum(n_i * t_i for n_i, t_i, *_ in f) for f in free]
+    # Per level j, the most the free parts j..k-1 can hold.
+    caps = [sum(n_i * t_i for n_i, t_i, *_ in parts[j:]) for j in range(len(parts))]
     n_k, t_k, step_k, g_k = parts[-1]
     last = [at[-1][x] for x in g_k]
     done = {}
@@ -272,11 +265,10 @@ def _accepted_lists(shape: Shape, kind: str):
         if (tails := done.get(key)) is not None:
             return tails
         tails = done[key] = []
-        if least[zeros[j]] < 0 or least[fulls[j]] + rest < drops[j]:
-            return tails
         if j == len(tables):
             floor = [q * step_k - least[i] for q, i in enumerate(last)]
-            _fill(n_k, t_k, rest, floor, tails)
+            if floor[0] <= 0 and floor[-1] <= rest:
+                _fill(n_k, t_k, rest, floor, tails)
             return tails
         for s, entries in tables[j].items():
             if s <= rest <= s + caps[j + 1]:

@@ -906,9 +906,17 @@ def documents(draw):
     return doc
 
 
+def _check_document(doc, witness):
+    """The whole document check: the fields, then a witness's vertex pairs,
+    read against no shape, as verify reads them when the shape is refused."""
+    cli._check_fields(doc, witness)
+    if witness:
+        cli._witness_vertices(doc, None)
+
+
 def _accepts(doc, witness):
     try:
-        cli._check_document(doc, witness)
+        _check_document(doc, witness)
     except InputError:
         return False
     return True
@@ -1006,7 +1014,7 @@ class TestDocumentCheck:
         refused = 0
         for doc in [base, *single_edits(base)]:
             try:
-                cli._check_document(doc, witness=True)
+                _check_document(doc, witness=True)
                 expected = None
             except InputError as exc:
                 expected = f"error: {exc}\n"
@@ -1030,10 +1038,13 @@ class TestDocumentCheck:
             ({"arcs": [[[1, 1], [2, True]]]}, "arcs[0][1]"),
             ({"arcs": [[[1, 1], [2, 1]], [[1, 2]]], "losers": [[1, 1], [False, 2]]}, "losers[1]"),
             ({"k": 1, "arcs": [[[1, 1], [2, 1.5]]]}, "arcs[0][1]"),
+            ({"arcs": [[[9, 9], [1, 1]], [[1, 2], [2, 1]], [[1, 1], [2, 1.5]]]}, "arcs[2][1]"),
+            ({"arcs": [[[1.0, 1], [2, 1]], [[1, 2], [2, 1]], [[1, 1], [2]]]}, "arcs[2][1]"),
         ],
         ids=[
             "bool-finds-a-vertex", "non-integral-float", "k-mismatch", "bad-alpha",
             "over-limit", "bool-in-an-arc", "bool-in-unread-losers", "arc-and-k-mismatch",
+            "miss-before-a-float", "float-before-a-short-pair",
         ],
     )
     def test_pair_schema_errors_come_first(self, tmp_path, capsys, edit, path):
@@ -1041,11 +1052,31 @@ class TestDocumentCheck:
         assert code == 2 and out == ""
         assert f"document fails the schema: {path} must be" in err
 
+    @pytest.mark.parametrize("emit", ["losers", "arcs"])
+    def test_only_the_missed_pair_is_read_again(self, capsys, emit):
+        # One pair outside the shape in a T = 10^4 witness: the lookup pass
+        # finds every other pair, and only the missed one is read entry by
+        # entry, two calls of _integral, into the VertexId a violation names.
+        code, out, _ = run(capsys, "random", "--n", "100,100", "--alpha", "1,1", "--emit", emit)
+        assert code == 0
+        doc = json.loads(out)
+        shape = cli._shape_from_doc(doc)
+        clean = cli._witness_vertices(copy.deepcopy(doc), shape)
+        if emit == "losers":
+            doc["losers"][5000] = [9, 9]
+            clean[-1][5000] = VertexId(8, 8)
+        else:
+            doc["arcs"][5000][0] = [9, 9]
+            clean[5000][0] = VertexId(8, 8)
+        with mock.patch.object(cli, "_integral", side_effect=cli._integral) as integral:
+            assert cli._witness_vertices(doc, shape) == clean
+        assert integral.call_count == 2
+
     def test_witness_check_leaves_extra_losers_to_verify(self):
         # Structure only: a well-formed pair outside the shape passes the
         # document check; what verify makes of it is not decided there.
         doc = dict(WITNESS, losers=WITNESS["losers"] + [[9, 9]])
-        cli._check_document(doc, witness=True)
+        _check_document(doc, witness=True)
 
     @pytest.mark.parametrize(
         "text",
