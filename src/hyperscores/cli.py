@@ -32,6 +32,7 @@ from .model import (
     ScoreLists,
     Shape,
     VertexId,
+    _collector_paused,
     _selection_ids,
     losing_scores,
     validate,
@@ -590,8 +591,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
-        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        with _collector_paused():  # a command makes no reference cycle
+            code = args.handler(args)
+            sys.stdout.flush()  # a reader that closed early shows here, not at exit
         return code
     except InputError as exc:
         _note(f"error: {exc}")

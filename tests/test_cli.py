@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -815,6 +816,77 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_a_command_runs_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    """The handler, from its document read on, runs with the cyclic
+    collector off, and main turns it back on."""
+    seen = []
+    read = cli._read_document
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_document", spy)
+    assert gc.isenabled()
+    codes = [
+        run(capsys, "check", write_instance(tmp_path, VALID))[0],
+        run(capsys, "verify", write_instance(tmp_path, WITNESS, "w.json"))[0],
+    ]
+    assert codes == [0, 1] and seen == [False, False] and gc.isenabled()
+
+
+class _ClosedStdout(io.StringIO):
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):  # main points it at os.devnull
+        return self.sink.fileno()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize(
+    "argv, closed, expected",
+    [
+        (["check", "{valid}"], False, 0),
+        (["check", "{invalid}"], False, 1),
+        (["check", "{missing}"], False, 2),
+        (["random", "--n", "1001,1000", "--alpha", "1,1"], False, 4),  # CapacityError
+        (["check", "{valid}"], True, 4),
+        (["check", "--no-such-flag"], False, "argparse 2"),  # SystemExit before the pause
+    ],
+    ids=["exit 0", "exit 1", "exit 2", "capacity exit 4", "closed stdout exit 4", "argparse"],
+)
+def test_main_leaves_the_collector_as_found(
+    tmp_path, capsys, monkeypatch, argv, closed, expected, enabled
+):
+    paths = {
+        "valid": write_instance(tmp_path, VALID),
+        "invalid": write_instance(tmp_path, INVALID, "invalid.json"),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    before = gc.isenabled()
+    with open(tmp_path / "sink", "w") as sink:
+        if closed:
+            monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"argparse {exc.code}"
+            assert code == expected
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+            monkeypatch.undo()
+    capsys.readouterr()
+
+
 # Documents for the comparison with the reference schemas. An edit deletes
 # a value, grows or shrinks a list by one entry, or replaces a value: by a
 # near miss of the rules, or in the property test by any random JSON value
@@ -1187,3 +1259,4 @@ def test_every_call_ends_in_a_documented_exit_code(fuzz_path, call):
                 code = exc.code
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+    assert gc.isenabled()

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 from collections import Counter
@@ -31,7 +32,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.model import _hashable, _id, _selection_ids
+from hyperscores.model import MAX_SELECTIONS, _hashable, _id, _selection_ids, _selection_table
 
 V = VertexId
 
@@ -331,6 +332,40 @@ class TestSelectionTable:
             selection_vertices(shape)
         with pytest.raises(CapacityError):
             _selection_ids(shape)
+
+    def test_table_is_built_with_the_collector_paused(self):
+        """The table is built with the cyclic collector off, which is on
+        again afterwards, also when the build raises."""
+        seen = []
+
+        def vertices(stop):
+            for v in range(7):
+                seen.append(gc.isenabled())
+                if v == stop:
+                    raise CapacityError("stopped")
+                yield v
+
+        assert gc.isenabled()
+        assert len(_selection_table(Shape((4, 3), (2, 1)), vertices(None))) == 18
+        with pytest.raises(CapacityError, match="stopped"):
+            _selection_table(Shape((4, 3), (2, 1)), vertices(5))
+        assert seen == [False] * 13 and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+    @pytest.mark.parametrize("table", [_selection_ids, selection_vertices], ids=lambda f: f.__name__)
+    def test_table_leaves_the_collector_as_found(self, table, enabled):
+        # Built (past the cache) and refused at either cap.
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert len(table.__wrapped__(Shape((4, 3), (2, 1)))) == 18
+            assert gc.isenabled() is enabled
+            for shape in (Shape((MAX_SELECTIONS + 1,), (1,)), Shape((10**6, 1), (10**6, 1))):
+                with pytest.raises(CapacityError):
+                    table.__wrapped__(shape)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
 
     def test_constructor_over_the_cap(self):
         # Deciding whether given arcs are canonical reads the table, so the
