@@ -17,13 +17,14 @@ Split the parts into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
 For a fixed head the slack is a + b(t) - m(t) * c with a and c fixed, where
 b(t) sums the tail bases and m(t) multiplies the tail g's at the tail t, so
 the smallest slack over all tails is the lower envelope of the lines
-b(t) - m(t) * x at x = c. The envelope is built once per call over the L
-tails and each of the H heads is decided by one binary search. j is the least
-index with L <= H, or k - 1 when there is none (a meet in the middle), so a
-check costs O((H + L) * log L) with H * L = prod_i (n_i + 1) instead of one
-step per prefix tuple; on parts of similar size H and L are both near
-sqrt(prod_i (n_i + 1)). A tail never grows past MAX_SELECTIONS lines, which
-bounds its memory. All arithmetic is exact in integers.
+b(t) - m(t) * x at x = c, made once per call over the L tails; each of the H
+heads is then one binary search. j is the least index with L <= H, or k - 1
+if there is none (a meet in the middle), so a check costs O((H + L) * log L)
+with H * L = prod_i (n_i + 1). If the tail is the last part alone and
+alpha_k = 1, g_k(p) is p (n_k - p on the score side), so a non-decreasing
+list puts every line on the envelope, line q + 1 as low as line q from
+x = R_k[q] on: it is read off the losing list R_k in O(L), not sorted and
+hull-scanned. A tail holds at most MAX_SELECTIONS lines. Arithmetic is exact.
 
 Everything but the lists' prefix sums depends only on the shape: the g rows
 (the score side reads each row C(p, alpha_i) reversed), the arcs through a
@@ -104,6 +105,12 @@ def _lower_envelope(base, g):
     return hull, steps
 
 
+def _arity_one_envelope(base, g, losing):
+    """:func:`_lower_envelope` of one part of arity one, read off its losing list."""
+    hull = list(zip(base, g))
+    return (hull[::-1] if g[0] else hull), losing  # the score side's g descends
+
+
 def _extend(heads, pairs):
     """Heads one coordinate longer, in lexicographic order: each (a, c)
     followed by every (base, g) value of the new coordinate."""
@@ -112,21 +119,22 @@ def _extend(heads, pairs):
             yield a + b, c * m
 
 
-def _first_violation(offset, base, g):
+def _first_violation(offset, base, g, losing_k):
     """Lexicographically smallest p with a negative slack, or None.
 
     The parts split into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
     The tail starts as the last part and takes in the part before it while it
     then has at most as many lines L as there are heads H, and at most
     MAX_SELECTIONS, so j is the least such index, or k - 1 if there is none.
-    The tail's lines, intercept the summed tail bases and slope the product
-    of the tail g's, are made in lexicographic order and put on one envelope.
-    Heads are visited in lexicographic order, each decided by one query: the
-    outer heads (p_1, ..., p_{j-1}) come from chained :func:`_extend`, and a
-    plain inner loop runs over part j's (base, g) pairs, one running index
-    counting the heads (one empty head when j = 0). Only the first violating
-    head is scanned along the tail, for the least violating tail, and p is
-    decoded from the two indices by mixed radix.
+    The tail's lines (intercept the summed tail bases, slope the product of
+    the tail g's) are made in lexicographic order; their envelope is read off
+    ``losing_k``, the last part's losing list given at arity one, when the
+    tail is that part alone, else built. Heads are visited in lexicographic
+    order, each decided by one query: the outer heads (p_1, ..., p_{j-1})
+    come from chained :func:`_extend`, and a plain inner loop runs over part
+    j's (base, g) pairs, one running index counting the heads (one empty head
+    when j = 0). Only the first violating head is scanned along the tail, for
+    the least violating tail; p is decoded from the indices by mixed radix.
     """
     tail_base, tail_g = base[-1], g[-1]
     j = len(base) - 1
@@ -138,7 +146,10 @@ def _first_violation(offset, base, g):
         j -= 1
         tail_base = [b + t for b in base[j] for t in tail_base]
         tail_g = [m * t for m in g[j] for t in tail_g]
-    hull, steps = _lower_envelope(tail_base, tail_g)
+    if j == len(base) - 1 and losing_k is not None:
+        hull, steps = _arity_one_envelope(tail_base, tail_g, losing_k)
+    else:
+        hull, steps = _lower_envelope(tail_base, tail_g)
     heads, last = [(offset, 1)], ((0, 1),)  # with j = 0, the one empty head
     for b_i, g_i in zip(base[:j], g[:j]):
         heads, last = _extend(heads, last), tuple(zip(b_i, g_i))
@@ -180,7 +191,10 @@ def _check(shape: Shape, data, kind: str) -> CheckResult:
     equality = lhs_full == rhs_full
 
     violation = None
-    p = _first_violation(offset, base, g)
+    losing_k = None  # with arity one, the last part's losing list
+    if shape.alpha[-1] == 1:
+        losing_k = data[-1] if kind == "losing" else [steps[-1] - x for x in reversed(data[-1])]
+    p = _first_violation(offset, base, g, losing_k)
     if p is not None:
         lhs = sum(pref_i[p_i] for pref_i, p_i in zip(pref, p))
         slack = offset + sum(b[p_i] for b, p_i in zip(base, p)) - prod(
@@ -285,8 +299,9 @@ def check_losing_lists(shape: Shape, R) -> CheckResult:
 
     Valid iff for every prefix tuple p, the summed prefixes of the lists are at
     least prod_i C(p_i, alpha_i), with equality at the full prefix. Costs
-    O((H + L) * log L): one envelope over the L tails and one query per head,
-    with H * L = prod_i (n_i + 1) (see the module docstring).
+    O((H + L) * log L): one envelope over the L tails, read off the last list
+    in O(L) when that part alone is the tail and has arity one, and one query
+    per head, with H * L = prod_i (n_i + 1) (see the module docstring).
     """
     data = conform_lists(shape, R, "losing")
     return _check(shape, data, "losing")
@@ -299,7 +314,7 @@ def check_score_lists(shape: Shape, S) -> CheckResult:
     sum_i p_i * C(n_i - 1, alpha_i - 1) * prod_{t != i} C(n_t, alpha_t)
     + prod_i C(n_i - p_i, alpha_i) - prod_i C(n_i, alpha_i),
     with equality at the full prefix. Same cost as :func:`check_losing_lists`,
-    O((H + L) * log L) over H heads and L tails.
+    with the envelope read off the reverse complement of the last list.
     """
     data = conform_lists(shape, S, "score")
     return _check(shape, data, "score")

@@ -1,7 +1,8 @@
 import math
 import random
 from collections import Counter
-from itertools import accumulate, product
+from bisect import bisect_right
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -288,9 +289,11 @@ def split_of(shape, cap=MAX_SELECTIONS):
 
 
 # (shape, the split the check picks): j = 0 for k = 1, and every j from 1 to
-# k - 1 for k = 2..5.
+# k - 1 for k = 2..5. (4,3), (3,3,2), (1,1,2,3,3) and (5,) have a tail of the
+# last part alone with arity one, whose envelope is read off its list.
 SPLIT_SHAPES = [
     (Shape((6,), (2,)), 0),
+    (Shape((5,), (1,)), 0),
     (Shape((4, 3), (2, 1)), 1),
     (Shape((8, 2, 1), (3, 1, 1)), 1),
     (Shape((3, 3, 2), (2, 1, 1)), 2),
@@ -319,6 +322,15 @@ def split_cases(shape, kind):
     return [valid, plus, early, *near]
 
 
+def envelope_tails(shape, j, checks):
+    """The line counts of the ``_lower_envelope`` calls made by ``checks``
+    checks at split j: none when the tail is the last part alone with arity
+    one, else one per check, over the lines of the tail parts j..k-1."""
+    if j == shape.k - 1 and shape.alpha[-1] == 1:
+        return []
+    return [math.prod(n_i + 1 for n_i in shape.n[j:])] * checks
+
+
 class TestEverySplit:
     @pytest.mark.parametrize("kind", ["losing", "score"])
     @pytest.mark.parametrize(("shape", "j"), SPLIT_SHAPES, ids=lambda x: str(getattr(x, "n", x)))
@@ -335,8 +347,7 @@ class TestEverySplit:
         cases = split_cases(shape, kind)
         for lists in cases:
             assert fn(shape, lists) == naive_check(shape, lists, kind)
-        # One envelope per check, over the lines of the tail parts j..k-1.
-        assert tails == [math.prod(n_i + 1 for n_i in shape.n[j:])] * len(cases)
+        assert tails == envelope_tails(shape, j, len(cases))
 
     @pytest.mark.parametrize("kind", ["losing", "score"])
     def test_tail_stops_at_the_line_cap(self, kind, monkeypatch):
@@ -359,7 +370,7 @@ class TestEverySplit:
             cases = split_cases(shape, kind)
             for lists in cases:
                 assert fn(shape, lists) == naive_check(shape, lists, kind)
-            assert tails == [math.prod(n_i + 1 for n_i in shape.n[capped:])] * len(cases)
+            assert tails == envelope_tails(shape, capped, len(cases))
         assert moved > 0
 
     def test_shapes_cover_every_split(self):
@@ -400,3 +411,37 @@ class TestEverySplit:
     def test_drawn_shapes_reach_a_tail_of_several_parts(self):
         # find raises when no case check_cases draws has j < k - 1.
         find(check_cases(), lambda case: split_of(case[0]) < case[0].k - 1)
+
+
+class TestArityOneEnvelope:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_reads_equal_the_hull_pass(self, n, through, data):
+        # Part 1 of (n, through)/(1, 1) has `through` arcs per vertex, so its
+        # lists hold ties, zeros and entries up to that count.
+        shape = Shape((n, through), (1, 1))
+        entries = st.lists(st.integers(0, through), min_size=n, max_size=n)
+        lst = sorted(data.draw(entries))
+        pref = list(accumulate(lst, initial=0))
+        if data.draw(st.booleans()):
+            base, g, losing = pref, list(range(n + 1)), lst
+        else:
+            base = [s - p * through for p, s in enumerate(pref)]
+            g = [n - p for p in range(n + 1)]
+            losing = scores_to_losing(shape, (lst, [0] * through)).lists[0]
+        hull, steps = criteria._arity_one_envelope(base, g, losing)
+        ref_hull, ref_steps = criteria._lower_envelope(base, g)
+        for x in range(max(steps) + 2):
+            b, m = hull[bisect_right(steps, x)]
+            ref_b, ref_m = ref_hull[bisect_right(ref_steps, x)]
+            least = min(b_p - g_p * x for b_p, g_p in zip(base, g))
+            assert b - m * x == ref_b - ref_m * x == least
+
+    @pytest.mark.parametrize("kind", ["losing", "score"])
+    def test_one_part_checks_equal_naive(self, kind):
+        # j = 0: one empty head, and the tail is the one part of arity one.
+        fn = check_losing_lists if kind == "losing" else check_score_lists
+        for n in range(1, 7):
+            shape = Shape((n,), (1,))
+            for lst in combinations_with_replacement(range(n + 2), n):
+                assert fn(shape, (lst,)) == naive_check(shape, (lst,), kind)
