@@ -17,10 +17,15 @@ Split the parts into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
 For a fixed head the slack is a + b(t) - m(t) * c with a and c fixed, where
 b(t) sums the tail bases and m(t) multiplies the tail g's at the tail t, so
 the smallest slack over all tails is the lower envelope of the lines
-b(t) - m(t) * x at x = c, made once per call over the L tails; each of the H
-heads is then one binary search. j is the least index with L <= H, or k - 1
-if there is none (a meet in the middle), so a check costs O((H + L) * log L)
-with H * L = prod_i (n_i + 1). If the tail is the last part alone and
+b(t) - m(t) * x at x = c, made once per call over the L tails; a head is
+then one binary search. The slack of a head bounds that of the heads after
+it in its row (p_j running): it falls per step by at most a ``drop`` read
+from part j's first base step, its g row and the envelope's steepest slope,
+so a head with slack s clears the next s // drop heads unqueried. Rows where
+the bound is nearly tight still query every head. j is the least index with
+L <= H, or k - 1 if there is none (a meet in the middle), so a check costs
+O((H + L) * log L) at worst, with H * L = prod_i (n_i + 1). If the tail is
+the last part alone and
 alpha_k = 1, g_k(p) is p (n_k - p on the score side), so a non-decreasing
 list puts every line on the envelope, line q + 1 as low as line q from
 x = R_k[q] on: it is read off the losing list R_k in O(L), not sorted and
@@ -78,44 +83,46 @@ class CheckResult:
 def _lower_envelope(base, g):
     """Lower envelope of the lines y = base[p] - g[p] * x.
 
-    Returns the envelope's lines as (intercept, g) pairs in ascending g, and
-    for each adjacent pair the least integer x at which the later line is at
-    least as low. The minimum over all lines at an integer x is then attained
-    by line ``bisect_right(steps, x)``. Redundant lines are found by
-    cross-multiplication; each breakpoint is stored as its exact integer
-    ceiling, which decides integer queries exactly.
+    Returns the envelope's intercepts and slopes, as two lists in ascending
+    slope, and for each adjacent pair of its lines the least integer x at
+    which the later line is at least as low. The minimum over all lines at an
+    integer x is then attained by line ``bisect_right(steps, x)``. Redundant
+    lines are found by cross-multiplication; each breakpoint is stored as its
+    exact integer ceiling, which decides integer queries exactly.
     """
     lines = sorted(zip(g, base))
-    hull, (m2, b2) = [], lines[0]  # the envelope's lines below its top line (b2, m2)
+    bs, ms, (m2, b2) = [], [], lines[0]  # the envelope below its top line (b2, m2)
     for m, b in lines:
         if m == m2:
             continue  # equal slope: sorted puts the least intercept first
-        while hull:
-            b1, m1 = hull[-1]
+        while bs:
+            b1, m1 = bs[-1], ms[-1]
             # The middle line is never strictly lowest once the new line
             # meets the first one no later than the middle one does.
             if (b - b1) * (m2 - m1) <= (b2 - b1) * (m - m1):
-                b2, m2 = hull.pop()
+                b2, m2 = bs.pop(), ms.pop()
             else:
                 break
-        hull.append((b2, m2))
+        bs.append(b2)
+        ms.append(m2)
         b2, m2 = b, m
-    hull.append((b2, m2))
-    steps = [-((b1 - b2) // (m2 - m1)) for (b1, m1), (b2, m2) in zip(hull, hull[1:])]
-    return hull, steps
+    bs.append(b2)
+    ms.append(m2)
+    steps = [-((b1 - b2) // (m2 - m1)) for b1, m1, b2, m2 in zip(bs, ms, bs[1:], ms[1:])]
+    return bs, ms, steps
 
 
 def _arity_one_envelope(base, g, losing):
-    """:func:`_lower_envelope` of one part of arity one, read off its losing list."""
-    hull = list(zip(base, g))
-    return (hull[::-1] if g[0] else hull), losing  # the score side's g descends
+    """:func:`_lower_envelope` of one part of arity one, read off its losing
+    list; the score side's g row n - p descends, so its lines are reversed."""
+    return (base[::-1], g[::-1], losing) if g[0] else (base, g, losing)
 
 
-def _extend(heads, pairs):
+def _extend(heads, base, g):
     """Heads one coordinate longer, in lexicographic order: each (a, c)
     followed by every (base, g) value of the new coordinate."""
     for a, c in heads:
-        for b, m in pairs:
+        for b, m in zip(base, g):
             yield a + b, c * m
 
 
@@ -129,11 +136,20 @@ def _first_violation(offset, base, g, losing_k):
     The tail's lines (intercept the summed tail bases, slope the product of
     the tail g's) are made in lexicographic order; their envelope is read off
     ``losing_k``, the last part's losing list given at arity one, when the
-    tail is that part alone, else built. Heads are visited in lexicographic
-    order, each decided by one query: the outer heads (p_1, ..., p_{j-1})
-    come from chained :func:`_extend`, and a plain inner loop runs over part
-    j's (base, g) pairs, one running index counting the heads (one empty head
-    when j = 0). Only the first violating head is scanned along the tail, for
+    tail is that part alone, else built. One query of the envelope gives a
+    head's exact least slack over all tails. The outer heads (p_1, ...,
+    p_{j-1}) come from chained :func:`_extend` in lexicographic order, each
+    followed by its row of heads, part j's index q running (one empty head
+    when j = 0). From one head of a row to the next the slack falls by at
+    most ``drop``: the largest one-step fall of part j's base, at its first
+    step since a conformed list's increments only grow (0 on the losing
+    side), plus the envelope's steepest slope times the outer head's g
+    product times the largest one-step rise of part j's g row, at one end of
+    that monotone binomial row (0 on the score side, whose row descends), as
+    the envelope never rises with x and falls no faster than that slope. So a
+    head with slack s >= 0 clears the next s // drop heads unqueried, and the
+    rest of its row when drop is 0; a tight row (s < drop) still queries
+    every head. Only the first violating head is scanned along the tail, for
     the least violating tail; p is decoded from the indices by mixed radix.
     """
     tail_base, tail_g = base[-1], g[-1]
@@ -147,26 +163,34 @@ def _first_violation(offset, base, g, losing_k):
         tail_base = [b + t for b in base[j] for t in tail_base]
         tail_g = [m * t for m in g[j] for t in tail_g]
     if j == len(base) - 1 and losing_k is not None:
-        hull, steps = _arity_one_envelope(tail_base, tail_g, losing_k)
+        hull_b, hull_m, steps = _arity_one_envelope(tail_base, tail_g, losing_k)
     else:
-        hull, steps = _lower_envelope(tail_base, tail_g)
-    heads, last = [(offset, 1)], ((0, 1),)  # with j = 0, the one empty head
+        hull_b, hull_m, steps = _lower_envelope(tail_base, tail_g)
+    heads, row_b, row_g = [(offset, 1)], (0,), (1,)  # with j = 0, the one empty head
     for b_i, g_i in zip(base[:j], g[:j]):
-        heads, last = _extend(heads, last), tuple(zip(b_i, g_i))
-    index = 0
-    for a0, c0 in heads:
-        for b0, m0 in last:
-            a, c = a0 + b0, c0 * m0
-            b, m = hull[bisect_right(steps, c)]
-            if a + b < m * c:
+        heads, row_b, row_g = _extend(heads, row_b, row_g), b_i, g_i
+    n, base_drop, g_rise, slope = len(row_b), 0, 0, hull_m[-1]
+    if n > 1:
+        base_drop = max(0, row_b[0] - row_b[1])
+        g_rise = max(0, row_g[1] - row_g[0], row_g[-1] - row_g[-2])
+    for outer, (a0, c0) in enumerate(heads):
+        drop, q = base_drop + slope * c0 * g_rise, 0
+        while q < n:
+            a, c = a0 + row_b[q], c0 * row_g[q]
+            i = bisect_right(steps, c)
+            s = a + hull_b[i] - hull_m[i] * c
+            if s >= drop:  # the next head cannot violate
+                q += 1 + s // drop if drop else n
+            elif s >= 0:
+                q += 1
+            else:
                 tail = next(t for t, (bt, gt) in enumerate(zip(tail_base, tail_g)) if a + bt < gt * c)
-                index = index * len(tail_base) + tail
+                index = (outer * n + q) * len(tail_base) + tail
                 p = []
                 for b_i in reversed(base):
                     index, p_i = divmod(index, len(b_i))
                     p.append(p_i)
                 return tuple(reversed(p))
-            index += 1
     return None
 
 
@@ -299,9 +323,12 @@ def check_losing_lists(shape: Shape, R) -> CheckResult:
 
     Valid iff for every prefix tuple p, the summed prefixes of the lists are at
     least prod_i C(p_i, alpha_i), with equality at the full prefix. Costs
-    O((H + L) * log L): one envelope over the L tails, read off the last list
-    in O(L) when that part alone is the tail and has arity one, and one query
-    per head, with H * L = prod_i (n_i + 1) (see the module docstring).
+    O((H + L) * log L) at worst: one envelope over the L tails, read off the
+    last list in O(L) when that part alone is the tail and has arity one, and
+    at most one query per head, with H * L = prod_i (n_i + 1); a head whose
+    bound holds with slack s clears the next s // drop heads of its row
+    unqueried, so only rows near equality query every head (see the module
+    docstring).
     """
     data = conform_lists(shape, R, "losing")
     return _check(shape, data, "losing")
@@ -314,7 +341,8 @@ def check_score_lists(shape: Shape, S) -> CheckResult:
     sum_i p_i * C(n_i - 1, alpha_i - 1) * prod_{t != i} C(n_t, alpha_t)
     + prod_i C(n_i - p_i, alpha_i) - prod_i C(n_i, alpha_i),
     with equality at the full prefix. Same cost as :func:`check_losing_lists`,
-    with the envelope read off the reverse complement of the last list.
+    with the envelope read off the reverse complement of the last list; a
+    score row's drop is its first base step alone, as its g row descends.
     """
     data = conform_lists(shape, S, "score")
     return _check(shape, data, "score")

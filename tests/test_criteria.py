@@ -182,14 +182,13 @@ class TestEquivalence:
                 )
 
 
-def naive_check(shape, lists, kind):
-    """The tuple-by-tuple scan the envelope replaced: every prefix tuple in
-    lexicographic order, each bound evaluated afresh with math.comb."""
+def naive_sides(shape, lists, kind):
+    """Every prefix tuple in lexicographic order with both sides of its
+    bound, each evaluated afresh with math.comb."""
     data = conform_lists(shape, lists, kind)
     pref = [tuple(accumulate(lst, initial=0)) for lst in data]
     total = shape.total_arcs()
     through = shape.through
-    found = None
     for p in product(*(range(n_i + 1) for n_i in shape.n)):
         lhs = sum(pref_i[p_i] for pref_i, p_i in zip(pref, p))
         if kind == "losing":
@@ -199,10 +198,19 @@ def naive_check(shape, lists, kind):
             rhs += math.prod(
                 math.comb(n_i - p_i, a_i) for n_i, p_i, a_i in zip(shape.n, p, shape.alpha)
             )
-        if lhs < rhs:
-            found = PrefixViolation(p, lhs, rhs)
-            break
-    lhs_full = sum(pref_i[-1] for pref_i in pref)
+        yield p, lhs, rhs
+
+
+def naive_check(shape, lists, kind):
+    """The tuple-by-tuple scan the envelope replaced: the first prefix tuple
+    of :func:`naive_sides` whose bound fails."""
+    data = conform_lists(shape, lists, kind)
+    found = next(
+        (PrefixViolation(p, lhs, rhs) for p, lhs, rhs in naive_sides(shape, data, kind) if lhs < rhs),
+        None,
+    )
+    total = shape.total_arcs()
+    lhs_full = sum(map(sum, data))
     rhs_full = total if kind == "losing" else (sum(shape.alpha) - 1) * total
     equality = lhs_full == rhs_full
     if found is None and not equality:
@@ -264,10 +272,52 @@ def check_cases(draw, max_tuples=3000, max_arcs=3000):
     return shape, kind, lists
 
 
+@st.composite
+def tight_cases(draw, max_tuples=2000, max_arcs=2000):
+    """Shape, kind and the lists of a weighted-transitive hypertournament
+    (each arc lost by its vertex of least weight) with one unit moved from a
+    non-zero entry onto the greatest entry of a part, k <= 4 and arity up to
+    3. Weighted-transitive lists meet the bound with equality along whole
+    rows of heads, where the check skips no head; the moved unit makes a
+    violation follow heads of positive slack."""
+    k = draw(st.integers(1, 4))
+    n, alpha, tuples, arcs = [], [], 1, 1
+    for _ in range(k):
+        n_i = draw(st.integers(1, max(1, min(8, max_tuples // tuples - 1, max_arcs // arcs))))
+        fits = [a for a in range(1, min(3, n_i) + 1) if arcs * math.comb(n_i, a) <= max_arcs]
+        a_i = draw(st.sampled_from(fits))
+        n.append(n_i)
+        alpha.append(a_i)
+        tuples *= n_i + 1
+        arcs *= math.comb(n_i, a_i)
+    shape = Shape(tuple(n), tuple(alpha))
+    kind = draw(st.sampled_from(["losing", "score"]))
+    weight = dict(zip(shape.vertices(), draw(st.permutations(range(sum(n))))))
+    lists = ScoreLists.from_map(
+        "losing", shape, Counter(min(sel, key=weight.get) for sel in selection_vertices(shape))
+    )
+    if kind == "score":
+        lists = losing_to_scores(shape, lists)
+    work = [list(lst) for lst in lists.lists]
+    cells = [(i, q) for i in range(k) for q in range(n[i]) if work[i][q] > 0]
+    if cells:  # every score is 0 on (n,)/(1,)
+        i, q = draw(st.sampled_from(cells))
+        work[i][q] -= 1
+        work[draw(st.integers(0, k - 1))][-1] += 1
+    return shape, kind, tuple(tuple(sorted(lst)) for lst in work)
+
+
 class TestEnvelopeAgainstNaiveScan:
     @settings(max_examples=400, deadline=None)
     @given(check_cases())
     def test_whole_result_equals_naive(self, case):
+        shape, kind, lists = case
+        fn = check_losing_lists if kind == "losing" else check_score_lists
+        assert fn(shape, lists) == naive_check(shape, lists, kind)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tight_cases())
+    def test_tight_lists_with_one_unit_moved_equal_naive(self, case):
         shape, kind, lists = case
         fn = check_losing_lists if kind == "losing" else check_score_lists
         assert fn(shape, lists) == naive_check(shape, lists, kind)
@@ -331,6 +381,43 @@ def envelope_tails(shape, j, checks):
     return [math.prod(n_i + 1 for n_i in shape.n[j:])] * checks
 
 
+def skipped_rows(shape, lists, kind, j):
+    """The heads (p_1, ..., p_j) the row skip queries, in order, and the x of
+    each query, from the naive slacks: within a row (p_1, ..., p_{j-1} fixed)
+    the head after q with least slack s over its tails is q + 1 + s // drop,
+    the row's end when drop is 0, up to the first head with s < 0. drop is
+    the largest one-step fall of part j's base plus the largest tail g
+    product times the outer heads' g product times the largest one-step rise
+    of part j's g, each taken over the whole row."""
+    least = {}
+    for p, lhs, rhs in naive_sides(shape, lists, kind):
+        least[p[:j]] = min(least.get(p[:j], lhs - rhs), lhs - rhs)
+    if j == 0:
+        return [()], [1]
+    data = conform_lists(shape, lists, kind)
+    steps = (0,) * shape.k if kind == "losing" else shape.through
+
+    def g(i, p_i):
+        return math.comb(p_i if kind == "losing" else shape.n[i] - p_i, shape.alpha[i])
+
+    slope = math.prod(math.comb(n_i, a_i) for n_i, a_i in zip(shape.n[j:], shape.alpha[j:]))
+    row = range(shape.n[j - 1] + 1)
+    base_drop = max(0, *(steps[j - 1] - x for x in data[j - 1]))
+    g_rise = max(0, *(g(j - 1, q + 1) - g(j - 1, q) for q in row[:-1]))
+    heads, xs = [], []
+    for outer in product(*(range(n_i + 1) for n_i in shape.n[: j - 1])):
+        c0 = math.prod(g(i, p_i) for i, p_i in enumerate(outer))
+        drop, q = base_drop + slope * c0 * g_rise, 0
+        while q < len(row):
+            heads.append((*outer, q))
+            xs.append(c0 * g(j - 1, q))
+            s = least[heads[-1]]
+            if s < 0:
+                return heads, xs
+            q += 1 + s // drop if drop else len(row)
+    return heads, xs
+
+
 class TestEverySplit:
     @pytest.mark.parametrize("kind", ["losing", "score"])
     @pytest.mark.parametrize(("shape", "j"), SPLIT_SHAPES, ids=lambda x: str(getattr(x, "n", x)))
@@ -379,11 +466,13 @@ class TestEverySplit:
         }
 
     @pytest.mark.parametrize("kind", ["losing", "score"])
-    def test_one_query_per_head_visited(self, kind, monkeypatch):
-        # Every head up to the first violating one is decided by one envelope
-        # query and no later head is: H = prod_{i<j} (n_i + 1) queries when the
-        # scan finds no violation, else the violating head's mixed-radix index
-        # (p_1, ..., p_j), last head part fastest, plus one.
+    def test_a_row_skips_the_heads_its_slack_clears(self, kind, monkeypatch):
+        # The envelope queries are exactly those of skipped_rows, in order: no
+        # head is queried twice, and no more heads than a scan of one query
+        # per head up to the first violating one would query, H = prod_{i<j}
+        # (n_i + 1) when there is none. On seeded random valid lists of
+        # (100,100)/(1,1) and (40,35,30)/(1,1,1) fewer than a quarter of the
+        # heads are queried.
         queries, query = [], criteria.bisect_right
 
         def counted(steps, x):
@@ -392,21 +481,36 @@ class TestEverySplit:
 
         monkeypatch.setattr(criteria, "bisect_right", counted)
         fn = check_losing_lists if kind == "losing" else check_score_lists
-        early = 0
+        asked = every = 0
         for shape, j in SPLIT_SHAPES:
             sizes = [n_i + 1 for n_i in shape.n[:j]]
             for lists in split_cases(shape, kind):
                 queries.clear()
                 v = fn(shape, lists).witness_violation
+                heads, xs = skipped_rows(shape, lists, kind, j)
+                assert queries == xs
+                assert len(set(heads)) == len(heads)
                 if v is None or v.lhs >= v.rhs:  # valid, or only the total is off
-                    assert len(queries) == math.prod(sizes)
+                    visited = math.prod(sizes)
                 else:
+                    assert heads[-1] == v.prefix[:j]
                     index = 0
                     for size, p_i in zip(sizes, v.prefix):
                         index = index * size + p_i
-                    assert len(queries) == index + 1
-                    early += index + 1 < math.prod(sizes)
-        assert early > 0
+                    visited = index + 1
+                assert len(queries) <= visited
+                asked, every = asked + len(queries), every + visited
+        assert asked < every
+        for n in [(100, 100), (40, 35, 30)]:
+            shape = Shape(n, (1,) * len(n))
+            j = split_of(shape)
+            lists = losing_scores(random_hypertournament(shape, seed=1))
+            if kind == "score":
+                lists = losing_to_scores(shape, lists)
+            queries.clear()
+            assert fn(shape, lists).valid
+            assert queries == skipped_rows(shape, lists, kind, j)[1]
+            assert len(queries) < math.prod(n_i + 1 for n_i in n[:j]) / 4
 
     def test_drawn_shapes_reach_a_tail_of_several_parts(self):
         # find raises when no case check_cases draws has j < k - 1.
@@ -429,13 +533,13 @@ class TestArityOneEnvelope:
             base = [s - p * through for p, s in enumerate(pref)]
             g = [n - p for p in range(n + 1)]
             losing = scores_to_losing(shape, (lst, [0] * through)).lists[0]
-        hull, steps = criteria._arity_one_envelope(base, g, losing)
-        ref_hull, ref_steps = criteria._lower_envelope(base, g)
+        bs, ms, steps = criteria._arity_one_envelope(base, g, losing)
+        ref_bs, ref_ms, ref_steps = criteria._lower_envelope(base, g)
+        assert ms == sorted(ms) and ref_ms == sorted(ref_ms)
         for x in range(max(steps) + 2):
-            b, m = hull[bisect_right(steps, x)]
-            ref_b, ref_m = ref_hull[bisect_right(ref_steps, x)]
+            i, ref_i = bisect_right(steps, x), bisect_right(ref_steps, x)
             least = min(b_p - g_p * x for b_p, g_p in zip(base, g))
-            assert b - m * x == ref_b - ref_m * x == least
+            assert bs[i] - ms[i] * x == ref_bs[ref_i] - ref_ms[ref_i] * x == least
 
     @pytest.mark.parametrize("kind", ["losing", "score"])
     def test_one_part_checks_equal_naive(self, kind):
