@@ -16,11 +16,10 @@ import gc
 from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, compress, count, islice, product, repeat
 from math import comb, log2
-from numbers import Number
 from operator import contains, gt, mul, not_
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
@@ -223,70 +222,54 @@ class Arc:
         return vertex in self.order
 
 
-def _order(arc) -> tuple[VertexId, ...] | None:
-    """The vertices of an :class:`Arc` or a vertex sequence as a tuple; None stays None."""
-    return arc if arc is None else tuple(getattr(arc, "order", arc))
+def _order(rank: int, arc) -> tuple | None:
+    """The vertices of arc ``rank``, an :class:`Arc` or a vertex sequence, as a
+    tuple; None stays None, and an arc that does not iterate raises
+    StructuralError naming its rank."""
+    if arc is None:
+        return None
+    try:
+        return tuple(getattr(arc, "order", arc))
+    except TypeError:
+        raise StructuralError(f"arc {rank} is not an Arc, a sequence or None: {arc!r}") from None
 
 
 def _id(shape: Shape, v):
-    """The id of vertex (i, j) of ``shape`` when v is a tuple or list (a
-    :class:`VertexId` included) equal to it, else v itself: None, or a vertex
-    outside the shape as :func:`_hashable` gives it, so that it hashes; a
-    number, which is no pair, in a :class:`_Number`, so that it equals no id.
-    A dict or set of two entries is no pair."""
-    if isinstance(v, (tuple, list)):
+    """v as the model keeps a vertex. A vertex is None or a pair of integers:
+    a tuple or list of two entries (a :class:`VertexId` included), each an int
+    or equal to one but no bool, as :func:`_integers` reads them. A pair
+    (i, j) of the shape gives its id, a pair outside it stays data (a
+    VertexId as itself, any other pair as its tuple) for :func:`validate` to
+    report, and None stays None. Any other v raises StructuralError naming it."""
+    if v is None:
+        return None
+    if isinstance(v, (tuple, list)) and len(v) == 2:
+        i, j = v
         try:
-            i, j = v
-            p, q = int(i), int(j)
-            if p == i and q == j and 0 <= p < shape.k and 0 <= q < shape.n[p]:
-                return shape.offsets[p] + q
-        except (TypeError, ValueError, OverflowError):
+            if type(i) is not int or type(j) is not int:
+                i, j = _integers(v, "vertex")
+        except ValueError:
             pass
-    return _Number(v) if isinstance(v, Number) else _hashable(v)
-
-
-class _Number(NamedTuple):
-    """A number given as a vertex, kept apart from the ids; it prints as the number."""
-
-    value: object
-
-    def __repr__(self) -> str:
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class _Unhashable:
-    """A vertex that does not hash, such as a dict or a set: all of them hash
-    alike, and each equals an equal value and prints as it."""
-
-    value: object = field(hash=False)
-
-    def __repr__(self) -> str:
-        return repr(self.value)
-
-
-def _hashable(v):
-    """v with each list, in it or in a plain tuple in it at any depth, as a
-    tuple, and any other entry that does not hash as an :class:`_Unhashable`."""
-    if type(v) in (list, tuple):
-        return tuple(map(_hashable, v))
-    try:
-        hash(v)
-    except TypeError:
-        return _Unhashable(v)
-    return v
+        else:
+            if 0 <= i < shape.k and 0 <= j < shape.n[i]:
+                return shape.offsets[i] + j
+            return v if isinstance(v, VertexId) else tuple(v)
+    raise StructuralError(f"a vertex is None or a pair of integers, got {v!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Hypertournament:
     """One loser per rank, and the arcs' vertex orders only where not canonical.
 
-    A canonical order is the rank's selection with its loser moved last, and
-    a vertex is kept as its id, or as :func:`_id` gives it if it has none
-    (None, or a vertex outside the shape). ``Hypertournament(shape, arcs)``
-    takes :class:`Arc`s, vertex sequences (loser last) or None, reads each
-    vertex so, and keeps their orders (``_orders``, tuples of those ids) too
-    unless there are at most T and each is canonical or None. The comparison
+    A vertex is None or a pair of integers, a :class:`VertexId` included: a
+    pair of the shape is kept as its id, any other pair as itself, for
+    :func:`validate` to report, and any other entry raises
+    :class:`StructuralError` (:func:`_id`). A canonical order is the rank's
+    selection with its loser moved last. ``Hypertournament(shape, arcs)``
+    takes :class:`Arc`s, vertex sequences (loser last) or None (any other arc
+    raises :class:`StructuralError`), reads each vertex so, and keeps their
+    orders (``_orders``, tuples of those ids) too unless there are at most T
+    and each is canonical or None. The comparison
     builds the selection table, so above :data:`MAX_SELECTIONS` it raises
     :class:`CapacityError`. :attr:`losers`, :meth:`orders` and :attr:`arcs`
     make :class:`VertexId`s when read, and only :attr:`arcs` makes :class:`Arc`s.
@@ -295,7 +278,8 @@ class Hypertournament:
     shape: Shape
 
     def __init__(self, shape: Shape, arcs: Iterable[Arc | Sequence[VertexId] | None]) -> None:
-        orders = [o if o is None else [_id(shape, v) for v in o] for o in map(_order, arcs)]
+        orders = [o if o is None else [_id(shape, v) for v in o]
+                  for o in map(_order, count(), arcs)]
         self._keep(shape, orders)
 
     @classmethod

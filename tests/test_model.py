@@ -32,7 +32,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.model import MAX_SELECTIONS, _hashable, _id, _selection_ids, _selection_table
+from hyperscores.model import MAX_SELECTIONS, _selection_ids, _selection_table
 
 V = VertexId
 
@@ -413,45 +413,79 @@ _COORDINATES = (
 _LOOSE_VERTICES = (
     st.tuples(_COORDINATES, _COORDINATES).flatmap(
         lambda p: st.sampled_from([V(*p), p, list(p)]))
-    | st.sampled_from([None, "x", 3, (1, 2, 3), [0], [[0], [0]], ([0], [0]),
-                       {"p": 1}, {"s"}, [{"p": 1}, {"s"}]])
+    | st.sampled_from([None, "x", "1", 3, 2.0, float("nan"), True, (1, 2, 3), [0],
+                       [[0], [0]], ([0], [0]), {"p": 1}, {"s"}, [{"p": 1}, {"s"}],
+                       {0: "a", 1: "b"}, {0, 1}])
 )
 
 
 @st.composite
 def loose_vertex_sequences(draw):
-    """A small shape and a sequence of anything a model may be given as a
+    """A small shape and a sequence of anything a caller may pass as a
     vertex: pairs of ints, floats, bools and strings as VertexIds, tuples
-    and lists, in the shape or not, None, entries that are not pairs, and
-    entries that do not hash."""
+    and lists, in the shape or not, None, and entries that are no pair."""
     k = draw(st.integers(1, 3))
     n = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
     shape = Shape(tuple(n), tuple(draw(st.integers(1, n_i)) for n_i in n))
     return shape, draw(st.lists(_LOOSE_VERTICES, max_size=40))
 
 
+def _kept(shape, v):
+    """What a model keeps for v, or StructuralError when v is no vertex: None;
+    a tuple or list of two ints or integral floats (no bool, NaN or infinity)
+    as its index in Shape.vertices() when the shape has it, else as itself
+    when a VertexId and as its tuple when not."""
+    if v is None:
+        return None
+    if isinstance(v, (tuple, list)) and len(v) == 2 and all(
+        type(x) is int or type(x) is float and x.is_integer() for x in v
+    ):
+        vertices = tuple(shape.vertices())
+        pair = tuple(map(int, v))
+        if pair in vertices:
+            return vertices.index(pair)
+        return v if isinstance(v, V) else tuple(v)
+    return StructuralError
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=loose_vertex_sequences(), as_iterator=st.booleans())
-def test_anything_given_as_a_vertex_hashes_and_validates(case, as_iterator):
-    """Each entry is read as _id reads it, as a loser or as an arc of that one
-    vertex: an id exactly when it equals a vertex of the shape. The model
-    hashes, and validate reports each other entry at its rank as bad-vertex,
-    or a None loser as missing-arc."""
+def test_only_none_or_a_pair_of_integers_is_a_vertex(case, as_iterator):
+    """Both constructors read each entry, as a loser or as an arc of that one
+    vertex, as _kept does: the first entry that is no vertex raises
+    StructuralError naming it. Over the entries that are vertices the model
+    hashes, and validate reports each pair outside the shape at its rank as
+    bad-vertex, and a None loser as missing-arc."""
     shape, entries = case
     T = shape.total_arcs()
+    kept = [_kept(shape, v) for v in entries]
+    if StructuralError in kept:
+        named = re.escape(repr(entries[kept.index(StructuralError)]))
+        with pytest.raises(StructuralError, match=named):
+            Hypertournament.from_losers(shape, iter(entries) if as_iterator else entries)
+        with pytest.raises(StructuralError, match=named):
+            Hypertournament(shape, ([v] for v in entries))
+    entries = [v for v, i in zip(entries, kept) if i is not StructuralError]
+    kept = [i for i in kept if i is not StructuralError]
     by_losers = Hypertournament.from_losers(shape, iter(entries) if as_iterator else entries)
     by_arcs = Hypertournament(shape, ([v] for v in entries))
-    ids = [_id(shape, v) for v in entries]
-    assert list(by_losers._ids) == ids[:T] and list(by_arcs._ids) == ids
-    index = {v: i for i, v in enumerate(shape.vertices())}
-    in_shape = [index.get(v) is not None for v in map(_hashable, entries)]
-    assert [type(i) is int for i in ids] == in_shape
+    assert list(by_losers._ids) == kept[:T] and list(by_arcs._ids) == kept
     for M, none_kind in ((by_losers, "missing-arc"), (by_arcs, "bad-vertex")):
         hash(M)
         kinds = {v.selection_rank: v.kind for v in validate(M)}
         for r, i in enumerate(M._ids[:T]):
             if type(i) is not int:
                 assert kinds[r] == (none_kind if i is None else "bad-vertex")
+
+
+def test_an_arc_that_is_no_sequence_names_its_rank():
+    """An arc that is not None, an Arc or a sequence raises StructuralError
+    naming its rank, and a string arc raises at its first character, which
+    is no pair."""
+    shape = two_by_two()
+    for arcs, named in (([1], "arc 0 "), ([[(0, 0), (1, 0)], 5], "arc 1 "), (["ab"], "'a'")):
+        with pytest.raises(StructuralError, match=named):
+            Hypertournament(shape, arcs)
 
 
 def _arcs_of_losers(shape, losers):
@@ -809,17 +843,11 @@ class TestValidate:
         m = example_m()
         bad = Hypertournament(m.shape, (Arc((V(0, 0), V(1, 7))),) + m.arcs[1:])
         assert [v.kind for v in validate(bad)] == ["bad-vertex"]
-        # Outside the shape as a plain tuple, a list, lists in a list or a
-        # tuple (each list kept as its tuple, so that the model hashes), no
-        # pair at all (a number is not taken for a vertex id), or a value that
-        # does not hash (a dict, a set), as a loser or as a vertex of an
-        # arc's order. A dict or a set of two ints is no pair either, though
-        # it unpacks into one.
-        nested = ((0,), (0,))
-        for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ([[0], [0]], nested),
-                              (([0], [0]), nested), ("x", "x"), (1, 1),
-                              ({"p": 1}, {"p": 1}), ({"s"}, {"s"}),
-                              ({0: "a", 1: "b"}, {0: "a", 1: "b"}), ({0, 1}, {0, 1})):
+        # Outside the shape as a plain tuple, a list (kept as its tuple), an
+        # integral float or a VertexId, as a loser or as a vertex of an arc's
+        # order, the pair is data that validate reports.
+        for outside, kept in (((9, 9), (9, 9)), ([9, 9], (9, 9)), ((9.0, 9), (9.0, 9)),
+                              (V(9, 9), V(9, 9))):
             for bad in (
                 Hypertournament.from_losers(m.shape, [(0, 0), outside, (0, 1), (1, 1)]),
                 Hypertournament(m.shape, (m.arcs[0], (outside, (1, 0)), *m.arcs[2:])),
@@ -830,20 +858,28 @@ class TestValidate:
                 assert first.detail == f"vertices outside the shape: {[kept]}"
             with pytest.raises(StructuralError, match=re.escape(f"unknown vertex {kept}")):
                 losing_score_map(Hypertournament.from_losers(m.shape, [(0, 0), outside]))
+        # Anything else is no vertex, and the model is not built.
+        for other in ("x", 1, True, (True, 0), (0.5, 0), [[0], [0]], ([0], [0]), {"p": 1},
+                      {"s"}, (0, 0, 0)):
+            named = re.escape(repr(other))
+            with pytest.raises(StructuralError, match=named):
+                Hypertournament.from_losers(m.shape, [(0, 0), other, (0, 1), (1, 1)])
+            with pytest.raises(StructuralError, match=named):
+                Hypertournament(m.shape, (m.arcs[0], (other, (1, 0)), *m.arcs[2:]))
 
     def test_only_a_tuple_or_list_is_read_as_a_pair(self):
-        """A dict or set whose two entries are ints is kept as given, not read
-        as vertex (0, 1): the model differs from the one losing (0, 1) at
-        rank 1, and validate reports the entry there."""
+        """A dict or set whose two entries are ints is no vertex, though it
+        unpacks into (0, 1): both constructors raise StructuralError naming
+        it. A tuple, list or VertexId of (0, 1) is that vertex."""
         shape = Shape((2, 2), (1, 1))
         proper = Hypertournament.from_losers(shape, [(0, 0), (0, 1), (0, 1), (1, 1)])
         assert proper._ids == (0, 1, 1, 3)
         for pair in ({0: "a", 1: "b"}, {0, 1}):
-            M = Hypertournament.from_losers(shape, [(0, 0), pair, (0, 1), (1, 1)])
-            assert type(M._ids[1]) is not int and M != proper
-            first = validate(M)[0]
-            assert (first.selection_rank, first.kind) == (1, "bad-vertex")
-        for pair in ((0, 1), [0, 1], V(0, 1)):
+            with pytest.raises(StructuralError, match=re.escape(repr(pair))):
+                Hypertournament.from_losers(shape, [(0, 0), pair, (0, 1), (1, 1)])
+            with pytest.raises(StructuralError, match=re.escape(repr(pair))):
+                Hypertournament(shape, [[(0, 0), (1, 0)], [(1, 0), pair]])
+        for pair in ((0, 1), [0, 1], V(0, 1), (0, 1.0)):
             assert Hypertournament.from_losers(shape, [(0, 0), pair, (0, 1), (1, 1)]) == proper
 
     def test_a_none_loser_is_a_missing_arc(self):
