@@ -354,7 +354,6 @@ def _witness_vertices(doc: dict, shape: Shape | None) -> list[list]:
     meets an entry that does not unpack into two, every entry is read again."""
     table = {}
     if shape is not None:
-        shape.vertices()  # raises CapacityError past the vertex limit
         offsets = shape.offsets
         table = {(p + 1, i - first + 1): i for p, first in enumerate(offsets[:-1])
                  for i in range(first, offsets[p + 1])}
@@ -402,6 +401,7 @@ def cmd_verify(args) -> int:
     doc = _read_document(args.witness, witness=True)
     try:
         shape = _shape_from_doc(doc)
+        shape.vertices()  # raises CapacityError past the vertex limit
     except (InputError, CapacityError):
         _witness_vertices(doc, None)  # a pair's schema error comes first
         raise

@@ -24,12 +24,13 @@ from part j's first base step, its g row and the envelope's steepest slope,
 so a head with slack s clears the next s // drop heads unqueried. Rows where
 the bound is nearly tight still query every head. j is the least index with
 L <= H, or k - 1 if there is none (a meet in the middle), so a check costs
-O((H + L) * log L) at worst, with H * L = prod_i (n_i + 1). If the tail is
-the last part alone and
+O((H + L) * log L) at worst, with H * L = prod_i (n_i + 1). When
 alpha_k = 1, g_k(p) is p (n_k - p on the score side), so a non-decreasing
-list puts every line on the envelope, line q + 1 as low as line q from
-x = R_k[q] on: it is read off the losing list R_k in O(L), not sorted and
-hull-scanned. A tail holds at most MAX_SELECTIONS lines. Arithmetic is exact.
+list puts every line of part k on its envelope, line q + 1 as low as line q
+from x = R_k[q] on: the check reads it off the losing list R_k in O(L), not
+sorted and hull-scanned, for the scan to use when the tail is part k alone.
+The scan returns the least violating prefix with its slack. A tail holds at
+most MAX_SELECTIONS lines. Arithmetic is exact.
 
 Everything but the lists' prefix sums depends only on the shape: the g rows
 (the score side reads each row C(p, alpha_i) reversed), the arcs through a
@@ -126,18 +127,18 @@ def _extend(heads, base, g):
             yield a + b, c * m
 
 
-def _first_violation(offset, base, g, losing_k):
-    """Lexicographically smallest p with a negative slack, or None.
+def _first_violation(offset, base, g, last):
+    """Lexicographically least p with a negative slack, and its slack; or None.
 
     The parts split into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
     The tail starts as the last part and takes in the part before it while it
     then has at most as many lines L as there are heads H, and at most
     MAX_SELECTIONS, so j is the least such index, or k - 1 if there is none.
     The tail's lines (intercept the summed tail bases, slope the product of
-    the tail g's) are made in lexicographic order; their envelope is read off
-    ``losing_k``, the last part's losing list given at arity one, when the
-    tail is that part alone, else built. One query of the envelope gives a
-    head's exact least slack over all tails. The outer heads (p_1, ...,
+    the tail g's) are made in lexicographic order. Their envelope is
+    ``last`` when the tail is the last part alone and the caller gives that
+    part's envelope (at arity one), else built. One query of it gives a head's
+    exact least slack over all tails. The outer heads (p_1, ...,
     p_{j-1}) come from chained :func:`_extend` in lexicographic order, each
     followed by its row of heads, part j's index q running (one empty head
     when j = 0). From one head of a row to the next the slack falls by at
@@ -149,8 +150,8 @@ def _first_violation(offset, base, g, losing_k):
     the envelope never rises with x and falls no faster than that slope. So a
     head with slack s >= 0 clears the next s // drop heads unqueried, and the
     rest of its row when drop is 0; a tight row (s < drop) still queries
-    every head. Only the first violating head is scanned along the tail, for
-    the least violating tail; p is decoded from the indices by mixed radix.
+    every head. The first violating head is scanned along the tail for the
+    least violating tail, whose slack it returns; p is decoded by mixed radix.
     """
     tail_base, tail_g = base[-1], g[-1]
     j = len(base) - 1
@@ -162,8 +163,8 @@ def _first_violation(offset, base, g, losing_k):
         j -= 1
         tail_base = [b + t for b in base[j] for t in tail_base]
         tail_g = [m * t for m in g[j] for t in tail_g]
-    if j == len(base) - 1 and losing_k is not None:
-        hull_b, hull_m, steps = _arity_one_envelope(tail_base, tail_g, losing_k)
+    if j == len(base) - 1 and last is not None:
+        hull_b, hull_m, steps = last
     else:
         hull_b, hull_m, steps = _lower_envelope(tail_base, tail_g)
     heads, row_b, row_g = [(offset, 1)], (0,), (1,)  # with j = 0, the one empty head
@@ -190,7 +191,7 @@ def _first_violation(offset, base, g, losing_k):
                 for b_i in reversed(base):
                     index, p_i = divmod(index, len(b_i))
                     p.append(p_i)
-                return tuple(reversed(p))
+                return tuple(reversed(p)), a + tail_base[tail] - tail_g[tail] * c
     return None
 
 
@@ -204,7 +205,8 @@ def _kind_terms(shape: Shape, kind: str):
     return shape.total_arcs(), shape.through, rows, shape.score_total
 
 
-def _check(shape: Shape, data, kind: str) -> CheckResult:
+def _check(shape: Shape, lists, kind: str) -> CheckResult:
+    data = conform_lists(shape, lists, kind)
     pref = [tuple(accumulate(lst, initial=0)) for lst in data]
     offset, steps, g, rhs_full = _kind_terms(shape, kind)
     if kind == "losing":
@@ -214,16 +216,13 @@ def _check(shape: Shape, data, kind: str) -> CheckResult:
     lhs_full = sum(pref_i[-1] for pref_i in pref)
     equality = lhs_full == rhs_full
 
-    violation = None
-    losing_k = None  # with arity one, the last part's losing list
-    if shape.alpha[-1] == 1:
-        losing_k = data[-1] if kind == "losing" else [steps[-1] - x for x in reversed(data[-1])]
-    p = _first_violation(offset, base, g, losing_k)
-    if p is not None:
+    violation = last = None
+    if shape.alpha[-1] == 1:  # read the last part's envelope off its losing list
+        losing = data[-1] if kind == "losing" else [steps[-1] - x for x in reversed(data[-1])]
+        last = _arity_one_envelope(base[-1], g[-1], losing)
+    if found := _first_violation(offset, base, g, last):
+        p, slack = found
         lhs = sum(pref_i[p_i] for pref_i, p_i in zip(pref, p))
-        slack = offset + sum(b[p_i] for b, p_i in zip(base, p)) - prod(
-            g_i[p_i] for g_i, p_i in zip(g, p)
-        )
         violation = PrefixViolation(p, lhs, lhs - slack)  # slack = lhs - rhs
     elif not equality:
         violation = PrefixViolation(tuple(shape.n), lhs_full, rhs_full)
@@ -330,8 +329,7 @@ def check_losing_lists(shape: Shape, R) -> CheckResult:
     unqueried, so only rows near equality query every head (see the module
     docstring).
     """
-    data = conform_lists(shape, R, "losing")
-    return _check(shape, data, "losing")
+    return _check(shape, R, "losing")
 
 
 def check_score_lists(shape: Shape, S) -> CheckResult:
@@ -344,8 +342,7 @@ def check_score_lists(shape: Shape, S) -> CheckResult:
     with the envelope read off the reverse complement of the last list; a
     score row's drop is its first base step alone, as its g row descends.
     """
-    data = conform_lists(shape, S, "score")
-    return _check(shape, data, "score")
+    return _check(shape, S, "score")
 
 
 def _reverse_complement(shape: Shape, data) -> tuple[tuple[int, ...], ...]:

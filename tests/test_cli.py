@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,6 +25,7 @@ from hyperscores import (
     Hypertournament,
     Shape,
     VertexId,
+    check_losing_lists,
     cli,
     losing_scores,
     random_hypertournament,
@@ -32,7 +34,7 @@ from hyperscores import (
     validate,
 )
 from hyperscores.cli import InputError, main
-from hyperscores.realize import RealizationGapError
+from hyperscores.realize import InvalidListsError, RealizationGapError
 from reference import witness_stdout
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -177,6 +179,26 @@ class TestCheck:
         assert expected[0] == 0
         assert run(capsys, "check", str(commented)) == expected
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2 2 1\n0 2\n1 1\n", "header needs 4 sizes after k, got 3"),
+            ("2 2 2 1 1\n0 x\n1 1\n", "non-integer token"),
+            ("1 2 1\n0 1\n0 1\n", "expected 1 list lines after the header, got 2"),
+        ],
+    )
+    def test_text_input_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_lists_that_miss_the_shape(self, tmp_path, capsys):
+        code, out, err = run(capsys, "check", write_instance(tmp_path, dict(VALID, lists=[[0, 2]])))
+        assert code == 2 and out == ""
+        assert "lists must match the shape" in err and "Traceback" not in err
+
 
 class TestRealizeVerify:
     @pytest.mark.parametrize("method", ["inductive", "flow"])
@@ -198,6 +220,32 @@ class TestRealizeVerify:
         assert report["losing_lists"] == VALID["lists"]
         assert report["losing_total"] == 4
         assert report["score_total"] == 4
+
+    def test_realize_reports_a_failed_conversion(self, tmp_path, capsys, monkeypatch):
+        # A valid score instance always converts; a converter error exits 2.
+        def refuse(shape, lists):
+            raise ValueError("part 1: entry 9 exceeds the per-vertex arc count 2")
+
+        monkeypatch.setattr(cli, "scores_to_losing", refuse)
+        code, out, err = run(capsys, "realize", write_instance(tmp_path, dict(VALID, kind="score")))
+        assert code == 2 and out == ""
+        assert "error: part 1: entry 9 exceeds" in err and "Traceback" not in err
+
+    def test_realize_reports_lists_its_realizer_refuses(self, tmp_path, capsys, monkeypatch):
+        # Lists that pass the check reach the realizer, so only a realizer
+        # that disagrees with the check raises InvalidListsError here.
+        shape = Shape((2, 2), (1, 1))
+        result = check_losing_lists(shape, INVALID["lists"])
+
+        def refuse(shape, lists):
+            raise InvalidListsError(result)
+
+        monkeypatch.setattr(cli, "realize_inductive", refuse)
+        code, out, err = run(capsys, "realize", write_instance(tmp_path, VALID))
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["kind"] == "losing" and doc["valid"] is False
+        assert doc["violation"] == {"prefix": [1, 1], "lhs": 0, "rhs": 1}
 
     def test_emit_losers_verifies(self, tmp_path, capsys):
         code, out, _ = run(
@@ -414,6 +462,13 @@ class TestEnumerateRandom:
         assert captured.out == ""
         assert "error: argument --budget" in captured.err and "Traceback" not in captured.err
 
+    def test_enumerate_refuses_a_budget_that_is_no_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "2,2", "--alpha", "1,1", "--budget", "x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error: argument --budget: expected an integer budget >= 0, got 'x'" in captured.err
+
     # sha256 of the stdout, recorded before the achievable lists came from a
     # dynamic program: list order and the "assignments" field are unchanged.
     @pytest.mark.parametrize(
@@ -542,6 +597,21 @@ class TestEnumerateRandom:
         assert code == 4
         assert out == ""
         assert "100000000 vertices exceed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "losers, code, message",
+        [
+            ([[1]], 2, "document fails the schema: losers[0] must be a pair of integers"),
+            ([[1, 1]], 4, "2000000 vertices exceed the table limit of 1000000"),
+        ],
+    )
+    def test_a_bad_pair_comes_before_the_vertex_cap(self, tmp_path, capsys, losers, code, message):
+        # Past the vertex cap the shape is refused, so the pairs are read
+        # against no shape first, as for a shape that fails to build.
+        doc = {"k": 1, "n": [2000000], "alpha": [2000000], "losers": losers}
+        got, out, err = run(capsys, "verify", write_instance(tmp_path, doc))
+        assert got == code and out == ""
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("args", [("check",), ("check", "--format", "text"), ("realize",)])
     def test_output_integer_past_the_digit_limit(self, tmp_path, capsys, args):
@@ -719,6 +789,15 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def test_module_entry_point_in_process(capsys, monkeypatch):
+    # What ``python -m hyperscores check`` runs, in this process.
+    monkeypatch.setattr(sys, "argv", ["hyperscores", "check", str(FIXTURES / "inst_2x2_11.json")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("hyperscores", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")

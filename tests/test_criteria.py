@@ -181,6 +181,28 @@ class TestEquivalence:
                     == check_losing_lists(shape, converted).valid
                 )
 
+    def test_score_slack_is_the_losing_slack_of_the_reverse_complement(self):
+        # With R the reverse complement of S, the prefix of R_i at n_i - p_i
+        # is (n_i - p_i) * through_i - (sum S_i - the prefix of S_i at p_i),
+        # so the score slack of S at p is T - sum R plus the losing slack of
+        # R at n - p: the score side is the losing side read backwards.
+        rng = random.Random(47)
+        verdicts = Counter()
+        for _ in range(3000):
+            n = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+            shape = Shape(n, tuple(rng.randint(1, n_i) for n_i in n))
+            if rng.random() < 0.5:
+                S = scores(random_hypertournament(shape, rng.randrange(2**64)))
+            else:
+                S = random_sorted_lists(shape, SplitMix64(rng.randrange(2**64)), "score")
+            R = scores_to_losing(shape, S)
+            offset = shape.total_arcs() - sum(map(sum, R.lists))
+            losing = {p: lhs - rhs for p, lhs, rhs in naive_sides(shape, R, "losing")}
+            for p, lhs, rhs in naive_sides(shape, S, "score"):
+                assert lhs - rhs == offset + losing[tuple(n_i - p_i for n_i, p_i in zip(n, p))]
+            verdicts[check_score_lists(shape, S).valid] += 1
+        assert min(verdicts[True], verdicts[False]) > 1000
+
 
 def naive_sides(shape, lists, kind):
     """Every prefix tuple in lexicographic order with both sides of its

@@ -210,6 +210,13 @@ class TestScoreLists:
         with pytest.raises(ValueError, match=re.escape("lists[0][0]")):
             check_losing_lists(shape, [["0", "2"], ["1", "1"]])
 
+    def test_check_refuses_lists_that_miss_the_shape(self):
+        shape = two_by_two()
+        with pytest.raises(ValueError, match="expected 2 lists, got 1"):
+            check_losing_lists(shape, [[0, 2]])
+        with pytest.raises(ValueError, match="part 2: expected 2 entries, got 1"):
+            check_losing_lists(shape, [[0, 2], [2]])
+
     def test_from_map_sorts(self):
         shape = two_by_two()
         sl = ScoreLists.from_map("losing", shape, {V(0, 0): 2, V(0, 1): 0, V(1, 0): 1, V(1, 1): 1})
@@ -698,6 +705,12 @@ class TestScores:
     def test_losing_example(self):
         assert losing_scores(example_m()).lists == ((0, 2), (1, 1))
 
+    def test_score_map_names_a_vertex_outside_the_shape(self):
+        arcs = [((9, 9), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (1, 1)), ((1, 1), (0, 1))]
+        M = Hypertournament(two_by_two(), arcs)
+        with pytest.raises(StructuralError, match=re.escape("arc contains unknown vertex (9, 9)")):
+            score_map(M)
+
     def test_score_example(self):
         assert scores(example_m()).lists == ((0, 2), (1, 1))
 
@@ -928,4 +941,15 @@ def test_equality_sees_the_order_of_given_arcs():
     assert forward.losers == backward.losers == by_losers.losers
     assert forward != backward and by_losers == forward and by_losers != backward
     assert hash(by_losers) == hash(forward)
+
+
+def test_an_arc_holds_exactly_its_vertices():
+    arc = Arc((V(0, 0), V(1, 0)))
+    assert V(1, 0) in arc and V(0, 1) not in arc
+
+
+def test_a_hypertournament_equals_no_other_type():
+    M = example_m()
+    assert M.__eq__(1) is NotImplemented
+    assert (M == 1) is False and M != 1
 

@@ -292,6 +292,10 @@ class TestRandom:
         draws = {rng.below(7) for _ in range(200)}
         assert draws == set(range(7))
 
+    def test_below_refuses_an_empty_range(self):
+        with pytest.raises(ValueError, match="need a positive range, got 0"):
+            SplitMix64(1).below(0)
+
 
 class TestCandidates:
     def test_candidates_cover_achievable(self):
