@@ -88,6 +88,8 @@ def _parse_text_instance(text: str) -> dict:
         k = int(header[0])
     except ValueError as exc:
         raise InputError(f"bad header {lines[0]!r}: first token must be k") from exc
+    if k < 1:
+        raise _schema_error("k", "an integer >= 1")
     kind = "losing"
     rest = header[1:]
     if rest and rest[-1] in ("losing", "score"):

@@ -6,12 +6,13 @@ and the full prefix meets it with equality. Both sides share one slack,
 
     slack(p) = offset + sum_i base_i(p_i) - prod_i g_i(p_i),
 
-which is negative exactly where the bound fails:
-
-- losing side: base_i = pref_i, g_i(p) = C(p, alpha_i), offset = 0;
-- score side: base_i(p) = pref_i(p) - p * through_i, with through_i the
-  arcs through one vertex of part i (``Shape.through``),
-  g_i(p) = C(n_i - p, alpha_i), offset = T, the number of arcs.
+which is negative exactly where the bound fails: base_i = pref_i, the prefix
+sums of R_i, g_i(p) = C(p, alpha_i) and offset = 0 on the losing side, where
+R is the input. A score is the arcs through a vertex (through_i in part i,
+``Shape.through``) less its losses, so the score side is the losing side of
+the reverse complement R_i(q) = through_i - S_i(n_i - 1 - q), read backwards
+(an entry above through_i gives a negative one): base_i(p) = pref_i(n_i - p),
+g_i(p) = C(n_i - p, alpha_i) and offset = T - sum R, T the number of arcs.
 
 Split the parts into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
 For a fixed head the slack is a + b(t) - m(t) * c with a and c fixed, where
@@ -25,18 +26,18 @@ so a head with slack s clears the next s // drop heads unqueried. Rows where
 the bound is nearly tight still query every head. j is the least index with
 L <= H, or k - 1 if there is none (a meet in the middle), so a check costs
 O((H + L) * log L) at worst, with H * L = prod_i (n_i + 1). When
-alpha_k = 1, g_k(p) is p (n_k - p on the score side), so a non-decreasing
-list puts every line of part k on its envelope, line q + 1 as low as line q
-from x = R_k[q] on: the check reads it off the losing list R_k in O(L), not
-sorted and hull-scanned, for the scan to use when the tail is part k alone.
-The scan returns the least violating prefix with its slack. A tail holds at
-most MAX_SELECTIONS lines. Arithmetic is exact.
+alpha_k = 1, part k's lines in ascending slope are pref_k(q) - q * x on both
+sides, each on the envelope as R_k is non-decreasing, line q + 1 as low as
+line q from x = R_k[q] on: the envelope is (pref_k, C(q, 1), R_k) as they
+are, not sorted and hull-scanned, for the scan to use when the tail is part
+k alone. The scan returns the least violating prefix with its slack. A tail
+holds at most MAX_SELECTIONS lines. Arithmetic is exact.
 
-Everything but the lists' prefix sums depends only on the shape: the g rows
-(the score side reads each row C(p, alpha_i) reversed), the arcs through a
-vertex of each part and the full-prefix totals are computed once per
-:class:`~hyperscores.model.Shape` and read from it, so a call builds only its
-prefix sums, its score bases and its envelope.
+Everything but R and its prefix sums depends only on the shape: the g rows,
+the arcs through a vertex of each part and the full-prefix totals are
+computed once per :class:`~hyperscores.model.Shape` and read from it, so a
+losing call builds only its prefix sums and envelope; a score call also
+builds R and reverses its prefix sums and the g rows C(p, alpha_i).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from math import prod
+from operator import mul
 
 from .model import MAX_SELECTIONS, ScoreLists, Shape, conform_lists
 
@@ -111,12 +113,6 @@ def _lower_envelope(base, g):
     ms.append(m2)
     steps = [-((b1 - b2) // (m2 - m1)) for b1, m1, b2, m2 in zip(bs, ms, bs[1:], ms[1:])]
     return bs, ms, steps
-
-
-def _arity_one_envelope(base, g, losing):
-    """:func:`_lower_envelope` of one part of arity one, read off its losing
-    list; the score side's g row n - p descends, so its lines are reversed."""
-    return (base[::-1], g[::-1], losing) if g[0] else (base, g, losing)
 
 
 def _extend(heads, base, g):
@@ -197,8 +193,9 @@ def _first_violation(offset, base, g, last):
 
 def _kind_terms(shape: Shape, kind: str):
     """The slack's terms that depend only on the shape and kind: the offset,
-    the per-part step each base subtracts (base_i(p) = pref_i(p) - p * step_i),
-    the g rows and the full-prefix total."""
+    a step per part (0, or through_i on the score side: t_i in ``_check``'s
+    R_i = t_i - reversed(S_i), step_i in ``_accepted_lists``' base_i(p) =
+    pref_i(p) - p * step_i), the g rows and the full-prefix total."""
     if kind == "losing":
         return 0, (0,) * shape.k, shape.binomial_rows, shape.total_arcs()
     rows = [row[::-1] for row in shape.binomial_rows]
@@ -207,25 +204,25 @@ def _kind_terms(shape: Shape, kind: str):
 
 def _check(shape: Shape, lists, kind: str) -> CheckResult:
     data = conform_lists(shape, lists, kind)
-    pref = [tuple(accumulate(lst, initial=0)) for lst in data]
-    offset, steps, g, rhs_full = _kind_terms(shape, kind)
-    if kind == "losing":
-        base = pref
-    else:
-        base = [[s - p * t for p, s in enumerate(pref_i)] for pref_i, t in zip(pref, steps)]
-    lhs_full = sum(pref_i[-1] for pref_i in pref)
-    equality = lhs_full == rhs_full
+    offset, through, g, rhs_full = _kind_terms(shape, kind)
+    R = data if kind == "losing" else [[t - x for x in reversed(lst)] for lst, t in zip(data, through)]
+    base = pref = [tuple(accumulate(r, initial=0)) for r in R]
+    total = sum(pref_i[-1] for pref_i in pref)  # the sum of R
+    if kind == "score":  # the losing side of R, read backwards
+        offset -= total
+        total = sum(map(mul, shape.n, through)) - total  # the sum of S
+        base = [pref_i[::-1] for pref_i in pref]
+    equality = total == rhs_full
 
-    violation = last = None
-    if shape.alpha[-1] == 1:  # read the last part's envelope off its losing list
-        losing = data[-1] if kind == "losing" else [steps[-1] - x for x in reversed(data[-1])]
-        last = _arity_one_envelope(base[-1], g[-1], losing)
+    violation = None
+    # At arity one the last part's envelope is its own lines, on both kinds.
+    last = (pref[-1], shape.binomial_rows[-1], R[-1]) if shape.alpha[-1] == 1 else None
     if found := _first_violation(offset, base, g, last):
         p, slack = found
-        lhs = sum(pref_i[p_i] for pref_i, p_i in zip(pref, p))
+        lhs = sum(sum(lst[:p_i]) for lst, p_i in zip(data, p))
         violation = PrefixViolation(p, lhs, lhs - slack)  # slack = lhs - rhs
     elif not equality:
-        violation = PrefixViolation(tuple(shape.n), lhs_full, rhs_full)
+        violation = PrefixViolation(tuple(shape.n), total, rhs_full)
     return CheckResult(violation is None and equality, violation, equality)
 
 
@@ -338,9 +335,9 @@ def check_score_lists(shape: Shape, S) -> CheckResult:
     Valid iff for every prefix tuple p, the summed prefixes are at least
     sum_i p_i * C(n_i - 1, alpha_i - 1) * prod_{t != i} C(n_t, alpha_t)
     + prod_i C(n_i - p_i, alpha_i) - prod_i C(n_i, alpha_i),
-    with equality at the full prefix. Same cost as :func:`check_losing_lists`,
-    with the envelope read off the reverse complement of the last list; a
-    score row's drop is its first base step alone, as its g row descends.
+    with equality at the full prefix: the losing check of S's reverse
+    complement, read backwards (see the module docstring), at the same cost;
+    a score row's drop is its first base step alone, as its g row descends.
     """
     return _check(shape, S, "score")
 

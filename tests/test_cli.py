@@ -185,6 +185,8 @@ class TestCheck:
             ("2 2 2 1\n0 2\n1 1\n", "header needs 4 sizes after k, got 3"),
             ("2 2 2 1 1\n0 x\n1 1\n", "non-integer token"),
             ("1 2 1\n0 1\n0 1\n", "expected 1 list lines after the header, got 2"),
+            ("-1 2 2 1 1\n0 2\n1 1\n", "k must be an integer >= 1"),
+            ("0 2 1\n0 1\n", "k must be an integer >= 1"),
         ],
     )
     def test_text_input_errors(self, tmp_path, capsys, text, message):

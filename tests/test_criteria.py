@@ -541,27 +541,68 @@ class TestEverySplit:
 
 class TestArityOneEnvelope:
     @settings(max_examples=400, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 12), st.data())
-    def test_reads_equal_the_hull_pass(self, n, through, data):
-        # Part 1 of (n, through)/(1, 1) has `through` arcs per vertex, so its
-        # lists hold ties, zeros and entries up to that count.
-        shape = Shape((n, through), (1, 1))
-        entries = st.lists(st.integers(0, through), min_size=n, max_size=n)
-        lst = sorted(data.draw(entries))
-        pref = list(accumulate(lst, initial=0))
-        if data.draw(st.booleans()):
-            base, g, losing = pref, list(range(n + 1)), lst
-        else:
-            base = [s - p * through for p, s in enumerate(pref)]
-            g = [n - p for p in range(n + 1)]
-            losing = scores_to_losing(shape, (lst, [0] * through)).lists[0]
-        bs, ms, steps = criteria._arity_one_envelope(base, g, losing)
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(["losing", "score"]), st.data())
+    def test_reads_equal_the_hull_pass(self, through, n, kind, data):
+        # Part 2 of (through, n)/(1, 1) has `through` arcs per vertex, so its
+        # lists hold ties, zeros and entries up to that count, and up to
+        # through + 2 on the score side, where R then has negative entries.
+        # The envelope the check passes is (pref of R, C(p, 1), R) on both
+        # kinds, the row the shape's own, and it gives the least of the
+        # scan's lines at every x: R's lines, read backwards on the score side.
+        shape = Shape((through, n), (1, 1))
+        top = through if kind == "losing" else through + 2
+        lst = sorted(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+        R = lst if kind == "losing" else [through - x for x in reversed(lst)]
+        pref = list(accumulate(R, initial=0))
+        row = shape.binomial_rows[-1]
+        seen, first_violation = [], criteria._first_violation
+
+        def recorded(offset, base, g, last):
+            seen.append((base[-1], g[-1], last))
+            return first_violation(offset, base, g, last)
+
+        fn = check_losing_lists if kind == "losing" else check_score_lists
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(criteria, "_first_violation", recorded)
+            fn(shape, ([0] * through, lst))
+        [(base, g, (bs, ms, steps))] = seen
+        assert ms is row and list(row) == list(range(n + 1))
+        assert (list(bs), list(steps)) == (pref, R)
+        lines = list(zip(pref, row))
+        assert list(zip(base, g)) == (lines if kind == "losing" else lines[::-1])
         ref_bs, ref_ms, ref_steps = criteria._lower_envelope(base, g)
-        assert ms == sorted(ms) and ref_ms == sorted(ref_ms)
-        for x in range(max(steps) + 2):
+        assert list(ms) == sorted(ms) and list(ref_ms) == sorted(ref_ms)
+        for x in range(max(0, *R) + 2):
             i, ref_i = bisect_right(steps, x), bisect_right(ref_steps, x)
             least = min(b_p - g_p * x for b_p, g_p in zip(base, g))
             assert bs[i] - ms[i] * x == ref_bs[ref_i] - ref_ms[ref_i] * x == least
+
+    def test_score_entries_above_through_equal_naive(self):
+        # Score lists of two or three parts, the last of arity one, with a
+        # random entry raised up to through_i + 2 and the total kept by taking
+        # units from other entries: R then has negative entries, and the
+        # check must still name the naive scan's first violation.
+        rng = random.Random(48)
+        above = 0
+        for _ in range(1500):
+            n = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 3)))
+            shape = Shape(n, (*(rng.randint(1, n_i) for n_i in n[:-1]), 1))
+            valid = losing_to_scores(shape, losing_scores(random_hypertournament(shape, rng.randrange(2**64))))
+            work = [list(lst) for lst in valid.lists]
+            i = rng.randrange(shape.k)
+            q = rng.randrange(n[i])
+            moved = shape.through[i] + rng.randint(1, 2) - work[i][q]
+            work[i][q] += moved
+            cells = [(t, r) for t in range(shape.k) for r in range(n[t]) if (t, r) != (i, q)]
+            rng.shuffle(cells)
+            for t, r in cells:
+                take = min(moved, work[t][r])
+                work[t][r] -= take
+                moved -= take
+            lists = tuple(tuple(sorted(lst)) for lst in work)
+            above += moved == 0
+            assert check_score_lists(shape, lists) == naive_check(shape, lists, "score")
+        assert above > 1000
 
     @pytest.mark.parametrize("kind", ["losing", "score"])
     def test_one_part_checks_equal_naive(self, kind):
