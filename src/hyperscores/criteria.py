@@ -191,27 +191,18 @@ def _first_violation(offset, base, g, last):
     return None
 
 
-def _kind_terms(shape: Shape, kind: str):
-    """The slack's terms that depend only on the shape and kind: the offset,
-    a step per part (0, or through_i on the score side: t_i in ``_check``'s
-    R_i = t_i - reversed(S_i), step_i in ``_accepted_lists``' base_i(p) =
-    pref_i(p) - p * step_i), the g rows and the full-prefix total."""
-    if kind == "losing":
-        return 0, (0,) * shape.k, shape.binomial_rows, shape.total_arcs()
-    rows = [row[::-1] for row in shape.binomial_rows]
-    return shape.total_arcs(), shape.through, rows, shape.score_total
-
-
 def _check(shape: Shape, lists, kind: str) -> CheckResult:
     data = conform_lists(shape, lists, kind)
-    offset, through, g, rhs_full = _kind_terms(shape, kind)
-    R = data if kind == "losing" else [[t - x for x in reversed(lst)] for lst, t in zip(data, through)]
+    R = data if kind == "losing" else [[t - x for x in reversed(lst)] for lst, t in zip(data, shape.through)]
     base = pref = [tuple(accumulate(r, initial=0)) for r in R]
+    g, offset, rhs_full = shape.binomial_rows, 0, shape.total_arcs()
     total = sum(pref_i[-1] for pref_i in pref)  # the sum of R
     if kind == "score":  # the losing side of R, read backwards
-        offset -= total
-        total = sum(map(mul, shape.n, through)) - total  # the sum of S
+        offset = rhs_full - total
+        total = sum(map(mul, shape.n, shape.through)) - total  # the sum of S
+        rhs_full = shape.score_total
         base = [pref_i[::-1] for pref_i in pref]
+        g = [row[::-1] for row in g]
     equality = total == rhs_full
 
     violation = None
@@ -248,22 +239,21 @@ def _fill(n, cap, total, floor, out):
     place(0, 0, 0)
 
 
-def _accepted_lists(shape: Shape, kind: str):
-    """A list of every list tuple the check of ``kind`` accepts, each exactly
-    once, in the order that ``bounded_candidate_lists`` of ``tests/reference.py``
-    yields the candidates.
+def _accepted_lists(shape: Shape):
+    """A list of every list tuple :func:`check_losing_lists` accepts, each
+    exactly once, in the order that ``bounded_candidate_lists(shape,
+    "losing")`` of ``tests/reference.py`` yields the candidates.
 
     Parts are fixed one list at a time, each part's lists grouped by sum with
     the grand total pinned. With heads p_1, ..., p_j fixed, the free parts
     j+1..k meet them only at x = prod_{i>j} g_i(p_i), one of the finite set
-    X_j of products the free parts can form, plus their own bases. So level j
-    keeps just V_j, the least slack of its heads at each x in X_j:
-    V_0(x) = offset - x, and fixing part j+1's list adds
-    V_{j+1}(x) = min_p (base_{j+1}(p) + V_j(g_{j+1}(p) * x)), exactly in
-    integers. The last list is built entry by entry against the floor
-    q * step_k - V_{k-1}(g_k(q)) on its prefix sums, 0 < q < n_k, once its
-    fixed prefix sums, 0 at q = 0 and the remaining total at q = n_k, meet
-    the floor there.
+    X_j of products the free parts can form, plus their own prefix sums. So
+    level j keeps just V_j, the least slack of its heads at each x in X_j:
+    V_0(x) = -x, and fixing part j+1's list with prefix sums pref adds
+    V_{j+1}(x) = min_p (pref(p) + V_j(g_{j+1}(p) * x)), exactly in integers.
+    The last list is built entry by entry against the floor -V_{k-1}(g_k(q))
+    on its prefix sums, 0 < q < n_k, once its fixed prefix sums, 0 at q = 0
+    and the remaining total at q = n_k, meet the floor there.
 
     Nothing below level j reads more than j, V_j and the remaining total: the
     sum filter, the recurrence and the last floor. So the tuples of
@@ -272,14 +262,13 @@ def _accepted_lists(shape: Shape, kind: str):
     front of them in the search's order. The search costs one expansion per
     distinct state, plus one tuple per completion it keeps.
     """
-    offset, steps, g, total = _kind_terms(shape, kind)
-    parts = list(zip(shape.n, shape.through, steps, g))
+    g = shape.binomial_rows
+    parts = list(zip(shape.n, shape.through))
     tables = []
-    for n_i, t_i, step, g_i in parts[:-1]:
+    for n_i, t_i in parts[:-1]:
         by_sum = {}
         for lst in combinations_with_replacement(range(t_i + 1), n_i):
-            base = tuple(s - p * step for p, s in enumerate(accumulate(lst, initial=0)))
-            by_sum.setdefault(sum(lst), []).append((lst, base))
+            by_sum.setdefault(sum(lst), []).append((lst, tuple(accumulate(lst, initial=0))))
         tables.append(by_sum)
     # X_j in ascending order and each x's position in it; per level j < k - 1
     # and p, the position in X_j of g[j][p] * x for each x of X_{j+1}.
@@ -289,9 +278,9 @@ def _accepted_lists(shape: Shape, kind: str):
     at = [{x: i for i, x in enumerate(x_j)} for x_j in xs]
     moves = [[[at[j][m * x] for x in xs[j + 1]] for m in g[j]] for j in range(len(tables))]
     # Per level j, the most the free parts j..k-1 can hold.
-    caps = [sum(n_i * t_i for n_i, t_i, *_ in parts[j:]) for j in range(len(parts))]
-    n_k, t_k, step_k, g_k = parts[-1]
-    last = [at[-1][x] for x in g_k]
+    caps = [sum(n_i * t_i for n_i, t_i in parts[j:]) for j in range(len(parts))]
+    n_k, t_k = parts[-1]
+    last = [at[-1][x] for x in g[-1]]
     done = {}
 
     def search(j, least, rest):
@@ -300,18 +289,18 @@ def _accepted_lists(shape: Shape, kind: str):
             return tails
         tails = done[key] = []
         if j == len(tables):
-            floor = [q * step_k - least[i] for q, i in enumerate(last)]
+            floor = [-least[i] for i in last]
             if floor[0] <= 0 and floor[-1] <= rest:
                 _fill(n_k, t_k, rest, floor, tails)
             return tails
         for s, entries in tables[j].items():
             if s <= rest <= s + caps[j + 1]:
-                for lst, base in entries:
-                    sums = ([b + least[i] for i in row] for b, row in zip(base, moves[j]))
+                for lst, pref in entries:
+                    sums = ([b + least[i] for i in row] for b, row in zip(pref, moves[j]))
                     tails += [(lst, *t) for t in search(j + 1, list(map(min, *sums)), rest - s)]
         return tails
 
-    return search(0, [offset - x for x in xs[0]], total)
+    return search(0, [-x for x in xs[0]], shape.total_arcs())
 
 
 def check_losing_lists(shape: Shape, R) -> CheckResult:

@@ -18,19 +18,24 @@ themselves maps reachable final states onto reachable final states, and the
 result sorts each part anyway, so no list is lost or added. The enumeration
 budget bounds the assignment space m**T, m = 1 included, not the work.
 
-The accepted side is a pruned search, not a check per candidate. It fixes
-one part's list at a time and keeps, per level, only the fixed heads' least
-slack at each product x = prod g_j(p_j) the parts still free can form. That
-is exact because the free parts meet a head only at those x, plus their own
-bases, and the least slacks of one level follow from the previous level's
-in integers. The last list is built entry by entry against the floor those
-least slacks put on its prefix sums. Since nothing below a level reads more
-than its least slacks and the remaining total, the completions of each
+The accepted losing side is a pruned search, not a check per candidate. It
+fixes one part's list at a time and keeps, per level, only the fixed heads'
+least slack at each product x = prod g_j(p_j) the parts still free can form.
+That is exact because the free parts meet a head only at those x, plus their
+own prefix sums, and the least slacks of one level follow from the previous
+level's in integers. The last list is built entry by entry against the floor
+those least slacks put on its prefix sums. Since nothing below a level reads
+more than its least slacks and the remaining total, the completions of each
 distinct (level, least slacks, remaining total) are found once per call and
 shared by every head that reaches it: one expansion per distinct state, plus
-one tuple per completion kept. The search and the DP are tested against
-naive references kept in ``tests/reference.py``: every candidate list tuple
-filtered through the checks, and every assignment enumerated.
+one tuple per completion kept. The score side, achievable and accepted, is
+the reverse complement of the losing side: a score list tuple passes the
+score check exactly when its reverse complement passes the losing check.
+The search and the DP are tested against naive references kept in
+``tests/reference.py``: every candidate list tuple filtered through the
+checks, and every assignment enumerated. Those tests also filter the score
+candidates through ``check_score_lists`` itself, so the score check stays
+tied to ground truth.
 """
 
 from __future__ import annotations
@@ -240,14 +245,16 @@ class CrossValidationReport:
 def cross_validate(shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> CrossValidationReport:
     """Compare both decision procedures against exhaustive enumeration.
 
-    The achievable score lists are :func:`_score_tuples` of the DP's losing
-    lists; each accepted side is the pruned search of the module docstring,
-    which yields exactly the bounded candidates its check accepts.
+    The accepted losing lists come from the pruned search of the module
+    docstring, which yields exactly the bounded candidates the losing check
+    accepts. Both score sides are :func:`_score_tuples` of the losing sides,
+    the DP's lists and the accepted ones, since a score list tuple passes the
+    score check exactly when its reverse complement passes the losing check.
     """
     ach = achievable_losing_lists(shape, budget=budget)
-    accepted_losing = set(_accepted_lists(shape, "losing"))
+    accepted_losing = set(_accepted_lists(shape))
     ach_scores = set(_score_tuples(shape, ach.lists))
-    accepted_scores = set(_accepted_lists(shape, "score"))
+    accepted_scores = set(_score_tuples(shape, accepted_losing))
     return CrossValidationReport(
         shape=shape,
         assignment_count=ach.assignment_count,

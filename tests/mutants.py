@@ -29,24 +29,31 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 
 CRITERIA = "tests/test_criteria.py"
+CLI = "tests/test_cli.py"
 
 MUTANTS = [
     {
         "file": "criteria.py",
-        "original": "offset -= total",
-        "replacement": "offset -= 0",
+        "original": "offset = rhs_full - total",
+        "replacement": "offset = rhs_full",
         "tests": [f"{CRITERIA}::TestCheckScores"],
     },
     {
         "file": "criteria.py",
-        "original": "total = sum(map(mul, shape.n, through)) - total",
-        "replacement": "total = sum(map(mul, shape.n, through))",
+        "original": "total = sum(map(mul, shape.n, shape.through)) - total",
+        "replacement": "total = sum(map(mul, shape.n, shape.through))",
         "tests": [f"{CRITERIA}::TestCheckScores"],
     },
     {
         "file": "criteria.py",
         "original": "base = [pref_i[::-1] for pref_i in pref]",
         "replacement": "base = [pref_i for pref_i in pref]",
+        "tests": [f"{CRITERIA}::TestCheckScores"],
+    },
+    {
+        "file": "criteria.py",
+        "original": "g = [row[::-1] for row in g]",
+        "replacement": "g = [row for row in g]",
         "tests": [f"{CRITERIA}::TestCheckScores"],
     },
     {
@@ -93,9 +100,57 @@ MUTANTS = [
     },
     {
         "file": "criteria.py",
-        "original": "floor = [q * step_k - least[i] for q, i in enumerate(last)]",
-        "replacement": "floor = [q * step_k - least[i] + 1 for q, i in enumerate(last)]",
+        "original": "floor = [-least[i] for i in last]",
+        "replacement": "floor = [1 - least[i] for i in last]",
         "tests": ["tests/test_oracle.py"],
+    },
+    {
+        "file": "criteria.py",
+        "original": "[-x for x in xs[0]]",
+        "replacement": "[1 - x for x in xs[0]]",
+        "tests": ["tests/test_oracle.py::TestAcceptedSearch"],
+    },
+    {
+        "file": "cli.py",
+        "original": "if not (_integral(k) and k >= 1):",
+        "replacement": "if not _integral(k):",
+        "tests": [f"{CLI}::TestDocumentCheck"],
+    },
+    {
+        "file": "cli.py",
+        "original": "if type(values) is not list or not values:",
+        "replacement": "if type(values) is not list:",
+        "tests": [f"{CLI}::TestDocumentCheck"],
+    },
+    {
+        "file": "cli.py",
+        "original": "if not ((type(x) is int or _integral(x)) and x >= 1):",
+        "replacement": "if not ((type(x) is int or _integral(x)) and x >= 0):",
+        "tests": [f"{CLI}::TestDocumentCheck"],
+    },
+    {
+        "file": "cli.py",
+        "original": 'if "kind" in doc and doc["kind"] not in ("losing", "score"):',
+        "replacement": 'if False:',
+        "tests": [f"{CLI}::TestDocumentCheck"],
+    },
+    {
+        "file": "cli.py",
+        "original": 'if witness and "arcs" in doc and type(doc["arcs"]) is not list:',
+        "replacement": 'if False:',
+        "tests": [f"{CLI}::TestDocumentCheck"],
+    },
+    {
+        "file": "cli.py",
+        "original": "return type(x) is int or (type(x) is float and x.is_integer())",
+        "replacement": "return type(x) is int or type(x) is float",
+        "tests": [f"{CLI}::TestDocumentCheck"],
+    },
+    {
+        "file": "cli.py",
+        "original": "if type(pair) is not list or len(pair) != 2 or not all(map(_integral, pair)):",
+        "replacement": "if type(pair) is not list or not all(map(_integral, pair)):",
+        "tests": [f"{CLI}::TestDocumentCheck"],
     },
     {
         "file": "realize.py",

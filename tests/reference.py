@@ -3,9 +3,10 @@ selection, and every list tuple a check could accept; and the witness writer
 that built a whole document before printing it.
 
 The package decides the same questions faster: ``achievable_losing_lists``
-by a dynamic program over loss-count vectors, and the accepted lists by a
-pruned search (``criteria._accepted_lists``). These stream the whole space,
-so the tests can compare the fast paths against it on small shapes. The CLI
+by a dynamic program over loss-count vectors, the accepted losing lists by a
+pruned search (``criteria._accepted_lists``) and the accepted score lists as
+their reverse complements. These stream the whole space, so the tests can
+compare the fast paths against it on small shapes. The CLI
 writes a witness in chunks (``cli._emit_witness``); the tests compare its
 bytes with :func:`witness_stdout`.
 """

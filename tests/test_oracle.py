@@ -21,7 +21,7 @@ from hyperscores import (
 )
 from hyperscores.criteria import _accepted_lists
 from hyperscores.model import ScoreLists, _selection_ids
-from hyperscores.oracle import CrossValidationReport
+from hyperscores.oracle import CrossValidationReport, _score_tuples
 from reference import bounded_candidate_lists, enumerate_assignments
 
 
@@ -367,35 +367,33 @@ class TestAcceptedSearch:
     @pytest.mark.parametrize("kind", ["losing", "score"])
     def test_search_yields_the_filtered_candidates_once_in_order(self, kind):
         for shape in self.SHAPES:
-            found = list(_accepted_lists(shape, kind))
-            assert len(found) == len(set(found)), shape
-            assert found == filtered_candidates(shape, kind), shape
+            found = list(_accepted_lists(shape))
+            if kind == "losing":
+                assert len(found) == len(set(found)), shape
+                assert found == filtered_candidates(shape, kind), shape
+            else:  # cross_validate's accepted score lists
+                assert set(_score_tuples(shape, found)) == set(filtered_candidates(shape, kind)), shape
 
     def test_boxes_reach_four_parts(self):
         assert len(self.SHAPES) == 759
         assert max(s.k for s in self.SHAPES) == 4
 
-    # sha256 of repr(list(_accepted_lists(shape, kind))), recorded while each
+    # sha256 of repr(list(_accepted_lists(shape))), recorded while each
     # level of the search still kept the lower envelope of its heads' lines;
     # the last four, the shapes whose search states repeat most, while each
     # level still kept its least slacks but expanded every repeated state anew.
     @pytest.mark.parametrize(
-        "n, alpha, kind, count, digest",
+        "n, alpha, count, digest",
         [
-            ((2, 2, 2, 2), (1, 1, 1, 1), "losing", 23320, "028fc39e6a9c5544906ac753e5c8a084a08aea6a9218d130fda7d37c0cd846ed"),
-            ((2, 2, 2, 2), (1, 1, 1, 1), "score", 23320, "9ab11feb01c15ceaed0ed0e2a0cf66d3b912f29d0e0ce2312abd3cac613dc1e9"),
-            ((3, 3, 2), (1, 1, 1), "losing", 8081, "a92f2733d8edbf984aff90ef84c41d1dc99b9ebd03ab0d93f04bb71fca69ade9"),
-            ((3, 3, 2), (1, 1, 1), "score", 8081, "05e389323eca3feff6ec8d9c4064c98b6f2424a814fb4d1ad7a5d7d24d0d9ecf"),
-            ((3, 2, 2), (2, 1, 2), "losing", 121, "8879f4d196b1daa1d6adb9b0ce599152a07e3ab90d5e10814a335432ef001e5c"),
-            ((3, 2, 2), (2, 1, 2), "score", 121, "67386e85ed17f809c368b84f234e16417c524ebbb64391deb695b1d0f224878d"),
-            ((4, 4), (2, 2), "losing", 121636, "d54f6b9fc36912e6ab0eabd627abfe62cec53b8bc382f6885186e2e0f4dffecb"),
-            ((4, 4), (2, 2), "score", 121636, "e5fac22ca28c1c5e35deb2de293e8a432504e16dee831f66582d9274a359cc68"),
-            ((3, 3, 3), (1, 1, 1), "losing", 130968, "23fc20b0d905e2a3ec8d1cd36d2c4578f57e3bbee2f09ae45f8ef0df1dd0bb66"),
-            ((3, 3, 3), (1, 1, 1), "score", 130968, "b3a6b8a76259dda81f2c2fdb8a28ef53c77ac94b50e11f770d94726502e172a5"),
+            ((2, 2, 2, 2), (1, 1, 1, 1), 23320, "028fc39e6a9c5544906ac753e5c8a084a08aea6a9218d130fda7d37c0cd846ed"),
+            ((3, 3, 2), (1, 1, 1), 8081, "a92f2733d8edbf984aff90ef84c41d1dc99b9ebd03ab0d93f04bb71fca69ade9"),
+            ((3, 2, 2), (2, 1, 2), 121, "8879f4d196b1daa1d6adb9b0ce599152a07e3ab90d5e10814a335432ef001e5c"),
+            ((4, 4), (2, 2), 121636, "d54f6b9fc36912e6ab0eabd627abfe62cec53b8bc382f6885186e2e0f4dffecb"),
+            ((3, 3, 3), (1, 1, 1), 130968, "23fc20b0d905e2a3ec8d1cd36d2c4578f57e3bbee2f09ae45f8ef0df1dd0bb66"),
         ],
     )
-    def test_search_sequence_is_pinned(self, n, alpha, kind, count, digest):
-        found = list(_accepted_lists(Shape(n, alpha), kind))
+    def test_search_sequence_is_pinned(self, n, alpha, count, digest):
+        found = list(_accepted_lists(Shape(n, alpha)))
         assert len(found) == count
         assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
@@ -415,19 +413,16 @@ class TestTournamentScoreSequences:
         ach = achievable_losing_lists(Shape((n,), (2,)), budget=2 ** (n * (n - 1) // 2))
         assert len(ach.lists) == A000571[n]
 
+    @pytest.mark.parametrize("kind", ["losing", "score"])
     @pytest.mark.parametrize("n", range(2, 12))
-    def test_accepted_candidates_count_a000571(self, n):
+    def test_accepted_candidates_count_a000571(self, n, kind):
         shape = Shape((n,), (2,))
-        accepted = [
-            cand for cand in bounded_candidate_lists(shape, "losing")
-            if check_losing_lists(shape, cand).valid
-        ]
+        accepted = [cand for cand in bounded_candidate_lists(shape, kind) if CHECKS[kind](shape, cand).valid]
         assert len(accepted) == A000571[n]
 
-    @pytest.mark.parametrize("kind", ["losing", "score"])
     @pytest.mark.parametrize("n", sorted(A000571))
-    def test_searched_lists_count_a000571(self, n, kind):
-        assert sum(1 for _ in _accepted_lists(Shape((n,), (2,)), kind)) == A000571[n]
+    def test_searched_lists_count_a000571(self, n):
+        assert sum(1 for _ in _accepted_lists(Shape((n,), (2,)))) == A000571[n]
 
 
 def filtered_report(shape):
