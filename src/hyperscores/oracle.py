@@ -28,14 +28,14 @@ those least slacks put on its prefix sums. Since nothing below a level reads
 more than its least slacks and the remaining total, the completions of each
 distinct (level, least slacks, remaining total) are found once per call and
 shared by every head that reaches it: one expansion per distinct state, plus
-one tuple per completion kept. The score side, achievable and accepted, is
-the reverse complement of the losing side: a score list tuple passes the
-score check exactly when its reverse complement passes the losing check.
-The search and the DP are tested against naive references kept in
-``tests/reference.py``: every candidate list tuple filtered through the
-checks, and every assignment enumerated. Those tests also filter the score
-candidates through ``check_score_lists`` itself, so the score check stays
-tied to ground truth.
+one tuple per completion kept. The score report is the losing comparison
+flipped, since the reverse complement is one to one and a score list tuple
+passes the score check exactly when its flip passes the losing check. The
+search and the DP are tested against naive references in
+``tests/reference.py`` (every candidate filtered through the checks, every
+assignment enumerated), and the score candidates ``check_score_lists``
+accepts are tested to be the flips of the accepted losing lists and of the
+achievable ones, tying it to ground truth.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def _score_tuples(shape: Shape, tuples) -> Iterator[tuple[tuple[int, ...], ...]]
 class CrossValidationReport:
     """Predicate acceptance versus enumerated achievability, both kinds.
 
-    Each ``only_*`` tuple lists symmetric-difference members and must be empty
-    for the characterizations to be exact on the shape.
+    Each ``only_*`` tuple lists symmetric-difference members, empty when the
+    characterizations are exact on the shape; ``score_*`` flips ``losing_*``.
     """
 
     shape: Shape
@@ -247,23 +247,23 @@ def cross_validate(shape: Shape, *, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> 
 
     The accepted losing lists come from the pruned search of the module
     docstring, which yields exactly the bounded candidates the losing check
-    accepts. Both score sides are :func:`_score_tuples` of the losing sides,
-    the DP's lists and the accepted ones, since a score list tuple passes the
-    score check exactly when its reverse complement passes the losing check.
+    accepts. The score side is the losing comparison flipped, as the reverse
+    complement is one to one: its counts are the losing counts, and only the
+    two losing differences go through :func:`_score_tuples`.
     """
     ach = achievable_losing_lists(shape, budget=budget)
-    accepted_losing = set(_accepted_lists(shape))
-    ach_scores = set(_score_tuples(shape, ach.lists))
-    accepted_scores = set(_score_tuples(shape, accepted_losing))
+    accepted = set(_accepted_lists(shape))
+    only_achievable = ach.lists - accepted
+    only_accepted = accepted - ach.lists
     return CrossValidationReport(
         shape=shape,
         assignment_count=ach.assignment_count,
         losing_achievable_count=len(ach.lists),
-        losing_accepted_count=len(accepted_losing),
-        losing_only_achievable=tuple(sorted(ach.lists - accepted_losing)),
-        losing_only_accepted=tuple(sorted(accepted_losing - ach.lists)),
-        score_achievable_count=len(ach_scores),
-        score_accepted_count=len(accepted_scores),
-        score_only_achievable=tuple(sorted(ach_scores - accepted_scores)),
-        score_only_accepted=tuple(sorted(accepted_scores - ach_scores)),
+        losing_accepted_count=len(accepted),
+        losing_only_achievable=tuple(sorted(only_achievable)),
+        losing_only_accepted=tuple(sorted(only_accepted)),
+        score_achievable_count=len(ach.lists),
+        score_accepted_count=len(accepted),
+        score_only_achievable=tuple(sorted(_score_tuples(shape, only_achievable))),
+        score_only_accepted=tuple(sorted(_score_tuples(shape, only_accepted))),
     )

@@ -164,6 +164,18 @@ MUTANTS = [
         "replacement": "states = {st[:lo] + tuple(st[lo:e + 1]) + st[e + 1:] for st in states}",
         "tests": ["tests/test_oracle.py"],
     },
+    {
+        "file": "oracle.py",
+        "original": (
+            "sorted(_score_tuples(shape, only_achievable))),\n"
+            "        score_only_accepted=tuple(sorted(_score_tuples(shape, only_accepted))),"
+        ),
+        "replacement": (
+            "sorted(_score_tuples(shape, only_accepted))),\n"
+            "        score_only_accepted=tuple(sorted(_score_tuples(shape, only_achievable))),"
+        ),
+        "tests": ["tests/test_oracle.py::TestCrossValidate::test_planted_differences_flip_to_the_score_side"],
+    },
 ]
 
 EQUIVALENT = [

@@ -32,6 +32,7 @@ from hyperscores import (
 from hyperscores.cli import main as cli_main
 from hyperscores.model import _selection_ids
 from hyperscores.realize import _repair
+from reference import bounded_candidate_lists
 
 QUARTET = [
     Shape((2, 2), (1, 1)),
@@ -105,6 +106,12 @@ def test_criterion_2_score_characterization_exact():
         rep = cross_validate(shape)
         assert not rep.score_only_achievable
         assert not rep.score_only_accepted
+        # The report's score side is the losing side flipped; the score
+        # predicate itself must accept exactly the flipped achievable lists.
+        accepted = {c for c in bounded_candidate_lists(shape, "score") if check_score_lists(shape, c).valid}
+        achievable = {losing_to_scores(shape, ScoreLists("losing", t)).lists
+                      for t in achievable_losing_lists(shape).lists}
+        assert accepted == achievable, shape
         counts[(shape.n, shape.alpha)] = rep.score_accepted_count
     report(
         "2",

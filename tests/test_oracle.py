@@ -19,6 +19,7 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
+from hyperscores import oracle
 from hyperscores.criteria import _accepted_lists
 from hyperscores.model import ScoreLists, _selection_ids
 from hyperscores.oracle import CrossValidationReport, _score_tuples
@@ -456,6 +457,41 @@ class TestCrossValidate:
     @pytest.mark.parametrize("shape", CROSS_SHAPES, ids=str)
     def test_equals_the_filtered_report(self, shape):
         assert cross_validate(shape) == filtered_report(shape)
+
+    def test_planted_differences_flip_to_the_score_side(self, monkeypatch):
+        # The search drops one accepted tuple and gains a bounded candidate
+        # that no assignment achieves, so both losing differences are
+        # non-empty; the score side must hold their flips, tuple by tuple.
+        shape = Shape((2, 2, 2), (1, 1, 1))
+        achievable = achievable_losing_lists(shape).lists
+        accepted = list(_accepted_lists(shape))
+        extra = next(c for c in bounded_candidate_lists(shape, "losing") if c not in achievable)
+        monkeypatch.setattr(oracle, "_accepted_lists", lambda shape: iter(accepted[1:] + [extra]))
+        report = cross_validate(shape)
+        assert not report.ok
+        assert report.losing_only_achievable == (accepted[0],)
+        assert report.losing_only_accepted == (extra,)
+        assert report.score_achievable_count == report.losing_achievable_count
+        assert report.score_accepted_count == report.losing_accepted_count
+        for losing, score in (
+            (report.losing_only_achievable, report.score_only_achievable),
+            (report.losing_only_accepted, report.score_only_accepted),
+        ):
+            assert score == tuple(sorted(losing_to_scores(shape, ScoreLists("losing", t)).lists for t in losing))
+
+    @pytest.mark.parametrize("shape", CROSS_SHAPES, ids=str)
+    def test_exact_shape_flips_no_tuple(self, shape, monkeypatch):
+        # Only the losing differences are flipped, and they are empty here.
+        flipped = []
+
+        def spy(shape, tuples):
+            tuples = list(tuples)
+            flipped.extend(tuples)
+            return _score_tuples(shape, tuples)
+
+        monkeypatch.setattr(oracle, "_score_tuples", spy)
+        assert cross_validate(shape).ok
+        assert flipped == []
 
     def test_seven_lists_both_sides(self):
         report = cross_validate(Shape((2, 2), (1, 1)))
