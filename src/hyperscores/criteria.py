@@ -226,10 +226,9 @@ def _fill(n, cap, total, floor, out):
 
     def place(q, prev, used):
         left = total - used  # at most (n - q) * cap
-        if q == n - 1:
-            if prev <= left:
-                cur[q] = left
-                out.append((tuple(cur),))
+        if q == n - 1:  # left >= prev: at q = n - 2 the loop takes e <= left // 2
+            cur[q] = left
+            out.append((tuple(cur),))
             return
         r = n - q  # entries still to place; each later one is at least this one
         for e in range(max(prev, floor[q + 1] - used, left - (r - 1) * cap), left // r + 1):

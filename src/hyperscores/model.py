@@ -34,7 +34,6 @@ __all__ = [
     "StructuralError",
     "VertexId",
     "Violation",
-    "binom",
     "conform_lists",
     "losing_score_map",
     "losing_scores",
@@ -64,16 +63,12 @@ class CapacityError(Exception):
     """A computed count exceeds the magnitude limit of 2**127."""
 
 
-def binom(n: int, k: int) -> int:
-    """Return C(n, k) exactly; 0 when k < 0 or k > n.
+def _binom(n: int, k: int) -> int:
+    """Return C(n, k) exactly for 0 <= k <= n, as :class:`Shape` calls it.
 
     A result above 2**127 raises :class:`CapacityError` instead of
     materializing an enormous integer.
     """
-    if n < 0:
-        raise ValueError(f"universe size must be non-negative, got n={n}")
-    if k < 0 or k > n:
-        return 0
     m = min(k, n - k)
     # C(n, m) >= (n/m)**m, so clearly oversized results are rejected
     # before math.comb computes them.
@@ -148,7 +143,7 @@ class Shape:
                 )
         total = 1
         for n_i, a_i in zip(self.n, self.alpha):
-            total *= binom(n_i, a_i)
+            total *= _binom(n_i, a_i)
             if total > _MAGNITUDE_LIMIT:
                 raise CapacityError("selection count exceeds the magnitude limit")
         object.__setattr__(self, "_total_arcs", total)
@@ -503,17 +498,17 @@ def losing_score_map(M: Hypertournament) -> dict[VertexId, int]:
 
 
 def score_map(M: Hypertournament) -> dict[VertexId, int]:
-    """Score per vertex: arcs containing it in which it is not last."""
-    counts = {v: 0 for v in M.shape.vertices()}
-    try:
-        for rank, order in enumerate(M.orders()):
-            if order is None:
-                raise StructuralError(f"no arc stored for selection {rank}")
-            for v in order[:-1]:
-                counts[v] += 1
-    except KeyError as exc:
-        raise StructuralError(f"arc contains unknown vertex {exc.args[0]}") from exc
-    return counts
+    """Score per vertex: arcs containing it in which it is not last. Each arc
+    of a structurally valid M through a vertex scores there or is lost there,
+    so a vertex of part i scores ``shape.through[i]`` less its losses."""
+    for x in set().union(*filter(None, M._orders or ())):
+        if type(x) is not int:
+            raise StructuralError(f"arc contains unknown vertex {x}")
+    through, lost = M.shape.through, losing_score_map(M)
+    over = [v for v, x in lost.items() if x > through[v.part]]
+    if over:
+        raise StructuralError(f"vertices lose more arcs than pass through them: {over}")
+    return {v: through[v.part] - x for v, x in lost.items()}
 
 
 def losing_scores(M: Hypertournament) -> ScoreLists:

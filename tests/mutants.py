@@ -10,7 +10,10 @@ that must fail once the replacement is made. For each mutant the run copies
 ``src`` and ``tests`` to a temporary directory, makes the one replacement
 there and runs its node ids with ``-x`` and a fixed hypothesis seed. A
 mutant is killed when pytest reports a failed test (exit status 1); any other
-status, a pass included, counts against it and prints pytest's output. The
+status, a pass included, counts against it and prints pytest's output. A run
+has ``TIMEOUT`` seconds (each takes about 2 s); one that outlasts them is
+stopped, printed as ``TIMED OUT`` and counted as not killed, since a mutant
+that makes the package loop forever would otherwise hold the whole run. The
 run prints one line per mutant and exits 1 unless every mutant was killed.
 The working tree is never written.
 
@@ -27,6 +30,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+
+TIMEOUT = 60
 
 CRITERIA = "tests/test_criteria.py"
 CLI = "tests/test_cli.py"
@@ -176,6 +181,18 @@ MUTANTS = [
         ),
         "tests": ["tests/test_oracle.py::TestCrossValidate::test_planted_differences_flip_to_the_score_side"],
     },
+    {
+        "file": "model.py",
+        "original": "return {v: through[v.part] - x for v, x in lost.items()}",
+        "replacement": "return {v: through[0] - x for v, x in lost.items()}",
+        "tests": ["tests/test_model.py::TestScores"],
+    },
+    {
+        "file": "model.py",
+        "original": "for x in set().union(*filter(None, M._orders or ())):",
+        "replacement": "for x in ():",
+        "tests": ["tests/test_model.py::TestScores::test_score_map_names_a_vertex_outside_the_shape"],
+    },
 ]
 
 EQUIVALENT = [
@@ -191,9 +208,9 @@ EQUIVALENT = [
 ]
 
 
-def run(mutant) -> subprocess.CompletedProcess:
+def run(mutant) -> subprocess.CompletedProcess | None:
     """Apply the mutant to a temporary copy of src and tests and run its node
-    ids there."""
+    ids there; None when the run outlasts ``TIMEOUT``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("src", "tests"):
             shutil.copytree(
@@ -209,7 +226,11 @@ def run(mutant) -> subprocess.CompletedProcess:
             f.write(source.replace(mutant["original"], mutant["replacement"]))
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
-        return subprocess.run(command + mutant["tests"], cwd=tmp, env=env, capture_output=True, text=True)
+        try:
+            return subprocess.run(command + mutant["tests"], cwd=tmp, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def main() -> int:
@@ -217,11 +238,16 @@ def main() -> int:
     for mutant in MUTANTS:
         start = time.perf_counter()
         done = run(mutant)
-        killed = done.returncode == 1
+        killed = done is not None and done.returncode == 1
         survivors += not killed
-        status = "killed" if killed else f"SURVIVED (pytest exit {done.returncode})"
+        if done is None:
+            status = "TIMED OUT"
+        elif killed:
+            status = "killed"
+        else:
+            status = f"SURVIVED (pytest exit {done.returncode})"
         print(f"{status} in {time.perf_counter() - start:.1f} s: {mutant['file']}: {mutant['original']!r}")
-        if not killed:
+        if done is not None and not killed:
             print(done.stdout[-3000:], done.stderr[-3000:], sep="\n")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0

@@ -1,12 +1,15 @@
 """Naive references for ground truth: every assignment of one loser per
-selection, and every list tuple a check could accept; and the witness writer
-that built a whole document before printing it.
+selection, and every list tuple a check could accept; the score count that
+walked every arc; and the witness writer that built a whole document before
+printing it.
 
 The package decides the same questions faster: ``achievable_losing_lists``
 by a dynamic program over loss-count vectors, the accepted losing lists by a
 pruned search (``criteria._accepted_lists``) and the accepted score lists as
 their reverse complements. These stream the whole space, so the tests can
-compare the fast paths against it on small shapes. The CLI
+compare the fast paths against it on small shapes. ``score_map`` reads each
+vertex's score off its losses; :func:`score_map_by_orders` counts it arc by
+arc. The CLI
 writes a witness in chunks (``cli._emit_witness``); the tests compare its
 bytes with :func:`witness_stdout`.
 """
@@ -15,7 +18,7 @@ import json
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
-from hyperscores import DEFAULT_ASSIGNMENT_BUDGET, Hypertournament, Kind, Shape
+from hyperscores import DEFAULT_ASSIGNMENT_BUDGET, Hypertournament, Kind, Shape, StructuralError
 from hyperscores.cli import _text_instance
 from hyperscores.model import _selection_ids
 from hyperscores.oracle import _assignment_count
@@ -69,6 +72,22 @@ def bounded_candidate_lists(
                 chosen.pop()
 
     yield from rec(0, target, [])
+
+
+def score_map_by_orders(M: Hypertournament) -> dict:
+    """Score per vertex, counted over :meth:`Hypertournament.orders`: one for
+    each vertex of each order but its last. A missing arc, or a vertex
+    outside the shape before an order's last, raises StructuralError."""
+    counts = {v: 0 for v in M.shape.vertices()}
+    try:
+        for rank, order in enumerate(M.orders()):
+            if order is None:
+                raise StructuralError(f"no arc stored for selection {rank}")
+            for v in order[:-1]:
+                counts[v] += 1
+    except KeyError as exc:
+        raise StructuralError(f"arc contains unknown vertex {exc.args[0]}") from exc
+    return counts
 
 
 def witness_stdout(doc: dict, M: Hypertournament, emit: str, fmt: str) -> str:

@@ -355,6 +355,18 @@ class TestRealizeVerify:
         assert code == 2
         assert "arcs" in err
 
+    def test_verify_of_a_witness_without_lists(self, tmp_path, capsys):
+        # A valid witness with no lists or kind has nothing to match: null in
+        # JSON, n/a in text, and exit 0.
+        doc = dict(WITNESS, losers=[[2, 1], [1, 2], [2, 2], [1, 2]])
+        path = write_instance(tmp_path, doc)
+        code, out, _ = run(capsys, "verify", path)
+        report = json.loads(out)
+        assert code == 0 and report["structure_valid"] is True and report["lists_match"] is None
+        assert report["losing_lists"] == [[0, 2], [1, 1]]
+        code, out, _ = run(capsys, "verify", path, "--format", "text")
+        assert code == 0 and out.endswith("lists match: n/a\n")
+
     @pytest.mark.parametrize(
         "emit, mode",
         [("losers", "loser-only"), ("arcs", "loser-only"), ("arcs", "full-permutation")],

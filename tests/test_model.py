@@ -20,7 +20,6 @@ from hyperscores import (
     StructuralError,
     VertexId,
     Violation,
-    binom,
     check_losing_lists,
     losing_score_map,
     losing_scores,
@@ -32,7 +31,8 @@ from hyperscores import (
     selection_vertices,
     validate,
 )
-from hyperscores.model import MAX_SELECTIONS, _selection_ids, _selection_table
+from hyperscores.model import MAX_SELECTIONS, _binom, _selection_ids, _selection_table
+from reference import score_map_by_orders
 
 V = VertexId
 
@@ -122,39 +122,36 @@ class TestShape:
 
 class TestBinom:
     def test_empty_subset(self):
-        assert binom(5, 0) == 1
+        assert _binom(5, 0) == 1
 
     def test_oversized_cardinality_is_zero(self):
-        assert binom(3, 5) == 0
+        assert _binom(3, 5) == 0
 
     def test_small_value(self):
-        assert binom(4, 2) == 6
-
-    def test_negative_k_is_zero(self):
-        assert binom(7, -1) == 0
+        assert _binom(4, 2) == 6
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            binom(-1, 0)
+            _binom(-1, 0)
 
     def test_pascal_recurrence_exhaustive(self):
         for n in range(1, 31):
             for k in range(1, n + 1):
-                assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
+                assert _binom(n, k) == _binom(n - 1, k - 1) + _binom(n - 1, k)
 
     def test_capacity_guard_exact_path(self):
         # C(200, 100) ~ 2**196 sits above the 2**127 limit but is
         # small enough that the exact comparison branch fires.
         with pytest.raises(CapacityError):
-            binom(200, 100)
+            _binom(200, 100)
 
     def test_capacity_guard_fast_reject(self):
         with pytest.raises(CapacityError):
-            binom(10**6, 500)
+            _binom(10**6, 500)
 
     def test_capacity_guard_on_the_product(self):
         # C(100, 20) ~ 2**69 passes alone; the selection count ~ 2**138 does not.
-        assert binom(100, 20) < 2**127
+        assert _binom(100, 20) < 2**127
         with pytest.raises(CapacityError):
             Shape((100, 100), (20, 20))
 
@@ -163,8 +160,8 @@ def test_fractional_factor_identity():
     # alpha/n * C(n, alpha) is the integer C(n-1, alpha-1), exhaustively.
     for n in range(1, 31):
         for a in range(1, n + 1):
-            assert a * binom(n, a) % n == 0
-            assert a * binom(n, a) // n == binom(n - 1, a - 1)
+            assert a * _binom(n, a) % n == 0
+            assert a * _binom(n, a) // n == _binom(n - 1, a - 1)
 
 
 class TestScoreLists:
@@ -650,8 +647,8 @@ class TestShapeConstants:
         """Every shape with k <= 4, n_i <= 6 and 1 <= alpha_i <= n_i."""
         row = {(n, a): tuple(math.comb(p, a) for p in range(n + 1)) for n, a in _DESK_PARTS}
         row_from_top = {(n, a): tuple(math.comb(n - p, a) for p in range(n + 1)) for n, a in _DESK_PARTS}
-        selections = {(n, a): binom(n, a) for n, a in _DESK_PARTS}
-        through_part = {(n, a): binom(n - 1, a - 1) for n, a in _DESK_PARTS}
+        selections = {(n, a): _binom(n, a) for n, a in _DESK_PARTS}
+        through_part = {(n, a): _binom(n - 1, a - 1) for n, a in _DESK_PARTS}
         for k in range(1, 5):
             for parts in product(_DESK_PARTS, repeat=k):
                 shape = Shape(*zip(*parts))
@@ -681,7 +678,7 @@ class TestShapeConstants:
 
 class TestScores:
     def test_scores_of_a_loser_backed_value_build_no_arc(self):
-        """score_map reads orders(), so no Arc is built or cached on M."""
+        """score_map reads the losses, so no Arc is built or cached on M."""
         shape = Shape((4, 3), (2, 1))
         M = random_hypertournament(shape, seed=5)
         reference = Counter(v for arc in Hypertournament.from_losers(shape, M.losers).arcs
@@ -692,6 +689,41 @@ class TestScores:
         assert by_vertex == {v: reference[v] for v in shape.vertices()}
         assert lists == ScoreLists.from_map("score", shape, reference)
         assert "arcs" not in vars(M)
+
+    def test_scores_read_no_order(self):
+        """With orders() raising, a loser-backed draw and a full-permutation
+        draw, which keeps its orders, score as the orders walk does."""
+        shape = Shape((4, 3), (2, 1))
+        for mode in ("loser-only", "full-permutation"):
+            M = random_hypertournament(shape, 5, mode)
+            assert (M._orders is None) == (mode == "loser-only")
+            walked = score_map_by_orders(M)
+            read = AssertionError("orders() was read")
+            with mock.patch.object(Hypertournament, "orders", side_effect=read):
+                assert score_map(M) == walked
+                assert scores(M) == ScoreLists.from_map("score", shape, walked)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_score_map_equals_the_orders_walk(self, data):
+        """Random shapes with k <= 4 and n_i <= 6, each draw mode, and the
+        draw's arcs given back as Arc objects."""
+        n = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        shape = Shape(n, [data.draw(st.integers(1, n_i)) for n_i in n])
+        mode = data.draw(st.sampled_from(["loser-only", "full-permutation"]))
+        M = random_hypertournament(shape, data.draw(st.integers(0, 2**64 - 1)), mode)
+        for N in (M, Hypertournament(shape, M.arcs)):
+            assert score_map(N) == score_map_by_orders(N)
+
+    def test_a_vertex_that_loses_more_arcs_than_pass_through_it(self):
+        """Losers outside their selections can give a vertex more losses than
+        arcs through it: score_map and scores raise StructuralError, and no
+        negative score reaches ScoreLists."""
+        M = Hypertournament.from_losers(two_by_two(), [V(0, 0)] * 4)
+        named = re.escape("more arcs than pass through them: [VertexId(part=0, index=0)]")
+        for scores_of in (score_map, scores):
+            with pytest.raises(StructuralError, match=named):
+                scores_of(M)
 
     def test_missing_arc(self):
         m = example_m()
@@ -929,6 +961,24 @@ class TestValidate:
     @given(M=defective_witnesses())
     def test_agrees_with_the_reference(self, M):
         assert validate(M) == reference_validate(M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=defective_witnesses(), case=corrupted_loser_arrays())
+def test_score_map_of_a_defective_witness_raises_only_structural_errors(M, case):
+    """On defective witnesses and corrupted loser arrays, score_map and scores
+    return or raise StructuralError; they raise wherever the orders walk
+    does, and equal it wherever validate accepts."""
+    shape, losers, _ = case
+    for N in (M, Hypertournament.from_losers(shape, losers),
+              Hypertournament(shape, _arcs_of_losers(shape, losers))):
+        walked, read = _outcome(score_map_by_orders, N), _outcome(score_map, N)
+        for outcome in (read, _outcome(scores, N)):
+            assert type(outcome) is not tuple or outcome[0] is StructuralError, outcome
+        if type(walked) is tuple:
+            assert walked[0] is StructuralError and type(read) is tuple
+        if not validate(N):
+            assert read == walked
 
 
 def test_equality_sees_the_order_of_given_arcs():

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import mutants
 from mutants import EQUIVALENT, MUTANTS, ROOT
 
 
@@ -29,3 +30,13 @@ def test_each_node_id_names_a_test(mutant):
             source = f.read()
         for name in names:
             assert re.search(rf"^\s*(class|def) {re.escape(name)}\b", source, re.M), node
+
+
+def test_a_run_past_the_timeout_counts_as_not_killed(monkeypatch, capsys):
+    # The run is stopped at the timeout, printed as TIMED OUT and counted
+    # against the mutant.
+    monkeypatch.setattr(mutants, "TIMEOUT", 0.01)
+    monkeypatch.setattr(mutants, "MUTANTS", MUTANTS[:1])
+    assert mutants.main() == 1
+    out = capsys.readouterr().out
+    assert out.startswith("TIMED OUT in ") and out.endswith("0 of 1 mutants killed\n")

@@ -293,6 +293,11 @@ class TestRandom:
         draws = {rng.below(7) for _ in range(200)}
         assert draws == set(range(7))
 
+    def test_below_rejects_a_draw_past_the_whole_ranges(self):
+        # For n = 2**63 + 1 only draws below n lie in a whole range, so seed
+        # 0's first draw, 0xE220A8397B1DCDAF, is rejected and its second kept.
+        assert SplitMix64(0).below(2**63 + 1) == 0x6E789E6AA1B965F4
+
     def test_below_refuses_an_empty_range(self):
         with pytest.raises(ValueError, match="need a positive range, got 0"):
             SplitMix64(1).below(0)

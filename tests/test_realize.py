@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hyperscores import (
     BudgetExceededError,
     CapacityError,
+    CheckResult,
     Hypertournament,
     RealizationGapError,
     InfeasibleError,
@@ -83,6 +84,11 @@ class TestRealizeInductive:
     def test_invalid_input_rejected(self):
         with pytest.raises(InvalidListsError):
             realize_inductive(Shape((2, 2), (1, 1)), [[0, 2], [0, 2]])
+
+    def test_invalid_lists_without_a_violated_prefix(self):
+        # A result with no witness prefix fails only the full-prefix equality.
+        error = InvalidListsError(CheckResult(False, None, False))
+        assert str(error) == "lists are not realizable: equality fails at the full prefix"
 
     def test_donorless_saturation(self):
         # The non-active lists sit at zero, so saturation must shift units
