@@ -18,33 +18,36 @@ Split the parts into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
 For a fixed head the slack is a + b(t) - m(t) * c with a and c fixed, where
 b(t) sums the tail bases and m(t) multiplies the tail g's at the tail t, so
 the smallest slack over all tails is the lower envelope of the lines
-b(t) - m(t) * x at x = c, made once per call over the L tails; a head is
-then one binary search. The slack of a head bounds that of the heads after
-it in its row (p_j running): it falls per step by at most a ``drop`` read
-from part j's first base step, its g row and the envelope's steepest slope,
-so a head with slack s clears the next s // drop heads unqueried. Rows where
-the bound is nearly tight still query every head. j is the least index with
-L <= H, or k - 1 if there is none (a meet in the middle), so a check costs
-O((H + L) * log L) at worst, with H * L = prod_i (n_i + 1). When
-alpha_k = 1, part k's lines in ascending slope are pref_k(q) - q * x on both
-sides, each on the envelope as R_k is non-decreasing, line q + 1 as low as
-line q from x = R_k[q] on: the envelope is (pref_k, C(q, 1), R_k) as they
-are, not sorted and hull-scanned, for the scan to use when the tail is part
-k alone. The scan returns the least violating prefix with its slack. A tail
-holds at most MAX_SELECTIONS lines. Arithmetic is exact.
+b(t) - m(t) * x at x = c, made once per call in one pass over the L tails in
+ascending slope; a head is then one binary search. The slack of a head
+bounds that of the heads after it in its row (p_j running): it falls per
+step by at most a ``drop`` read from part j's first base step, its g row
+and the envelope's steepest slope, so a head with slack s clears the next
+s // drop heads unqueried. Rows where the bound is nearly tight still query
+every head. j is the least index with L <= H, or k - 1 if there is none (a
+meet in the middle), so a check costs O(L + H * log L) at worst, with
+H * L = prod_i (n_i + 1). When alpha_k = 1, part k's lines in ascending
+slope are pref_k(q) - q * x on both sides, each on the envelope as R_k is
+non-decreasing, line q + 1 as low as line q from x = R_k[q] on: the
+envelope is (pref_k, C(q, 1), R_k) as they are, not hull-scanned, for the
+scan to use when the tail is part k alone. The scan returns the least
+violating prefix with its slack. A tail holds at most MAX_SELECTIONS lines.
+Arithmetic is exact.
 
-Everything but R and its prefix sums depends only on the shape: the g rows,
-the arcs through a vertex of each part and the full-prefix totals are
-computed once per :class:`~hyperscores.model.Shape` and read from it, so a
-losing call builds only its prefix sums and envelope; a score call also
-builds R and reverses its prefix sums and the g rows C(p, alpha_i).
+The rest depends only on the shape: the per-part totals are read from the
+:class:`~hyperscores.model.Shape`, the kind's g rows, j, the tail's slopes
+and its lines in ascending slope from a plan cached per shape and kind (the
+last 256; each keeps L <= MAX_SELECTIONS slopes, L indices and L references
+to those slopes). So a check costs its prefix sums (and R on the score
+side), one O(L) envelope pass and the head scan.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from functools import lru_cache
+from itertools import accumulate, chain, combinations_with_replacement
 from math import prod
 from operator import mul
 
@@ -83,32 +86,38 @@ class CheckResult:
     equality_at_full: bool
 
 
-def _lower_envelope(base, g):
-    """Lower envelope of the lines y = base[p] - g[p] * x.
+def _lower_envelope(base, order, slopes):
+    """Lower envelope of the lines y = base[p] - m * x, p running over
+    ``order`` and m over ``slopes``, their slopes, which ascend.
 
     Returns the envelope's intercepts and slopes, as two lists in ascending
     slope, and for each adjacent pair of its lines the least integer x at
     which the later line is at least as low. The minimum over all lines at an
-    integer x is then attained by line ``bisect_right(steps, x)``. Redundant
-    lines are found by cross-multiplication; each breakpoint is stored as its
-    exact integer ceiling, which decides integer queries exactly.
+    integer x is then attained by line ``bisect_right(steps, x)``. One pass
+    keeps each slope's least intercept, that line joining the envelope once
+    the slope changes; redundant lines are found by cross-multiplication, and
+    each breakpoint is stored as its exact integer ceiling, which decides
+    integer queries exactly.
     """
-    lines = sorted(zip(g, base))
-    bs, ms, (m2, b2) = [], [], lines[0]  # the envelope below its top line (b2, m2)
-    for m, b in lines:
-        if m == m2:
-            continue  # equal slope: sorted puts the least intercept first
-        while bs:
-            b1, m1 = bs[-1], ms[-1]
-            # The middle line is never strictly lowest once the new line
-            # meets the first one no later than the middle one does.
-            if (b - b1) * (m2 - m1) <= (b2 - b1) * (m - m1):
-                b2, m2 = bs.pop(), ms.pop()
-            else:
-                break
-        bs.append(b2)
-        ms.append(m2)
-        b2, m2 = b, m
+    bs, ms, b2, m2 = [], [], None, None  # the envelope below its top line (b2, m2)
+    bg, mg = base[order[0]], slopes[0]  # the least line of slope mg so far
+    for b, m in chain(zip(map(base.__getitem__, order), slopes), [(0, None)]):  # None ends the last slope
+        if m == mg:
+            if b < bg:
+                bg = b
+            continue
+        if m2 is not None:
+            while bs:
+                b1, m1 = bs[-1], ms[-1]
+                # The middle line is never strictly lowest once the new line
+                # meets the first one no later than the middle one does.
+                if (bg - b1) * (m2 - m1) <= (b2 - b1) * (mg - m1):
+                    b2, m2 = bs.pop(), ms.pop()
+                else:
+                    break
+            bs.append(b2)
+            ms.append(m2)
+        b2, m2, bg, mg = bg, mg, b, m
     bs.append(b2)
     ms.append(m2)
     steps = [-((b1 - b2) // (m2 - m1)) for b1, m1, b2, m2 in zip(bs, ms, bs[1:], ms[1:])]
@@ -123,21 +132,39 @@ def _extend(heads, base, g):
             yield a + b, c * m
 
 
-def _first_violation(offset, base, g, last):
+@lru_cache(maxsize=256)
+def _plan(shape: Shape, kind: str, cap: int):
+    """The scan's shape-only terms: the kind's g rows, the split j, the
+    tail's slopes in lexicographic order, and its line indices and slopes in
+    ascending slope (None when the tail is the last part alone at arity one,
+    whose envelope the caller gives). The tail starts as the last part and
+    takes in the part before it while it then has at most as many lines L
+    as there are heads H, and at most cap, so j is the least such index, or
+    k - 1 if there is none."""
+    g = shape.binomial_rows if kind == "losing" else tuple(row[::-1] for row in shape.binomial_rows)
+    j, tail_g, sizes = shape.k - 1, g[-1], [len(row) for row in g]
+    # H * L = prod_i (n_i + 1), so L <= H exactly when L * L is at most that.
+    while j > 1 and (lines := len(tail_g) * sizes[j - 1]) <= cap and lines * lines <= prod(sizes):
+        j -= 1
+        tail_g = tuple(m * t for m in g[j] for t in tail_g)
+    if j == shape.k - 1 and shape.alpha[-1] == 1:  # the caller gives this tail's envelope
+        return g, j, tail_g, None, None
+    order = tuple(sorted(range(len(tail_g)), key=tail_g.__getitem__))
+    return g, j, tail_g, order, tuple(map(tail_g.__getitem__, order))
+
+
+def _first_violation(offset, base, plan, last):
     """Lexicographically least p with a negative slack, and its slack; or None.
 
-    The parts split into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k).
-    The tail starts as the last part and takes in the part before it while it
-    then has at most as many lines L as there are heads H, and at most
-    MAX_SELECTIONS, so j is the least such index, or k - 1 if there is none.
-    The tail's lines (intercept the summed tail bases, slope the product of
-    the tail g's) are made in lexicographic order. Their envelope is
-    ``last`` when the tail is the last part alone and the caller gives that
-    part's envelope (at arity one), else built. One query of it gives a head's
-    exact least slack over all tails. The outer heads (p_1, ...,
-    p_{j-1}) come from chained :func:`_extend` in lexicographic order, each
-    followed by its row of heads, part j's index q running (one empty head
-    when j = 0). From one head of a row to the next the slack falls by at
+    The parts split into heads (p_1, ..., p_j) and a tail (p_{j+1}, ..., p_k)
+    at the split j of ``plan`` (see :func:`_plan`). The tail's lines
+    (intercept the summed tail bases, slope the product of the tail g's) are
+    made in lexicographic order. Their envelope is ``last``, the last part's
+    lines at arity one, when the plan has no order, else built. One query of
+    it gives a head's exact least slack over all tails. The outer heads (p_1,
+    ..., p_{j-1}) come from chained :func:`_extend` in lexicographic order,
+    each followed by its row of heads, part j's index q running (one empty
+    head when j = 0). From one head of a row to the next the slack falls by at
     most ``drop``: the largest one-step fall of part j's base, at its first
     step since a conformed list's increments only grow (0 on the losing
     side), plus the envelope's steepest slope times the outer head's g
@@ -149,20 +176,14 @@ def _first_violation(offset, base, g, last):
     every head. The first violating head is scanned along the tail for the
     least violating tail, whose slack it returns; p is decoded by mixed radix.
     """
-    tail_base, tail_g = base[-1], g[-1]
-    j = len(base) - 1
-    # H * L = prod_i (n_i + 1), so L <= H exactly when L * L is at most that.
-    while j > 1 and (
-        (lines := len(tail_base) * len(base[j - 1])) <= MAX_SELECTIONS
-        and lines * lines <= prod(map(len, base))
-    ):
-        j -= 1
-        tail_base = [b + t for b in base[j] for t in tail_base]
-        tail_g = [m * t for m in g[j] for t in tail_g]
-    if j == len(base) - 1 and last is not None:
+    g, j, tail_g, order, slopes = plan
+    tail_base = base[-1]
+    for b_i in reversed(base[j:-1]):
+        tail_base = [b + t for b in b_i for t in tail_base]
+    if order is None:
         hull_b, hull_m, steps = last
     else:
-        hull_b, hull_m, steps = _lower_envelope(tail_base, tail_g)
+        hull_b, hull_m, steps = _lower_envelope(tail_base, order, slopes)
     heads, row_b, row_g = [(offset, 1)], (0,), (1,)  # with j = 0, the one empty head
     for b_i, g_i in zip(base[:j], g[:j]):
         heads, row_b, row_g = _extend(heads, row_b, row_g), b_i, g_i
@@ -195,20 +216,19 @@ def _check(shape: Shape, lists, kind: str) -> CheckResult:
     data = conform_lists(shape, lists, kind)
     R = data if kind == "losing" else [[t - x for x in reversed(lst)] for lst, t in zip(data, shape.through)]
     base = pref = [tuple(accumulate(r, initial=0)) for r in R]
-    g, offset, rhs_full = shape.binomial_rows, 0, shape.total_arcs()
+    offset, rhs_full = 0, shape.total_arcs()
     total = sum(pref_i[-1] for pref_i in pref)  # the sum of R
     if kind == "score":  # the losing side of R, read backwards
         offset = rhs_full - total
         total = sum(map(mul, shape.n, shape.through)) - total  # the sum of S
         rhs_full = shape.score_total
         base = [pref_i[::-1] for pref_i in pref]
-        g = [row[::-1] for row in g]
     equality = total == rhs_full
 
     violation = None
     # At arity one the last part's envelope is its own lines, on both kinds.
     last = (pref[-1], shape.binomial_rows[-1], R[-1]) if shape.alpha[-1] == 1 else None
-    if found := _first_violation(offset, base, g, last):
+    if found := _first_violation(offset, base, _plan(shape, kind, MAX_SELECTIONS), last):
         p, slack = found
         lhs = sum(sum(lst[:p_i]) for lst, p_i in zip(data, p))
         violation = PrefixViolation(p, lhs, lhs - slack)  # slack = lhs - rhs
@@ -307,12 +327,12 @@ def check_losing_lists(shape: Shape, R) -> CheckResult:
 
     Valid iff for every prefix tuple p, the summed prefixes of the lists are at
     least prod_i C(p_i, alpha_i), with equality at the full prefix. Costs
-    O((H + L) * log L) at worst: one envelope over the L tails, read off the
-    last list in O(L) when that part alone is the tail and has arity one, and
-    at most one query per head, with H * L = prod_i (n_i + 1); a head whose
-    bound holds with slack s clears the next s // drop heads of its row
-    unqueried, so only rows near equality query every head (see the module
-    docstring).
+    O(L + H * log L) at worst: one O(L) pass for the envelope over the L
+    tails, read off the last list when that part alone is the tail and has
+    arity one, and at most one query per head, with H * L = prod_i (n_i + 1);
+    a head whose bound holds with slack s clears the next s // drop heads of
+    its row unqueried, so only rows near equality query every head (see the
+    module docstring).
     """
     return _check(shape, R, "losing")
 

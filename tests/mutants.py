@@ -57,9 +57,30 @@ MUTANTS = [
     },
     {
         "file": "criteria.py",
-        "original": "g = [row[::-1] for row in g]",
-        "replacement": "g = [row for row in g]",
+        "original": "else tuple(row[::-1] for row in shape.binomial_rows)",
+        "replacement": "else shape.binomial_rows",
         "tests": [f"{CRITERIA}::TestCheckScores"],
+    },
+    {
+        "file": "criteria.py",
+        "original": "if b < bg:",
+        "replacement": "if False:",
+        "tests": [f"{CRITERIA}::TestOrderedEnvelope", f"{CRITERIA}::TestEverySplit::test_whole_result_equals_naive"],
+    },
+    {
+        "file": "criteria.py",
+        "original": "if (bg - b1) * (m2 - m1) <= (b2 - b1) * (mg - m1):",
+        "replacement": "if (bg - b1) * (m2 - m1) < (b2 - b1) * (mg - m1):",
+        # It changes no result: a middle line collinear with its neighbours
+        # stays, but its two breakpoints coincide, so bisect_right never
+        # returns it. The envelope is no longer the reference's, though.
+        "tests": [f"{CRITERIA}::TestOrderedEnvelope"],
+    },
+    {
+        "file": "criteria.py",
+        "original": "order = tuple(sorted(range(len(tail_g)), key=tail_g.__getitem__))",
+        "replacement": "order = tuple(range(len(tail_g)))",
+        "tests": [f"{CRITERIA}::TestPlan", f"{CRITERIA}::TestEverySplit::test_whole_result_equals_naive"],
     },
     {
         "file": "criteria.py",
@@ -195,17 +216,7 @@ MUTANTS = [
     },
 ]
 
-EQUIVALENT = [
-    {
-        "file": "criteria.py",
-        "original": "if (b - b1) * (m2 - m1) <= (b2 - b1) * (m - m1):",
-        "replacement": "if (b - b1) * (m2 - m1) < (b2 - b1) * (m - m1):",
-        "reason": (
-            "it keeps a middle line collinear with its neighbours; its two "
-            "breakpoints then coincide, so bisect_right never returns it"
-        ),
-    },
-]
+EQUIVALENT = []
 
 
 def run(mutant) -> subprocess.CompletedProcess | None:

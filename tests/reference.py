@@ -11,7 +11,9 @@ compare the fast paths against it on small shapes. ``score_map`` reads each
 vertex's score off its losses; :func:`score_map_by_orders` counts it arc by
 arc. The CLI
 writes a witness in chunks (``cli._emit_witness``); the tests compare its
-bytes with :func:`witness_stdout`.
+bytes with :func:`witness_stdout`. The check builds a tail's lower envelope
+in one pass over the line order its shape fixes (``criteria._lower_envelope``);
+:func:`sorted_lower_envelope` sorts the lines themselves.
 """
 
 import json
@@ -72,6 +74,33 @@ def bounded_candidate_lists(
                 chosen.pop()
 
     yield from rec(0, target, [])
+
+
+def sorted_lower_envelope(base, g):
+    """Lower envelope of the lines y = base[p] - g[p] * x, from the lines
+    sorted by slope, then intercept: intercepts and slopes in ascending slope,
+    and per adjacent pair of its lines the least integer x at which the later
+    line is at least as low."""
+    lines = sorted(zip(g, base))
+    bs, ms, (m2, b2) = [], [], lines[0]  # the envelope below its top line (b2, m2)
+    for m, b in lines:
+        if m == m2:
+            continue  # equal slope: sorted puts the least intercept first
+        while bs:
+            b1, m1 = bs[-1], ms[-1]
+            # The middle line is never strictly lowest once the new line
+            # meets the first one no later than the middle one does.
+            if (b - b1) * (m2 - m1) <= (b2 - b1) * (m - m1):
+                b2, m2 = bs.pop(), ms.pop()
+            else:
+                break
+        bs.append(b2)
+        ms.append(m2)
+        b2, m2 = b, m
+    bs.append(b2)
+    ms.append(m2)
+    steps = [-((b1 - b2) // (m2 - m1)) for b1, m1, b2, m2 in zip(bs, ms, bs[1:], ms[1:])]
+    return bs, ms, steps
 
 
 def score_map_by_orders(M: Hypertournament) -> dict:

@@ -25,7 +25,7 @@ from hyperscores import (
 )
 from hyperscores import criteria
 from hyperscores.model import MAX_SELECTIONS, conform_lists
-from reference import enumerate_assignments
+from reference import enumerate_assignments, sorted_lower_envelope
 
 SMALL_SHAPES = [
     Shape((2, 2), (1, 1)),
@@ -447,9 +447,9 @@ class TestEverySplit:
         assert split_of(shape) == j
         tails, lower_envelope = [], criteria._lower_envelope
 
-        def envelope(base, g):
+        def envelope(base, order, slopes):
             tails.append(len(base))
-            return lower_envelope(base, g)
+            return lower_envelope(base, order, slopes)
 
         monkeypatch.setattr(criteria, "_lower_envelope", envelope)
         fn = check_losing_lists if kind == "losing" else check_score_lists
@@ -464,9 +464,9 @@ class TestEverySplit:
         # the heads take the parts they would have held.
         tails, lower_envelope = [], criteria._lower_envelope
 
-        def envelope(base, g):
+        def envelope(base, order, slopes):
             tails.append(len(base))
-            return lower_envelope(base, g)
+            return lower_envelope(base, order, slopes)
 
         monkeypatch.setattr(criteria, "MAX_SELECTIONS", 8)
         monkeypatch.setattr(criteria, "_lower_envelope", envelope)
@@ -557,9 +557,9 @@ class TestArityOneEnvelope:
         row = shape.binomial_rows[-1]
         seen, first_violation = [], criteria._first_violation
 
-        def recorded(offset, base, g, last):
-            seen.append((base[-1], g[-1], last))
-            return first_violation(offset, base, g, last)
+        def recorded(offset, base, plan, last):
+            seen.append((base[-1], plan[0][-1], last))
+            return first_violation(offset, base, plan, last)
 
         fn = check_losing_lists if kind == "losing" else check_score_lists
         with pytest.MonkeyPatch.context() as patch:
@@ -570,7 +570,7 @@ class TestArityOneEnvelope:
         assert (list(bs), list(steps)) == (pref, R)
         lines = list(zip(pref, row))
         assert list(zip(base, g)) == (lines if kind == "losing" else lines[::-1])
-        ref_bs, ref_ms, ref_steps = criteria._lower_envelope(base, g)
+        ref_bs, ref_ms, ref_steps = sorted_lower_envelope(base, g)
         assert list(ms) == sorted(ms) and list(ref_ms) == sorted(ref_ms)
         for x in range(max(0, *R) + 2):
             i, ref_i = bisect_right(steps, x), bisect_right(ref_steps, x)
@@ -612,3 +612,76 @@ class TestArityOneEnvelope:
             shape = Shape((n,), (1,))
             for lst in combinations_with_replacement(range(n + 2), n):
                 assert fn(shape, (lst,)) == naive_check(shape, (lst,), kind)
+
+
+@st.composite
+def line_sets(draw):
+    """Lines y = base[p] - g[p] * x with few slopes, so that slopes repeat,
+    intercepts that repeat and go below 0 (score lists above through_i make
+    negative ones), one line or more, and their indices in ascending slope
+    with the lines of one slope in any order, as a shape's plan may give
+    them."""
+    size = draw(st.integers(1, 30))
+    g = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    base = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+    ties = draw(st.permutations(range(size)))
+    order = sorted(range(size), key=lambda p: (g[p], ties[p]))
+    return base, g, tuple(order), tuple(g[p] for p in order)
+
+
+class TestOrderedEnvelope:
+    @settings(max_examples=500, deadline=None)
+    @given(line_sets())
+    def test_equals_the_sorted_reference(self, lines):
+        # The envelope built in the plan's slope order is the one the sort of
+        # (slope, intercept) pairs builds, and at every integer x from 0 to
+        # one past its last step its line gives the least value of all lines.
+        base, g, order, slopes = lines
+        bs, ms, steps = criteria._lower_envelope(base, order, slopes)
+        ref_bs, ref_ms, ref_steps = sorted_lower_envelope(base, g)
+        assert (bs, ms, steps) == (ref_bs, ref_ms, ref_steps)
+        assert len(set(ms)) == len(ms) and ms == sorted(ms)
+        for x in range(max([0, *steps]) + 2):
+            i, ref_i = bisect_right(steps, x), bisect_right(ref_steps, x)
+            least = min(b - m * x for b, m in zip(base, g))
+            assert bs[i] - ms[i] * x == ref_bs[ref_i] - ref_ms[ref_i] * x == least
+
+
+class TestPlan:
+    def test_one_plan_per_shape_and_kind(self, monkeypatch):
+        # Checks of both kinds on one shape and on a value-equal Shape object
+        # build one plan per (shape, kind), and a plan holds only tuples: the
+        # kind's g rows, the tail's slopes in lexicographic order, the tail's
+        # line indices in ascending slope and those slopes. At a cap of 8
+        # lines the split moves, and so the plan is built again.
+        criteria._plan.cache_clear()
+        shape, same = Shape((4, 3, 2, 2), (2, 2, 1, 1)), Shape((4, 3, 2, 2), (2, 2, 1, 1))
+        assert same is not shape and split_of(shape) == 2
+        checks = 0
+        for kind in ("losing", "score"):
+            fn = check_losing_lists if kind == "losing" else check_score_lists
+            for s in (shape, same):
+                for lists in split_cases(s, kind):
+                    assert fn(s, lists) == naive_check(s, lists, kind)
+                    checks += 1
+        info = criteria._plan.cache_info()
+        assert (info.misses, info.hits) == (2, checks - 2)
+        for kind in ("losing", "score"):
+            plan = criteria._plan(shape, kind, MAX_SELECTIONS)
+            g, j, tail_g, order, slopes = plan
+            rows = shape.binomial_rows if kind == "losing" else tuple(row[::-1] for row in shape.binomial_rows)
+            assert (g, j) == (rows, 2)
+            assert all(type(x) is tuple for x in (plan, g, *g, tail_g, order, slopes))
+            assert tail_g == tuple(m * t for m in g[2] for t in g[3])
+            assert sorted(order) == list(range(len(tail_g)))
+            assert slopes == tuple(tail_g[p] for p in order) == tuple(sorted(tail_g))
+        monkeypatch.setattr(criteria, "MAX_SELECTIONS", 8)
+        assert check_losing_lists(same, split_cases(same, "losing")[0]).valid
+        assert criteria._plan.cache_info().misses == 3
+        assert criteria._plan(shape, "losing", 8)[1] == split_of(shape, cap=8) == 3
+
+    def test_no_order_when_the_last_part_alone_has_arity_one(self):
+        # Its envelope is read off the list, so the plan sorts nothing.
+        for kind in ("losing", "score"):
+            g, j, tail_g, order, slopes = criteria._plan(Shape((3, 3, 2), (2, 1, 1)), kind, MAX_SELECTIONS)
+            assert (j, tail_g, order, slopes) == (2, g[-1], None, None)
