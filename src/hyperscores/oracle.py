@@ -11,8 +11,9 @@ per assignment. It merges states up to symmetry by one rule: after a
 rank whose digits below part i are all maxed, the selections still to come
 are closed under every permutation of part i's vertices from its first one
 through the end of the first run of consecutive part-i vertices in that
-rank's selection, so it sorts their counts; and it keeps a part in every
-selection sorted by branching only on the end of each run of equal counts.
+rank's selection, so it sorts their counts, where alpha_i = 1 by inserting
+the one count the part's previous such rank left unsorted; and it keeps a
+part in every selection sorted by branching only on each run's end.
 A permutation inside one part that maps the remaining selections onto
 themselves maps reachable final states onto reachable final states, and the
 result sorts each part anyway, so no list is lost or added. The enumeration
@@ -40,6 +41,7 @@ achievable ones, tying it to ground truth.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -128,8 +130,9 @@ def achievable_losing_lists(
 
     A dynamic program over distinct loss-count vectors, indexed by vertex id
     (``shape.offsets[i] + j`` for vertex j of part i), that walks the
-    selections in rank order: each state branches on the selection's possible
-    losers, and equal states merge. States also merge up to symmetry:
+    selections in rank order: each state copies its counts into one row and
+    branches on the selection's possible losers by raising one entry at a
+    time, and equal states merge. States also merge up to symmetry:
 
     - after a rank whose digits below part i are all maxed, with S its part-i
       subset and e the last vertex of the first run of consecutive vertices
@@ -137,7 +140,10 @@ def achievable_losing_lists(
       vertices S holds just that run, their last subset of its size in colex
       order, so each later subset under the same higher digits differs from
       S above e, and a later higher digit brings every subset: the selections
-      still to come are closed under every permutation of vertices 0..e;
+      still to come are closed under every permutation of vertices 0..e.
+      Where alpha_i = 1, S is {e}: the part's previous such rank sorted
+      0..e-1, and no selection since holds them, so a state inserts e's
+      count after its equals and raises it there when e loses;
     - a part with alpha_i = n_i lies whole in every selection, and its counts
       stay sorted because a state branches only on the last position of each
       run of equal counts.
@@ -161,19 +167,36 @@ def achievable_losing_lists(
     states = {(0,) * offsets[-1]}
     for rank, sel in enumerate(sels):
         moves = [p for p in sel if p not in inner]
-        states = {
-            st[:p] + (st[p] + 1,) + st[p + 1:]
-            for st in states
-            for p in moves + [e for e in inner if st[e] != st[e + 1]]
-        }
+        inserts, blocks = [], []  # blocks lo..e to sort: by insertion where alpha_i = 1
         for lo, at, a, stride in parts:
             if (rank + 1) % stride == 0:  # every digit below part i is maxed
                 run = sel[at:at + a]  # part i's vertices; e ends their first run
                 e = run[0]
                 while e + 1 in run:
                     e += 1
-                if e > lo:
-                    states = {st[:lo] + tuple(sorted(st[lo:e + 1])) + st[e + 1:] for st in states}
+                if e > lo and a == 1:
+                    inserts.append((lo, e, moves.index(e)))
+                elif e > lo:
+                    blocks.append((lo, e))
+        after = set()
+        add = after.add
+        for st in states:
+            row, ps = list(st), moves + [e for e in inner if st[e] != st[e + 1]]
+            for lo, e, i in inserts:  # lo..e-1 is sorted: insert e's count, and raise it there
+                ps[i] = q = bisect_right(row, st[e], lo, e)
+                row.insert(q, row.pop(e))
+            for p in ps:
+                row[p] += 1
+                add(tuple(row))
+                row[p] -= 1
+        states = after
+        if blocks:  # alpha_i >= 2: sort each merged state's blocks
+            states = set()
+            for st in after:
+                row = list(st)
+                for lo, e in blocks:
+                    row[lo:e + 1] = sorted(row[lo:e + 1])
+                states.add(tuple(row))
     rows = list(states)  # the last rank maxes every digit, so each part is sorted
     lists = frozenset(zip(*([st[lo:hi] for st in rows] for lo, hi in spans)))
     return AchievableSet(shape, lists, count)

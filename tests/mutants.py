@@ -186,8 +186,21 @@ MUTANTS = [
     },
     {
         "file": "oracle.py",
-        "original": "states = {st[:lo] + tuple(sorted(st[lo:e + 1])) + st[e + 1:] for st in states}",
-        "replacement": "states = {st[:lo] + tuple(st[lo:e + 1]) + st[e + 1:] for st in states}",
+        "original": "row[lo:e + 1] = sorted(row[lo:e + 1])",
+        "replacement": "row[lo:e + 1] = row[lo:e + 1]",
+        "tests": ["tests/test_oracle.py"],
+    },
+    {
+        "file": "oracle.py",
+        "original": "bisect_right(row, st[e], lo, e)",
+        # bisect_left on integer counts: e's raised count lands before its equals.
+        "replacement": "bisect_right(row, st[e] - 1, lo, e)",
+        "tests": ["tests/test_oracle.py"],
+    },
+    {
+        "file": "oracle.py",
+        "original": "ps[i] = q = ",
+        "replacement": "q = ",
         "tests": ["tests/test_oracle.py"],
     },
     {

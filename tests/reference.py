@@ -13,11 +13,13 @@ arc. The CLI
 writes a witness in chunks (``cli._emit_witness``); the tests compare its
 bytes with :func:`witness_stdout`. The check builds a tail's lower envelope
 in one pass over the line order its shape fixes (``criteria._lower_envelope``);
-:func:`sorted_lower_envelope` sorts the lines themselves.
+:func:`sorted_lower_envelope` sorts the lines themselves. The dynamic program
+sorts a block of an arity-one part by inserting its last count into the
+sorted rest; :func:`sorting_achievable` sorts every block whole.
 """
 
 import json
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterator
 
 from hyperscores import DEFAULT_ASSIGNMENT_BUDGET, Hypertournament, Kind, Shape, StructuralError
@@ -74,6 +76,40 @@ def bounded_candidate_lists(
                 chosen.pop()
 
     yield from rec(0, target, [])
+
+
+def sorting_achievable(shape: Shape, before_sort=None) -> frozenset:
+    """The achievable losing list tuples from the dynamic program of
+    ``oracle.achievable_losing_lists`` with every block lo..e sorted whole in
+    a second pass over the rank's states. ``before_sort(alpha_i, lo, e,
+    states)``, when given, sees the states just before each block is sorted."""
+    sels = _selection_ids(shape)
+    offsets = shape.offsets
+    spans = list(zip(offsets, offsets[1:]))
+    inner = [e for (lo, hi), a in zip(spans, shape.alpha) if hi - lo == a > 1
+             for e in range(lo, hi - 1)]
+    parts = [(lo, at, a, stride) for (lo, hi), a, at, stride
+             in zip(spans, shape.alpha, accumulate(shape.alpha, initial=0), shape.strides)
+             if hi - lo > a]
+    states = {(0,) * offsets[-1]}
+    for rank, sel in enumerate(sels):
+        moves = [p for p in sel if p not in inner]
+        states = {
+            st[:p] + (st[p] + 1,) + st[p + 1:]
+            for st in states
+            for p in moves + [e for e in inner if st[e] != st[e + 1]]
+        }
+        for lo, at, a, stride in parts:
+            if (rank + 1) % stride == 0:
+                run = sel[at:at + a]
+                e = run[0]
+                while e + 1 in run:
+                    e += 1
+                if e > lo:
+                    if before_sort:
+                        before_sort(a, lo, e, states)
+                    states = {st[:lo] + tuple(sorted(st[lo:e + 1])) + st[e + 1:] for st in states}
+    return frozenset(tuple(st[lo:hi] for lo, hi in spans) for st in states)
 
 
 def sorted_lower_envelope(base, g):

@@ -23,7 +23,7 @@ from hyperscores import oracle
 from hyperscores.criteria import _accepted_lists
 from hyperscores.model import ScoreLists, _selection_ids
 from hyperscores.oracle import CrossValidationReport, _score_tuples
-from reference import bounded_candidate_lists, enumerate_assignments
+from reference import bounded_candidate_lists, enumerate_assignments, sorting_achievable
 
 
 def naive_achievable(shape):
@@ -195,13 +195,37 @@ class TestAchievable:
     def test_matches_the_finished_sort_reference(self):
         """Every shape with k <= 4, n_i <= 6, alpha_i <= 3 and at most 2*10^4
         assignments, in every part order: merging states up to symmetry
-        changes no list."""
+        changes no list, and inserting the last count of an arity-one part's
+        block into the sorted rest gives what sorting the whole block after
+        the branch gives."""
         shapes = list(_shapes(4, 6, 3, lambda s: sum(s.alpha) ** s.total_arcs() <= 20_000))
         assert len(shapes) == 1157
         for shape in shapes:
             ach = achievable_losing_lists(shape)
             assert ach.lists == reference_achievable(shape), shape
+            assert ach.lists == sorting_achievable(shape), shape
             assert ach.assignment_count == sum(shape.alpha) ** shape.total_arcs(), shape
+
+    def test_an_arity_one_block_is_sorted_but_its_last_entry(self):
+        """The shapes of the transposition box below with at most 10^7
+        assignments. Whenever the block sort reference sorts a block lo..e of
+        a part with alpha_i = 1, every state has lo..e-1 sorted already, so
+        inserting e's count is the whole sort. In some states e's count is
+        already the largest; in others it moves."""
+        shapes = [s for s in _shape_box(3, 4, 100) if sum(s.alpha) ** s.total_arcs() <= 10**7]
+        assert len(shapes) == 582
+        seen = {"blocks": 0, "largest": 0, "moved": 0}
+
+        def before_sort(a, lo, e, states):
+            if a == 1:
+                seen["blocks"] += 1
+                for st in states:
+                    assert list(st[lo:e]) == sorted(st[lo:e]), (shape, lo, e, st)
+                    seen["moved" if st[e] < st[e - 1] else "largest"] += 1
+
+        for shape in shapes:
+            sorting_achievable(shape, before_sort)
+        assert seen == {"blocks": 1093, "largest": 166782, "moved": 67046}
 
     def test_every_sorted_block_is_closed_under_its_transpositions(self):
         """Every shape with k <= 3, n_i <= 4 and at most 100 arcs, in every
